@@ -11,6 +11,8 @@ diagonally with the word basis, so "over V*" is a semantic annotation only.
 
 from __future__ import annotations
 
+from .linalg import axpy
+
 Word = tuple  # tuple of generator indices
 
 
@@ -75,14 +77,7 @@ class Tensor:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = terms.get(w)
-            s = c if cur is None else cur + c
-            if s:
-                terms[w] = s
-            elif cur is not None:
-                del terms[w]
+        terms = axpy(dict(self.terms), 1, other.terms)
         return Tensor(self.n, self.grade, terms)
 
     def __neg__(self):
@@ -130,14 +125,7 @@ def concat(a: Tensor, b: Tensor) -> Tensor:
     terms = {}
     for u, cu in a.terms.items():
         for v, cv in b.terms.items():
-            w = u + v
-            c = cu * cv
-            cur = terms.get(w)
-            s = c if cur is None else cur + c
-            if s:
-                terms[w] = s
-            elif cur is not None:
-                del terms[w]
+            terms[u + v] = cu * cv  # u + v determines u and v
     return Tensor(a.n, a.grade + b.grade, terms)
 
 
@@ -175,12 +163,6 @@ def shuffle_pairs(xi: Tensor, v: Tensor) -> Tensor:
     terms = {}
     for jw, cj in xi.terms.items():
         for iw, ci in v.terms.items():
-            word = tuple(i * n + j for i, j in zip(iw, jw))
-            c = cj * ci
-            cur = terms.get(word)
-            s = c if cur is None else cur + c
-            if s:
-                terms[word] = s
-            elif cur is not None:
-                del terms[word]
+            # the z-word determines (iw, jw), so no two terms share a word
+            terms[tuple(i * n + j for i, j in zip(iw, jw))] = cj * ci
     return Tensor(n * n, xi.grade, terms)

@@ -1,16 +1,18 @@
 """The N-homogeneous algebra engine.
 
 An algebra A = T(V)/(R) is presented by (n, N, relations).  Per degree d the
-engine computes the ideal component I_d by the recursion
+engine keeps one echelon basis, not reduced, of the ideal component I_d,
+built by the recursion
 
-    I_d = V ⊗ I_{d-1} + R ⊗ V^{⊗(d-N)}        (d > N),
+    I_d = V ⊗ I_{d-1} + R ⊗ V^{⊗(d-N)}        (d > N).
 
-keeps its reduced echelon basis, and takes the words at non-pivot columns as
-the normal basis of A_d.  Reduction modulo I_d gives quotient arithmetic.
-
-Dimension-only queries go through a cheaper non-reduced echelon layer so
-Hilbert series can be pushed a couple of degrees further than full
-reduction data.
+The shifted rows of I_{d-1} are already an echelon basis of V ⊗ I_{d-1} and
+are copied in as they are.  Since R ⊗ I_{d-N} ⊆ V ⊗ I_{d-1}, only the rows
+R ⊗ w for normal words w of degree d-N are eliminated.  The words at
+non-pivot columns form the normal basis of A_d, and forward reduction
+against the echelon gives the unique normal form of any tensor, which is
+the quotient arithmetic.  The canonical reduced basis of I_d is built only
+when :meth:`AlgebraPresentation.ideal_component` asks for it.
 """
 
 from __future__ import annotations
@@ -45,87 +47,66 @@ class AlgebraPresentation:
         self.relations = relations
         self.label = label
         self.field = field
-        self._full = {}
-        self._rank = {}
+        self._degrees = []  # _DegreeData of degrees 0, 1, 2, ...
         self._extra = {}  # scratch slots for other modules (koszul, manin, mmt)
 
     # ------------------------------------------------------------------
     # ideal components
 
-    def _ideal_row_source(self, d):
-        """Some spanning echelon rows of I_d (reduced if available)."""
-        data = self._full.get(d)
-        if data is not None:
-            return list(data.echelon.row_of.values())
-        ech = self._rank.get(d)
-        if ech is None:
-            ech = self._build_echelon(d, reduced=False)
-            self._rank[d] = ech
-        return list(ech.row_of.values())
+    def _component(self, d):
+        """Degree-d data; every lower degree is built first, since I_d
+        needs I_{d-1} and the normal words of degrees d-1 and d-N."""
+        if d < 0:
+            raise ValueError("degree must be >= 0")
+        degrees = self._degrees
+        while len(degrees) <= d:
+            degrees.append(self._next_degree())
+        return degrees[d]
 
-    def _spanning_rows(self, d):
-        n, N = self.n, self.N
-        if d < N:
-            return
+    def _next_degree(self):
+        n, N, degrees = self.n, self.N, self._degrees
+        d = len(degrees)
+        ech = linalg.Echelon(n**d)
         if d == N:
             for r in self.relations:
-                yield r.to_vec()
-            return
-        stride = n ** (d - 1)
-        for row in self._ideal_row_source(d - 1):
-            for a in range(n):
-                off = a * stride
-                yield {off + idx: c for idx, c in row.items()}
-        tail = n ** (d - N)
-        for r in self.relations:
-            rvec = r.to_vec()
-            for widx in range(tail):
-                yield {ridx * tail + widx: c for ridx, c in rvec.items()}
-
-    def _build_echelon(self, d, reduced):
-        ech = linalg.Echelon(self.n**d, reduced=reduced)
-        for vec in self._spanning_rows(d):
-            ech.add(vec)
-        return ech
-
-    def _component(self, d):
-        data = self._full.get(d)
-        if data is None:
-            ech = linalg.Echelon(self.n**d, reduced=True)
-            rank_ech = self._rank.pop(d, None)
-            if rank_ech is not None:
-                # upgrade: re-insert the cheap echelon's rows with reduction
-                for vec in rank_ech.row_of.values():
-                    ech.add(vec)
-            else:
-                for vec in self._spanning_rows(d):
-                    ech.add(vec)
-            data = _DegreeData(self, d, ech)
-            self._full[d] = data
-        return data
+                ech.add(r.to_vec())
+        elif d > N:
+            stride = n ** (d - 1)
+            for p, row in degrees[d - 1].echelon.row_of.items():
+                for a in range(n):
+                    off = a * stride
+                    ech.row_of[off + p] = {off + idx: c for idx, c in row.items()}
+            tail = n ** (d - N)
+            for r in self.relations:
+                rvec = r.to_vec()
+                for widx in degrees[d - N].normal:
+                    ech.add({ridx * tail + widx: c for ridx, c in rvec.items()})
+        if d == 0:
+            normal = [0]
+        else:
+            # I_{d-1} ⊗ V ⊆ I_d, so every normal word extends one of degree d-1.
+            normal = [
+                i
+                for q in degrees[d - 1].normal
+                for i in range(q * n, q * n + n)
+                if i not in ech.row_of
+            ]
+        return _DegreeData(ech, normal)
 
     def ideal_component(self, d) -> linalg.Subspace:
         """The degree-d component of the two-sided ideal (R), as a subspace."""
-        if d < 0:
-            raise ValueError("degree must be >= 0")
-        return self._component(d).subspace
+        data = self._component(d)
+        if data.subspace is None:
+            data.subspace = data.echelon.to_subspace()
+        return data.subspace
 
     def ideal_rank(self, d) -> int:
-        data = self._full.get(d)
-        if data is not None:
-            return data.echelon.rank
-        ech = self._rank.get(d)
-        if ech is None:
-            ech = self._build_echelon(d, reduced=False)
-            self._rank[d] = ech
-        return ech.rank
+        return self._component(d).echelon.rank
 
     # ------------------------------------------------------------------
     # quotient data
 
     def dim_component(self, d) -> int:
-        if d < 0:
-            raise ValueError("degree must be >= 0")
         return self.n**d - self.ideal_rank(d)
 
     def hilbert_series(self, max_degree) -> series.UniSeries:
@@ -134,14 +115,16 @@ class AlgebraPresentation:
 
     def normal_basis(self, d):
         """Words at non-pivot columns of I_d; their classes form a basis of A_d."""
-        return self._component(d).normal_words
+        data = self._component(d)
+        if data.normal_words is None:
+            data.normal_words = tuple(index_word(i, d, self.n) for i in data.normal)
+        return data.normal_words
 
     def reduce(self, t: Tensor):
         """Projection T(V)_d -> A_d in normal-basis coordinates."""
         if t.n != self.n:
             raise ValueError("alphabet mismatch")
-        data = self._component(t.grade)
-        rem = data.echelon.reduce(t.to_vec())
+        rem = self._component(t.grade).echelon.reduce(t.to_vec())
         coords = {index_word(i, t.grade, self.n): c for i, c in rem.items()}
         return AlgebraClass(self, t.grade, coords)
 
@@ -151,12 +134,9 @@ class AlgebraPresentation:
         data = self._component(d)
         cls = data.word_class.get(word)
         if cls is None:
-            if word in data.normal_set:
-                cls = AlgebraClass(self, d, {word: 1})
-            else:
-                rem = data.echelon.reduce({word_index(word, self.n): 1})
-                coords = {index_word(i, d, self.n): c for i, c in rem.items()}
-                cls = AlgebraClass(self, d, coords)
+            rem = data.echelon.reduce({word_index(word, self.n): 1})
+            coords = {index_word(i, d, self.n): c for i, c in rem.items()}
+            cls = AlgebraClass(self, d, coords)
             data.word_class[word] = cls
         return cls
 
@@ -182,17 +162,18 @@ class AlgebraPresentation:
 
 
 class _DegreeData:
-    __slots__ = ("echelon", "subspace", "normal_words", "normal_set", "word_class")
+    """The echelon of I_d, its normal indices, and what is derived from them.
 
-    def __init__(self, algebra, d, echelon):
+    ``subspace`` and ``normal_words`` stay None until first asked for.
+    """
+
+    __slots__ = ("echelon", "normal", "subspace", "normal_words", "word_class")
+
+    def __init__(self, echelon, normal):
         self.echelon = echelon
-        self.subspace = echelon.to_subspace()
-        pivset = set(echelon.row_of)
-        n = algebra.n
-        self.normal_words = tuple(
-            index_word(i, d, n) for i in range(n**d) if i not in pivset
-        )
-        self.normal_set = frozenset(self.normal_words)
+        self.normal = normal  # non-pivot columns, increasing
+        self.subspace = None
+        self.normal_words = None
         self.word_class = {}
 
 
@@ -211,14 +192,7 @@ class AlgebraClass:
 
     def __add__(self, other):
         self._check(other)
-        coords = dict(self.coords)
-        for w, c in other.coords.items():
-            cur = coords.get(w)
-            s = c if cur is None else cur + c
-            if s:
-                coords[w] = s
-            elif cur is not None:
-                del coords[w]
+        coords = linalg.axpy(dict(self.coords), 1, other.coords)
         return AlgebraClass(self.algebra, self.degree, coords)
 
     def __neg__(self):
@@ -246,14 +220,7 @@ class AlgebraClass:
         out = {}
         for u, cu in self.coords.items():
             for v, cv in other.coords.items():
-                c = cu * cv
-                for w, cw in A.class_of_word(u + v).coords.items():
-                    cur = out.get(w)
-                    s = c * cw if cur is None else cur + c * cw
-                    if s:
-                        out[w] = s
-                    elif cur is not None:
-                        del out[w]
+                linalg.axpy(out, cu * cv, A.class_of_word(u + v).coords)
         return AlgebraClass(A, self.degree + other.degree, out)
 
     def __rmul__(self, other):

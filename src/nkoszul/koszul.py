@@ -154,21 +154,16 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
     rows = []
     for e in A.normal_basis(k):
         for entries in slices:
-            row = {}
+            slots = {}  # J_{ν(ℓ-1)} basis index -> A_{k+s} coordinates
             for p_word, coords in entries:
-                cls = A.class_of_word(e + p_word)
-                for f, cf in cls.coords.items():
-                    base = cod_pos[f] * dim_lower
-                    for g, lam in coords.items():
-                        col = base + g
-                        cur = row.get(col)
-                        v = cf * lam
-                        upd = v if cur is None else cur + v
-                        if upd:
-                            row[col] = upd
-                        elif cur is not None:
-                            del row[col]
-            rows.append(row)
+                cls = A.class_of_word(e + p_word).coords
+                for g, lam in coords.items():
+                    linalg.axpy(slots.setdefault(g, {}), lam, cls)
+            rows.append({
+                cod_pos[f] * dim_lower + g: v
+                for g, slot in slots.items()
+                for f, v in slot.items()
+            })
     return linalg.Matrix(len(cod_words) * dim_lower, rows)
 
 
@@ -176,13 +171,7 @@ def _composition_is_zero(d_hi: linalg.Matrix, d_lo: linalg.Matrix) -> bool:
     for row in d_hi.rows:
         acc = {}
         for mid, c in row.items():
-            for col, v in d_lo.rows[mid].items():
-                cur = acc.get(col)
-                upd = c * v if cur is None else cur + c * v
-                if upd:
-                    acc[col] = upd
-                elif cur is not None:
-                    del acc[col]
+            linalg.axpy(acc, c, d_lo.rows[mid])
         if acc:
             return False
     return True

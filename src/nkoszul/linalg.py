@@ -8,6 +8,8 @@ there is no tolerance anywhere.
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+
 
 class Matrix:
     """A list of sparse rows with a fixed column count."""
@@ -49,19 +51,65 @@ class Matrix:
         return out
 
 
+def axpy(acc, c, vec, skip=None):
+    """Add ``c·vec`` into ``acc`` in place, dropping entries that cancel.
+
+    Column ``skip`` of ``vec`` is left out.  ``c`` must be nonzero and
+    ``vec`` hold no zeros, so a new entry is never zero.  Returns ``acc``.
+    """
+    for col, val in vec.items():
+        if col == skip:
+            continue
+        cur = acc.get(col)
+        if cur is None:
+            acc[col] = c * val
+        else:
+            cur = cur + c * val
+            if cur:
+                acc[col] = cur
+            else:
+                del acc[col]
+    return acc
+
+
+def _eliminate(row_of, row):
+    """Clear from ``row``, in place, every column that is a key of ``row_of``.
+
+    ``row_of`` maps pivot columns to echelon rows: each row has entry 1 at
+    its pivot and nothing left of it.  Pivots are cleared in increasing
+    order from a heap; clearing pivot j only adds columns right of j, so
+    each pivot is cleared at most once.  What is left lies on non-pivot
+    columns and is the unique representative of ``row`` there.
+    """
+    heap = [j for j in row if j in row_of]
+    heapify(heap)
+    while heap:
+        j = heappop(heap)
+        c = row.pop(j, None)
+        if c is None:
+            continue
+        prow = row_of[j]
+        axpy(row, -c, prow, skip=j)
+        for col in prow:
+            if col > j and col in row_of:
+                heappush(heap, col)
+    return row
+
+
 class Echelon:
     """Mutable row-echelon accumulator.
 
-    Pivot entries are normalized to 1.  With ``reduced=True`` the rows are
-    kept in reduced row echelon form (pivot columns cleared from every other
-    row), which is what canonical :class:`Subspace` bases require; with
-    ``reduced=False`` only rank and a spanning echelon are maintained, which
-    is cheaper for large dimension counts.
+    ``row_of`` maps each pivot column to a row with entry 1 at the pivot and
+    nothing left of it, so the rows are an echelon basis of the row space.
+    Rank, :meth:`reduce` and :meth:`to_subspace` work from any such basis.
+    With ``reduced=True`` each insertion also clears the new pivot column
+    from every other row, so the rows stay in reduced row echelon form; by
+    default that back-substitution is left to :meth:`to_subspace`.
     """
 
     __slots__ = ("ncols", "reduced", "row_of")
 
-    def __init__(self, ncols: int, reduced: bool = True):
+    def __init__(self, ncols: int, reduced: bool = False):
         self.ncols = ncols
         self.reduced = reduced
         self.row_of = {}  # pivot column -> row dict (includes the pivot entry 1)
@@ -72,44 +120,7 @@ class Echelon:
 
     def add(self, vec) -> bool:
         """Absorb ``vec``; return True when the rank grew."""
-        row = {j: v for j, v in vec.items() if v}
-        row_of = self.row_of
-        if self.reduced:
-            # Existing rows touch no pivot column but their own, so one pass
-            # over the initial pivot hits clears them all.
-            for j in sorted(c for c in row if c in row_of):
-                c = row.pop(j)
-                for col, val in row_of[j].items():
-                    if col == j:
-                        continue
-                    cur = row.get(col)
-                    if cur is None:
-                        row[col] = -c * val
-                    else:
-                        cur = cur - c * val
-                        if cur:
-                            row[col] = cur
-                        else:
-                            del row[col]
-        else:
-            while row:
-                j = min(row)
-                prow = row_of.get(j)
-                if prow is None:
-                    break
-                c = row.pop(j)
-                for col, val in prow.items():
-                    if col == j:
-                        continue
-                    cur = row.get(col)
-                    if cur is None:
-                        row[col] = -c * val
-                    else:
-                        cur = cur - c * val
-                        if cur:
-                            row[col] = cur
-                        else:
-                            del row[col]
+        row = _eliminate(self.row_of, {j: v for j, v in vec.items() if v})
         if not row:
             return False
         j = min(row)
@@ -118,24 +129,11 @@ class Echelon:
             row = {col: val / lead for col, val in row.items()}
             row[j] = 1
         if self.reduced:
-            for pcol, prow in row_of.items():
-                c = prow.get(j)
-                if c is None:
-                    continue
-                del prow[j]
-                for col, val in row.items():
-                    if col == j:
-                        continue
-                    cur = prow.get(col)
-                    if cur is None:
-                        prow[col] = -c * val
-                    else:
-                        cur = cur - c * val
-                        if cur:
-                            prow[col] = cur
-                        else:
-                            del prow[col]
-        row_of[j] = row
+            for prow in self.row_of.values():
+                c = prow.pop(j, None)
+                if c is not None:
+                    axpy(prow, -c, row, skip=j)
+        self.row_of[j] = row
         return True
 
     def extend(self, vecs) -> int:
@@ -146,45 +144,21 @@ class Echelon:
         return grew
 
     def reduce(self, vec):
-        """Remainder of ``vec`` modulo the row space (reduced mode only).
+        """Remainder of ``vec`` modulo the row space, in either mode.
 
         The remainder is supported on non-pivot columns and is the unique
         representative of ``vec`` modulo the row space there.
         """
-        assert self.reduced, "reduce() needs a reduced echelon"
-        row_of = self.row_of
-        out = {}
-        corrections = []
-        for j, v in vec.items():
-            if not v:
-                continue
-            prow = row_of.get(j)
-            if prow is None:
-                out[j] = v
-            else:
-                corrections.append((v, prow))
-        # In reduced form a pivot column occurs only in its own row, so the
-        # corrections never hit further pivot columns.
-        for c, prow in corrections:
-            for col, val in prow.items():
-                if col in row_of:
-                    continue
-                cur = out.get(col)
-                if cur is None:
-                    out[col] = -c * val
-                else:
-                    cur = cur - c * val
-                    if cur:
-                        out[col] = cur
-                    else:
-                        del out[col]
-        return out
+        return _eliminate(self.row_of, {j: v for j, v in vec.items() if v})
 
     def to_subspace(self):
-        assert self.reduced, "subspaces need reduced echelon bases"
-        pivots = sorted(self.row_of)
-        rows = tuple(dict(self.row_of[p]) for p in pivots)
-        return Subspace(self.ncols, tuple(pivots), rows)
+        """The row space as a :class:`Subspace` (reduced row echelon basis)."""
+        rows = {}
+        # Last pivot first: each row is cleared against rows already reduced.
+        for p in sorted(self.row_of, reverse=True):
+            rows[p] = _eliminate(rows, dict(self.row_of[p]))
+        pivots = sorted(rows)
+        return Subspace(self.ncols, pivots, [rows[p] for p in pivots])
 
 
 class Subspace:
@@ -206,8 +180,8 @@ class Subspace:
         return len(self.pivots)
 
     def contains(self, vec) -> bool:
-        rem = _remainder(self, vec)
-        return not rem
+        row_of = dict(zip(self.pivots, self.rows))
+        return not _eliminate(row_of, {j: v for j, v in vec.items() if v})
 
     def coordinates(self, vec):
         """Coordinates of ``vec`` in the basis rows; raises if not a member.
@@ -223,13 +197,7 @@ class Subspace:
         # Verify: sum of coordinate multiples must reproduce vec exactly.
         residual = dict(vec)
         for i, c in coords.items():
-            for col, val in self.rows[i].items():
-                cur = residual.get(col)
-                upd = (cur - c * val) if cur is not None else -c * val
-                if upd:
-                    residual[col] = upd
-                elif cur is not None:
-                    del residual[col]
+            axpy(residual, -c, self.rows[i])
         if any(v for v in residual.values()):
             raise ValueError("vector is not in the subspace")
         return coords
@@ -246,30 +214,6 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _remainder(space: Subspace, vec):
-    rem = {j: v for j, v in vec.items() if v}
-    pivset = set(space.pivots)
-    hits = sorted(j for j in rem if j in pivset)
-    index = {p: i for i, p in enumerate(space.pivots)}
-    for j in hits:
-        c = rem.pop(j, None)
-        if not c:
-            continue
-        for col, val in space.rows[index[j]].items():
-            if col == j:
-                continue
-            cur = rem.get(col)
-            if cur is None:
-                rem[col] = -c * val
-            else:
-                cur = cur - c * val
-                if cur:
-                    rem[col] = cur
-                else:
-                    del rem[col]
-    return rem
-
-
 def rref(matrix: Matrix):
     """Reduced row echelon form of the row space; returns (Subspace, rank)."""
     ech = Echelon(matrix.ncols, reduced=True)
@@ -279,7 +223,7 @@ def rref(matrix: Matrix):
 
 
 def rank(matrix: Matrix) -> int:
-    ech = Echelon(matrix.ncols, reduced=False)
+    ech = Echelon(matrix.ncols)
     ech.extend(matrix.rows)
     return ech.rank
 

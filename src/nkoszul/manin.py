@@ -21,6 +21,7 @@ from .algebras import perm_sign, polynomial
 from .freealg import Tensor, all_words, index_word, shuffle_pairs, word_index
 from .homog import AlgebraClass, AlgebraPresentation
 from .koszul import dual_koszul_subspace, nu
+from .linalg import axpy
 from .series import GradedRing, UniSeries
 
 
@@ -104,15 +105,7 @@ def coaction_on_tensor(B: ManinBialgebra, t: Tensor):
             if not zcls.coords:
                 continue
             for aw, ca in acls.coords.items():
-                slot = acc.setdefault(aw, {})
-                scale = cw * ca
-                for zw, cz in zcls.coords.items():
-                    cur = slot.get(zw)
-                    upd = scale * cz if cur is None else cur + scale * cz
-                    if upd:
-                        slot[zw] = upd
-                    elif cur is not None:
-                        del slot[zw]
+                axpy(acc.setdefault(aw, {}), cw * ca, zcls.coords)
     return {
         aw: AlgebraClass(B.env, t.grade, coords)
         for aw, coords in acc.items()
@@ -145,14 +138,7 @@ def coaction_on_J(B: ManinBialgebra, ell: int, verify: bool = False):
                 zcls = E.class_of_word(zword)
                 if not zcls.coords:
                     continue
-                slot = slots.setdefault(jw, {})
-                for zw, cz in zcls.coords.items():
-                    cur = slot.get(zw)
-                    upd = c * cz if cur is None else cur + c * cz
-                    if upd:
-                        slot[zw] = upd
-                    elif cur is not None:
-                        del slot[zw]
+                axpy(slots.setdefault(jw, {}), c, zcls.coords)
         raw.append(slots)
         for a, pw in enumerate(pivot_words):
             coords = slots.get(pw)
@@ -167,15 +153,7 @@ def coaction_on_J(B: ManinBialgebra, ell: int, verify: bool = False):
                     c = arow.get(jidx)
                     if not c:
                         continue
-                    pw = pivot_words[a]
-                    pcoords = slots.get(pw, {})
-                    for zw, cz in pcoords.items():
-                        cur = residual.get(zw)
-                        upd = -c * cz if cur is None else cur - c * cz
-                        if upd:
-                            residual[zw] = upd
-                        elif cur is not None:
-                            del residual[zw]
+                    axpy(residual, -c, slots.get(pivot_words[a], {}))
                 if any(residual.values()):
                     raise RuntimeError(
                         f"coaction does not preserve J_{m}; internal error"
@@ -192,14 +170,7 @@ def chi_A(B: ManinBialgebra, k: int) -> CharacterElement:
         acls = A.class_of_word(jw)
         for e, ce in acls.coords.items():
             zword = tuple(i * n + j for i, j in zip(e, jw))
-            zcls = E.class_of_word(zword)
-            for zw, cz in zcls.coords.items():
-                cur = acc.get(zw)
-                upd = ce * cz if cur is None else cur + ce * cz
-                if upd:
-                    acc[zw] = upd
-                elif cur is not None:
-                    del acc[zw]
+            axpy(acc, ce, E.class_of_word(zword).coords)
     return CharacterElement(k, AlgebraClass(E, k, acc))
 
 
@@ -217,14 +188,7 @@ def chi_J(B: ManinBialgebra, ell: int) -> CharacterElement:
         for idx, c in row.items():
             w = index_word(idx, m, n)
             zword = tuple(i * n + j for i, j in zip(w, pword))
-            zcls = E.class_of_word(zword)
-            for zw, cz in zcls.coords.items():
-                cur = acc.get(zw)
-                upd = c * cz if cur is None else cur + c * cz
-                if upd:
-                    acc[zw] = upd
-                elif cur is not None:
-                    del acc[zw]
+            axpy(acc, c, E.class_of_word(zword).coords)
     return CharacterElement(m, AlgebraClass(E, m, acc))
 
 
@@ -369,22 +333,9 @@ def _bos_elements(B: ManinBialgebra, max_degree: int):
                         letter = i * n + j
                         emult = {}
                         for ew, ce in ecoords.items():
-                            for fw, cf in E.class_of_word(ew + (letter,)).coords.items():
-                                cur = emult.get(fw)
-                                upd = ce * cf if cur is None else cur + ce * cf
-                                if upd:
-                                    emult[fw] = upd
-                                elif cur is not None:
-                                    del emult[fw]
+                            axpy(emult, ce, E.class_of_word(ew + (letter,)).coords)
                         for aw2, ca in acls.coords.items():
-                            slot = out.setdefault(aw2, {})
-                            for fw, c in emult.items():
-                                cur = slot.get(fw)
-                                upd = c * ca if cur is None else cur + c * ca
-                                if upd:
-                                    slot[fw] = upd
-                                elif cur is not None:
-                                    del slot[fw]
+                            axpy(out.setdefault(aw2, {}), ca, emult)
                 elems[target] = out
                 new_frontier[target] = out
         frontier = new_frontier
@@ -432,17 +383,12 @@ def _noncommutative_minor(B: ManinBialgebra, subset, transpose: bool) -> Algebra
     ell = len(subset)
     terms = {}
     for perm in permutations(range(ell)):
-        sign = perm_sign(perm)
+        # the word determines the permutation, so no two terms share a word
         if transpose:
             word = tuple(subset[s] * n + subset[perm[s]] for s in range(ell))
         else:
             word = tuple(subset[perm[s]] * n + subset[s] for s in range(ell))
-        cur = terms.get(word)
-        upd = sign if cur is None else cur + sign
-        if upd:
-            terms[word] = upd
-        elif cur is not None:
-            del terms[word]
+        terms[word] = perm_sign(perm)
     return E.reduce(Tensor(n * n, ell, terms))
 
 

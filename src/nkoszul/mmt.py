@@ -67,28 +67,14 @@ def _transform_tensor(Z, t: Tensor) -> Tensor:
     for w, c in t.terms.items():
         partial = {(): c}
         for letter in w:
-            nxt = {}
             row = Z[letter]
-            for prefix, coeff in partial.items():
-                for j in range(n):
-                    z = row[j]
-                    if not z:
-                        continue
-                    key = prefix + (j,)
-                    cur = nxt.get(key)
-                    upd = coeff * z if cur is None else cur + coeff * z
-                    if upd:
-                        nxt[key] = upd
-                    elif cur is not None:
-                        del nxt[key]
-            partial = nxt
-        for w2, coeff in partial.items():
-            cur = terms.get(w2)
-            upd = coeff if cur is None else cur + coeff
-            if upd:
-                terms[w2] = upd
-            elif cur is not None:
-                del terms[w2]
+            partial = {
+                prefix + (j,): coeff * row[j]
+                for prefix, coeff in partial.items()
+                for j in range(n)
+                if row[j]
+            }
+        linalg.axpy(terms, 1, partial)
     return Tensor(n, t.grade, terms)
 
 
@@ -151,16 +137,8 @@ def _product_vector(A: AlgebraPresentation, Z, word, start=None):
         for w, c in cur.items():
             for j in range(n):
                 z = row[j]
-                if not z:
-                    continue
-                scale = c * z
-                for w2, c2 in A.class_of_word(w + (j,)).coords.items():
-                    cur2 = nxt.get(w2)
-                    upd = scale * c2 if cur2 is None else cur2 + scale * c2
-                    if upd:
-                        nxt[w2] = upd
-                    elif cur2 is not None:
-                        del nxt[w2]
+                if z:
+                    linalg.axpy(nxt, c * z, A.class_of_word(w + (j,)).coords)
         cur = nxt
     return cur
 
@@ -223,12 +201,8 @@ def _lhs_series(A: AlgebraPresentation, Z, max_degree: int) -> MultiSeries:
         for letter in word:
             exps[letter] += 1
         key = tuple(exps)
-        cur = terms.get(key)
-        upd = value if cur is None else cur + value
-        if upd:
-            terms[key] = upd
-        elif cur is not None:
-            del terms[key]
+        # MultiSeries drops the terms that cancel to zero
+        terms[key] = terms.get(key, A.field.zero) + value
     return MultiSeries(A.field, n, max_degree, terms)
 
 
@@ -314,14 +288,8 @@ def nmt_rhs_denominator(n: int, N: int, Z, field, max_degree: int) -> MultiSerie
             exps = [0] * n
             for j in subset:
                 exps[j] = 1
-            key = tuple(exps)
-            value = minor if eps > 0 else -minor
-            cur = terms.get(key)
-            upd = value if cur is None else cur + value
-            if upd:
-                terms[key] = upd
-            elif cur is not None:
-                del terms[key]
+            # one subset per exponent vector, so no key repeats
+            terms[tuple(exps)] = minor if eps > 0 else -minor
     return MultiSeries(field, n, max_degree, terms)
 
 
@@ -357,8 +325,8 @@ def char_poly_coeffs(M, one=None):
     trace recursion; entries may be scalars or any commutative ring elements
     supporting +, *, and scaling by Fraction.
 
-    The identity c_r = (-1)^r · (sum of principal r×r minors) is asserted
-    for scalar matrices.
+    The identity c_r = (-1)^r · (sum of principal r×r minors) is checked
+    for scalar matrices; a disagreement raises RuntimeError.
     """
     size = len(M)
     for row in M:
@@ -393,7 +361,11 @@ def char_poly_coeffs(M, one=None):
             expected = principal_minor_sum(M, r)
             if r % 2:
                 expected = -expected
-            assert coeffs[r] == expected, "characteristic coefficients disagree with principal minors"
+            if coeffs[r] != expected:
+                raise RuntimeError(
+                    "characteristic coefficients disagree with principal minors; "
+                    "internal error"
+                )
     return coeffs
 
 

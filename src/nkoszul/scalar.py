@@ -9,9 +9,9 @@ rest of the code as long as a single field is used per algebra.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-import sympy
 from sympy.polys.domains import QQ as _SYMPY_QQ
 from sympy.polys.fields import field as _frac_field
 
@@ -87,7 +87,10 @@ class ParameterField:
         return (self._field.one * p) / q
 
     def parse(self, text: str):
-        return self._field.from_expr(sympy.sympify(text))
+        """Read a rational expression in the parameters, as :meth:`format`
+        writes it; raises ValueError on anything else.  The text is never
+        evaluated as Python code."""
+        return _ExpressionParser(self, text).parse()
 
     def format(self, x) -> str:
         return str(x)
@@ -100,6 +103,119 @@ class ParameterField:
 
     def __hash__(self):
         return hash(("ParameterField", self.parameters))
+
+
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/()])")
+
+
+class _ExpressionParser:
+    """Recursive descent over the grammar
+
+        sum      := product (("+" | "-") product)*
+        product  := unary (("*" | "/") unary)*
+        unary    := ("+" | "-") unary | atom ["**" exponent]
+        atom     := integer | parameter name | "(" sum ")"
+        exponent := ("+" | "-") exponent | "(" exponent ")" | integer
+
+    so unary minus binds as in Python: -q**2 is -(q**2).
+    """
+
+    def __init__(self, field, text):
+        self.field = field
+        self.text = text
+        self.tokens = []
+        pos, end = 0, len(text.rstrip())
+        while pos < end:
+            m = _TOKEN.match(text, pos)
+            if m is None:
+                raise ValueError(f"unexpected character in {text!r} at {pos}")
+            self.tokens.append(m.group(1))
+            pos = m.end()
+        self.tokens.append("")  # end marker
+        self.pos = 0
+
+    def parse(self):
+        value = self.sum()
+        self.expect("")
+        return value
+
+    def accept(self, *choices):
+        """Consume the next token and return it if it is one of ``choices``."""
+        tok = self.tokens[self.pos]
+        if tok in choices:
+            self.pos += 1
+            return tok
+        return None
+
+    def expect(self, tok):
+        if self.accept(tok) is None:
+            raise self.error()
+
+    def error(self):
+        tok = self.tokens[self.pos] or "end of input"
+        return ValueError(f"unexpected {tok!r} in {self.text!r}")
+
+    def sum(self):
+        value = self.product()
+        while op := self.accept("+", "-"):
+            rhs = self.product()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def product(self):
+        value = self.unary()
+        while op := self.accept("*", "/"):
+            rhs = self.unary()
+            if op == "*":
+                value = value * rhs
+            elif not rhs:
+                raise ValueError(f"division by zero in {self.text!r}")
+            else:
+                value = value / rhs
+        return value
+
+    def unary(self):
+        if self.accept("-"):
+            return -self.unary()
+        if self.accept("+"):
+            return self.unary()
+        base = self.atom()
+        if not self.accept("**"):
+            return base
+        exp = self.exponent()
+        if exp < 0 and not base:
+            raise ValueError(f"division by zero in {self.text!r}")
+        return base**exp
+
+    def exponent(self):
+        if self.accept("("):
+            exp = self.exponent()
+            self.expect(")")
+            return exp
+        if self.accept("-"):
+            return -self.exponent()
+        if self.accept("+"):
+            return self.exponent()
+        tok = self.tokens[self.pos]
+        if not tok.isdigit():
+            raise self.error()
+        self.pos += 1
+        return int(tok)
+
+    def atom(self):
+        if self.accept("("):
+            value = self.sum()
+            self.expect(")")
+            return value
+        tok = self.tokens[self.pos]
+        if tok.isdigit():
+            value = self.field.from_int(int(tok))
+        elif tok in self.field.parameters:
+            value = self.field.parameter(tok)
+        else:
+            raise self.error()
+        self.pos += 1
+        return value
 
 
 #: Shared default field instance.

@@ -9,6 +9,8 @@ with scalar coefficients, truncated by total degree.
 
 from __future__ import annotations
 
+from .linalg import axpy
+
 
 class IntegerRing:
     def zero(self, degree):
@@ -221,16 +223,8 @@ class MultiSeries:
         self._check(other)
         trunc = min(self.trunc, other.trunc)
         terms = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
-        for e, c in other.terms.items():
-            if sum(e) > trunc:
-                continue
-            cur = terms.get(e)
-            s = c if cur is None else cur + c
-            if s:
-                terms[e] = s
-            elif cur is not None:
-                del terms[e]
-        return MultiSeries(self.field, self.nvars, trunc, terms)
+        kept = {e: c for e, c in other.terms.items() if sum(e) <= trunc}
+        return MultiSeries(self.field, self.nvars, trunc, axpy(terms, 1, kept))
 
     def __neg__(self):
         return MultiSeries(
@@ -256,15 +250,9 @@ class MultiSeries:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) > trunc:
-                    continue
-                c = c1 * c2
-                cur = terms.get(e)
-                s = c if cur is None else cur + c
-                if s:
-                    terms[e] = s
-                elif cur is not None:
-                    del terms[e]
+                if sum(e) <= trunc:
+                    # the constructor drops the terms that cancel to zero
+                    terms[e] = terms.get(e, self.field.zero) + c1 * c2
         return MultiSeries(self.field, self.nvars, trunc, terms)
 
     def __rmul__(self, other):

@@ -162,3 +162,24 @@ def test_qspace_numeric_parameter(capsys):
         "--max-degree", "4",
     )
     assert code == 2
+
+
+def test_algebra_file_cannot_run_code(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("os.getpid", lambda: calls.append(1) or 1)
+    obj = {
+        "label": "evil",
+        "n": 2,
+        "N": 2,
+        "parameters": ["q12"],
+        "relations": [{"grade": 2, "terms": [
+            {"coeff": "1", "word": [1, 0]},
+            {"coeff": "__import__('os').getpid() and q12", "word": [0, 1]},
+        ]}],
+    }
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "info", "--algebra", f"file:{path}", "--max-degree", "2")
+    assert code == 2
+    assert "bad algebra JSON" in err
+    assert calls == []

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, free_algebra, polynomial
-from nkoszul.freealg import Tensor, all_words
+from nkoszul.freealg import Tensor, all_words, word_index
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.linalg import Echelon
 
@@ -66,8 +68,8 @@ def test_normal_basis_counts():
     assert len(antisymmetrizer(3, 3).normal_basis(3)) == 26
 
 
-def test_dims_match_full_and_rank_layers():
-    # the rank-only layer and the reduced layer must agree
+def test_dims_match_ideal_component():
+    # dimensions from the echelon rank agree with the reduced subspace
     A = antisymmetrizer(3, 3)
     rank_dims = [A.dim_component(d) for d in range(6)]
     full_dims = [A.n**d - A.ideal_component(d).dim for d in range(6)]
@@ -216,3 +218,42 @@ def test_degenerate_free_and_empty():
     Z = AlgebraPresentation(0, 2, [], label="empty")
     assert Z.dim_component(0) == 1
     assert Z.dim_component(1) == 0
+
+
+@st.composite
+def presentations(draw):
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 3))
+    words = list(all_words(n, N))
+    coeffs = st.integers(-3, 3).map(Fraction)
+    rels = [
+        Tensor(n, N, draw(st.dictionaries(st.sampled_from(words), coeffs, max_size=4)))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):  # a dependent relation
+        rels.append(rels[0].scale(draw(coeffs)) + rels[-1])
+    return AlgebraPresentation(n, N, rels)
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations())
+def test_random_presentations_match_oracles(A):
+    n = A.n
+    top = A.N + 2
+    # build every degree before anything reduced is asked for
+    assert A.ideal_rank(top) + A.dim_component(top) == n**top
+    for d in range(top + 1):
+        assert A.ideal_rank(d) + A.dim_component(d) == n**d
+        ideal = A.ideal_component(d)
+        assert ideal == ideal_bruteforce(A, d), d
+        rows = dict(zip(ideal.pivots, ideal.rows))
+        normal = [word_index(w, n) for w in A.normal_basis(d)]
+        assert normal == [i for i in range(n**d) if i not in rows]
+        for w in all_words(n, d):
+            idx = word_index(w, n)
+            if idx in rows:
+                expected = {c: -v for c, v in rows[idx].items() if c != idx}
+            else:
+                expected = {idx: 1}
+            got = {word_index(u, n): c for u, c in A.class_of_word(w).coords.items()}
+            assert got == expected, (d, w)

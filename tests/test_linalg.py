@@ -6,6 +6,7 @@ import pytest
 from nkoszul.linalg import (
     BasisSolver,
     Echelon,
+    axpy,
     Matrix,
     Subspace,
     full_space,
@@ -179,6 +180,18 @@ def test_rank_only_echelon_matches_rref_rank():
         ]
         m = Matrix(9, rows)
         assert rank(m) == rref(m)[1]
+        # the remainder on non-pivot columns is unique, reduced form or not
+        plain, full = Echelon(9, reduced=False), Echelon(9, reduced=True)
+        plain.extend(rows[:4])
+        full.extend(rows[:4])
+        assert plain.reduce(rows[-1]) == full.reduce(rows[-1])
+        assert plain.to_subspace() == full.to_subspace()
+    acc = {0: Fraction(1), 1: Fraction(2)}
+    assert axpy(acc, Fraction(-2), {1: Fraction(1), 2: Fraction(3)}) == {
+        0: Fraction(1),
+        2: Fraction(-6),
+    }
+    assert 1 not in acc
 
 
 def test_basis_solver():

@@ -40,8 +40,41 @@ def test_division_by_zero():
 
 def test_param_parse_roundtrip():
     F = ParameterField(["q12", "q13"])
-    a = (F.parameter("q12") + 1) / (2 * F.parameter("q13"))
-    assert F.parse(F.format(a)) == a
+    q12, q13 = F.parameter("q12"), F.parameter("q13")
+    values = [
+        -q12,
+        (q12 + 1) / (2 * q13),
+        q12 / 2 + F.one / 3,
+        q12**-1,
+        -((q12 + q13) ** 2) / (q12 - q13),
+        F.zero,
+        F.rational(-3, 4),
+    ]
+    assert F.format(values[0]) == "-q12"
+    assert F.format(values[1]) == "(q12 + 1)/(2*q13)"
+    for a in values:
+        assert F.parse(F.format(a)) == a
+    assert F.parse("-q12**2") == -(q12**2)
+    assert F.parse("q12**-(2) * 2*-3") == -6 * q12**-2
+
+
+def test_param_parse_rejects_anything_else():
+    F = ParameterField(["q12", "q13"])
+    for text in (
+        "__import__('os').getpid() and q12",
+        "__import__",
+        "q14",
+        "1.5",
+        "q12**q13",
+        "q12**(1/2)",
+        "(q12",
+        "q12)",
+        "",
+        "1/(q12 - q12)",
+        "0**-1",
+    ):
+        with pytest.raises(ValueError):
+            F.parse(text)
 
 
 def _random_rational(rng):
