@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__, jsonio, koszul, manin, mmt
 from .algebras import (
@@ -42,11 +41,11 @@ def make_algebra(args):
                 obj = json.load(fh)
         except OSError as exc:
             raise UsageError(f"cannot read algebra file: {exc}")
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"malformed algebra JSON: {exc}")
         try:
             return jsonio.algebra_from_obj(obj)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise UsageError(f"bad algebra JSON: {exc}")
     if args.n is None:
         raise UsageError("--n is required for built-in algebras")
@@ -58,7 +57,7 @@ def make_algebra(args):
                 raise UsageError("--N is required for antisym")
             return antisymmetrizer(args.n, args.N)
         if spec == "qspace":
-            q = Fraction(args.q) if args.q is not None else None
+            q = QQ.parse(args.q) if args.q is not None else None
             return quantum_space(args.n, q=q)
         if spec == "free":
             return free_algebra(args.n)
@@ -80,7 +79,7 @@ def load_matrix(args):
         try:
             obj = json.loads(text)
             return jsonio.matrix_from_obj(obj, QQ)
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+        except (json.JSONDecodeError, RecursionError, KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"malformed matrix JSON: {exc}")
     if args.random_seed is not None:
         if args.n is None:

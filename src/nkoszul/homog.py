@@ -27,8 +27,8 @@ class AlgebraPresentation:
     """An N-homogeneous algebra T(V)/(R) with per-degree caches.
 
     Relations may be linearly dependent; only their span matters.  The
-    presentation itself is immutable; the caches are populated lazily and
-    must be written from one thread at a time.
+    presentation itself is immutable; everything computed from it is kept
+    in ``cache``, a :class:`PresentationCache`.
     """
 
     def __init__(self, n, N, relations, label="", field=QQ):
@@ -47,8 +47,7 @@ class AlgebraPresentation:
         self.relations = relations
         self.label = label
         self.field = field
-        self._degrees = []  # _DegreeData of degrees 0, 1, 2, ...
-        self._extra = {}  # scratch slots for other modules (koszul, manin, mmt)
+        self.cache = PresentationCache()
 
     # ------------------------------------------------------------------
     # ideal components
@@ -58,13 +57,13 @@ class AlgebraPresentation:
         needs I_{d-1} and the normal words of degrees d-1 and d-N."""
         if d < 0:
             raise ValueError("degree must be >= 0")
-        degrees = self._degrees
+        degrees = self.cache.degrees
         while len(degrees) <= d:
             degrees.append(self._next_degree())
         return degrees[d]
 
     def _next_degree(self):
-        n, N, degrees = self.n, self.N, self._degrees
+        n, N, degrees = self.n, self.N, self.cache.degrees
         d = len(degrees)
         ech = linalg.Echelon(n**d)
         if d == N:
@@ -161,6 +160,25 @@ class AlgebraPresentation:
         return f"<{name}: n={self.n}, N={self.N}, {len(self.relations)} relations>"
 
 
+class PresentationCache:
+    """The lazily filled caches of one presentation, one field per cache.
+
+    Each field is read and written only by the module named in its comment.
+    An entry is computed on first use and never changes afterwards.  The
+    caches must be written from one thread at a time; once the entries a
+    computation needs are filled, any number of threads may read them.
+    """
+
+    __slots__ = ("degrees", "j_spaces", "j_slices", "specializable", "admissible_solvers")
+
+    def __init__(self):
+        self.degrees = []  # homog: _DegreeData of degrees 0, 1, 2, ...
+        self.j_spaces = {}  # koszul: m -> the subspace J_m
+        self.j_slices = {}  # koszul: (m, s) -> J_m in V^{⊗s} ⊗ J_{m-s} coordinates
+        self.specializable = {}  # mmt: matrix as a tuple of rows -> bool
+        self.admissible_solvers = {}  # mmt: k -> (solver, word index, normal position)
+
+
 class _DegreeData:
     """The echelon of I_d, its normal indices, and what is derived from them.
 
@@ -233,9 +251,6 @@ class AlgebraClass:
             and self.degree == other.degree
             and self.coords == other.coords
         )
-
-    def as_tensor(self) -> Tensor:
-        return Tensor(self.algebra.n, self.degree, dict(self.coords))
 
     def _check(self, other):
         if self.algebra is not other.algebra:

@@ -4,7 +4,7 @@ Rationals serialize as "p/q" (or "p" when the denominator is 1); parameter
 fractions serialize as their canonical string form.  Tensors carry grade and
 a term list; algebras carry label, n, N and relations (plus the parameter
 names when the coefficient field has any); matrices carry n and a dense
-entry grid; series are lists of degree/exponents records.
+entry grid.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from .freealg import Tensor
 from .homog import AlgebraPresentation
 from .scalar import QQ, ParameterField
-from .series import MultiSeries, UniSeries
 
 
 def scalar_to_str(field, value) -> str:
@@ -20,6 +19,8 @@ def scalar_to_str(field, value) -> str:
 
 
 def scalar_from_str(field, text: str):
+    if not isinstance(text, str):
+        raise ValueError(f"scalar {text!r} is not a JSON string")
     return field.parse(text)
 
 
@@ -75,26 +76,3 @@ def matrix_from_obj(obj: dict, field=QQ):
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("matrix entries do not form an n×n grid")
     return [[scalar_from_str(field, v) for v in row] for row in entries]
-
-
-def character_to_obj(c, field) -> dict:
-    """A character element: degree plus coordinates over the envelope's
-    normal basis, keyed by words of flat z-indices."""
-    return {
-        "degree": c.degree,
-        "coordinates": [
-            {"word": list(w), "coeff": scalar_to_str(field, v)}
-            for w, v in sorted(c.value.coords.items())
-        ],
-    }
-
-
-def uniseries_to_obj(s: UniSeries, formatter=str) -> list:
-    return [{"degree": d, "coeff": formatter(c)} for d, c in enumerate(s.coeffs)]
-
-
-def multiseries_to_obj(s: MultiSeries) -> list:
-    return [
-        {"exponents": list(e), "coeff": scalar_to_str(s.field, c)}
-        for e, c in sorted(s.terms.items())
-    ]

@@ -36,15 +36,11 @@ def nu(N: int, ell: int) -> int:
     return N * i + r
 
 
-def _j_cache(A: AlgebraPresentation) -> dict:
-    return A._extra.setdefault("koszul_J", {})
-
-
 def dual_koszul_subspace(A: AlgebraPresentation, m: int) -> linalg.Subspace:
     """The space J_m ⊆ V^{⊗m} (concrete model of A^{!*}_m)."""
     if m < 0:
         raise ValueError("degree must be >= 0")
-    cache = _j_cache(A)
+    cache = A.cache.j_spaces
     space = cache.get(m)
     if space is not None:
         return space
@@ -99,7 +95,7 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
     Returns, per basis row, a list of (prefix word, {J_{m-s} basis index:
     coefficient}).
     """
-    cache = A._extra.setdefault("koszul_J_slices", {})
+    cache = A.cache.j_slices
     key = (m, s)
     data = cache.get(key)
     if data is not None:
@@ -188,10 +184,6 @@ class DegreeReport:
         self.ranks = ranks  # {ell: rank d_ell}
         self.homology = homology  # {ell: dim H_ell}, ell >= 1
         self.d1_surjective = d1_surjective
-
-    @property
-    def exact_positive_degrees(self) -> bool:
-        return all(h == 0 for h in self.homology.values())
 
     def to_obj(self):
         return {

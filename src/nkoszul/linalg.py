@@ -16,39 +16,9 @@ class Matrix:
 
     __slots__ = ("ncols", "rows")
 
-    def __init__(self, ncols: int, rows=None):
+    def __init__(self, ncols: int, rows):
         self.ncols = ncols
-        self.rows = [] if rows is None else list(rows)
-
-    @classmethod
-    def from_dense(cls, entries):
-        ncols = len(entries[0]) if entries else 0
-        rows = []
-        for dense in entries:
-            if len(dense) != ncols:
-                raise ValueError("ragged matrix")
-            rows.append({j: v for j, v in enumerate(dense) if v})
-        return cls(ncols, rows)
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    def add_row(self, row):
-        self.rows.append(row)
-
-    def apply(self, vec):
-        """Matrix-vector product M·v for a sparse coordinate vector v."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            s = None
-            for j, a in row.items():
-                x = vec.get(j)
-                if x is not None:
-                    s = a * x if s is None else s + a * x
-            if s:
-                out[i] = s
-        return out
+        self.rows = list(rows)
 
 
 def axpy(acc, c, vec, skip=None):

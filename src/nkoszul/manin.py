@@ -1,4 +1,4 @@
-"""Manin's bialgebra end(A), the coaction, and the character-map identities.
+"""Manin's bialgebra end(A) and the character-map identities.
 
 end(A) is the N-homogeneous algebra on the n² generators z_i^j (flat index
 i·n + j) with relation space R^⊥ ⊗ R, interleaved factor-wise.  A is a left
@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .algebras import perm_sign, polynomial
-from .freealg import Tensor, all_words, index_word, shuffle_pairs, word_index
+from .freealg import Tensor, all_words, index_word, shuffle_pairs
 from .homog import AlgebraClass, AlgebraPresentation
 from .koszul import dual_koszul_subspace, nu
 from .linalg import axpy
@@ -75,90 +75,6 @@ class CharacterElement:
 
     def __repr__(self):
         return f"CharacterElement(deg={self.degree}, {self.value.coords!r})"
-
-
-def coaction_on_A(B: ManinBialgebra, word):
-    """δ on the class of a word: the list of (z-word class, x-word class)
-    summands of δ(x_{i_1}...x_{i_k}) = Σ z_{i_1}^{j_1}...z_{i_k}^{j_k} ⊗
-    x_{j_1}...x_{j_k}, both factors reduced."""
-    n = B.base.n
-    word = tuple(word)
-    out = []
-    for jw in all_words(n, len(word)):
-        zword = tuple(i * n + j for i, j in zip(word, jw))
-        out.append((B.env.class_of_word(zword), B.base.class_of_word(jw)))
-    return out
-
-
-def coaction_on_tensor(B: ManinBialgebra, t: Tensor):
-    """δ(t) as a map {A normal word: end(A) class}; the well-definedness of
-    the coaction means this is identically zero when t is a relation."""
-    n = B.base.n
-    acc = {}
-    for w, cw in t.terms.items():
-        for jw in all_words(n, t.grade):
-            acls = B.base.class_of_word(jw)
-            if not acls.coords:
-                continue
-            zword = tuple(i * n + j for i, j in zip(w, jw))
-            zcls = B.env.class_of_word(zword)
-            if not zcls.coords:
-                continue
-            for aw, ca in acls.coords.items():
-                axpy(acc.setdefault(aw, {}), cw * ca, zcls.coords)
-    return {
-        aw: AlgebraClass(B.env, t.grade, coords)
-        for aw, coords in acc.items()
-        if any(coords.values())
-    }
-
-
-def coaction_on_J(B: ManinBialgebra, ell: int, verify: bool = False):
-    """Coaction data on J_{ν(ℓ)}: for each pair of basis indices (a, b) the
-    end(A)-class T_{ab} with δ(u_b) = Σ_a T_{ab} ⊗ u_a.
-
-    With ``verify=True`` the membership δ(J) ⊆ end(A) ⊗ J is checked by
-    reducing the full x-part against the echelon basis; this is the
-    computational content of the comodule structure of the complex.
-    """
-    A, E = B.base, B.env
-    n = A.n
-    m = nu(A.N, ell)
-    space = dual_koszul_subspace(A, m)
-    pivot_words = [index_word(p, m, n) for p in space.pivots]
-    # raw[b][w'] accumulates the end(A)-coordinates of the w' component
-    table = {}
-    raw = []
-    for b, row in enumerate(space.rows):
-        slots = {}
-        for idx, c in row.items():
-            w = index_word(idx, m, n)
-            for jw in all_words(n, m):
-                zword = tuple(i * n + j for i, j in zip(w, jw))
-                zcls = E.class_of_word(zword)
-                if not zcls.coords:
-                    continue
-                axpy(slots.setdefault(jw, {}), c, zcls.coords)
-        raw.append(slots)
-        for a, pw in enumerate(pivot_words):
-            coords = slots.get(pw)
-            if coords and any(coords.values()):
-                table[(a, b)] = AlgebraClass(E, m, coords)
-    if verify:
-        for b, slots in enumerate(raw):
-            for jw, coords in slots.items():
-                residual = dict(coords)
-                jidx = word_index(jw, n)
-                for a, arow in enumerate(space.rows):
-                    c = arow.get(jidx)
-                    if not c:
-                        continue
-                    axpy(residual, -c, slots.get(pivot_words[a], {}))
-                if any(residual.values()):
-                    raise RuntimeError(
-                        f"coaction does not preserve J_{m}; internal error"
-                    )
-    return table
 
 
 def chi_A(B: ManinBialgebra, k: int) -> CharacterElement:
@@ -269,22 +185,6 @@ def kmt_check(B: ManinBialgebra, max_degree: int) -> KmtResult:
                 first_failure = d
                 break
     return KmtResult(first_failure is None, max_degree, first_failure, product)
-
-
-def evaluate_character(B: ManinBialgebra, value: AlgebraClass, Z):
-    """Specialize an end(A) class at a numeric matrix, z_i^j ↦ Z[i][j]."""
-    n = B.base.n
-    total = B.base.field.zero
-    for zw, coeff in value.coords.items():
-        factor = coeff
-        for letter in zw:
-            i, j = divmod(letter, n)
-            factor = factor * Z[i][j]
-            if not factor:
-                break
-        if factor:
-            total = total + factor
-    return total
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .algebras import (
     perm_sign,
     polynomial,
 )
-from .freealg import Tensor, index_word
+from .freealg import Tensor
 from .homog import AlgebraPresentation
 from .series import MultiSeries, exponents_of_total
 
@@ -86,7 +86,7 @@ def check_specializable(A: AlgebraPresentation, Z) -> bool:
         raise ValueError("matrix size does not match the generator count")
     span = A.ideal_component(A.N)
     key = tuple(tuple(row) for row in Z)
-    memo = A._extra.setdefault("specializable", {})
+    memo = A.cache.specializable
     cached = memo.get(key)
     if cached is not None:
         return cached
@@ -105,7 +105,7 @@ def _admissible_solver(A: AlgebraPresentation, k: int):
 
     Raises when the admissible classes do not form a basis (they do for the
     built-in polynomial and antisymmetrizer algebras)."""
-    cache = A._extra.setdefault("admissible_solver", {})
+    cache = A.cache.admissible_solvers
     data = cache.get(k)
     if data is not None:
         return data
@@ -300,89 +300,3 @@ def nmt_check(n: int, N: int, Z, max_degree: int, algebra=None) -> MasterResult:
     lhs = _lhs_series(A, Z, max_degree)
     denom = nmt_rhs_denominator(n, N, Z, A.field, max_degree)
     return _compare(lhs, denom.invert(), max_degree)
-
-
-def restricted_trace(Z, space: linalg.Subspace, n: int, m: int):
-    """Trace of Z^{⊗m} on an invariant subspace of V^{⊗m}, via the pivot
-    coordinate functionals of the echelon basis (rational matrices only)."""
-    total = Fraction(0)
-    for p, row in zip(space.pivots, space.rows):
-        pword = index_word(p, m, n)
-        for idx, c in row.items():
-            w = index_word(idx, m, n)
-            factor = c
-            for a, b in zip(w, pword):
-                factor = factor * Z[a][b]
-                if not factor:
-                    break
-            if factor:
-                total = total + factor
-    return total
-
-
-def char_poly_coeffs(M, one=None):
-    """Coefficients c_0..c_n with det(λI - M) = Σ c_r λ^{n-r}, by the
-    trace recursion; entries may be scalars or any commutative ring elements
-    supporting +, *, and scaling by Fraction.
-
-    The identity c_r = (-1)^r · (sum of principal r×r minors) is checked
-    for scalar matrices; a disagreement raises RuntimeError.
-    """
-    size = len(M)
-    for row in M:
-        if len(row) != size:
-            raise ValueError("matrix is not square")
-    if one is None:
-        one = Fraction(1)
-    coeffs = [one]
-    if size == 0:
-        return coeffs
-    mk = [row[:] for row in M]
-    for k in range(1, size + 1):
-        tr = mk[0][0]
-        for i in range(1, size):
-            tr = tr + mk[i][i]
-        ck = tr * Fraction(-1, k)
-        coeffs.append(ck)
-        if k < size:
-            adjusted = [
-                [mk[i][j] + ck if i == j else mk[i][j] for j in range(size)]
-                for i in range(size)
-            ]
-            mk = [
-                [
-                    _dot(M[i], [adjusted[t][j] for t in range(size)])
-                    for j in range(size)
-                ]
-                for i in range(size)
-            ]
-    if isinstance(M[0][0], (int, Fraction)):
-        for r in range(size + 1):
-            expected = principal_minor_sum(M, r)
-            if r % 2:
-                expected = -expected
-            if coeffs[r] != expected:
-                raise RuntimeError(
-                    "characteristic coefficients disagree with principal minors; "
-                    "internal error"
-                )
-    return coeffs
-
-
-def _dot(row, col):
-    total = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        total = total + a * b
-    return total
-
-
-def principal_minor_sum(M, r: int):
-    """Sum of the r×r principal minors (the elementary symmetric function
-    of the eigenvalues)."""
-    size = len(M)
-    if r == 0:
-        return Fraction(1)
-    total = Fraction(0)
-    for subset in combinations(range(size), r):
-        total = total + matrix_det([[M[i][j] for j in subset] for i in subset])
-    return total

@@ -16,6 +16,9 @@ from sympy.polys.domains import QQ as _SYMPY_QQ
 from sympy.polys.fields import field as _frac_field
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 class RationalField:
     """The rationals, realized by arbitrary-precision ``Fraction`` values."""
 
@@ -31,7 +34,10 @@ class RationalField:
         return Fraction(p, q)
 
     def parse(self, text: str):
-        # Fraction accepts both "p/q" and "p".
+        """Read ``"p/q"`` or ``"p"``, as :meth:`format` writes them; raises
+        ValueError on anything else, including a zero denominator."""
+        if _RATIONAL.fullmatch(text) is None:
+            raise ValueError(f"not a rational 'p/q' or 'p' with q > 0: {text!r}")
         return Fraction(text)
 
     def format(self, x) -> str:
@@ -220,7 +226,3 @@ class _ExpressionParser:
 
 #: Shared default field instance.
 QQ = RationalField()
-
-
-def is_zero(x) -> bool:
-    return not x

@@ -1,9 +1,9 @@
 """Truncated power series.
 
 Univariate series take their coefficients from a small ring adapter, so the
-same arithmetic serves integer Hilbert series, scalar series, and series
-whose degree-d coefficient is a degree-d element of a graded algebra (the
-form the bialgebra identities live in).  Multivariate series are commutative
+same arithmetic serves integer Hilbert series and series whose degree-d
+coefficient is a degree-d element of a graded algebra (the form the
+bialgebra identities live in).  Multivariate series are commutative
 with scalar coefficients, truncated by total degree.
 """
 
@@ -35,34 +35,6 @@ class IntegerRing:
         if a == 1 or a == -1:
             return a
         raise ValueError(f"constant term {a!r} is not invertible over the integers")
-
-
-class ScalarRing:
-    def __init__(self, field):
-        self.field = field
-
-    def zero(self, degree):
-        return self.field.zero
-
-    def one(self):
-        return self.field.one
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return not a
-
-    def invert_constant(self, a):
-        if not a:
-            raise ValueError("constant term is zero")
-        return self.field.one / a
 
 
 class GradedRing:
@@ -166,9 +138,6 @@ class UniSeries:
         trunc = min(self.trunc, other.trunc)
         return self.coeffs[: trunc + 1] == other.coeffs[: trunc + 1]
 
-    def map_coefficients(self, func, ring):
-        return UniSeries(ring, self.trunc, [func(c) for c in self.coeffs])
-
     def __repr__(self):
         return f"UniSeries(trunc={self.trunc}, {self.coeffs!r})"
 
@@ -211,10 +180,6 @@ class MultiSeries:
     @classmethod
     def one(cls, field, nvars, trunc):
         return cls(field, nvars, trunc, {(0,) * nvars: field.one})
-
-    @classmethod
-    def monomial(cls, field, nvars, trunc, exps, coeff):
-        return cls(field, nvars, trunc, {tuple(exps): coeff})
 
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.field.zero)

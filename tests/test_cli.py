@@ -110,11 +110,51 @@ def test_unknown_algebra_exit_2(capsys):
 
 
 def test_malformed_matrix_json(capsys):
-    code, _, err = run(
-        capsys, "mmt", "--n", "2", "--matrix", "{not json", "--max-degree", "2"
-    )
-    assert code == 2
-    assert "malformed" in err
+    for text in (
+        "{not json",
+        '{"n": 1, "entries": [["1.5e1"]]}',
+        '{"n": 1, "entries": [["1/0"]]}',
+        '{"n": 1, "entries": [[1]]}',
+    ):
+        code, _, err = run(
+            capsys, "mmt", "--n", "1", "--matrix", text, "--max-degree", "2"
+        )
+        assert code == 2, text
+        assert "malformed" in err
+
+
+def _qspace_file(tmp_path, coeff):
+    obj = {
+        "label": "qspace",
+        "n": 2,
+        "N": 2,
+        "parameters": ["q12"],
+        "relations": [{"grade": 2, "terms": [
+            {"coeff": "1", "word": [1, 0]},
+            {"coeff": coeff, "word": [0, 1]},
+        ]}],
+    }
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    return f"file:{path}"
+
+
+def test_deeply_nested_input_exit_2(capsys, tmp_path):
+    # each of these used to end in an uncaught RecursionError with exit 1
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    code, _, err = run(capsys, "info", "--algebra", f"file:{deep}")
+    assert code == 2 and "malformed algebra JSON" in err
+    code, _, err = run(capsys, "mmt", "--n", "2", "--matrix", f"file:{deep}")
+    assert code == 2 and "malformed matrix JSON" in err
+    algebra = _qspace_file(tmp_path, "(" * 3000 + "q12" + ")" * 3000)
+    code, _, err = run(capsys, "info", "--algebra", algebra, "--max-degree", "2")
+    assert code == 2 and "bad algebra JSON" in err
+
+
+def test_non_string_coefficient_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "info", "--algebra", _qspace_file(tmp_path, 1))
+    assert code == 2 and "bad algebra JSON" in err
 
 
 def test_usage_error_from_argparse(capsys):
@@ -157,29 +197,19 @@ def test_qspace_numeric_parameter(capsys):
         "--max-degree", "4",
     )
     assert code == 0
-    code, _, err = run(
-        capsys, "hilbert", "--algebra", "qspace", "--n", "2", "--q", "0",
-        "--max-degree", "4",
-    )
-    assert code == 2
+    for q in ("0", "1/0", "1.5", "1e3"):
+        code, _, err = run(
+            capsys, "hilbert", "--algebra", "qspace", "--n", "2", "--q", q,
+            "--max-degree", "4",
+        )
+        assert code == 2, q
 
 
 def test_algebra_file_cannot_run_code(capsys, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr("os.getpid", lambda: calls.append(1) or 1)
-    obj = {
-        "label": "evil",
-        "n": 2,
-        "N": 2,
-        "parameters": ["q12"],
-        "relations": [{"grade": 2, "terms": [
-            {"coeff": "1", "word": [1, 0]},
-            {"coeff": "__import__('os').getpid() and q12", "word": [0, 1]},
-        ]}],
-    }
-    path = tmp_path / "alg.json"
-    path.write_text(json.dumps(obj))
-    code, _, err = run(capsys, "info", "--algebra", f"file:{path}", "--max-degree", "2")
+    algebra = _qspace_file(tmp_path, "__import__('os').getpid() and q12")
+    code, _, err = run(capsys, "info", "--algebra", algebra, "--max-degree", "2")
     assert code == 2
     assert "bad algebra JSON" in err
     assert calls == []

@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from nkoszul import jsonio
-from nkoszul.algebras import antisymmetrizer, polynomial, quantum_space
+from nkoszul.algebras import antisymmetrizer, quantum_space
 from nkoszul.freealg import Tensor
 from nkoszul.scalar import QQ
-from nkoszul.series import INTS, MultiSeries, UniSeries
 
 
 def test_scalar_strings():
@@ -15,6 +14,9 @@ def test_scalar_strings():
     assert jsonio.scalar_to_str(QQ, Fraction(-5)) == "-5"
     assert jsonio.scalar_from_str(QQ, "7/2") == Fraction(7, 2)
     assert jsonio.scalar_from_str(QQ, "7") == Fraction(7)
+    for value in (7, 1.5, None, ["1"]):
+        with pytest.raises(ValueError):
+            jsonio.scalar_from_str(QQ, value)
 
 
 def test_tensor_roundtrip():
@@ -63,31 +65,3 @@ def test_matrix_roundtrip():
     assert jsonio.matrix_from_obj(obj) == Z
     with pytest.raises(ValueError):
         jsonio.matrix_from_obj({"n": 2, "entries": [["1"]]})
-
-
-def test_character_element_schema():
-    from nkoszul.manin import build_end, chi_A
-
-    B = build_end(polynomial(2))
-    obj = jsonio.character_to_obj(chi_A(B, 1), QQ)
-    assert obj == {
-        "degree": 1,
-        "coordinates": [
-            {"word": [0], "coeff": "1"},
-            {"word": [3], "coeff": "1"},
-        ],
-    }
-
-
-def test_series_objects():
-    s = UniSeries(INTS, 3, [1, -2, 0, 5])
-    assert jsonio.uniseries_to_obj(s) == [
-        {"degree": 0, "coeff": "1"},
-        {"degree": 1, "coeff": "-2"},
-        {"degree": 2, "coeff": "0"},
-        {"degree": 3, "coeff": "5"},
-    ]
-    m = MultiSeries(QQ, 2, 3, {(1, 0): Fraction(1, 2)})
-    assert jsonio.multiseries_to_obj(m) == [
-        {"exponents": [1, 0], "coeff": "1/2"}
-    ]

@@ -20,7 +20,18 @@ from nkoszul.linalg import (
 
 
 def dense(entries):
-    return Matrix.from_dense([[Fraction(v) for v in row] for row in entries])
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in entries]
+    return Matrix(len(entries[0]), rows)
+
+
+def _apply(m, vec):
+    """M·v for a sparse vector v, as a sparse vector without zeros."""
+    out = {}
+    for i, row in enumerate(m.rows):
+        s = sum((a * vec[j] for j, a in row.items() if j in vec), Fraction(0))
+        if s:
+            out[i] = s
+    return out
 
 
 def test_rref_proportional_rows():
@@ -67,7 +78,7 @@ def test_rank_nullity_random():
         _, rk = rref(m)
         assert rk + k.dim == 10
         for row in k.rows:
-            assert not m.apply(row)
+            assert not _apply(m, row)
 
 
 def _random_subspace(rng, ambient, nrows):
@@ -97,7 +108,7 @@ def _intersect_bruteforce(u, w):
     support = set()
     for row in u.rows + w.rows:
         support.update(row)
-    m = Matrix(cols)
+    rows = []
     for col in sorted(support):
         row = {}
         for i, urow in enumerate(u.rows):
@@ -108,8 +119,8 @@ def _intersect_bruteforce(u, w):
             c = wrow.get(col)
             if c:
                 row[u.dim + i] = -c
-        m.add_row(row)
-    combos = kernel(m)
+        rows.append(row)
+    combos = kernel(Matrix(cols, rows))
     ech = Echelon(u.ambient_dim)
     for combo in combos.rows:
         vec = {}

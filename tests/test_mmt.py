@@ -4,20 +4,17 @@ from fractions import Fraction
 import pytest
 
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, polynomial, quantum_space
+from nkoszul.freealg import index_word
 from nkoszul.koszul import dual_koszul_subspace, nu
-from nkoszul.manin import build_end, character_series, dual_character_series, evaluate_character
+from nkoszul.manin import build_end, character_series, dual_character_series
 from nkoszul.mmt import (
-    char_poly_coeffs,
     check_specializable,
     g_coefficient,
     g_table,
-    matrix_det,
     mmt_check,
     nmt_check,
     nmt_rhs_denominator,
-    principal_minor_sum,
     random_rational_matrix,
-    restricted_trace,
 )
 from nkoszul.scalar import QQ
 from nkoszul.series import MultiSeries
@@ -153,53 +150,31 @@ def test_nmt_at_N2_coincides_with_mmt():
     assert res_m.rhs == res_n.rhs
 
 
-def test_char_poly_identity_matrix():
-    assert char_poly_coeffs(ident(2)) == [Fraction(1), Fraction(-2), Fraction(1)]
+def _restricted_trace(Z, space, n, m):
+    """Trace of Z^{⊗m} on an invariant subspace of V^{⊗m}, via the pivot
+    coordinate functionals of its reduced echelon basis."""
+    total = Fraction(0)
+    for p, row in zip(space.pivots, space.rows):
+        pword = index_word(p, m, n)
+        for idx, c in row.items():
+            factor = c
+            for a, b in zip(index_word(idx, m, n), pword):
+                factor *= Z[a][b]
+            total += factor
+    return total
 
 
-def test_char_poly_c0_and_minor_bridge():
-    rng = random.Random(23)
-    for _ in range(10):
-        M = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)] for _ in range(3)]
-        coeffs = char_poly_coeffs(M)
-        assert coeffs[0] == 1
-        # evaluate at lambda = 1: det(I - M)
-        eye_minus = [[Fraction(int(i == j)) - M[i][j] for j in range(3)] for i in range(3)]
-        assert sum(coeffs) == matrix_det(eye_minus)
-        for r in range(4):
-            assert coeffs[r] == (-1) ** r * principal_minor_sum(M, r)
-
-
-def test_char_poly_lambda_oracle():
-    # independent oracle: Leibniz determinant over polynomials in lambda
-    rng = random.Random(29)
-    M = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-
-    def poly_mul(p, q):
-        out = [Fraction(0)] * (len(p) + len(q) - 1)
-        for i, a in enumerate(p):
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-        return out
-
-    from itertools import permutations
-
-    from nkoszul.algebras import perm_sign
-
-    det = [Fraction(0)] * 4
-    for perm in permutations(range(3)):
-        prod = [Fraction(1)]
-        for i in range(3):
-            entry = [-M[i][perm[i]]]
-            if perm[i] == i:
-                entry = [-M[i][i], Fraction(1)]  # lambda - M_ii
-            prod = poly_mul(prod, entry)
-        sign = perm_sign(perm)
-        for d, c in enumerate(prod):
-            det[d] += c if sign > 0 else -c
-    # det = sum c_r lambda^{3-r}
-    coeffs = char_poly_coeffs(M)
-    assert [det[3 - r] for r in range(4)] == coeffs
+def _evaluate_character(B, value, Z):
+    """Specialize an end(A) class at a numeric matrix, z_i^j ↦ Z[i][j]."""
+    n = B.base.n
+    total = Fraction(0)
+    for zw, coeff in value.coords.items():
+        factor = coeff
+        for letter in zw:
+            i, j = divmod(letter, n)
+            factor *= Z[i][j]
+        total += factor
+    return total
 
 
 def test_numeric_ferm_equals_restricted_traces():
@@ -216,7 +191,7 @@ def test_numeric_ferm_equals_restricted_traces():
         while nu(N, ell) <= n + 1:
             m = nu(N, ell)
             space = dual_koszul_subspace(A, m)
-            tr = restricted_trace(Z, space, n, m)
+            tr = _restricted_trace(Z, space, n, m)
             expected = by_total.get(m, Fraction(0))
             assert (-1) ** ell * tr == expected, (n, N, ell)
             ell += 1
@@ -236,13 +211,13 @@ def test_numeric_evaluation_of_character_series():
             bos_k = sum(
                 (v for w, v in tab.items() if len(w) == k), Fraction(0)
             )
-            assert evaluate_character(B, p.coeffs[k], Z) == bos_k, (A.label, k)
+            assert _evaluate_character(B, p.coeffs[k], Z) == bos_k, (A.label, k)
         denom = nmt_rhs_denominator(A.n, A.N, Z, QQ, D)
         by_total = {}
         for exps, c in denom.terms.items():
             by_total[sum(exps)] = by_total.get(sum(exps), Fraction(0)) + c
         for d in range(D + 1):
-            assert evaluate_character(B, q.coeffs[d], Z) == by_total.get(d, Fraction(0)), (
+            assert _evaluate_character(B, q.coeffs[d], Z) == by_total.get(d, Fraction(0)), (
                 A.label,
                 d,
             )

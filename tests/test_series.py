@@ -8,7 +8,6 @@ from nkoszul.series import (
     INTS,
     GradedRing,
     MultiSeries,
-    ScalarRing,
     UniSeries,
     exponents_of_total,
 )
@@ -27,16 +26,14 @@ def test_invert_squared_geometric():
 def test_invert_roundtrip():
     s = UniSeries(INTS, 6, [1, 3, -2, 5, 0, 1, -4])
     assert s.invert().invert() == s
-    t = UniSeries(ScalarRing(QQ), 4, [Fraction(1), Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(2)])
-    assert t.invert().invert() == t
-    assert (t * t.invert()).is_one()
+    assert (s * s.invert()).is_one()
 
 
 def test_invert_requires_unit():
     with pytest.raises(ValueError):
         UniSeries(INTS, 2, [2, 0, 0]).invert()
     with pytest.raises(ValueError):
-        UniSeries(ScalarRing(QQ), 1, [Fraction(0), Fraction(1)]).invert()
+        UniSeries(INTS, 1, [0, 1]).invert()
 
 
 def test_equality_up_to_min_truncation():
@@ -67,17 +64,6 @@ def test_graded_series_inversion_and_product():
     for k in range(4):
         assert inv.coeffs[k] == power
         power = power * x
-
-
-def test_coefficientwise_ring_map_commutes():
-    # applying a ring map (here dim on integer series through Fractions)
-    # commutes with mul and invert
-    a = UniSeries(INTS, 4, [1, -3, 2, 0, 5])
-    b = UniSeries(INTS, 4, [1, 1, 1, 1, 1])
-    to_q = lambda v: Fraction(v)
-    ring = ScalarRing(QQ)
-    assert (a * b).map_coefficients(to_q, ring) == a.map_coefficients(to_q, ring) * b.map_coefficients(to_q, ring)
-    assert a.invert().map_coefficients(to_q, ring) == a.map_coefficients(to_q, ring).invert()
 
 
 def test_multiseries_invert_two_vars():

@@ -12,3 +12,77 @@ def test_no_assert_in_library():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# Public names that no src code uses, each kept for the reason given.
+UNUSED_ALLOWED = {
+    "linalg.subspace_sum": "the oracle the tests check intersect against",
+    "jsonio.algebra_to_obj": "the inverse of the algebra parser, for writing file: inputs",
+    "freealg.z_index": "names the flat index i*n + j of z_i^j, which manin inlines",
+    "freealg.Tensor.from_word": "builds a monomial relation, the simplest presentation input",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, node) of the public top-level functions and classes
+    and of the public methods of public classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item
+
+
+def _references(tree, skip=None):
+    """Names, attribute names and imports used in ``tree`` outside ``skip``.
+
+    Imports are (module, name) pairs, from ``from .module import name`` and
+    from ``module.name``.
+    """
+    names, attrs, imported = set(), set(), set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name):
+                imported.add((node.value.id, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            imported.update((node.module, alias.name) for alias in node.names)
+        stack.extend(ast.iter_child_nodes(node))
+    return names, attrs, imported
+
+
+def test_every_public_name_is_used_by_the_program():
+    # A public function, class or method must be used by src code outside
+    # its own definition, or be re-exported by __init__.py; one that only a
+    # test calls belongs in the tests.  A top-level name counts as used from
+    # another module through "from .module import name" or "module.name"; a
+    # method counts as used wherever its attribute name appears.
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    refs = {module: _references(tree) for module, tree in trees.items()}
+    unused, allowed = [], set()
+    for module, tree in trees.items():
+        others = [refs[m] for m in trees if m != module]
+        for qualname, node in _public_definitions(tree):
+            names, attrs, _ = _references(tree, skip=node)
+            *owner, name = qualname.split(".")
+            if owner:
+                used = name in attrs or any(name in other[1] for other in others)
+            else:
+                used = name in names or any((module, name) in other[2] for other in others)
+            if used:
+                continue
+            key = f"{module}.{qualname}"
+            if key in UNUSED_ALLOWED:
+                allowed.add(key)
+            else:
+                unused.append(key)
+    assert unused == []
+    assert allowed == set(UNUSED_ALLOWED)  # no stale exception
