@@ -24,5 +24,5 @@ from .koszul import (
     nu,
 )
 from .manin import ManinBialgebra, bos_ferm, build_end, chi_A, chi_J, counit, kmt_check
-from .mmt import g_coefficient, mmt_check, nmt_check, random_rational_matrix
+from .mmt import mmt_check, nmt_check, random_rational_matrix
 from .scalar import QQ, ParameterField, RationalField

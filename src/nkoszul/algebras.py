@@ -46,7 +46,7 @@ def polynomial(n: int, field=QQ) -> AlgebraPresentation:
     return AlgebraPresentation(n, 2, rels, label=f"poly({n})", field=field)
 
 
-def antisymmetrizer(n: int, N: int, field=QQ) -> AlgebraPresentation:
+def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
     """Relations = all degree-N antisymmetrizers over ascending index tuples.
 
     For each 1 <= i_1 < ... < i_N <= n the relation is the signed sum over
@@ -54,24 +54,22 @@ def antisymmetrizer(n: int, N: int, field=QQ) -> AlgebraPresentation:
     """
     if not 2 <= N <= n:
         raise ValueError(f"antisymmetrizer needs 2 <= N <= n, got N={N}, n={n}")
-    one = field.one
     rels = []
     for combo in combinations(range(n), N):
         terms = {}
         for perm in permutations(range(N)):
             word = tuple(combo[p] for p in perm)
-            terms[word] = one if perm_sign(perm) == 1 else -one
+            terms[word] = QQ.one if perm_sign(perm) == 1 else -QQ.one
         rels.append(Tensor(n, N, terms))
-    return AlgebraPresentation(n, N, rels, label=f"antisym({n},{N})", field=field)
+    return AlgebraPresentation(n, N, rels, label=f"antisym({n},{N})", field=QQ)
 
 
-def quantum_space(n: int, q=None, field=None) -> AlgebraPresentation:
+def quantum_space(n: int, q=None) -> AlgebraPresentation:
     """The quantum space x_j x_i = q_ij x_i x_j for i < j.
 
     With ``q=None`` the coefficients are independent generic parameters
-    q_ij over the rational function field; a single number or a
-    ``{(i, j): value}`` dict (0-based, i < j) gives a numeric presentation
-    over the rationals.  Zero parameters are rejected.
+    q_ij over the rational function field; a nonzero rational ``q`` sets
+    every q_ij to that value over the rationals.
     """
     if n < 1:
         raise ValueError("quantum space needs n >= 1")
@@ -83,16 +81,8 @@ def quantum_space(n: int, q=None, field=None) -> AlgebraPresentation:
             (i, j): field.parameter(f"q{i + 1}{j + 1}") for i, j in pairs
         }
     else:
-        field = field or QQ
-        if isinstance(q, dict):
-            coeff = {}
-            for i, j in pairs:
-                if (i, j) not in q:
-                    raise ValueError(f"missing parameter q for pair {(i, j)}")
-                coeff[(i, j)] = _as_scalar(field, q[(i, j)])
-        else:
-            value = _as_scalar(field, q)
-            coeff = {pair: value for pair in pairs}
+        field = QQ
+        coeff = {pair: Fraction(q) for pair in pairs}
         for pair, value in coeff.items():
             if not value:
                 raise ValueError(f"parameter q{pair} must be nonzero")
@@ -104,31 +94,13 @@ def quantum_space(n: int, q=None, field=None) -> AlgebraPresentation:
     return AlgebraPresentation(n, 2, rels, label=f"qspace({n})", field=field)
 
 
-def _as_scalar(field, value):
-    if isinstance(value, int):
-        return field.from_int(value)
-    if isinstance(value, Fraction):
-        return field.rational(value.numerator, value.denominator)
-    return value
-
-
-def free_algebra(n: int, field=QQ) -> AlgebraPresentation:
+def free_algebra(n: int) -> AlgebraPresentation:
     """T(V): no relations (N recorded as 2, irrelevant for an empty R)."""
-    return AlgebraPresentation(n, 2, [], label=f"free({n})", field=field)
+    return AlgebraPresentation(n, 2, [], label=f"free({n})", field=QQ)
 
 
 # ----------------------------------------------------------------------
 # admissible (descent-avoiding) words
-
-
-def is_admissible(word, N: int) -> bool:
-    """True when the word has no N consecutive strictly decreasing letters."""
-    run = 1
-    for s in range(1, len(word)):
-        run = run + 1 if word[s - 1] > word[s] else 1
-        if run >= N:
-            return False
-    return True
 
 
 def count_admissible(n: int, N: int, k: int) -> int:

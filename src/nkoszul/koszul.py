@@ -36,6 +36,14 @@ def nu(N: int, ell: int) -> int:
     return N * i + r
 
 
+def jumps(N: int, bound: int):
+    """Yield (ℓ, ν(ℓ)) for ℓ = 0, 1, ... while ν(ℓ) <= bound."""
+    ell = 0
+    while (d := nu(N, ell)) <= bound:
+        yield ell, d
+        ell += 1
+
+
 def dual_koszul_subspace(A: AlgebraPresentation, m: int) -> linalg.Subspace:
     """The space J_m ⊆ V^{⊗m} (concrete model of A^{!*}_m)."""
     if m < 0:
@@ -203,16 +211,11 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
     """
     if m < 1:
         raise ValueError("total degree must be >= 1")
-    N = A.N
-    ells = []
-    ell = 0
-    while nu(N, ell) <= m:
-        ells.append(ell)
-        ell += 1
-    dims = {}
-    for l in ells:
-        k = m - nu(N, l)
-        dims[l] = A.dim_component(k) * dual_koszul_subspace(A, nu(N, l)).dim
+    dims = {
+        l: A.dim_component(m - d) * dual_koszul_subspace(A, d).dim
+        for l, d in jumps(A.N, m)
+    }
+    ells = list(dims)
     matrices = {}
     ranks = {}
     for l in ells[1:]:
@@ -290,24 +293,37 @@ def koszul_certificate(A: AlgebraPresentation, max_degree: int) -> CertificateRe
 def dvp_rhs(A: AlgebraPresentation, max_degree: int) -> series.UniSeries:
     """The alternating dual-dimension series Σ (-1)^ℓ dim A^!_{ν(ℓ)} t^{ν(ℓ)}."""
     coeffs = [0] * (max_degree + 1)
-    ell = 0
-    while True:
-        d = nu(A.N, ell)
-        if d > max_degree:
-            break
+    for ell, d in jumps(A.N, max_degree):
         coeffs[d] += (-1) ** ell * dual_component_dim(A, d)
-        ell += 1
     return series.UniSeries(series.INTS, max_degree, coeffs)
 
 
-def dvp_check(A: AlgebraPresentation, max_degree: int) -> bool:
+class DvpResult:
+    """H_A, the alternating dual series and their product, which the
+    duality identity requires to be 1."""
+
+    __slots__ = ("passed", "hilbert", "rhs", "product")
+
+    def __init__(self, passed, hilbert, rhs, product):
+        self.passed = passed
+        self.hilbert = hilbert
+        self.rhs = rhs
+        self.product = product
+
+    def __bool__(self):
+        return self.passed
+
+
+def dvp_check(A: AlgebraPresentation, max_degree: int) -> DvpResult:
     """Hilbert-series duality: H_A(t) · Σ (-1)^ℓ dim A^!_{ν(ℓ)} t^{ν(ℓ)} = 1.
 
     Holds whenever the Koszulity certificate passes at the same bound, but is
     computed independently of it.
     """
-    product = A.hilbert_series(max_degree) * dvp_rhs(A, max_degree)
-    return product.is_one()
+    hilbert = A.hilbert_series(max_degree)
+    rhs = dvp_rhs(A, max_degree)
+    product = hilbert * rhs
+    return DvpResult(product.is_one(), hilbert, rhs, product)
 
 
 def identity_eq1(n: int, m: int) -> int:

@@ -149,26 +149,31 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def contains(self, vec) -> bool:
-        row_of = dict(zip(self.pivots, self.rows))
-        return not _eliminate(row_of, {j: v for j, v in vec.items() if v})
+    def _split(self, vec):
+        """(coordinates, residual) of ``vec``.
 
-    def coordinates(self, vec):
-        """Coordinates of ``vec`` in the basis rows; raises if not a member.
-
-        Returns a sparse ``{row_index: scalar}`` dict.  For a reduced echelon
-        basis the coordinate along row i is just the entry at pivot i.
+        For a reduced echelon basis the coordinate along row i is the entry
+        of ``vec`` at pivot i, and ``vec`` is a member exactly when the
+        residual ``vec - Σ coordinate·row`` is zero.
         """
         coords = {}
         for i, p in enumerate(self.pivots):
             c = vec.get(p)
             if c:
                 coords[i] = c
-        # Verify: sum of coordinate multiples must reproduce vec exactly.
-        residual = dict(vec)
+        residual = {j: v for j, v in vec.items() if v}
         for i, c in coords.items():
             axpy(residual, -c, self.rows[i])
-        if any(v for v in residual.values()):
+        return coords, residual
+
+    def contains(self, vec) -> bool:
+        return not self._split(vec)[1]
+
+    def coordinates(self, vec):
+        """Coordinates of ``vec`` in the basis rows, as a sparse
+        ``{row_index: scalar}`` dict; raises ValueError if not a member."""
+        coords, residual = self._split(vec)
+        if residual:
             raise ValueError("vector is not in the subspace")
         return coords
 

@@ -20,7 +20,7 @@ from itertools import combinations, permutations
 from .algebras import perm_sign, polynomial
 from .freealg import Tensor, all_words, index_word, shuffle_pairs
 from .homog import AlgebraClass, AlgebraPresentation
-from .koszul import dual_koszul_subspace, nu
+from .koszul import dual_koszul_subspace, jumps, nu
 from .linalg import axpy
 from .series import GradedRing, UniSeries
 
@@ -131,16 +131,11 @@ def dual_character_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     E = B.env
     ring = GradedRing(E)
     coeffs = [E.zero_class(d) for d in range(max_degree + 1)]
-    ell = 0
-    while True:
-        d = nu(B.base.N, ell)
-        if d > max_degree:
-            break
+    for ell, d in jumps(B.base.N, max_degree):
         value = chi_J(B, ell).value
         if ell % 2:
             value = -value
         coeffs[d] = coeffs[d] + value
-        ell += 1
     return UniSeries(ring, max_degree, coeffs)
 
 

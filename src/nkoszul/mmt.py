@@ -2,11 +2,12 @@
 
 Specializing the generators z_i^j of end(A) at a rational matrix Z turns
 the character identities into numeric generating-function identities:
-the original MacMahon identity for the polynomial algebra, and the
-N-analog for antisymmetrizer algebras, whose right-hand side is an
+the N-analog for antisymmetrizer algebras, whose right-hand side is an
 alternating sum of principal minors of ZT over subsets of size ≡ 0, 1
-mod N.  The specialization is sound exactly when span(R) is invariant
-under Z^{⊗N}, which the guard below checks.
+mod N, and the original MacMahon identity, its N = 2 case on the
+polynomial algebra, where that sum is det(I - ZT).  The specialization is
+sound exactly when span(R) is invariant under Z^{⊗N}, which the guard
+below checks.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from . import linalg
-from .algebras import (
-    antisymmetrizer,
-    enumerate_admissible,
-    is_admissible,
-    perm_sign,
-    polynomial,
-)
+from .algebras import antisymmetrizer, enumerate_admissible, perm_sign, polynomial
 from .freealg import Tensor
 from .homog import AlgebraPresentation
 from .series import MultiSeries, exponents_of_total
@@ -143,23 +138,6 @@ def _product_vector(A: AlgebraPresentation, Z, word, start=None):
     return cur
 
 
-def g_coefficient(A: AlgebraPresentation, Z, word):
-    """G(i_1,...,i_k): the coefficient of the class of x_{i_1}...x_{i_k} in
-    the reduced product X_{i_1}...X_{i_k}, in admissible-basis coordinates."""
-    word = tuple(word)
-    if not is_admissible(word, A.N):
-        raise ValueError(f"word {word} has an {A.N}-descent")
-    if not check_specializable(A, Z):
-        raise ValueError("matrix does not specialize this algebra's envelope")
-    k = len(word)
-    if k == 0:
-        return A.field.one
-    solver, index, pos = _admissible_solver(A, k)
-    vec = _product_vector(A, Z, word)
-    coords = solver.coordinates({pos[w]: c for w, c in vec.items()})
-    return coords.get(index[word], A.field.zero)
-
-
 def g_table(A: AlgebraPresentation, Z, max_degree: int):
     """All G values on admissible words of length ≤ max_degree, sharing
     prefix products along the admissible-word tree."""
@@ -234,44 +212,6 @@ def _compare(lhs: MultiSeries, rhs: MultiSeries, max_degree: int) -> MasterResul
     return MasterResult(first is None, max_degree, first, lhs, rhs)
 
 
-def mmt_check(n: int, Z, max_degree: int, algebra=None) -> MasterResult:
-    """Original master identity: Σ_m G(m) t^m = det(I - ZT)^{-1} exactly,
-    up to total degree ``max_degree``."""
-    A = algebra if algebra is not None else polynomial(n)
-    field = A.field
-    lhs = _lhs_series(A, Z, max_degree)
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            terms = {}
-            if i == j:
-                terms[(0,) * n] = field.one
-            z = Z[i][j]
-            if z:
-                exps = [0] * n
-                exps[j] = 1
-                key = tuple(exps)
-                terms[key] = terms.get(key, field.zero) - z
-            row.append(MultiSeries(field, n, max_degree, terms))
-        entries.append(row)
-    det = _series_det(entries, field, n, max_degree)
-    return _compare(lhs, det.invert(), max_degree)
-
-
-def _series_det(entries, field, nvars, trunc) -> MultiSeries:
-    size = len(entries)
-    total = MultiSeries(field, nvars, trunc, {})
-    for perm in permutations(range(size)):
-        prod = MultiSeries.one(field, nvars, trunc)
-        for i in range(size):
-            prod = prod * entries[i][perm[i]]
-        if perm_sign(perm) < 0:
-            prod = -prod
-        total = total + prod
-    return total
-
-
 def nmt_rhs_denominator(n: int, N: int, Z, field, max_degree: int) -> MultiSeries:
     """Σ over J ⊆ {1..n} with |J| ≡ 0, 1 (mod N) of ε(|J|) det(Z_J) Π_{j∈J} t_j,
     where ε is +1 on sizes ≡ 0 and -1 on sizes ≡ 1 mod N."""
@@ -300,3 +240,11 @@ def nmt_check(n: int, N: int, Z, max_degree: int, algebra=None) -> MasterResult:
     lhs = _lhs_series(A, Z, max_degree)
     denom = nmt_rhs_denominator(n, N, Z, A.field, max_degree)
     return _compare(lhs, denom.invert(), max_degree)
+
+
+def mmt_check(n: int, Z, max_degree: int, algebra=None) -> MasterResult:
+    """Original master identity: Σ_m G(m) t^m = det(I - ZT)^{-1} exactly,
+    up to total degree ``max_degree``.  It is the N = 2 case of
+    :func:`nmt_check`: at N = 2 the ε-signed principal-minor sum is the
+    expansion of det(I - ZT)."""
+    return nmt_check(n, 2, Z, max_degree, algebra=algebra or polynomial(n))

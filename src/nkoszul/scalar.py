@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import comb
 
 from sympy.polys.domains import QQ as _SYMPY_QQ
 from sympy.polys.fields import field as _frac_field
@@ -29,9 +30,6 @@ class RationalField:
 
     def from_int(self, k: int):
         return Fraction(k)
-
-    def rational(self, p: int, q: int = 1):
-        return Fraction(p, q)
 
     def parse(self, text: str):
         """Read ``"p/q"`` or ``"p"``, as :meth:`format` writes them; raises
@@ -87,11 +85,6 @@ class ParameterField:
     def from_int(self, k: int):
         return self._field.one * k
 
-    def rational(self, p: int, q: int = 1):
-        if q == 0:
-            raise ZeroDivisionError("zero denominator")
-        return (self._field.one * p) / q
-
     def parse(self, text: str):
         """Read a rational expression in the parameters, as :meth:`format`
         writes it; raises ValueError on anything else.  The text is never
@@ -111,6 +104,50 @@ class ParameterField:
         return hash(("ParameterField", self.parameters))
 
 
+#: Every value a parsed parameter expression passes through has a numerator
+#: and a denominator of total degree at most MAX_DEGREE with at most
+#: MAX_TERMS terms, and coefficients of at most MAX_BITS bits; every
+#: exponent is at most MAX_DEGREE in size.  The parser bounds the degree and
+#: the terms of each result before computing it, and the coefficients of a
+#: power too, so no expression can make parsing run long or exhaust memory.
+MAX_DEGREE = 100
+MAX_TERMS = 1000
+MAX_BITS = 1000
+
+
+def _sizes(x):
+    """(total degree, number of terms) of the numerator and of the
+    denominator of ``x``."""
+    return tuple(
+        (max(map(sum, p.itermonoms()), default=0), len(p)) for p in (x.numer, x.denom)
+    )
+
+
+def _bits(x):
+    """Largest bit length of a numerator or denominator of a coefficient of
+    the numerator or the denominator of ``x``."""
+    return max(
+        (
+            max(c.numerator.bit_length(), c.denominator.bit_length())
+            for p in (x.numer, x.denom)
+            for c in p.itercoeffs()
+        ),
+        default=0,
+    )
+
+
+def _times(p, q):
+    """Size bound of the product of polynomials of sizes ``p`` and ``q``."""
+    return p[0] + q[0], p[1] * q[1]
+
+
+def _power(p, e):
+    """Size bound of the e-th power of a polynomial of size ``p``: at most
+    one term per multiset of e of its terms."""
+    degree, terms = p
+    return degree * e, comb(e + terms - 1, e) if terms > 1 else terms
+
+
 _TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/()])")
 
 
@@ -123,7 +160,8 @@ class _ExpressionParser:
         atom     := integer | parameter name | "(" sum ")"
         exponent := ("+" | "-") exponent | "(" exponent ")" | integer
 
-    so unary minus binds as in Python: -q**2 is -(q**2).
+    so unary minus binds as in Python: -q**2 is -(q**2).  Each operation
+    first checks the bounds above on the size of its result.
     """
 
     def __init__(self, field, text):
@@ -161,23 +199,53 @@ class _ExpressionParser:
         tok = self.tokens[self.pos] or "end of input"
         return ValueError(f"unexpected {tok!r} in {self.text!r}")
 
+    def too_large(self):
+        return ValueError(
+            f"expression exceeds total degree {MAX_DEGREE}, {MAX_TERMS} terms "
+            f"or {MAX_BITS}-bit coefficients"
+        )
+
+    def bound(self, *sizes):
+        """Raise unless every (degree, terms) size is within the bounds; a
+        polynomial of degree d in p parameters has at most C(d + p, p)
+        terms, whatever the estimate of its terms says."""
+        p = len(self.field.parameters)
+        if any(
+            d > MAX_DEGREE or min(t, comb(d + p, p)) > MAX_TERMS for d, t in sizes
+        ):
+            raise self.too_large()
+
+    def checked(self, value):
+        """``value``, once its coefficients are found within MAX_BITS bits.
+        Its operands were, so computing it took bounded time."""
+        if _bits(value) > MAX_BITS:
+            raise self.too_large()
+        return value
+
     def sum(self):
         value = self.product()
         while op := self.accept("+", "-"):
             rhs = self.product()
-            value = value + rhs if op == "+" else value - rhs
+            # a/b ± c/d = (a·d ± c·b) / (b·d)
+            (a, b), (c, d) = _sizes(value), _sizes(rhs)
+            ad, cb = _times(a, d), _times(c, b)
+            self.bound((max(ad[0], cb[0]), ad[1] + cb[1]), _times(b, d))
+            value = self.checked(value + rhs if op == "+" else value - rhs)
         return value
 
     def product(self):
         value = self.unary()
         while op := self.accept("*", "/"):
             rhs = self.unary()
+            (a, b), (c, d) = _sizes(value), _sizes(rhs)
             if op == "*":
-                value = value * rhs
+                self.bound(_times(a, c), _times(b, d))
+                value = self.checked(value * rhs)
             elif not rhs:
                 raise ValueError(f"division by zero in {self.text!r}")
             else:
-                value = value / rhs
+                self.bound(_times(a, d), _times(b, c))
+                value = self.checked(value / rhs)
         return value
 
     def unary(self):
@@ -191,7 +259,13 @@ class _ExpressionParser:
         exp = self.exponent()
         if exp < 0 and not base:
             raise ValueError(f"division by zero in {self.text!r}")
-        return base**exp
+        e = abs(exp)
+        self.bound((e, 1))  # as q**e; a constant base gets no larger exponent
+        numer, denom = _sizes(base) if exp > 0 else _sizes(base)[::-1]
+        self.bound(_power(numer, e), _power(denom, e))
+        if e * _bits(base) > MAX_BITS:
+            raise self.too_large()
+        return self.checked(base**exp)
 
     def exponent(self):
         if self.accept("("):
@@ -215,7 +289,7 @@ class _ExpressionParser:
             return value
         tok = self.tokens[self.pos]
         if tok.isdigit():
-            value = self.field.from_int(int(tok))
+            value = self.checked(self.field.from_int(int(tok)))
         elif tok in self.field.parameters:
             value = self.field.parameter(tok)
         else:

@@ -1,6 +1,7 @@
 import json
 
 from nkoszul.cli import main
+from nkoszul.scalar import ParameterField
 
 
 def run(capsys, *argv):
@@ -54,6 +55,16 @@ def test_mmt_seeded(capsys):
         capsys, "mmt", "--n", "3", "--random-seed", "7", "--max-degree", "4"
     )
     assert code == 0
+
+
+def test_master_report_keys(capsys):
+    # mmt is the N = 2 case of nmt, but its report has no "N"
+    common = ("--n", "2", "--random-seed", "3", "--max-degree", "3", "--format", "json")
+    keys = {"n", "max_degree", "matrix", "passed", "first_mismatch"}
+    code, out, _ = run(capsys, "mmt", *common)
+    assert code == 0 and set(json.loads(out)["report"]) == keys
+    code, out, _ = run(capsys, "nmt", "--N", "2", *common)
+    assert code == 0 and set(json.loads(out)["report"]) == keys | {"N"}
 
 
 def test_json_reports_byte_identical(capsys):
@@ -150,6 +161,24 @@ def test_deeply_nested_input_exit_2(capsys, tmp_path):
     algebra = _qspace_file(tmp_path, "(" * 3000 + "q12" + ")" * 3000)
     code, _, err = run(capsys, "info", "--algebra", algebra, "--max-degree", "2")
     assert code == 2 and "bad algebra JSON" in err
+
+
+def test_oversized_parameter_expression_exit_2(capsys, tmp_path, monkeypatch):
+    # a nested power and a long product, each of degree 10000 in q12; the
+    # parser refuses both before forming any value over degree 100
+    frac = type(ParameterField(["q12"]).one)
+    degrees = []
+    for name in ("__mul__", "__pow__"):
+        def spy(self, other, op=getattr(frac, name)):
+            result = op(self, other)
+            degrees.append(max(result.numer.degree(), result.denom.degree()))
+            return result
+        monkeypatch.setattr(frac, name, spy)
+    for coeff in ("((q12 + 1)**100)**100", "*".join(["(q12 + 1)**100"] * 100)):
+        algebra = _qspace_file(tmp_path, coeff)
+        code, _, err = run(capsys, "info", "--algebra", algebra, "--max-degree", "2")
+        assert code == 2 and "exceeds total degree 100" in err
+    assert degrees and max(degrees) <= 100
 
 
 def test_non_string_coefficient_exit_2(capsys, tmp_path):

@@ -11,7 +11,6 @@ def test_rational_examples():
     assert QQ.parse("3/4") == Fraction(3, 4)
     assert QQ.format(Fraction(3, 4)) == "3/4"
     assert QQ.format(Fraction(5)) == "5"
-    assert QQ.rational(2, 4) == Fraction(1, 2)
     assert QQ.parse("-7") == Fraction(-7)
     assert QQ.parse("+6/4") == Fraction(3, 2)
     for text in QQ.format(Fraction(-22, 7)), QQ.format(Fraction(0)):
@@ -76,7 +75,9 @@ def test_param_parse_roundtrip():
         q12**-1,
         -((q12 + q13) ** 2) / (q12 - q13),
         F.zero,
-        F.rational(-3, 4),
+        F.from_int(-3) / 4,
+        (q12 + 1) ** 100,
+        (q12 + q13 + 1) ** 43,
     ]
     assert F.format(values[0]) == "-q12"
     assert F.format(values[1]) == "(q12 + 1)/(2*q13)"
@@ -100,6 +101,15 @@ def test_param_parse_rejects_anything_else():
         "",
         "1/(q12 - q12)",
         "0**-1",
+        # over total degree 100, 1000 terms or 1000-bit coefficients
+        "q12**101",
+        "q12**-" + "9" * 30,
+        "(q12 + 1)**50 * (q12 + 1)**51",
+        "1/(q12 + 1)**60 + 1/(q12 + 2)**60",
+        "(q12 + q13 + 1)**44",
+        "((7**100)**100)**100",
+        "*".join(["7**99"] * 5),
+        "9" * 400,
     ):
         with pytest.raises(ValueError):
             F.parse(text)
