@@ -81,11 +81,11 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
             (i, j): field.parameter(f"q{i + 1}{j + 1}") for i, j in pairs
         }
     else:
+        q = Fraction(q)
+        if not q:
+            raise ValueError("parameter q must be nonzero")
         field = QQ
-        coeff = {pair: Fraction(q) for pair in pairs}
-        for pair, value in coeff.items():
-            if not value:
-                raise ValueError(f"parameter q{pair} must be nonzero")
+        coeff = {pair: q for pair in pairs}
     one = field.one
     rels = [
         Tensor(n, 2, {(j, i): one, (i, j): -coeff[(i, j)]})

@@ -362,18 +362,14 @@ def admissible_identity_check(n: int, N: int, max_degree: int) -> AdmissibleIden
     if not 2 <= N <= n:
         raise ValueError(f"need 2 <= N <= n, got N={N}, n={n}")
     coeffs = [0] * (max_degree + 1)
-    ell = 0
     ell_max = 0
-    while True:
-        d = nu(N, ell)
+    # C(n, ν(ℓ)) = 0 once ν(ℓ) > n, so ell_max is final below the bound
+    for ell, d in jumps(N, max(max_degree, n + N)):
         binom = math.comb(n, d)
         if binom:
             ell_max = ell
-        if d > max_degree and d > n + N:
-            break
         if d <= max_degree:
             coeffs[d] += (-1) ** ell * binom
-        ell += 1
     q, r = divmod(n, N)
     expected_ell_max = 2 * q if r == 0 else 2 * q + 1
     degree_rule_ok = ell_max == expected_ell_max

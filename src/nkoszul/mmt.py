@@ -95,67 +95,47 @@ def check_specializable(A: AlgebraPresentation, Z) -> bool:
     return ok
 
 
-def _admissible_solver(A: AlgebraPresentation, k: int):
-    """Coordinate solver for the admissible-word basis of A_k.
+def _check_reversal(A: AlgebraPresentation, max_degree: int) -> None:
+    """Raise unless word reversal maps the admissible words of each degree
+    k ≤ max_degree onto the normal words of A_k.
 
-    Raises when the admissible classes do not form a basis (they do for the
-    built-in polynomial and antisymmetrizer algebras)."""
-    cache = A.cache.admissible_solvers
-    data = cache.get(k)
-    if data is not None:
-        return data
-    words = enumerate_admissible(A.n, A.N, k)
-    normal = A.normal_basis(k)
-    if len(words) != len(normal):
-        raise ValueError(
-            f"admissible word count {len(words)} != dim A_{k} = {len(normal)}"
-        )
-    pos = {w: i for i, w in enumerate(normal)}
-    rows = []
-    for w in words:
-        cls = A.class_of_word(w)
-        rows.append({pos[nw]: c for nw, c in cls.coords.items()})
-    solver = linalg.BasisSolver(rows, len(normal))
-    index = {w: i for i, w in enumerate(words)}
-    data = (solver, index, pos)
-    cache[k] = data
-    return data
-
-
-def _product_vector(A: AlgebraPresentation, Z, word, start=None):
-    """Normal coordinates of X_{i_1}···X_{i_k}, X_i = Σ_j Z_ij x_j."""
-    n = A.n
-    cur = {(): A.field.one} if start is None else start
-    for i in word:
-        row = Z[i]
-        nxt = {}
-        for w, c in cur.items():
-            for j in range(n):
-                z = row[j]
-                if z:
-                    linalg.axpy(nxt, c * z, A.class_of_word(w + (j,)).coords)
-        cur = nxt
-    return cur
+    When span(R) is stable under reversal, reversal is an anti-automorphism
+    of A; if it also maps the admissible words onto the normal words, the
+    admissible classes form a basis and the G value of a word w is the
+    rev(w)-coordinate of the reversed product in the normal basis.  Both
+    hold for the polynomial and antisymmetrizer algebras."""
+    span = A.ideal_component(A.N)
+    for r in A.relations:
+        reversed_r = Tensor(A.n, A.N, {w[::-1]: c for w, c in r.terms.items()})
+        if not span.contains(reversed_r.to_vec()):
+            raise ValueError("the relations are not stable under word reversal")
+    for k in range(1, max_degree + 1):
+        reversed_words = {w[::-1] for w in enumerate_admissible(A.n, A.N, k)}
+        if reversed_words != set(A.normal_basis(k)):
+            raise ValueError(f"reversed admissible words of degree {k} are not the normal words")
 
 
 def g_table(A: AlgebraPresentation, Z, max_degree: int):
-    """All G values on admissible words of length ≤ max_degree, sharing
-    prefix products along the admissible-word tree."""
+    """All G values on admissible words of length ≤ max_degree.
+
+    G(w) is the w-coordinate of X_{w_1}···X_{w_k}, X_i = Σ_j Z_ij x_j, in
+    the basis of admissible classes, read as the rev(w)-coordinate of
+    X_{w_k}···X_{w_1} in the normal basis (see :func:`_check_reversal`).
+    The walk over the admissible-word tree multiplies on the left, so each
+    word shares the reversed product of its prefix."""
     if not check_specializable(A, Z):
         raise ValueError("matrix does not specialize this algebra's envelope")
+    _check_reversal(A, max_degree)
     n, N = A.n, A.N
-    one = A.field.one
-    table = {(): one}
-    # stack entries: (word, run length of current descent, product vector)
+    one, zero = A.field.one, A.field.zero
+    table = {}
+    # stack entries: (word, run length of current descent, normal
+    # coordinates of the reversed product)
     stack = [((), 0, {(): one})]
     while stack:
         word, run, vec = stack.pop()
-        k = len(word)
-        if k:
-            solver, index, pos = _admissible_solver(A, k)
-            coords = solver.coordinates({pos[w]: c for w, c in vec.items()})
-            table[word] = coords.get(index[word], A.field.zero)
-        if k == max_degree:
+        table[word] = vec.get(word[::-1], zero)
+        if len(word) == max_degree:
             continue
         for b in range(n - 1, -1, -1):
             if word and word[-1] > b:
@@ -164,7 +144,12 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
                 nrun = run + 1
             else:
                 nrun = 1
-            stack.append((word + (b,), nrun, _product_vector(A, Z, (b,), start=vec)))
+            nxt = {}
+            for j, z in enumerate(Z[b]):
+                if z:
+                    for w, c in vec.items():
+                        linalg.axpy(nxt, z * c, A.class_of_word((j,) + w).coords)
+            stack.append((word + (b,), nrun, nxt))
     return table
 
 

@@ -226,12 +226,14 @@ def test_qspace_numeric_parameter(capsys):
         "--max-degree", "4",
     )
     assert code == 0
-    for q in ("0", "1/0", "1.5", "1e3"):
+    for n, q in (("2", "0"), ("1", "0"), ("2", "1/0"), ("2", "1.5"), ("2", "1e3")):
         code, _, err = run(
-            capsys, "hilbert", "--algebra", "qspace", "--n", "2", "--q", q,
+            capsys, "hilbert", "--algebra", "qspace", "--n", n, "--q", q,
             "--max-degree", "4",
         )
-        assert code == 2, q
+        assert code == 2, (n, q)
+        if q == "0":
+            assert "parameter q must be nonzero" in err
 
 
 def test_algebra_file_cannot_run_code(capsys, tmp_path, monkeypatch):

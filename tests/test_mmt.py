@@ -6,12 +6,12 @@ from math import prod
 import pytest
 
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, polynomial, quantum_space
-from nkoszul.freealg import index_word
+from nkoszul.freealg import Tensor, index_word
+from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, jumps
-from nkoszul.linalg import axpy
+from nkoszul.linalg import BasisSolver, axpy
 from nkoszul.manin import build_end, character_series, dual_character_series
 from nkoszul.mmt import (
-    _admissible_solver,
     check_specializable,
     g_table,
     mmt_check,
@@ -217,21 +217,49 @@ def test_numeric_evaluation_of_character_series():
 
 
 def _g_single(A, Z, word):
-    """G(word) from the full expansion of X_{i_1}···X_{i_k}, X_i = Σ_j Z_ij x_j,
-    with none of the prefix sharing of g_table."""
-    solver, index, pos = _admissible_solver(A, len(word))
+    """G(word) by the route g_table does not take: the full expansion of
+    X_{i_1}···X_{i_k}, X_i = Σ_j Z_ij x_j, with no prefix sharing, solved
+    for its coordinates in the basis of admissible classes, with no word
+    reversal."""
+    k = len(word)
+    words = enumerate_admissible(A.n, A.N, k)
+    pos = {w: i for i, w in enumerate(A.normal_basis(k))}
+    rows = [{pos[w]: c for w, c in A.class_of_word(a).coords.items()} for a in words]
+    solver = BasisSolver(rows, len(pos))  # raises unless the rows are independent
     vec = {}
-    for target in product(range(A.n), repeat=len(word)):
+    for target in product(range(A.n), repeat=k):
         c = prod(Z[i][j] for i, j in zip(word, target))
         if c:
             axpy(vec, c, A.class_of_word(target).coords)
     coords = solver.coordinates({pos[w]: c for w, c in vec.items()})
-    return coords.get(index[word], 0)
+    return coords.get(words.index(word), 0)
 
 
 def test_g_table_matches_single_calls():
-    A = antisymmetrizer(3, 3)
-    Z = random_rational_matrix(3, 41)
-    tab = g_table(A, Z, 3)
-    for w in enumerate_admissible(3, 3, 3):
-        assert tab[w] == _g_single(A, Z, w)
+    # qspace(2) at q = -1 is reversal-stable without being a built-in case
+    diagonal = [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(-2, 5)]]
+    cases = [
+        (polynomial(2), random_rational_matrix(2, 41), 5),
+        (polynomial(3), random_rational_matrix(3, 42), 4),
+        (antisymmetrizer(3, 3), random_rational_matrix(3, 43), 4),
+        (antisymmetrizer(4, 2), random_rational_matrix(4, 44), 3),
+        (antisymmetrizer(4, 3), random_rational_matrix(4, 45), 3),
+        (antisymmetrizer(4, 4), random_rational_matrix(4, 46), 3),
+        (quantum_space(2, q=-1), diagonal, 5),
+    ]
+    for A, Z, D in cases:
+        tab = g_table(A, Z, D)
+        for k in range(D + 1):
+            for w in enumerate_admissible(A.n, A.N, k):
+                assert tab[w] == _g_single(A, Z, w), (A.label, w)
+
+
+def test_g_table_rejects_what_reversal_cannot_read():
+    # span(R) of qspace(2) at q = 2 is not stable under word reversal
+    with pytest.raises(ValueError, match="reversal"):
+        g_table(quantum_space(2, q=2), ident(2), 3)
+    # x1⊗x1 is reversal-stable, but its normal words (those avoiding x1 x1)
+    # are not the reversed admissible (non-decreasing) words
+    A = AlgebraPresentation(2, 2, [Tensor.from_word(2, (0, 0))])
+    with pytest.raises(ValueError, match="normal words"):
+        g_table(A, ident(2), 3)
