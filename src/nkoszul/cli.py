@@ -49,20 +49,17 @@ def make_algebra(args):
             raise UsageError(f"bad algebra JSON: {exc}")
     if args.n is None:
         raise UsageError("--n is required for built-in algebras")
-    try:
-        if spec == "poly":
-            return polynomial(args.n)
-        if spec == "antisym":
-            if args.N is None:
-                raise UsageError("--N is required for antisym")
-            return antisymmetrizer(args.n, args.N)
-        if spec == "qspace":
-            q = QQ.parse(args.q) if args.q is not None else None
-            return quantum_space(args.n, q=q)
-        if spec == "free":
-            return free_algebra(args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    if spec == "poly":
+        return polynomial(args.n)
+    if spec == "antisym":
+        if args.N is None:
+            raise UsageError("--N is required for antisym")
+        return antisymmetrizer(args.n, args.N)
+    if spec == "qspace":
+        q = QQ.parse(args.q) if args.q is not None else None
+        return quantum_space(args.n, q=q)
+    if spec == "free":
+        return free_algebra(args.n)
     raise UsageError(f"unknown algebra {spec!r}")
 
 
@@ -162,10 +159,7 @@ def cmd_dual_dims(args):
 def cmd_admissible(args):
     if args.n is None or args.N is None:
         raise UsageError("--n and --N are required")
-    try:
-        res = koszul.admissible_identity_check(args.n, args.N, args.max_degree)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    res = koszul.admissible_identity_check(args.n, args.N, args.max_degree)
     report = {
         "counts": res.counts,
         "inverse_coefficients": res.inverse_coeffs,
@@ -374,11 +368,8 @@ def main(argv=None) -> int:
         return 2
     try:
         report, verdict, lines = HANDLERS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # precondition violations from the library surface as usage errors
+    except (UsageError, ValueError) as exc:
+        # a precondition violation from the library is a usage error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
     document = {

@@ -167,17 +167,16 @@ class PresentationCache:
     An entry is computed on first use and never changes afterwards.  The
     caches must be written from one thread at a time; once the entries a
     computation needs are filled, any number of threads may read them.
-    The G tables of ``mmt`` read the normal coordinates of ``degrees`` and
-    keep no basis of their own.
+    ``mmt`` keeps nothing here: its G tables read the normal coordinates of
+    ``degrees``.
     """
 
-    __slots__ = ("degrees", "j_spaces", "j_slices", "specializable")
+    __slots__ = ("degrees", "j_spaces", "j_slices")
 
     def __init__(self):
         self.degrees = []  # homog: _DegreeData of degrees 0, 1, 2, ...
         self.j_spaces = {}  # koszul: m -> the subspace J_m
         self.j_slices = {}  # koszul: (m, s) -> J_m in V^{⊗s} ⊗ J_{m-s} coordinates
-        self.specializable = {}  # mmt: matrix as a tuple of rows -> bool
 
 
 class _DegreeData:

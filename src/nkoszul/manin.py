@@ -28,12 +28,11 @@ from .series import GradedRing, UniSeries
 class ManinBialgebra:
     """The pair (A, end(A)); owns the graded caches of the envelope."""
 
-    __slots__ = ("base", "env", "_ferm_convention")
+    __slots__ = ("base", "env")
 
     def __init__(self, base: AlgebraPresentation, env: AlgebraPresentation):
         self.base = base
         self.env = env
-        self._ferm_convention = None
 
     def __repr__(self):
         return f"ManinBialgebra({self.base!r})"
@@ -57,40 +56,25 @@ def build_end(A: AlgebraPresentation) -> ManinBialgebra:
     return ManinBialgebra(A, env)
 
 
-class CharacterElement:
-    """χ of a comodule: a degree-k class in end(A)."""
-
-    __slots__ = ("degree", "value")
-
-    def __init__(self, degree: int, value: AlgebraClass):
-        self.degree = degree
-        self.value = value
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CharacterElement)
-            and self.degree == other.degree
-            and self.value == other.value
-        )
-
-    def __repr__(self):
-        return f"CharacterElement(deg={self.degree}, {self.value.coords!r})"
-
-
-def chi_A(B: ManinBialgebra, k: int) -> CharacterElement:
-    """Character of A_k: trace of the coaction over the normal basis."""
+def _coaction_sum(B: ManinBialgebra, k: int, row_word) -> AlgebraClass:
+    """Σ_{|jw|=k} Σ_e c_e · z_{row_word(e)}^{jw} in end(A)_k, where
+    x_{jw} = Σ_e c_e x_e in the normal basis of A_k."""
     A, E = B.base, B.env
     n = A.n
     acc = {}
     for jw in all_words(n, k):
-        acls = A.class_of_word(jw)
-        for e, ce in acls.coords.items():
-            zword = tuple(i * n + j for i, j in zip(e, jw))
+        for e, ce in A.class_of_word(jw).coords.items():
+            zword = tuple(i * n + j for i, j in zip(row_word(e), jw))
             axpy(acc, ce, E.class_of_word(zword).coords)
-    return CharacterElement(k, AlgebraClass(E, k, acc))
+    return AlgebraClass(E, k, acc)
 
 
-def chi_J(B: ManinBialgebra, ell: int) -> CharacterElement:
+def chi_A(B: ManinBialgebra, k: int) -> AlgebraClass:
+    """Character of A_k: trace of the coaction over the normal basis."""
+    return _coaction_sum(B, k, tuple)
+
+
+def chi_J(B: ManinBialgebra, ell: int) -> AlgebraClass:
     """Character of J_{ν(ℓ)}: trace via the pivot coordinate functionals of
     the echelon basis (any linear extension of the coordinates works since
     the coaction maps J into end(A) ⊗ J)."""
@@ -105,15 +89,16 @@ def chi_J(B: ManinBialgebra, ell: int) -> CharacterElement:
             w = index_word(idx, m, n)
             zword = tuple(i * n + j for i, j in zip(w, pword))
             axpy(acc, c, E.class_of_word(zword).coords)
-    return CharacterElement(m, AlgebraClass(E, m, acc))
+    return AlgebraClass(E, m, acc)
 
 
-def counit(B: ManinBialgebra, c: CharacterElement):
-    """Evaluate a character by z_i^j ↦ δ_ij; independent of representative
-    since every relation of end(A) pairs R^⊥ against R."""
+def counit(B: ManinBialgebra, c: AlgebraClass):
+    """Evaluate a class of end(A), such as a character, by z_i^j ↦ δ_ij;
+    independent of representative since every relation of end(A) pairs R^⊥
+    against R."""
     n = B.base.n
     total = B.base.field.zero
-    for zw, coeff in c.value.coords.items():
+    for zw, coeff in c.coords.items():
         if all(letter // n == letter % n for letter in zw):
             total = total + coeff
     return total
@@ -122,7 +107,7 @@ def counit(B: ManinBialgebra, c: CharacterElement):
 def character_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     """Σ_k χ(A_k) t^k as a graded-coefficient series."""
     ring = GradedRing(B.env)
-    coeffs = [chi_A(B, k).value for k in range(max_degree + 1)]
+    coeffs = [chi_A(B, k) for k in range(max_degree + 1)]
     return UniSeries(ring, max_degree, coeffs)
 
 
@@ -132,7 +117,7 @@ def dual_character_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     ring = GradedRing(E)
     coeffs = [E.zero_class(d) for d in range(max_degree + 1)]
     for ell, d in jumps(B.base.N, max_degree):
-        value = chi_J(B, ell).value
+        value = chi_J(B, ell)
         if ell % 2:
             value = -value
         coeffs[d] = coeffs[d] + value
@@ -193,81 +178,23 @@ def is_polynomial_presentation(A: AlgebraPresentation) -> bool:
     return A.ideal_component(2) == model.ideal_component(2)
 
 
-def _bos_elements(B: ManinBialgebra, max_degree: int):
-    """Ordered products of the transformed generators, by exponent vector.
-
-    Elements of end(A) ⊗ A are maps {A normal word: end(A)-coordinate dict};
-    the product over X_i = Σ_j z_i^j ⊗ x_j is taken with ascending generator
-    index, matching the ordered monomial convention.
-    """
-    A, E = B.base, B.env
-    n = A.n
-    one = A.field.one
-    elems = {(0,) * n: {(): {(): one}}}
-    frontier = dict(elems)
-    for _ in range(max_degree):
-        new_frontier = {}
-        for expv, elem in frontier.items():
-            start = 0
-            for i in range(n - 1, -1, -1):
-                if expv[i]:
-                    start = i
-                    break
-            for i in range(start, n):
-                target = list(expv)
-                target[i] += 1
-                target = tuple(target)
-                if target in elems:
-                    continue
-                out = {}
-                for aw, ecoords in elem.items():
-                    for j in range(n):
-                        acls = A.class_of_word(aw + (j,))
-                        if not acls.coords:
-                            continue
-                        letter = i * n + j
-                        emult = {}
-                        for ew, ce in ecoords.items():
-                            axpy(emult, ce, E.class_of_word(ew + (letter,)).coords)
-                        for aw2, ca in acls.coords.items():
-                            axpy(out.setdefault(aw2, {}), ca, emult)
-                elems[target] = out
-                new_frontier[target] = out
-        frontier = new_frontier
-    return elems
-
-
-def _monomial_key_word(A: AlgebraPresentation, expv):
-    word = []
-    for i, e in enumerate(expv):
-        word.extend([i] * e)
-    cls = A.class_of_word(tuple(word))
-    [(key, coeff)] = cls.coords.items()
-    if coeff != 1:
-        raise RuntimeError("monomial class is not a unit coordinate; internal error")
-    return key
-
-
 def bos_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     """Bos: coefficient of t^k is Σ_{|m|=k} G(m), where G(m) is the
-    x^m-coefficient of the ordered product X^m inside end(A) ⊗ A."""
+    x^m-coefficient of the ordered product X^m = X_1^{m_1}···X_n^{m_n}
+    inside end(A) ⊗ A, with X_i = Σ_j z_i^j ⊗ x_j.
+
+    X^m = Σ_{jw} z_{w(m)}^{jw} ⊗ x_{jw}, where w(m) is the non-decreasing
+    word with m_i letters i.  A normal word e of x_{jw} = Σ_e c_e x_e
+    stands for the monomial x^m with w(m) = sorted(e), so Bos_k =
+    Σ_{jw} Σ_e c_e z_{sorted(e)}^{jw}.  χ(A_k) is the same sum over
+    z_e^{jw}; the normal words of the polynomial algebra are
+    non-increasing, so Bos = χ(A) holds through the relations of end(A),
+    not term by term.
+    """
     if not is_polynomial_presentation(B.base):
         raise ValueError("bosonic sum is defined for the polynomial algebra")
-    A, E = B.base, B.env
-    elems = _bos_elements(B, max_degree)
-    ring = GradedRing(E)
-    coeffs = []
-    for k in range(max_degree + 1):
-        acc = E.zero_class(k)
-        for expv, elem in elems.items():
-            if sum(expv) != k:
-                continue
-            key = _monomial_key_word(A, expv)
-            coords = elem.get(key)
-            if coords:
-                acc = acc + AlgebraClass(E, k, coords)
-        coeffs.append(acc)
-    return UniSeries(ring, max_degree, coeffs)
+    coeffs = [_coaction_sum(B, k, sorted) for k in range(max_degree + 1)]
+    return UniSeries(GradedRing(B.env), max_degree, coeffs)
 
 
 def _noncommutative_minor(B: ManinBialgebra, subset, transpose: bool) -> AlgebraClass:
@@ -307,23 +234,19 @@ def ferm_series(B: ManinBialgebra, max_degree: int, transpose: bool = False) -> 
 
 
 def ferm_convention(B: ManinBialgebra, max_degree: int = 4) -> str:
-    """Which determinant ordering matches the character series; cached.
+    """Which determinant ordering matches the character series up to
+    ``max_degree``, checked afresh on every call.
 
     The fermionic series must agree with Σ (-1)^ℓ χ(J_ℓ) t^ℓ; the ordering
-    that validates is recorded ("row-permuted" is the default convention,
+    that validates is returned ("row-permuted" is the default convention,
     "column-permuted" its transpose).
     """
-    if B._ferm_convention is None:
-        target = dual_character_series(B, max_degree)
-        if ferm_series(B, max_degree, transpose=False) == target:
-            B._ferm_convention = "row-permuted"
-        elif ferm_series(B, max_degree, transpose=True) == target:
-            B._ferm_convention = "column-permuted"
-        else:
-            raise RuntimeError(
-                "neither determinant ordering matches the character series"
-            )
-    return B._ferm_convention
+    target = dual_character_series(B, max_degree)
+    if ferm_series(B, max_degree, transpose=False) == target:
+        return "row-permuted"
+    if ferm_series(B, max_degree, transpose=True) == target:
+        return "column-permuted"
+    raise RuntimeError("neither determinant ordering matches the character series")
 
 
 def bos_ferm(B: ManinBialgebra, max_degree: int):

@@ -80,19 +80,7 @@ def check_specializable(A: AlgebraPresentation, Z) -> bool:
     if len(Z) != A.n:
         raise ValueError("matrix size does not match the generator count")
     span = A.ideal_component(A.N)
-    key = tuple(tuple(row) for row in Z)
-    memo = A.cache.specializable
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    ok = True
-    for r in A.relations:
-        moved = _transform_tensor(Z, r)
-        if not span.contains(moved.to_vec()):
-            ok = False
-            break
-    memo[key] = ok
-    return ok
+    return all(span.contains(_transform_tensor(Z, r).to_vec()) for r in A.relations)
 
 
 def _check_reversal(A: AlgebraPresentation, max_degree: int) -> None:

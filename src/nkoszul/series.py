@@ -53,8 +53,6 @@ class GradedRing:
         return a + b
 
     def mul(self, a, b):
-        if a.is_zero() or b.is_zero():
-            return self.algebra.zero_class(a.degree + b.degree)
         return a * b
 
     def neg(self, a):
@@ -90,11 +88,6 @@ class UniSeries:
         self.ring = ring
         self.trunc = trunc
         self.coeffs = list(coeffs)
-
-    @classmethod
-    def one(cls, ring, trunc):
-        coeffs = [ring.one()] + [ring.zero(d) for d in range(1, trunc + 1)]
-        return cls(ring, trunc, coeffs)
 
     def __mul__(self, other):
         ring = self.ring

@@ -118,6 +118,14 @@ def test_unknown_algebra_exit_2(capsys):
     code, _, err = run(capsys, "info", "--algebra", "nonesuch", "--n", "2")
     assert code == 2
     assert "unknown algebra" in err
+    # a ValueError from the library exits 2 with its own message
+    for argv, message in (
+        (("hilbert", "--algebra", "antisym", "--n", "2", "--N", "3"),
+         "antisymmetrizer needs 2 <= N <= n, got N=3, n=2"),
+        (("admissible", "--n", "2", "--N", "3"), "need 2 <= N <= n, got N=3, n=2"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_malformed_matrix_json(capsys):
