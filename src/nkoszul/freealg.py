@@ -72,9 +72,6 @@ class Tensor:
     def from_word(cls, n, word, coeff=1):
         return cls(n, len(word), {tuple(word): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __add__(self, other):
         self._check(other)
         terms = axpy(dict(self.terms), 1, other.terms)
@@ -149,6 +146,11 @@ def z_index(i: int, j: int, n: int) -> int:
     return i * n + j
 
 
+def z_word(iw, jw, n: int) -> Word:
+    """The z-word z_{i_1}^{j_1}...z_{i_k}^{j_k} of two x-words i and j."""
+    return tuple(z_index(i, j, n) for i, j in zip(iw, jw))
+
+
 def shuffle_pairs(xi: Tensor, v: Tensor) -> Tensor:
     """Interleave a dual tensor and a tensor into a word over the z-alphabet.
 
@@ -164,5 +166,5 @@ def shuffle_pairs(xi: Tensor, v: Tensor) -> Tensor:
     for jw, cj in xi.terms.items():
         for iw, ci in v.terms.items():
             # the z-word determines (iw, jw), so no two terms share a word
-            terms[tuple(i * n + j for i, j in zip(iw, jw))] = cj * ci
+            terms[z_word(iw, jw, n)] = cj * ci
     return Tensor(n * n, xi.grade, terms)

@@ -110,7 +110,7 @@ class AlgebraPresentation:
 
     def hilbert_series(self, max_degree) -> series.UniSeries:
         coeffs = [self.dim_component(d) for d in range(max_degree + 1)]
-        return series.UniSeries(series.INTS, max_degree, coeffs)
+        return series.UniSeries(1, max_degree, coeffs)
 
     def normal_basis(self, d):
         """Words at non-pivot columns of I_d; their classes form a basis of A_d."""
@@ -205,8 +205,8 @@ class AlgebraClass:
         self.degree = degree
         self.coords = {w: c for w, c in coords.items() if c}
 
-    def is_zero(self) -> bool:
-        return not self.coords
+    def __bool__(self):
+        return bool(self.coords)
 
     def __add__(self, other):
         self._check(other)

@@ -24,6 +24,13 @@ def scalar_from_str(field, text: str):
     return field.parse(text)
 
 
+def _int(value, what):
+    # bool is a subclass of int, and JSON reads 2.0 as a float
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 def tensor_to_obj(t: Tensor, field) -> dict:
     terms = [
         {"coeff": scalar_to_str(field, c), "word": list(w)}
@@ -35,12 +42,12 @@ def tensor_to_obj(t: Tensor, field) -> dict:
 def tensor_from_obj(obj: dict, n: int, field) -> Tensor:
     terms = {}
     for item in obj["terms"]:
-        word = tuple(item["word"])
+        word = tuple(_int(a, "word letter") for a in item["word"])
         coeff = scalar_from_str(field, item["coeff"])
         if word in terms:
             raise ValueError(f"duplicate word {word} in tensor JSON")
         terms[word] = coeff
-    return Tensor(n, obj["grade"], terms)
+    return Tensor(n, _int(obj["grade"], "grade"), terms)
 
 
 def algebra_to_obj(A: AlgebraPresentation) -> dict:
@@ -56,11 +63,18 @@ def algebra_to_obj(A: AlgebraPresentation) -> dict:
 
 
 def algebra_from_obj(obj: dict) -> AlgebraPresentation:
-    params = obj.get("parameters") or []
+    if not isinstance(obj, dict):
+        raise ValueError("the algebra is not a JSON object")
+    params = obj.get("parameters", [])
+    if not isinstance(params, list) or not all(isinstance(p, str) for p in params):
+        raise ValueError(f"parameters {params!r} is not a list of strings")
+    label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise ValueError(f"label {label!r} is not a string")
     field = ParameterField(params) if params else QQ
-    n = obj["n"]
+    n = _int(obj["n"], "n")
     rels = [tensor_from_obj(r, n, field) for r in obj["relations"]]
-    return AlgebraPresentation(n, obj["N"], rels, label=obj.get("label", ""), field=field)
+    return AlgebraPresentation(n, _int(obj["N"], "N"), rels, label=label, field=field)
 
 
 def matrix_to_obj(Z, field=QQ) -> dict:

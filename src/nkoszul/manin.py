@@ -18,11 +18,11 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .algebras import perm_sign, polynomial
-from .freealg import Tensor, all_words, index_word, shuffle_pairs
+from .freealg import Tensor, all_words, index_word, shuffle_pairs, z_index, z_word
 from .homog import AlgebraClass, AlgebraPresentation
 from .koszul import dual_koszul_subspace, jumps, nu
 from .linalg import axpy
-from .series import GradedRing, UniSeries
+from .series import UniSeries
 
 
 class ManinBialgebra:
@@ -64,8 +64,7 @@ def _coaction_sum(B: ManinBialgebra, k: int, row_word) -> AlgebraClass:
     acc = {}
     for jw in all_words(n, k):
         for e, ce in A.class_of_word(jw).coords.items():
-            zword = tuple(i * n + j for i, j in zip(row_word(e), jw))
-            axpy(acc, ce, E.class_of_word(zword).coords)
+            axpy(acc, ce, E.class_of_word(z_word(row_word(e), jw, n)).coords)
     return AlgebraClass(E, k, acc)
 
 
@@ -87,8 +86,7 @@ def chi_J(B: ManinBialgebra, ell: int) -> AlgebraClass:
         pword = index_word(p, m, n)
         for idx, c in row.items():
             w = index_word(idx, m, n)
-            zword = tuple(i * n + j for i, j in zip(w, pword))
-            axpy(acc, c, E.class_of_word(zword).coords)
+            axpy(acc, c, E.class_of_word(z_word(w, pword, n)).coords)
     return AlgebraClass(E, m, acc)
 
 
@@ -97,31 +95,30 @@ def counit(B: ManinBialgebra, c: AlgebraClass):
     independent of representative since every relation of end(A) pairs R^⊥
     against R."""
     n = B.base.n
+    diagonal = {z_index(i, i, n) for i in range(n)}
     total = B.base.field.zero
     for zw, coeff in c.coords.items():
-        if all(letter // n == letter % n for letter in zw):
+        if diagonal.issuperset(zw):
             total = total + coeff
     return total
 
 
 def character_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     """Σ_k χ(A_k) t^k as a graded-coefficient series."""
-    ring = GradedRing(B.env)
     coeffs = [chi_A(B, k) for k in range(max_degree + 1)]
-    return UniSeries(ring, max_degree, coeffs)
+    return UniSeries(B.env.unit(), max_degree, coeffs)
 
 
 def dual_character_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     """Σ_ℓ (-1)^ℓ χ(J_{ν(ℓ)}) t^{ν(ℓ)} as a graded-coefficient series."""
     E = B.env
-    ring = GradedRing(E)
     coeffs = [E.zero_class(d) for d in range(max_degree + 1)]
     for ell, d in jumps(B.base.N, max_degree):
         value = chi_J(B, ell)
         if ell % 2:
             value = -value
         coeffs[d] = coeffs[d] + value
-    return UniSeries(ring, max_degree, coeffs)
+    return UniSeries(E.unit(), max_degree, coeffs)
 
 
 class KmtResult:
@@ -156,12 +153,11 @@ def kmt_check(B: ManinBialgebra, max_degree: int) -> KmtResult:
     q = dual_character_series(B, max_degree)
     product = p * q
     first_failure = None
-    unit = B.env.unit()
-    if product.coeffs[0] != unit:
+    if product.coeffs[0] != product.one:
         first_failure = 0
     else:
         for d in range(1, max_degree + 1):
-            if not product.coeffs[d].is_zero():
+            if product.coeffs[d]:
                 first_failure = d
                 break
     return KmtResult(first_failure is None, max_degree, first_failure, product)
@@ -194,7 +190,7 @@ def bos_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     if not is_polynomial_presentation(B.base):
         raise ValueError("bosonic sum is defined for the polynomial algebra")
     coeffs = [_coaction_sum(B, k, sorted) for k in range(max_degree + 1)]
-    return UniSeries(GradedRing(B.env), max_degree, coeffs)
+    return UniSeries(B.env.unit(), max_degree, coeffs)
 
 
 def _noncommutative_minor(B: ManinBialgebra, subset, transpose: bool) -> AlgebraClass:
@@ -205,12 +201,10 @@ def _noncommutative_minor(B: ManinBialgebra, subset, transpose: bool) -> Algebra
     ell = len(subset)
     terms = {}
     for perm in permutations(range(ell)):
+        permuted = [subset[p] for p in perm]
+        rows, cols = (subset, permuted) if transpose else (permuted, subset)
         # the word determines the permutation, so no two terms share a word
-        if transpose:
-            word = tuple(subset[s] * n + subset[perm[s]] for s in range(ell))
-        else:
-            word = tuple(subset[perm[s]] * n + subset[s] for s in range(ell))
-        terms[word] = perm_sign(perm)
+        terms[z_word(rows, cols, n)] = perm_sign(perm)
     return E.reduce(Tensor(n * n, ell, terms))
 
 
@@ -220,7 +214,6 @@ def ferm_series(B: ManinBialgebra, max_degree: int, transpose: bool = False) -> 
         raise ValueError("fermionic sum is defined for the polynomial algebra")
     E = B.env
     n = B.base.n
-    ring = GradedRing(E)
     coeffs = []
     for ell in range(max_degree + 1):
         acc = E.zero_class(ell)
@@ -230,7 +223,7 @@ def ferm_series(B: ManinBialgebra, max_degree: int, transpose: bool = False) -> 
             if ell % 2:
                 acc = -acc
         coeffs.append(acc)
-    return UniSeries(ring, max_degree, coeffs)
+    return UniSeries(E.unit(), max_degree, coeffs)
 
 
 def ferm_convention(B: ManinBialgebra, max_degree: int = 4) -> str:

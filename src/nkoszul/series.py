@@ -1,129 +1,64 @@
 """Truncated power series.
 
-Univariate series take their coefficients from a small ring adapter, so the
-same arithmetic serves integer Hilbert series and series whose degree-d
-coefficient is a degree-d element of a graded algebra (the form the
-bialgebra identities live in).  Multivariate series are commutative
-with scalar coefficients, truncated by total degree.
+Univariate series compute with their coefficients' own ``+``, ``*`` and
+unary ``-``, so the same arithmetic serves integer Hilbert series and
+series whose degree-d coefficient is a degree-d element of a graded algebra
+(the form the bialgebra identities live in).  Multivariate series are
+commutative with scalar coefficients, truncated by total degree.
 """
 
 from __future__ import annotations
 
-from .linalg import axpy
 
-
-class IntegerRing:
-    def zero(self, degree):
-        return 0
-
-    def one(self):
-        return 1
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return not a
-
-    def invert_constant(self, a):
-        if a == 1 or a == -1:
-            return a
-        raise ValueError(f"constant term {a!r} is not invertible over the integers")
-
-
-class GradedRing:
-    """Coefficients are graded-algebra classes; c_d must live in degree d."""
-
-    def __init__(self, algebra):
-        self.algebra = algebra
-
-    def zero(self, degree):
-        return self.algebra.zero_class(degree)
-
-    def one(self):
-        return self.algebra.unit()
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def invert_constant(self, a):
-        if a != self.algebra.unit():
-            raise ValueError("constant term must be the unit class")
-        return a
-
-    def check_degree(self, c, d):
-        if c.degree != d:
-            raise ValueError(f"coefficient at t^{d} has grade {c.degree}")
-
-
-INTS = IntegerRing()
+def _convolve(a, b, lo, d):
+    """Σ_{i=lo}^{d} a_i·b_{d-i}, started from its first product, so no
+    degree-d zero is needed; the other products are skipped when a factor
+    is zero."""
+    acc = a[lo] * b[d - lo]
+    for i in range(lo + 1, d + 1):
+        if a[i] and b[d - i]:
+            acc = acc + a[i] * b[d - i]
+    return acc
 
 
 class UniSeries:
-    """Series truncated at degree ``trunc``; coefficients c_0..c_trunc."""
+    """Series truncated at degree ``trunc``; coefficients c_0..c_trunc.
 
-    __slots__ = ("ring", "trunc", "coeffs")
+    ``one`` is the unit of the coefficient ring (``1``, or the unit class of
+    a graded algebra).  A coefficient with a ``degree`` must have degree d
+    at t^d.
+    """
 
-    def __init__(self, ring, trunc, coeffs):
+    __slots__ = ("one", "trunc", "coeffs")
+
+    def __init__(self, one, trunc, coeffs):
         if len(coeffs) != trunc + 1:
             raise ValueError("coefficient list does not match truncation degree")
-        if hasattr(ring, "check_degree"):
-            for d, c in enumerate(coeffs):
-                ring.check_degree(c, d)
-        self.ring = ring
+        for d, c in enumerate(coeffs):
+            if getattr(c, "degree", d) != d:
+                raise ValueError(f"coefficient at t^{d} has grade {c.degree}")
+        self.one = one
         self.trunc = trunc
         self.coeffs = list(coeffs)
 
     def __mul__(self, other):
-        ring = self.ring
         trunc = min(self.trunc, other.trunc)
-        out = []
-        for d in range(trunc + 1):
-            acc = ring.zero(d)
-            for i in range(d + 1):
-                a = self.coeffs[i]
-                b = other.coeffs[d - i]
-                if ring.is_zero(a) or ring.is_zero(b):
-                    continue
-                acc = ring.add(acc, ring.mul(a, b))
-            out.append(acc)
-        return UniSeries(ring, trunc, out)
+        out = [_convolve(self.coeffs, other.coeffs, 0, d) for d in range(trunc + 1)]
+        return UniSeries(self.one, trunc, out)
 
     def invert(self):
-        ring = self.ring
-        u = ring.invert_constant(self.coeffs[0])
+        """The inverse series; the constant term u must satisfy u·u = one,
+        so that u is its own inverse."""
+        u = self.coeffs[0]
+        if u * u != self.one:
+            raise ValueError(f"constant term {u!r} is not invertible")
         out = [u]
         for d in range(1, self.trunc + 1):
-            acc = ring.zero(d)
-            for i in range(1, d + 1):
-                a = self.coeffs[i]
-                b = out[d - i]
-                if ring.is_zero(a) or ring.is_zero(b):
-                    continue
-                acc = ring.add(acc, ring.mul(a, b))
-            out.append(ring.neg(ring.mul(u, acc)))
-        return UniSeries(ring, self.trunc, out)
+            out.append(-(u * _convolve(self.coeffs, out, 1, d)))
+        return UniSeries(self.one, self.trunc, out)
 
     def is_one(self) -> bool:
-        ring = self.ring
-        if self.ring.is_zero(self.coeffs[0]) or self.coeffs[0] != ring.one():
-            return False
-        return all(ring.is_zero(c) for c in self.coeffs[1:])
+        return self.coeffs[0] == self.one and not any(self.coeffs[1:])
 
     def __eq__(self, other):
         if not isinstance(other, UniSeries):
@@ -170,38 +105,12 @@ class MultiSeries:
                     clean[tuple(e)] = c
         self.terms = clean
 
-    @classmethod
-    def one(cls, field, nvars, trunc):
-        return cls(field, nvars, trunc, {(0,) * nvars: field.one})
-
     def coefficient(self, exps):
         return self.terms.get(tuple(exps), self.field.zero)
 
-    def __add__(self, other):
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        terms = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
-        kept = {e: c for e, c in other.terms.items() if sum(e) <= trunc}
-        return MultiSeries(self.field, self.nvars, trunc, axpy(terms, 1, kept))
-
-    def __neg__(self):
-        return MultiSeries(
-            self.field, self.nvars, self.trunc, {e: -c for e, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return MultiSeries(self.field, self.nvars, self.trunc, {})
-        return MultiSeries(
-            self.field, self.nvars, self.trunc, {e: c * v for e, v in self.terms.items()}
-        )
-
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
-            return self.scale(other)
+            return NotImplemented
         self._check(other)
         trunc = min(self.trunc, other.trunc)
         terms = {}
@@ -212,9 +121,6 @@ class MultiSeries:
                     # the constructor drops the terms that cancel to zero
                     terms[e] = terms.get(e, self.field.zero) + c1 * c2
         return MultiSeries(self.field, self.nvars, trunc, terms)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def invert(self):
         zero_exp = (0,) * self.nvars
@@ -239,10 +145,6 @@ class MultiSeries:
                 if acc:
                     out[e] = -u * acc
         return MultiSeries(self.field, self.nvars, self.trunc, out)
-
-    def is_one(self) -> bool:
-        one_terms = {(0,) * self.nvars: self.field.one}
-        return self.terms == one_terms
 
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):

@@ -22,14 +22,16 @@ def _det_inverse(Z, max_degree):
             terms[tuple(int(k == j) for k in range(n))] = -Z[i][j]
         return MultiSeries(QQ, n, max_degree, terms)
 
-    det = MultiSeries(QQ, n, max_degree, {})
+    det = {}
     for perm in permutations(range(n)):
-        prod = MultiSeries.one(QQ, n, max_degree)
-        for i in range(n):
+        prod = entry(0, perm[0])
+        for i in range(1, n):
             prod = prod * entry(i, perm[i])
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        det = det - prod if inversions % 2 else det + prod
-    return det.invert()
+        sign = -1 if inversions % 2 else 1
+        for e, c in prod.terms.items():
+            det[e] = det.get(e, 0) + sign * c
+    return MultiSeries(QQ, n, max_degree, det).invert()
 
 
 @pytest.fixture(scope="session")

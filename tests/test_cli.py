@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nkoszul.cli import main
 from nkoszul.scalar import ParameterField
 
@@ -35,14 +37,8 @@ def test_koszul_check_wording(capsys):
 
 def test_negative_verdict_exit_code(capsys, tmp_path):
     # the empirically non-Koszul cubic monomial algebra: exit code 1, not 2
-    obj = {
-        "label": "mono_xyx",
-        "n": 2,
-        "N": 3,
-        "relations": [{"grade": 3, "terms": [{"coeff": "1", "word": [0, 1, 0]}]}],
-    }
     path = tmp_path / "alg.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(_mono_xyx()))
     code, out, _ = run(
         capsys, "koszul-check", "--algebra", f"file:{path}", "--max-degree", "6"
     )
@@ -187,6 +183,35 @@ def test_oversized_parameter_expression_exit_2(capsys, tmp_path, monkeypatch):
         code, _, err = run(capsys, "info", "--algebra", algebra, "--max-degree", "2")
         assert code == 2 and "exceeds total degree 100" in err
     assert degrees and max(degrees) <= 100
+
+
+def _mono_xyx(n=2, N=3, grade=3, word=(0, 1, 0), **extra):
+    rel = {"grade": grade, "terms": [{"coeff": "1", "word": list(word)}]}
+    return {"label": "mono_xyx", "n": n, "N": N, "relations": [rel], **extra}
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        _mono_xyx(n=2.0),
+        _mono_xyx(N=3.0),
+        _mono_xyx(grade=3.0),
+        [_mono_xyx()],
+        _mono_xyx(word=[0.0, 1, 0]),
+        _mono_xyx(word=[False, True, False]),
+        _mono_xyx(label=5),
+        _mono_xyx(parameters="q12"),
+    ],
+    ids=["float-n", "float-N", "float-grade", "top-level-array", "float-letter",
+         "bool-letters", "numeric-label", "string-parameters"],
+)
+def test_malformed_algebra_file_exit_2(capsys, tmp_path, obj):
+    # each used to crash with exit 1 or run on a silently misread value
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "info", "--algebra", f"file:{path}", "--max-degree", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad algebra JSON: ")
 
 
 def test_non_string_coefficient_exit_2(capsys, tmp_path):

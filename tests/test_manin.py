@@ -5,7 +5,7 @@ import pytest
 
 from nkoszul import manin
 from nkoszul.algebras import antisymmetrizer, free_algebra, polynomial, quantum_space
-from nkoszul.freealg import Tensor, all_words, index_word, word_index, z_index
+from nkoszul.freealg import Tensor, all_words, index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, dvp_check, nu
 from nkoszul.linalg import Echelon, axpy
@@ -24,7 +24,7 @@ from nkoszul.manin import (
     kmt_ambient,
     kmt_check,
 )
-from nkoszul.series import GradedRing, UniSeries
+from nkoszul.series import UniSeries
 
 
 def test_build_end_poly2():
@@ -83,18 +83,13 @@ def test_missing_relations_warning_span():
     assert ech.to_subspace() == B.env.ideal_component(2)
 
 
-def _z_word(word, jw, n):
-    """The z-word z_{i_1}^{j_1}...z_{i_k}^{j_k} for x-words i and j."""
-    return tuple(z_index(i, j, n) for i, j in zip(word, jw))
-
-
 def _coaction_on_A(B, word):
     """δ on the class of a word: the (z-word class, x-word class) summands of
     δ(x_{i_1}...x_{i_k}) = Σ z_{i_1}^{j_1}...z_{i_k}^{j_k} ⊗ x_{j_1}...x_{j_k},
     both factors reduced."""
     n = B.base.n
     return [
-        (B.env.class_of_word(_z_word(word, jw, n)), B.base.class_of_word(jw))
+        (B.env.class_of_word(z_word(word, jw, n)), B.base.class_of_word(jw))
         for jw in all_words(n, len(word))
     ]
 
@@ -107,7 +102,7 @@ def _coaction_on_tensor(B, t):
     acc = {}
     for w, cw in t.terms.items():
         for jw in all_words(n, t.grade):
-            zcoords = B.env.class_of_word(_z_word(w, jw, n)).coords
+            zcoords = B.env.class_of_word(z_word(w, jw, n)).coords
             for aw, ca in B.base.class_of_word(jw).coords.items():
                 axpy(acc.setdefault(aw, {}), cw * ca, zcoords)
     return {aw: coords for aw, coords in acc.items() if coords}
@@ -127,7 +122,7 @@ def _assert_coaction_preserves_J(B, ell):
         for idx, c in row.items():
             w = index_word(idx, m, n)
             for jw in all_words(n, m):
-                axpy(slots.setdefault(jw, {}), c, E.class_of_word(_z_word(w, jw, n)).coords)
+                axpy(slots.setdefault(jw, {}), c, E.class_of_word(z_word(w, jw, n)).coords)
         for jw in all_words(n, m):
             residual = dict(slots[jw])
             for arow, pw in zip(space.rows, pivot_words):
@@ -308,7 +303,7 @@ def test_ferm_convention_checks_every_call(monkeypatch):
 
     def mismatched(B, max_degree, transpose=False):
         zeros = [B.env.zero_class(d) for d in range(max_degree + 1)]
-        return UniSeries(GradedRing(B.env), max_degree, zeros)
+        return UniSeries(B.env.unit(), max_degree, zeros)
 
     monkeypatch.setattr(manin, "ferm_series", mismatched)
     with pytest.raises(RuntimeError, match="neither determinant ordering"):

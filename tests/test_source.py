@@ -19,10 +19,9 @@ UNUSED_ALLOWED = {
     "linalg.subspace_sum": "the oracle the tests check intersect against",
     "linalg.BasisSolver": (
         "the oracle the tests check g_table against; perfbench/tracer.py wraps it"
-        " until the benchmark change of ROADMAP item 3"
+        " until the benchmark change of ROADMAP item 4"
     ),
     "jsonio.algebra_to_obj": "the inverse of the algebra parser, for writing file: inputs",
-    "freealg.z_index": "names the flat index i*n + j of z_i^j, which manin inlines",
     "freealg.Tensor.from_word": "builds a monomial relation, the simplest presentation input",
 }
 
