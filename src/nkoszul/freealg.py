@@ -3,7 +3,10 @@
 A word is a tuple of generator indices in ``range(n)``; a grade-k tensor is
 a finite scalar combination of length-k words.  Words are ordered (and
 numbered) lexicographically with x_1 < ... < x_n, i.e. a word is read as a
-base-n numeral; this single convention fixes every echelon basis downstream.
+base-n numeral, its column; this single convention fixes every echelon basis
+downstream.  The quotient layer works on columns only: the word u then v has
+column u·n^|v| + v.  Tuples are for the edges (relations, files, reports),
+which convert with :func:`word_index` and :func:`index_word`.
 
 Tensors double as elements of V^{⊗k} and of its dual: the dual basis pairs
 diagonally with the word basis, so "over V*" is a semantic annotation only.
@@ -28,25 +31,6 @@ def index_word(idx: int, k: int, n: int) -> Word:
     for pos in range(k - 1, -1, -1):
         idx, letters[pos] = divmod(idx, n)
     return tuple(letters)
-
-
-def all_words(n: int, k: int):
-    """All length-k words in lex order."""
-    if k == 0:
-        yield ()
-        return
-    if n == 0:
-        return
-    word = [0] * k
-    while True:
-        yield tuple(word)
-        pos = k - 1
-        while pos >= 0 and word[pos] == n - 1:
-            word[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        word[pos] += 1
 
 
 class Tensor:
@@ -82,11 +66,6 @@ class Tensor:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return Tensor(self.n, self.grade, {})
-        return Tensor(self.n, self.grade, {w: c * v for w, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -146,9 +125,16 @@ def z_index(i: int, j: int, n: int) -> int:
     return i * n + j
 
 
-def z_word(iw, jw, n: int) -> Word:
-    """The z-word z_{i_1}^{j_1}...z_{i_k}^{j_k} of two x-words i and j."""
-    return tuple(z_index(i, j, n) for i, j in zip(iw, jw))
+def z_word(i: int, j: int, k: int, n: int) -> int:
+    """Column of the z-word z_{i_1}^{j_1}...z_{i_k}^{j_k} over the n²
+    letters of end(A), from the columns i and j of two length-k x-words."""
+    z, place, nn = 0, 1, n * n
+    for _ in range(k):
+        i, a = divmod(i, n)
+        j, b = divmod(j, n)
+        z += z_index(a, b, n) * place
+        place *= nn
+    return z
 
 
 def shuffle_pairs(xi: Tensor, v: Tensor) -> Tensor:
@@ -161,10 +147,11 @@ def shuffle_pairs(xi: Tensor, v: Tensor) -> Tensor:
         raise ValueError("alphabet mismatch")
     if xi.grade != v.grade:
         raise ValueError("grade mismatch")
-    n = xi.n
-    terms = {}
-    for jw, cj in xi.terms.items():
-        for iw, ci in v.terms.items():
-            # the z-word determines (iw, jw), so no two terms share a word
-            terms[z_word(iw, jw, n)] = cj * ci
-    return Tensor(n * n, xi.grade, terms)
+    n, k = xi.n, xi.grade
+    # the z-word determines (i, j), so no two terms share a column
+    vec = {
+        z_word(i, j, k, n): cj * ci
+        for j, cj in xi.to_vec().items()
+        for i, ci in v.to_vec().items()
+    }
+    return Tensor.from_vec(n * n, k, vec)

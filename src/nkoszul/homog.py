@@ -11,15 +11,17 @@ are copied in as they are.  Since R ⊗ I_{d-N} ⊆ V ⊗ I_{d-1}, only the rows
 R ⊗ w for normal words w of degree d-N are eliminated.  The words at
 non-pivot columns form the normal basis of A_d, and forward reduction
 against the echelon gives the unique normal form of any tensor, which is
-the quotient arithmetic.  The canonical reduced basis of I_d is built only
-when :meth:`AlgebraPresentation.ideal_component` asks for it.
+the quotient arithmetic.  Every word here is its base-n column (see
+:mod:`nkoszul.freealg`), so a normal form is the echelon remainder as it
+is.  The canonical reduced basis of I_d is built only when
+:meth:`AlgebraPresentation.ideal_component` asks for it.
 """
 
 from __future__ import annotations
 
 from . import linalg
 from . import series
-from .freealg import Tensor, index_word, word_index
+from .freealg import Tensor
 from .scalar import QQ
 
 
@@ -81,15 +83,15 @@ class AlgebraPresentation:
                 for widx in degrees[d - N].normal:
                     ech.add({ridx * tail + widx: c for ridx, c in rvec.items()})
         if d == 0:
-            normal = [0]
+            normal = (0,)
         else:
             # I_{d-1} ⊗ V ⊆ I_d, so every normal word extends one of degree d-1.
-            normal = [
+            normal = tuple(
                 i
                 for q in degrees[d - 1].normal
                 for i in range(q * n, q * n + n)
                 if i not in ech.row_of
-            ]
+            )
         return _DegreeData(ech, normal)
 
     def ideal_component(self, d) -> linalg.Subspace:
@@ -113,34 +115,30 @@ class AlgebraPresentation:
         return series.UniSeries(1, max_degree, coeffs)
 
     def normal_basis(self, d):
-        """Words at non-pivot columns of I_d; their classes form a basis of A_d."""
-        data = self._component(d)
-        if data.normal_words is None:
-            data.normal_words = tuple(index_word(i, d, self.n) for i in data.normal)
-        return data.normal_words
+        """The non-pivot columns of I_d, increasing; their classes form a
+        basis of A_d."""
+        return self._component(d).normal
 
     def reduce(self, t: Tensor):
         """Projection T(V)_d -> A_d in normal-basis coordinates."""
         if t.n != self.n:
             raise ValueError("alphabet mismatch")
         rem = self._component(t.grade).echelon.reduce(t.to_vec())
-        coords = {index_word(i, t.grade, self.n): c for i, c in rem.items()}
-        return AlgebraClass(self, t.grade, coords)
+        return AlgebraClass(self, t.grade, rem)
 
     def class_of_word(self, word):
-        """Memoized class of a single word; the hot path for multiplication."""
-        d = len(word)
+        """Normal form {normal column: scalar} of the word given as the pair
+        (degree, column); memoized, the hot path for multiplication.  The
+        cached dict is shared, so callers must not mutate it."""
+        d, col = word
         data = self._component(d)
-        cls = data.word_class.get(word)
-        if cls is None:
-            rem = data.echelon.reduce({word_index(word, self.n): 1})
-            coords = {index_word(i, d, self.n): c for i, c in rem.items()}
-            cls = AlgebraClass(self, d, coords)
-            data.word_class[word] = cls
-        return cls
+        vec = data.word_class.get(col)
+        if vec is None:
+            vec = data.word_class[col] = data.echelon.reduce({col: 1})
+        return vec
 
     def unit(self):
-        return AlgebraClass(self, 0, {(): 1})
+        return AlgebraClass(self, 0, {0: 1})
 
     def zero_class(self, d):
         return AlgebraClass(self, d, {})
@@ -180,23 +178,23 @@ class PresentationCache:
 
 
 class _DegreeData:
-    """The echelon of I_d, its normal indices, and what is derived from them.
+    """The echelon of I_d, its normal columns, and what is derived from them.
 
-    ``subspace`` and ``normal_words`` stay None until first asked for.
+    ``subspace`` stays None until first asked for.
     """
 
-    __slots__ = ("echelon", "normal", "subspace", "normal_words", "word_class")
+    __slots__ = ("echelon", "normal", "subspace", "word_class")
 
     def __init__(self, echelon, normal):
         self.echelon = echelon
         self.normal = normal  # non-pivot columns, increasing
         self.subspace = None
-        self.normal_words = None
-        self.word_class = {}
+        self.word_class = {}  # column -> normal form, see class_of_word
 
 
 class AlgebraClass:
-    """An element of A_d in coordinates over the degree-d normal basis."""
+    """An element of A_d in coordinates over the degree-d normal basis,
+    keyed by normal column."""
 
     __slots__ = ("algebra", "degree", "coords")
 
@@ -221,28 +219,21 @@ class AlgebraClass:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        if not c:
-            return AlgebraClass(self.algebra, self.degree, {})
-        return AlgebraClass(
-            self.algebra, self.degree, {w: c * v for w, v in self.coords.items()}
-        )
-
     def __mul__(self, other):
-        """Product in A; with a scalar argument, scaling."""
+        """Product in A; the word u then v has column u·n^|v| + v."""
         if not isinstance(other, AlgebraClass):
-            return self.scale(other)
+            return NotImplemented
         if other.algebra is not self.algebra:
             raise ValueError("algebra mismatch")
         A = self.algebra
+        d = self.degree + other.degree
+        shift = A.n**other.degree
         out = {}
         for u, cu in self.coords.items():
+            head = u * shift
             for v, cv in other.coords.items():
-                linalg.axpy(out, cu * cv, A.class_of_word(u + v).coords)
-        return AlgebraClass(A, self.degree + other.degree, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+                linalg.axpy(out, cu * cv, A.class_of_word((d, head + v)))
+        return AlgebraClass(A, d, out)
 
     def __eq__(self, other):
         return (

@@ -24,7 +24,6 @@ import math
 
 from . import linalg, series
 from .algebras import count_admissible
-from .freealg import index_word
 from .homog import AlgebraPresentation
 
 
@@ -100,7 +99,7 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
 
     For each basis row of J_m, the slice at every length-s prefix must lie
     in J_{m-s}; a failure signals an implementation bug, not bad input.
-    Returns, per basis row, a list of (prefix word, {J_{m-s} basis index:
+    Returns, per basis row, a list of (prefix column, {J_{m-s} basis index:
     coefficient}).
     """
     cache = A.cache.j_slices
@@ -108,10 +107,9 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
     data = cache.get(key)
     if data is not None:
         return data
-    n = A.n
     space = dual_koszul_subspace(A, m)
     lower = dual_koszul_subspace(A, m - s)
-    tail = n ** (m - s)
+    tail = A.n ** (m - s)
     data = []
     for row in space.rows:
         groups = {}
@@ -127,7 +125,7 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
                     f"J_{m} slice not contained in V^{{⊗{s}}}⊗J_{m - s}; "
                     "this is an internal invariant violation"
                 ) from exc
-            entries.append((index_word(p, s, n), coords))
+            entries.append((p, coords))
         data.append(entries)
     cache[key] = data
     return data
@@ -139,7 +137,8 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
     Rows are images of the domain basis pairs (normal word e, J basis row b),
     flattened as e_pos * dim J + b; columns are flattened the same way on the
     codomain.  The map splits the first s = ν(ℓ)-ν(ℓ-1) tensor factors off
-    the J part and multiplies them into the algebra factor.
+    the J part and multiplies them into the algebra factor: the word e then
+    the prefix p has column e·n^s + p.
     """
     if ell < 1:
         raise ValueError("differential needs homological degree >= 1")
@@ -153,14 +152,15 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
     lower = dual_koszul_subspace(A, lo)
     dim_lower = lower.dim
     slices = _j_slices(A, hi, s)
-    cod_words = A.normal_basis(k + s)
-    cod_pos = {w: i for i, w in enumerate(cod_words)}
+    cod_pos = {f: i for i, f in enumerate(A.normal_basis(k + s))}
+    shift = A.n**s
     rows = []
     for e in A.normal_basis(k):
+        head = e * shift
         for entries in slices:
             slots = {}  # J_{ν(ℓ-1)} basis index -> A_{k+s} coordinates
-            for p_word, coords in entries:
-                cls = A.class_of_word(e + p_word).coords
+            for p, coords in entries:
+                cls = A.class_of_word((k + s, head + p))
                 for g, lam in coords.items():
                     linalg.axpy(slots.setdefault(g, {}), lam, cls)
             rows.append({
@@ -168,7 +168,7 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
                 for g, slot in slots.items()
                 for f, v in slot.items()
             })
-    return linalg.Matrix(len(cod_words) * dim_lower, rows)
+    return linalg.Matrix(len(cod_pos) * dim_lower, rows)
 
 
 def _composition_is_zero(d_hi: linalg.Matrix, d_lo: linalg.Matrix) -> bool:

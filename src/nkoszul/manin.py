@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .algebras import perm_sign, polynomial
-from .freealg import Tensor, all_words, index_word, shuffle_pairs, z_index, z_word
+from .freealg import Tensor, index_word, shuffle_pairs, word_index, z_index, z_word
 from .homog import AlgebraClass, AlgebraPresentation
 from .koszul import dual_koszul_subspace, jumps, nu
 from .linalg import axpy
@@ -58,19 +58,19 @@ def build_end(A: AlgebraPresentation) -> ManinBialgebra:
 
 def _coaction_sum(B: ManinBialgebra, k: int, row_word) -> AlgebraClass:
     """Σ_{|jw|=k} Σ_e c_e · z_{row_word(e)}^{jw} in end(A)_k, where
-    x_{jw} = Σ_e c_e x_e in the normal basis of A_k."""
+    x_{jw} = Σ_e c_e x_e in the normal basis of A_k; words are columns."""
     A, E = B.base, B.env
     n = A.n
     acc = {}
-    for jw in all_words(n, k):
-        for e, ce in A.class_of_word(jw).coords.items():
-            axpy(acc, ce, E.class_of_word(z_word(row_word(e), jw, n)).coords)
+    for jw in range(n**k):
+        for e, ce in A.class_of_word((k, jw)).items():
+            axpy(acc, ce, E.class_of_word((k, z_word(row_word(e), jw, k, n))))
     return AlgebraClass(E, k, acc)
 
 
 def chi_A(B: ManinBialgebra, k: int) -> AlgebraClass:
     """Character of A_k: trace of the coaction over the normal basis."""
-    return _coaction_sum(B, k, tuple)
+    return _coaction_sum(B, k, int)
 
 
 def chi_J(B: ManinBialgebra, ell: int) -> AlgebraClass:
@@ -83,10 +83,8 @@ def chi_J(B: ManinBialgebra, ell: int) -> AlgebraClass:
     space = dual_koszul_subspace(A, m)
     acc = {}
     for p, row in zip(space.pivots, space.rows):
-        pword = index_word(p, m, n)
-        for idx, c in row.items():
-            w = index_word(idx, m, n)
-            axpy(acc, c, E.class_of_word(z_word(w, pword, n)).coords)
+        for w, c in row.items():
+            axpy(acc, c, E.class_of_word((m, z_word(w, p, m, n))))
     return AlgebraClass(E, m, acc)
 
 
@@ -98,7 +96,7 @@ def counit(B: ManinBialgebra, c: AlgebraClass):
     diagonal = {z_index(i, i, n) for i in range(n)}
     total = B.base.field.zero
     for zw, coeff in c.coords.items():
-        if diagonal.issuperset(zw):
+        if diagonal.issuperset(index_word(zw, c.degree, n * n)):
             total = total + coeff
     return total
 
@@ -189,7 +187,11 @@ def bos_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     """
     if not is_polynomial_presentation(B.base):
         raise ValueError("bosonic sum is defined for the polynomial algebra")
-    coeffs = [_coaction_sum(B, k, sorted) for k in range(max_degree + 1)]
+    n = B.base.n
+    coeffs = [
+        _coaction_sum(B, k, lambda e, k=k: word_index(sorted(index_word(e, k, n)), n))
+        for k in range(max_degree + 1)
+    ]
     return UniSeries(B.env.unit(), max_degree, coeffs)
 
 
@@ -199,13 +201,13 @@ def _noncommutative_minor(B: ManinBialgebra, subset, transpose: bool) -> Algebra
     E = B.env
     n = B.base.n
     ell = len(subset)
-    terms = {}
+    vec = {}
     for perm in permutations(range(ell)):
         permuted = [subset[p] for p in perm]
         rows, cols = (subset, permuted) if transpose else (permuted, subset)
         # the word determines the permutation, so no two terms share a word
-        terms[z_word(rows, cols, n)] = perm_sign(perm)
-    return E.reduce(Tensor(n * n, ell, terms))
+        vec[z_word(word_index(rows, n), word_index(cols, n), ell, n)] = perm_sign(perm)
+    return E.reduce(Tensor.from_vec(n * n, ell, vec))
 
 
 def ferm_series(B: ManinBialgebra, max_degree: int, transpose: bool = False) -> UniSeries:

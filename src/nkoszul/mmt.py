@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 
 from . import linalg
 from .algebras import antisymmetrizer, enumerate_admissible, perm_sign, polynomial
-from .freealg import Tensor
+from .freealg import Tensor, word_index
 from .homog import AlgebraPresentation
 from .series import MultiSeries, exponents_of_total
 
@@ -98,7 +98,7 @@ def _check_reversal(A: AlgebraPresentation, max_degree: int) -> None:
         if not span.contains(reversed_r.to_vec()):
             raise ValueError("the relations are not stable under word reversal")
     for k in range(1, max_degree + 1):
-        reversed_words = {w[::-1] for w in enumerate_admissible(A.n, A.N, k)}
+        reversed_words = {word_index(w[::-1], A.n) for w in enumerate_admissible(A.n, A.N, k)}
         if reversed_words != set(A.normal_basis(k)):
             raise ValueError(f"reversed admissible words of degree {k} are not the normal words")
 
@@ -110,21 +110,25 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
     the basis of admissible classes, read as the rev(w)-coordinate of
     X_{w_k}···X_{w_1} in the normal basis (see :func:`_check_reversal`).
     The walk over the admissible-word tree multiplies on the left, so each
-    word shares the reversed product of its prefix."""
+    word shares the reversed product of its prefix; appending b to a word
+    of length k prepends it to the reversed word, whose column becomes
+    b·n^k + rev."""
     if not check_specializable(A, Z):
         raise ValueError("matrix does not specialize this algebra's envelope")
     _check_reversal(A, max_degree)
     n, N = A.n, A.N
     one, zero = A.field.one, A.field.zero
     table = {}
-    # stack entries: (word, run length of current descent, normal
-    # coordinates of the reversed product)
-    stack = [((), 0, {(): one})]
+    # stack entries: (word, run length of current descent, column of the
+    # reversed word, normal coordinates of the reversed product)
+    stack = [((), 0, 0, {0: one})]
     while stack:
-        word, run, vec = stack.pop()
-        table[word] = vec.get(word[::-1], zero)
-        if len(word) == max_degree:
+        word, run, rev, vec = stack.pop()
+        table[word] = vec.get(rev, zero)
+        k = len(word)
+        if k == max_degree:
             continue
+        shift = n**k
         for b in range(n - 1, -1, -1):
             if word and word[-1] > b:
                 if run + 1 >= N:
@@ -135,9 +139,10 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
             nxt = {}
             for j, z in enumerate(Z[b]):
                 if z:
+                    head = j * shift
                     for w, c in vec.items():
-                        linalg.axpy(nxt, z * c, A.class_of_word((j,) + w).coords)
-            stack.append((word + (b,), nrun, nxt))
+                        linalg.axpy(nxt, z * c, A.class_of_word((k + 1, head + w)))
+            stack.append((word + (b,), nrun, b * shift + rev, nxt))
     return table
 
 

@@ -1,29 +1,40 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from nkoszul.freealg import (
     Tensor,
-    all_words,
     concat,
     index_word,
     pair,
     shuffle_pairs,
     word_index,
     z_index,
+    z_word,
 )
 
 
 def test_word_index_roundtrip():
     for n in (1, 2, 3, 5):
         for k in range(4):
-            words = list(all_words(n, k))
-            assert len(words) == n**k
+            words = list(product(range(n), repeat=k))
             assert words == sorted(words)  # lex order
             for i, w in enumerate(words):
                 assert word_index(w, n) == i
                 assert index_word(i, k, n) == w
+
+
+def test_z_word_interleaves_the_letters():
+    # the z-word z_{i_1}^{j_1}...z_{i_k}^{j_k} over the n² letters i*n+j
+    for n in (1, 2, 3):
+        for k in range(4):
+            for iw in product(range(n), repeat=k):
+                for jw in product(range(n), repeat=k):
+                    letters = [z_index(i, j, n) for i, j in zip(iw, jw)]
+                    got = z_word(word_index(iw, n), word_index(jw, n), k, n)
+                    assert got == word_index(letters, n * n)
 
 
 def test_concat_words():
@@ -74,8 +85,8 @@ def test_pair_antisymmetrizer_kills_symmetric():
 
 def test_pair_perfect_on_word_basis():
     n, k = 2, 3
-    for u in all_words(n, k):
-        for v in all_words(n, k):
+    for u in product(range(n), repeat=k):
+        for v in product(range(n), repeat=k):
             got = pair(Tensor.from_word(n, u, Fraction(1)), Tensor.from_word(n, v, Fraction(1)))
             assert got == (1 if u == v else 0)
 
@@ -115,8 +126,8 @@ def test_shuffle_pairs_linear():
 def test_shuffle_pairs_injective_on_words():
     n, N = 2, 2
     seen = {}
-    for jw in all_words(n, N):
-        for iw in all_words(n, N):
+    for jw in product(range(n), repeat=N):
+        for iw in product(range(n), repeat=N):
             out = shuffle_pairs(
                 Tensor.from_word(n, jw, Fraction(1)), Tensor.from_word(n, iw, Fraction(1))
             )

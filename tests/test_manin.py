@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from nkoszul import manin
 from nkoszul.algebras import antisymmetrizer, free_algebra, polynomial, quantum_space
-from nkoszul.freealg import Tensor, all_words, index_word, word_index, z_index, z_word
-from nkoszul.homog import AlgebraPresentation
+from nkoszul.freealg import Tensor, index_word, word_index, z_index
+from nkoszul.homog import AlgebraClass, AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, dvp_check, nu
 from nkoszul.linalg import Echelon, axpy
 from nkoszul.manin import (
@@ -83,14 +84,24 @@ def test_missing_relations_warning_span():
     assert ech.to_subspace() == B.env.ideal_component(2)
 
 
+def _cls(P, word):
+    """The class in P of a word given as a tuple of letters."""
+    return AlgebraClass(P, len(word), P.class_of_word((len(word), word_index(word, P.n))))
+
+
+def _z(iw, jw, n):
+    """The z-word z_{i_1}^{j_1}...z_{i_k}^{j_k} as a tuple of letters."""
+    return tuple(z_index(i, j, n) for i, j in zip(iw, jw))
+
+
 def _coaction_on_A(B, word):
     """δ on the class of a word: the (z-word class, x-word class) summands of
     δ(x_{i_1}...x_{i_k}) = Σ z_{i_1}^{j_1}...z_{i_k}^{j_k} ⊗ x_{j_1}...x_{j_k},
     both factors reduced."""
     n = B.base.n
     return [
-        (B.env.class_of_word(z_word(word, jw, n)), B.base.class_of_word(jw))
-        for jw in all_words(n, len(word))
+        (_cls(B.env, _z(word, jw, n)), _cls(B.base, jw))
+        for jw in product(range(n), repeat=len(word))
     ]
 
 
@@ -101,9 +112,9 @@ def _coaction_on_tensor(B, t):
     n = B.base.n
     acc = {}
     for w, cw in t.terms.items():
-        for jw in all_words(n, t.grade):
-            zcoords = B.env.class_of_word(z_word(w, jw, n)).coords
-            for aw, ca in B.base.class_of_word(jw).coords.items():
+        for jw in product(range(n), repeat=t.grade):
+            zcoords = _cls(B.env, _z(w, jw, n)).coords
+            for aw, ca in _cls(B.base, jw).coords.items():
                 axpy(acc.setdefault(aw, {}), cw * ca, zcoords)
     return {aw: coords for aw, coords in acc.items() if coords}
 
@@ -121,9 +132,9 @@ def _assert_coaction_preserves_J(B, ell):
         slots = {}  # w -> end(A) coordinates of T_w
         for idx, c in row.items():
             w = index_word(idx, m, n)
-            for jw in all_words(n, m):
-                axpy(slots.setdefault(jw, {}), c, E.class_of_word(z_word(w, jw, n)).coords)
-        for jw in all_words(n, m):
+            for jw in product(range(n), repeat=m):
+                axpy(slots.setdefault(jw, {}), c, _cls(E, _z(w, jw, n)).coords)
+        for jw in product(range(n), repeat=m):
             residual = dict(slots[jw])
             for arow, pw in zip(space.rows, pivot_words):
                 c = arow.get(word_index(jw, n))
@@ -138,8 +149,8 @@ def test_coaction_on_generators():
     pairs = _coaction_on_A(B, (0,))
     assert len(pairs) == 2
     for (zc, xc), j in zip(pairs, range(n)):
-        assert zc == B.env.class_of_word((z_index(0, j, n),))
-        assert xc == B.base.class_of_word((j,))
+        assert zc == _cls(B.env, (z_index(0, j, n),))
+        assert xc == _cls(B.base, (j,))
 
 
 def test_coaction_on_unit():
@@ -176,7 +187,7 @@ def test_chi_A_degree_one_is_trace():
         B = build_end(A)
         expected = B.env.zero_class(1)
         for i in range(A.n):
-            expected = expected + B.env.class_of_word((z_index(i, i, A.n),))
+            expected = expected + _cls(B.env, (z_index(i, i, A.n),))
         assert chi_A(B, 1) == expected
 
 
@@ -238,7 +249,7 @@ def test_chi_J_trace_is_basis_independent():
             for wp in range(2):
                 coeff = u[a][w] * y[a][wp]
                 if coeff:
-                    acc = acc + B.env.class_of_word((z_index(w, wp, 2),)) * coeff
+                    acc = acc + B.env.reduce(Tensor.from_word(4, (z_index(w, wp, 2),), coeff))
     assert acc == chi_J(B, 1)
 
 
@@ -327,7 +338,7 @@ def test_ferm_constant_and_linear_terms():
     assert ferm.coeffs[0] == B.env.unit()
     # degree 1: -(z_1^1 + z_2^2)
     n = 2
-    tr = B.env.class_of_word((z_index(0, 0, n),)) + B.env.class_of_word((z_index(1, 1, n),))
+    tr = _cls(B.env, (z_index(0, 0, n),)) + _cls(B.env, (z_index(1, 1, n),))
     assert ferm.coeffs[1] == -tr
 
 

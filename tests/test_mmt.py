@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, polynomial, quantum_space
-from nkoszul.freealg import Tensor, index_word
+from nkoszul.freealg import Tensor, index_word, word_index
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, jumps
 from nkoszul.linalg import BasisSolver, axpy
@@ -166,7 +166,7 @@ def _evaluate_character(B, value, Z):
     total = Fraction(0)
     for zw, coeff in value.coords.items():
         factor = coeff
-        for letter in zw:
+        for letter in index_word(zw, value.degree, n * n):
             i, j = divmod(letter, n)
             factor *= Z[i][j]
         total += factor
@@ -224,13 +224,13 @@ def _g_single(A, Z, word):
     k = len(word)
     words = enumerate_admissible(A.n, A.N, k)
     pos = {w: i for i, w in enumerate(A.normal_basis(k))}
-    rows = [{pos[w]: c for w, c in A.class_of_word(a).coords.items()} for a in words]
+    rows = [{pos[w]: c for w, c in A.class_of_word((k, word_index(a, A.n))).items()} for a in words]
     solver = BasisSolver(rows, len(pos))  # raises unless the rows are independent
     vec = {}
     for target in product(range(A.n), repeat=k):
         c = prod(Z[i][j] for i, j in zip(word, target))
         if c:
-            axpy(vec, c, A.class_of_word(target).coords)
+            axpy(vec, c, A.class_of_word((k, word_index(target, A.n))))
     coords = solver.coordinates({pos[w]: c for w, c in vec.items()})
     return coords.get(words.index(word), 0)
 

@@ -89,3 +89,36 @@ def test_every_public_name_is_used_by_the_program():
                 unused.append(key)
     assert unused == []
     assert allowed == set(UNUSED_ALLOWED)  # no stale exception
+
+
+# The quotient layer's hot loops, which work on word columns only.
+COLUMN_ONLY = {
+    "homog": ("AlgebraPresentation.class_of_word", "AlgebraClass.__mul__"),
+    "koszul": ("differential", "_j_slices"),
+    "mmt": ("g_table",),
+    "manin": ("_coaction_sum", "chi_J"),
+}
+
+
+def _function(tree, qualname):
+    body = tree.body
+    for part in qualname.split("."):
+        [node] = [n for n in body if getattr(n, "name", None) == part]
+        body = node.body
+    return node
+
+
+def test_hot_loops_do_not_convert_words():
+    # a word is its base-n column from the echelon to the characters;
+    # index_word/word_index belong at the edges, never per entry here
+    found = []
+    for module, qualnames in COLUMN_ONLY.items():
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        for qualname in qualnames:
+            for node in ast.walk(_function(tree, qualname)):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in ("index_word", "word_index"):
+                        found.append(f"{module}.{qualname}:{node.lineno}")
+    assert found == []
