@@ -11,7 +11,7 @@ from .algebras import (
     polynomial,
     quantum_space,
 )
-from .freealg import Tensor, concat, pair, shuffle_pairs
+from .freealg import Tensor, shuffle_pairs
 from .homog import AlgebraClass, AlgebraPresentation
 from .koszul import (
     admissible_identity_check,
@@ -23,6 +23,6 @@ from .koszul import (
     koszul_certificate,
     nu,
 )
-from .manin import ManinBialgebra, bos_ferm, build_end, chi_A, chi_J, counit, kmt_check
+from .manin import ManinBialgebra, build_end, chi_A, chi_J, kmt_check
 from .mmt import mmt_check, nmt_check, random_rational_matrix
 from .scalar import QQ, ParameterField, RationalField

@@ -85,7 +85,7 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
         if not q:
             raise ValueError("parameter q must be nonzero")
         field = QQ
-        coeff = {pair: q for pair in pairs}
+        coeff = dict.fromkeys(pairs, q)
     one = field.one
     rels = [
         Tensor(n, 2, {(j, i): one, (i, j): -coeff[(i, j)]})

@@ -232,7 +232,7 @@ def cmd_kmt_check(args):
         "first_failure_degree": res.first_failure,
     }
     if manin.is_polynomial_presentation(A):
-        report["determinant_convention"] = manin.ferm_convention(B, min(D, 4))
+        report["determinant_convention"] = manin.ferm_convention(B, res.dual_series, min(D, 4))
     lines = [
         f"{A.label}: character identity "
         f"{'holds' if res.passed else 'FAILS'} up to degree {D}"

@@ -14,8 +14,6 @@ diagonally with the word basis, so "over V*" is a semantic annotation only.
 
 from __future__ import annotations
 
-from .linalg import axpy
-
 Word = tuple  # tuple of generator indices
 
 
@@ -56,17 +54,6 @@ class Tensor:
     def from_word(cls, n, word, coeff=1):
         return cls(n, len(word), {tuple(word): coeff})
 
-    def __add__(self, other):
-        self._check(other)
-        terms = axpy(dict(self.terms), 1, other.terms)
-        return Tensor(self.n, self.grade, terms)
-
-    def __neg__(self):
-        return Tensor(self.n, self.grade, {w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __eq__(self, other):
         return (
             isinstance(other, Tensor)
@@ -83,41 +70,9 @@ class Tensor:
     def from_vec(cls, n, grade, vec):
         return cls(n, grade, {index_word(i, grade, n): c for i, c in vec.items()})
 
-    def _check(self, other):
-        if self.n != other.n:
-            raise ValueError("alphabet mismatch")
-        if self.grade != other.grade:
-            raise ValueError("grade mismatch")
-
     def __repr__(self):
         parts = [f"{c}*x{list(w)}" for w, c in sorted(self.terms.items())]
         return " + ".join(parts) if parts else "0"
-
-
-def concat(a: Tensor, b: Tensor) -> Tensor:
-    """Bilinear extension of word concatenation (product in T(V))."""
-    if a.n != b.n:
-        raise ValueError("alphabet mismatch")
-    terms = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            terms[u + v] = cu * cv  # u + v determines u and v
-    return Tensor(a.n, a.grade + b.grade, terms)
-
-
-def pair(xi: Tensor, v: Tensor):
-    """Natural pairing <V*^{⊗k}, V^{⊗k}>; diagonal in the word bases."""
-    if xi.n != v.n:
-        raise ValueError("alphabet mismatch")
-    if xi.grade != v.grade:
-        raise ValueError("grade mismatch")
-    total = None
-    small, large = (xi.terms, v.terms) if len(xi.terms) <= len(v.terms) else (v.terms, xi.terms)
-    for w, c in small.items():
-        d = large.get(w)
-        if d is not None:
-            total = c * d if total is None else total + c * d
-    return total if total is not None else 0
 
 
 def z_index(i: int, j: int, n: int) -> int:

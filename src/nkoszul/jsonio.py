@@ -1,10 +1,10 @@
 """JSON schemas for the exchangeable objects.
 
-Rationals serialize as "p/q" (or "p" when the denominator is 1); parameter
-fractions serialize as their canonical string form.  Tensors carry grade and
-a term list; algebras carry label, n, N and relations (plus the parameter
-names when the coefficient field has any); matrices carry n and a dense
-entry grid.
+Scalars serialize as their ``str``: rationals as "p/q" (or "p" when the
+denominator is 1), parameter fractions as their canonical string form.
+Tensors carry grade and a term list; algebras carry label, n, N and
+relations (plus the parameter names when the coefficient field has any);
+matrices carry n and a dense entry grid.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ from __future__ import annotations
 from .freealg import Tensor
 from .homog import AlgebraPresentation
 from .scalar import QQ, ParameterField
-
-
-def scalar_to_str(field, value) -> str:
-    return field.format(value)
 
 
 def scalar_from_str(field, text: str):
@@ -31,9 +27,9 @@ def _int(value, what):
     return value
 
 
-def tensor_to_obj(t: Tensor, field) -> dict:
+def tensor_to_obj(t: Tensor) -> dict:
     terms = [
-        {"coeff": scalar_to_str(field, c), "word": list(w)}
+        {"coeff": str(c), "word": list(w)}
         for w, c in sorted(t.terms.items())
     ]
     return {"grade": t.grade, "terms": terms}
@@ -55,7 +51,7 @@ def algebra_to_obj(A: AlgebraPresentation) -> dict:
         "label": A.label,
         "n": A.n,
         "N": A.N,
-        "relations": [tensor_to_obj(r, A.field) for r in A.relations],
+        "relations": [tensor_to_obj(r) for r in A.relations],
     }
     if A.field.parameters:
         obj["parameters"] = list(A.field.parameters)
@@ -77,16 +73,17 @@ def algebra_from_obj(obj: dict) -> AlgebraPresentation:
     return AlgebraPresentation(n, _int(obj["N"], "N"), rels, label=label, field=field)
 
 
-def matrix_to_obj(Z, field=QQ) -> dict:
-    return {
-        "n": len(Z),
-        "entries": [[scalar_to_str(field, v) for v in row] for row in Z],
-    }
+def matrix_to_obj(Z) -> dict:
+    return {"n": len(Z), "entries": [[str(v) for v in row] for row in Z]}
 
 
 def matrix_from_obj(obj: dict, field=QQ):
-    n = obj["n"]
+    if not isinstance(obj, dict):
+        raise ValueError("the matrix is not a JSON object")
+    n = _int(obj["n"], "n")
     entries = obj["entries"]
+    if not isinstance(entries, list) or not all(isinstance(row, list) for row in entries):
+        raise ValueError("matrix entries are not a list of lists")
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("matrix entries do not form an n×n grid")
     return [[scalar_from_str(field, v) for v in row] for row in entries]

@@ -192,9 +192,10 @@ def _compare(lhs: MultiSeries, rhs: MultiSeries, max_degree: int) -> MasterResul
 
 def nmt_rhs_denominator(n: int, N: int, Z, field, max_degree: int) -> MultiSeries:
     """Σ over J ⊆ {1..n} with |J| ≡ 0, 1 (mod N) of ε(|J|) det(Z_J) Π_{j∈J} t_j,
-    where ε is +1 on sizes ≡ 0 and -1 on sizes ≡ 1 mod N."""
+    where ε is +1 on sizes ≡ 0 and -1 on sizes ≡ 1 mod N, truncated at
+    total degree ``max_degree``, the largest |J| kept."""
     terms = {}
-    for r in range(n + 1):
+    for r in range(min(n, max_degree) + 1):
         rem = r % N
         if rem not in (0, 1):
             continue

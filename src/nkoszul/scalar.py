@@ -28,18 +28,12 @@ class RationalField:
     zero = Fraction(0)
     one = Fraction(1)
 
-    def from_int(self, k: int):
-        return Fraction(k)
-
     def parse(self, text: str):
-        """Read ``"p/q"`` or ``"p"``, as :meth:`format` writes them; raises
+        """Read ``"p/q"`` or ``"p"``, as ``str`` writes them; raises
         ValueError on anything else, including a zero denominator."""
         if _RATIONAL.fullmatch(text) is None:
             raise ValueError(f"not a rational 'p/q' or 'p' with q > 0: {text!r}")
         return Fraction(text)
-
-    def format(self, x) -> str:
-        return str(x)
 
     def __repr__(self):
         return "QQ"
@@ -86,13 +80,10 @@ class ParameterField:
         return self._field.one * k
 
     def parse(self, text: str):
-        """Read a rational expression in the parameters, as :meth:`format`
-        writes it; raises ValueError on anything else.  The text is never
+        """Read a rational expression in the parameters, as ``str`` writes
+        it; raises ValueError on anything else.  The text is never
         evaluated as Python code."""
         return _ExpressionParser(self, text).parse()
-
-    def format(self, x) -> str:
-        return str(x)
 
     def __repr__(self):
         return f"QQ({', '.join(self.parameters)})"

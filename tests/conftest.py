@@ -3,8 +3,12 @@ from itertools import permutations
 
 import pytest
 
+from nkoszul.freealg import Tensor, index_word, word_index, z_index, z_word
+from nkoszul.homog import AlgebraClass
+from nkoszul.linalg import axpy
+from nkoszul.manin import is_polynomial_presentation
 from nkoszul.scalar import QQ
-from nkoszul.series import MultiSeries
+from nkoszul.series import MultiSeries, UniSeries
 
 
 def _det_inverse(Z, max_degree):
@@ -38,3 +42,74 @@ def _det_inverse(Z, max_degree):
 def det_inverse():
     """The det(I - ZT)^{-1} oracle of the original master identity."""
     return _det_inverse
+
+
+def _concat(a, b):
+    """Bilinear extension of word concatenation (the product of T(V))."""
+    if a.n != b.n:
+        raise ValueError("alphabet mismatch")
+    terms = {}
+    for u, cu in a.terms.items():
+        for v, cv in b.terms.items():
+            terms[u + v] = cu * cv  # u + v determines u and v
+    return Tensor(a.n, a.grade + b.grade, terms)
+
+
+def _counit(B, c):
+    """Evaluate a class of end(A), such as a character, by z_i^j ↦ δ_ij;
+    independent of representative since every relation of end(A) pairs R^⊥
+    against R."""
+    n = B.base.n
+    diagonal = {z_index(i, i, n) for i in range(n)}
+    total = B.base.field.zero
+    for zw, coeff in c.coords.items():
+        if diagonal.issuperset(index_word(zw, c.degree, n * n)):
+            total = total + coeff
+    return total
+
+
+def _bos_series(B, max_degree):
+    """Bos: coefficient of t^k is Σ_{|m|=k} G(m), where G(m) is the
+    x^m-coefficient of the ordered product X^m = X_1^{m_1}···X_n^{m_n}
+    inside end(A) ⊗ A, with X_i = Σ_j z_i^j ⊗ x_j.
+
+    X^m = Σ_{jw} z_{w(m)}^{jw} ⊗ x_{jw}, where w(m) is the non-decreasing
+    word with m_i letters i.  A normal word e of x_{jw} = Σ_e c_e x_e
+    stands for the monomial x^m with w(m) = sorted(e), so Bos_k =
+    Σ_{jw} Σ_e c_e z_{sorted(e)}^{jw}.  χ(A_k) is the same sum over
+    z_e^{jw}; the normal words of the polynomial algebra are
+    non-increasing, so Bos = χ(A) holds through the relations of end(A),
+    not term by term.
+    """
+    if not is_polynomial_presentation(B.base):
+        raise ValueError("bosonic sum is defined for the polynomial algebra")
+    A, E = B.base, B.env
+    n = A.n
+    coeffs = []
+    for k in range(max_degree + 1):
+        acc = {}
+        for jw in range(n**k):
+            for e, ce in A.class_of_word((k, jw)).items():
+                row = word_index(sorted(index_word(e, k, n)), n)
+                axpy(acc, ce, E.class_of_word((k, z_word(row, jw, k, n))))
+        coeffs.append(AlgebraClass(E, k, acc))
+    return UniSeries(E.unit(), max_degree, coeffs)
+
+
+@pytest.fixture(scope="session")
+def concat():
+    """Concatenation of tensors, the oracle of the quotient product."""
+    return _concat
+
+
+@pytest.fixture(scope="session")
+def counit():
+    """The counit of end(A), which maps characters to dimensions."""
+    return _counit
+
+
+@pytest.fixture(scope="session")
+def bos_series():
+    """The bosonic series of the polynomial algebra, equal to its
+    character series."""
+    return _bos_series

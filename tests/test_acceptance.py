@@ -32,14 +32,13 @@ from nkoszul.koszul import (
 )
 from nkoszul import linalg
 from nkoszul.manin import (
-    bos_ferm,
     build_end,
     character_series,
     chi_A,
     chi_J,
-    counit,
     dual_character_series,
     ferm_convention,
+    ferm_series,
     kmt_check,
 )
 from nkoszul.mmt import check_specializable, g_table, mmt_check, nmt_check, random_rational_matrix
@@ -173,7 +172,7 @@ def test_criterion_06_envelope_relations(algebras, envelopes):
     _verdict(6, "envelope relation span (n=2)", failures, time.perf_counter() - t0, 1)
 
 
-def test_criterion_07_character_identity(algebras, envelopes):
+def test_criterion_07_character_identity(algebras, envelopes, counit):
     t0 = time.perf_counter()
     failures = []
     for key in ("poly2", "antisym33", "qspace2"):
@@ -194,20 +193,20 @@ def test_criterion_07_character_identity(algebras, envelopes):
     _verdict(7, "character identity to degree 4", failures, time.perf_counter() - t0, 600)
 
 
-def test_criterion_08_bos_ferm_crosscheck(envelopes):
+def test_criterion_08_bos_ferm_crosscheck(envelopes, bos_series):
     t0 = time.perf_counter()
     failures = []
     B = envelopes["poly2"]
-    convention = ferm_convention(B, 4)
-    bos, ferm = bos_ferm(B, 4)
+    dual = dual_character_series(B, 4)
+    convention = ferm_convention(B, dual, 4)
+    bos = bos_series(B, 4)
+    ferm = ferm_series(B, 4, transpose=(convention == "column-permuted"))
     if bos != character_series(B, 4):
         failures.append("bosonic series mismatch")
-    if ferm != dual_character_series(B, 4):
+    if ferm != dual:
         failures.append("fermionic series mismatch")
     # exactly one of the two determinant orderings validates
-    from nkoszul.manin import ferm_series
-
-    if ferm_series(B, 4, transpose=True) == dual_character_series(B, 4):
+    if ferm_series(B, 4, transpose=True) == dual:
         failures.append("transpose ordering also matches; not exclusive")
     print(f"  (determinant convention recorded: {convention})")
     _verdict(8, "bosonic/fermionic cross-check", failures, time.perf_counter() - t0, 60)
@@ -293,13 +292,12 @@ def test_criterion_11_property_suites(algebras):
     words = list(product(range(3), repeat=4))
     for _ in range(10):
         t = Tensor(3, 4, {rng.choice(words): Fraction(rng.randint(-3, 3)) for _ in range(4)})
-        shift = {}
+        shifted = t.to_vec()  # t plus a random element of the ideal
         for row in ideal.rows:
             c = Fraction(rng.randint(-2, 2))
             for col, val in row.items():
-                shift[col] = shift.get(col, Fraction(0)) + c * val
-        u = Tensor.from_vec(3, 4, {k: v for k, v in shift.items() if v})
-        if A.reduce(t + u) != A.reduce(t):
+                shifted[col] = shifted.get(col, Fraction(0)) + c * val
+        if A.reduce(Tensor.from_vec(3, 4, shifted)) != A.reduce(t):
             failures.append("representative")
 
     # multiplication associativity in the quotient

@@ -138,6 +138,42 @@ def test_malformed_matrix_json(capsys):
         assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"n": 2, "entries": ["12", "34"]}',
+        '{"n": 1, "entries": [{"7": 0}]}',
+        '{"n": 1.0, "entries": [["1"]]}',
+        '{"n": true, "entries": [["1"]]}',
+        '{"n": 1, "entries": {"1": "1"}}',
+        '[{"n": 1, "entries": [["1"]]}]',
+    ],
+    ids=["string-rows", "object-row", "float-n", "bool-n", "object-entries",
+         "top-level-array"],
+)
+def test_malformed_matrix_exit_2(capsys, text):
+    # each used to run on a silently misread matrix or crash with exit 1
+    code, out, err = run(capsys, "mmt", "--n", "1", "--matrix", text, "--max-degree", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed matrix JSON: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("mmt", "--n", "3", "--max-degree", "2"),
+        ("mmt", "--n", "2", "--max-degree", "1"),
+        ("nmt", "--n", "4", "--N", "3", "--max-degree", "3"),
+    ],
+    ids=["mmt-3-2", "mmt-2-1", "nmt-4-3-3"],
+)
+def test_master_below_the_matrix_size(capsys, argv):
+    # minors of more than max_degree rows lie beyond the truncation
+    code, out, _ = run(capsys, *argv, "--random-seed", "1", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "holds"
+
+
 def _qspace_file(tmp_path, coeff):
     obj = {
         "label": "qspace",

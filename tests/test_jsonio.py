@@ -10,8 +10,8 @@ from nkoszul.scalar import QQ
 
 
 def test_scalar_strings():
-    assert jsonio.scalar_to_str(QQ, Fraction(3, 4)) == "3/4"
-    assert jsonio.scalar_to_str(QQ, Fraction(-5)) == "-5"
+    Z = [[Fraction(3, 4), Fraction(-5)], [Fraction(0), Fraction(1)]]
+    assert jsonio.matrix_to_obj(Z)["entries"] == [["3/4", "-5"], ["0", "1"]]
     assert jsonio.scalar_from_str(QQ, "7/2") == Fraction(7, 2)
     assert jsonio.scalar_from_str(QQ, "7") == Fraction(7)
     for value in (7, 1.5, None, ["1"]):
@@ -21,7 +21,7 @@ def test_scalar_strings():
 
 def test_tensor_roundtrip():
     t = Tensor(2, 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(-2)})
-    obj = jsonio.tensor_to_obj(t, QQ)
+    obj = jsonio.tensor_to_obj(t)
     assert obj == {
         "grade": 2,
         "terms": [

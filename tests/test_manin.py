@@ -11,13 +11,10 @@ from nkoszul.homog import AlgebraClass, AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, dvp_check, nu
 from nkoszul.linalg import Echelon, axpy
 from nkoszul.manin import (
-    bos_ferm,
-    bos_series,
     build_end,
     character_series,
     chi_A,
     chi_J,
-    counit,
     dual_character_series,
     ferm_convention,
     ferm_series,
@@ -197,7 +194,7 @@ def test_chi_degree_zero_is_unit():
     assert chi_J(B, 0) == B.env.unit()
 
 
-def test_counit_of_characters_is_dimension():
+def test_counit_of_characters_is_dimension(counit):
     for A in (polynomial(2), antisymmetrizer(3, 3), quantum_space(2)):
         B = build_end(A)
         for k in range(6):
@@ -207,7 +204,7 @@ def test_counit_of_characters_is_dimension():
             assert counit(B, chi_J(B, ell)) == expected, (A.label, ell)
 
 
-def test_counit_unit():
+def test_counit_unit(counit):
     B = build_end(polynomial(2))
     assert counit(B, B.env.unit()) == 1
     assert counit(B, chi_A(B, 1)) == 2
@@ -280,7 +277,7 @@ def test_kmt_fails_for_non_koszul_fixture():
     assert res.first_failure == 5
 
 
-def test_kmt_implies_dvp_via_counit():
+def test_kmt_implies_dvp_via_counit(counit):
     # applying the counit coefficient-wise to both character series gives
     # the two numeric series of the duality identity
     from nkoszul.koszul import dvp_rhs
@@ -297,20 +294,22 @@ def test_kmt_implies_dvp_via_counit():
         assert kmt_check(B, D).passed and dvp_check(A, D)
 
 
-def test_ferm_convention_and_bos_ferm():
+def test_ferm_convention_and_bos_ferm(bos_series):
     for n, D in ((1, 6), (2, 4), (3, 4)):
         B = build_end(polynomial(n))
-        assert ferm_convention(B, D) == "row-permuted", n
-        bos, ferm = bos_ferm(B, D)
+        dual = dual_character_series(B, D)
+        assert ferm_convention(B, dual, D) == "row-permuted", n
+        bos, ferm = bos_series(B, D), ferm_series(B, D)
         assert bos == character_series(B, D), n
-        assert ferm == dual_character_series(B, D), n
+        assert ferm == dual, n
         assert (bos * ferm).is_one(), n
 
 
 def test_ferm_convention_checks_every_call(monkeypatch):
     # a first call at degree 1 must not answer a later call at degree 4
     B = build_end(polynomial(2))
-    assert ferm_convention(B, 1) == "row-permuted"
+    dual = dual_character_series(B, 4)
+    assert ferm_convention(B, dual, 1) == "row-permuted"
 
     def mismatched(B, max_degree, transpose=False):
         zeros = [B.env.zero_class(d) for d in range(max_degree + 1)]
@@ -318,7 +317,18 @@ def test_ferm_convention_checks_every_call(monkeypatch):
 
     monkeypatch.setattr(manin, "ferm_series", mismatched)
     with pytest.raises(RuntimeError, match="neither determinant ordering"):
-        ferm_convention(B, 4)
+        ferm_convention(B, dual, 4)
+
+
+def test_ferm_convention_uses_the_kmt_series():
+    # kmt-check hands over the J character series it already built: the
+    # check at min(D, 4) compares up to the lower truncation, as before
+    for D in (2, 6):
+        B = build_end(polynomial(2))
+        res = kmt_check(B, D)
+        assert res.dual_series == dual_character_series(B, D)
+        assert res.dual_series.trunc == D
+        assert ferm_convention(B, res.dual_series, min(D, 4)) == "row-permuted"
 
 
 def test_ferm_convention_is_exclusive():
@@ -334,7 +344,7 @@ def test_ferm_convention_is_exclusive():
 
 def test_ferm_constant_and_linear_terms():
     B = build_end(polynomial(2))
-    _, ferm = bos_ferm(B, 2)
+    ferm = ferm_series(B, 2)
     assert ferm.coeffs[0] == B.env.unit()
     # degree 1: -(z_1^1 + z_2^2)
     n = 2
@@ -348,17 +358,17 @@ def test_ferm_degree_two_is_determinant():
     n = 2
     a, b, c, d = (z_index(i, j, n) for i in (0, 1) for j in (0, 1))
     det = B.env.reduce(Tensor(4, 2, {(a, d): Fraction(1), (c, b): Fraction(-1)}))
-    _, ferm = bos_ferm(B, 2)
+    ferm = ferm_series(B, 2)
     assert ferm.coeffs[2] == det
 
 
-def test_bos_degree_one():
+def test_bos_degree_one(bos_series):
     B = build_end(polynomial(2))
-    bos, _ = bos_ferm(B, 1)
+    bos = bos_series(B, 1)
     assert bos.coeffs[1] == chi_A(B, 1)
 
 
-def test_bos_ferm_rejects_non_polynomial():
+def test_bos_ferm_rejects_non_polynomial(bos_series):
     B = build_end(antisymmetrizer(3, 3))
     with pytest.raises(ValueError):
         bos_series(B, 2)

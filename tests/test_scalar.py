@@ -9,12 +9,12 @@ from nkoszul.scalar import QQ, ParameterField, RationalField
 def test_rational_examples():
     assert Fraction(1, 3) + Fraction(1, 6) == Fraction(1, 2)
     assert QQ.parse("3/4") == Fraction(3, 4)
-    assert QQ.format(Fraction(3, 4)) == "3/4"
-    assert QQ.format(Fraction(5)) == "5"
+    assert str(QQ.parse("6/8")) == "3/4"  # str writes what parse reads
+    assert str(QQ.parse("10/2")) == "5"
     assert QQ.parse("-7") == Fraction(-7)
     assert QQ.parse("+6/4") == Fraction(3, 2)
-    for text in QQ.format(Fraction(-22, 7)), QQ.format(Fraction(0)):
-        assert QQ.format(QQ.parse(text)) == text
+    for text in str(Fraction(-22, 7)), str(Fraction(0)):
+        assert str(QQ.parse(text)) == text
 
 
 def test_rational_parse_rejects_anything_else():
@@ -47,7 +47,7 @@ def test_param_fraction_cancellation():
     a = (q - 1) / (q**2 - 1)
     b = F.one / (q + 1)
     assert a == b
-    assert F.format(a) == F.format(b)
+    assert str(a) == str(b)
 
 
 def test_param_laurent_identity():
@@ -79,10 +79,10 @@ def test_param_parse_roundtrip():
         (q12 + 1) ** 100,
         (q12 + q13 + 1) ** 43,
     ]
-    assert F.format(values[0]) == "-q12"
-    assert F.format(values[1]) == "(q12 + 1)/(2*q13)"
+    assert str(values[0]) == "-q12"
+    assert str(values[1]) == "(q12 + 1)/(2*q13)"
     for a in values:
-        assert F.parse(F.format(a)) == a
+        assert F.parse(str(a)) == a
     assert F.parse("-q12**2") == -(q12**2)
     assert F.parse("q12**-(2) * 2*-3") == -6 * q12**-2
 
