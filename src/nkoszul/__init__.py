@@ -11,7 +11,7 @@ from .algebras import (
     polynomial,
     quantum_space,
 )
-from .freealg import Tensor, shuffle_pairs
+from .freealg import shuffle_pairs
 from .homog import AlgebraClass, AlgebraPresentation
 from .koszul import (
     admissible_identity_check,

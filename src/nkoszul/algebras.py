@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from .freealg import Tensor
+from .freealg import word_index
 from .homog import AlgebraPresentation
 from .scalar import QQ, ParameterField
 
@@ -40,7 +40,7 @@ def polynomial(n: int, field=QQ) -> AlgebraPresentation:
         raise ValueError("polynomial algebra needs n >= 1")
     one = field.one
     rels = [
-        Tensor(n, 2, {(i, j): one, (j, i): -one})
+        {word_index((i, j), n): one, word_index((j, i), n): -one}
         for i, j in combinations(range(n), 2)
     ]
     return AlgebraPresentation(n, 2, rels, label=f"poly({n})", field=field)
@@ -58,9 +58,9 @@ def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
     for combo in combinations(range(n), N):
         terms = {}
         for perm in permutations(range(N)):
-            word = tuple(combo[p] for p in perm)
+            word = word_index((combo[p] for p in perm), n)
             terms[word] = QQ.one if perm_sign(perm) == 1 else -QQ.one
-        rels.append(Tensor(n, N, terms))
+        rels.append(terms)
     return AlgebraPresentation(n, N, rels, label=f"antisym({n},{N})", field=QQ)
 
 
@@ -88,7 +88,7 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
         coeff = dict.fromkeys(pairs, q)
     one = field.one
     rels = [
-        Tensor(n, 2, {(j, i): one, (i, j): -coeff[(i, j)]})
+        {word_index((j, i), n): one, word_index((i, j), n): -coeff[(i, j)]}
         for i, j in pairs
     ]
     return AlgebraPresentation(n, 2, rels, label=f"qspace({n})", field=field)

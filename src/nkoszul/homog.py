@@ -10,8 +10,9 @@ The shifted rows of I_{d-1} are already an echelon basis of V ⊗ I_{d-1} and
 are copied in as they are.  Since R ⊗ I_{d-N} ⊆ V ⊗ I_{d-1}, only the rows
 R ⊗ w for normal words w of degree d-N are eliminated.  The words at
 non-pivot columns form the normal basis of A_d, and forward reduction
-against the echelon gives the unique normal form of any tensor, which is
-the quotient arithmetic.  Every word here is its base-n column (see
+against the echelon gives the unique normal form of any element, which is
+the quotient arithmetic.  Every word here is its base-n column and every
+element, each relation included, a ``{column: scalar}`` dict (see
 :mod:`nkoszul.freealg`), so a normal form is the echelon remainder as it
 is.  The canonical reduced basis of I_d is built only when
 :meth:`AlgebraPresentation.ideal_component` asks for it.
@@ -21,16 +22,17 @@ from __future__ import annotations
 
 from . import linalg
 from . import series
-from .freealg import Tensor
 from .scalar import QQ
 
 
 class AlgebraPresentation:
     """An N-homogeneous algebra T(V)/(R) with per-degree caches.
 
-    Relations may be linearly dependent; only their span matters.  The
-    presentation itself is immutable; everything computed from it is kept
-    in ``cache``, a :class:`PresentationCache`.
+    Each relation is a ``{column: scalar}`` dict over the columns of
+    length-N words; zero entries are dropped.  Relations may be linearly
+    dependent; only their span matters.  The presentation itself is
+    immutable; everything computed from it is kept in ``cache``, a
+    :class:`PresentationCache`.
     """
 
     def __init__(self, n, N, relations, label="", field=QQ):
@@ -39,14 +41,14 @@ class AlgebraPresentation:
         if n < 0:
             raise ValueError("generator count must be >= 0")
         relations = tuple(relations)
+        size = n**N
         for r in relations:
-            if r.n != n:
-                raise ValueError("relation alphabet mismatch")
-            if r.grade != N:
-                raise ValueError(f"relation {r!r} does not have grade {N}")
+            for col in r:
+                if not 0 <= col < size:
+                    raise ValueError(f"relation column {col} out of range {size}")
         self.n = n
         self.N = N
-        self.relations = relations
+        self.relations = tuple({col: c for col, c in r.items() if c} for r in relations)
         self.label = label
         self.field = field
         self.cache = PresentationCache()
@@ -70,7 +72,7 @@ class AlgebraPresentation:
         ech = linalg.Echelon(n**d)
         if d == N:
             for r in self.relations:
-                ech.add(r.to_vec())
+                ech.add(r)
         elif d > N:
             stride = n ** (d - 1)
             for p, row in degrees[d - 1].echelon.row_of.items():
@@ -79,9 +81,8 @@ class AlgebraPresentation:
                     ech.row_of[off + p] = {off + idx: c for idx, c in row.items()}
             tail = n ** (d - N)
             for r in self.relations:
-                rvec = r.to_vec()
                 for widx in degrees[d - N].normal:
-                    ech.add({ridx * tail + widx: c for ridx, c in rvec.items()})
+                    ech.add({ridx * tail + widx: c for ridx, c in r.items()})
         if d == 0:
             normal = (0,)
         else:
@@ -119,12 +120,10 @@ class AlgebraPresentation:
         basis of A_d."""
         return self._component(d).normal
 
-    def reduce(self, t: Tensor):
-        """Projection T(V)_d -> A_d in normal-basis coordinates."""
-        if t.n != self.n:
-            raise ValueError("alphabet mismatch")
-        rem = self._component(t.grade).echelon.reduce(t.to_vec())
-        return AlgebraClass(self, t.grade, rem)
+    def reduce(self, d, vec):
+        """Projection T(V)_d -> A_d of the column dict ``vec``, in
+        normal-basis coordinates."""
+        return AlgebraClass(self, d, self._component(d).echelon.reduce(vec))
 
     def class_of_word(self, word):
         """Normal form {normal column: scalar} of the word given as the pair
@@ -149,9 +148,8 @@ class AlgebraPresentation:
         """The dual N-homogeneous algebra on V* with relations R^⊥."""
         span = self.ideal_component(self.N)
         perp = linalg.kernel(linalg.Matrix(self.n**self.N, list(span.rows)))
-        rels = [Tensor.from_vec(self.n, self.N, dict(row)) for row in perp.rows]
         label = f"{self.label}!" if self.label else "dual"
-        return AlgebraPresentation(self.n, self.N, rels, label=label, field=self.field)
+        return AlgebraPresentation(self.n, self.N, perp.rows, label=label, field=self.field)
 
     def __repr__(self):
         name = self.label or "algebra"

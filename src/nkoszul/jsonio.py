@@ -2,14 +2,15 @@
 
 Scalars serialize as their ``str``: rationals as "p/q" (or "p" when the
 denominator is 1), parameter fractions as their canonical string form.
-Tensors carry grade and a term list; algebras carry label, n, N and
-relations (plus the parameter names when the coefficient field has any);
-matrices carry n and a dense entry grid.
+An algebra is read from its label, n, N and relations (plus the parameter
+names when the coefficient field has any); each relation carries its grade
+and a term list of words and coefficients, and is checked here and turned
+into a column dict.  Matrices carry n and a dense entry grid, both ways.
 """
 
 from __future__ import annotations
 
-from .freealg import Tensor
+from .freealg import word_index
 from .homog import AlgebraPresentation
 from .scalar import QQ, ParameterField
 
@@ -27,15 +28,8 @@ def _int(value, what):
     return value
 
 
-def tensor_to_obj(t: Tensor) -> dict:
-    terms = [
-        {"coeff": str(c), "word": list(w)}
-        for w, c in sorted(t.terms.items())
-    ]
-    return {"grade": t.grade, "terms": terms}
-
-
-def tensor_from_obj(obj: dict, n: int, field) -> Tensor:
+def tensor_from_obj(obj: dict, n: int, N: int, field) -> dict:
+    """The relation ``obj``, a grade-N term list, as a column dict."""
     terms = {}
     for item in obj["terms"]:
         word = tuple(_int(a, "word letter") for a in item["word"])
@@ -43,19 +37,15 @@ def tensor_from_obj(obj: dict, n: int, field) -> Tensor:
         if word in terms:
             raise ValueError(f"duplicate word {word} in tensor JSON")
         terms[word] = coeff
-    return Tensor(n, _int(obj["grade"], "grade"), terms)
-
-
-def algebra_to_obj(A: AlgebraPresentation) -> dict:
-    obj = {
-        "label": A.label,
-        "n": A.n,
-        "N": A.N,
-        "relations": [tensor_to_obj(r) for r in A.relations],
-    }
-    if A.field.parameters:
-        obj["parameters"] = list(A.field.parameters)
-    return obj
+    grade = _int(obj["grade"], "grade")
+    for word in terms:
+        if len(word) != grade:
+            raise ValueError(f"word {word} does not have grade {grade}")
+        if any(a < 0 or a >= n for a in word):
+            raise ValueError(f"word {word} out of alphabet range {n}")
+    if grade != N:
+        raise ValueError(f"relation grade {grade} is not N = {N}")
+    return {word_index(w, n): c for w, c in terms.items()}
 
 
 def algebra_from_obj(obj: dict) -> AlgebraPresentation:
@@ -69,8 +59,9 @@ def algebra_from_obj(obj: dict) -> AlgebraPresentation:
         raise ValueError(f"label {label!r} is not a string")
     field = ParameterField(params) if params else QQ
     n = _int(obj["n"], "n")
-    rels = [tensor_from_obj(r, n, field) for r in obj["relations"]]
-    return AlgebraPresentation(n, _int(obj["N"], "N"), rels, label=label, field=field)
+    N = _int(obj["N"], "N")
+    rels = [tensor_from_obj(r, n, N, field) for r in obj["relations"]]
+    return AlgebraPresentation(n, N, rels, label=label, field=field)
 
 
 def matrix_to_obj(Z) -> dict:

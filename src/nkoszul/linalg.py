@@ -230,15 +230,6 @@ def zero_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, (), ())
 
 
-def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
-    if u.ambient_dim != w.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    ech = Echelon(u.ambient_dim, reduced=True)
-    ech.extend(u.rows)
-    ech.extend(w.rows)
-    return ech.to_subspace()
-
-
 def intersect(u: Subspace, w: Subspace) -> Subspace:
     """Intersection via the Zassenhaus block trick.
 

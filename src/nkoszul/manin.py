@@ -18,7 +18,7 @@ from __future__ import annotations
 from itertools import combinations, permutations
 
 from .algebras import perm_sign, polynomial
-from .freealg import Tensor, shuffle_pairs, word_index, z_word
+from .freealg import shuffle_pairs, word_index, z_word
 from .homog import AlgebraClass, AlgebraPresentation
 from .koszul import dual_koszul_subspace, jumps, nu
 from .linalg import axpy
@@ -40,16 +40,15 @@ class ManinBialgebra:
 
 def build_end(A: AlgebraPresentation) -> ManinBialgebra:
     """Construct end(A) = A(V*⊗V, R^⊥⊗R) from echelon bases of R^⊥ and R."""
-    n = A.n
-    r_span = A.ideal_component(A.N)
-    r_basis = [Tensor.from_vec(n, A.N, dict(row)) for row in r_span.rows]
+    n, N = A.n, A.N
+    r_basis = A.ideal_component(N).rows
     perp_basis = A.dual().relations
-    rels = [shuffle_pairs(xi, r) for xi in perp_basis for r in r_basis]
+    rels = [shuffle_pairs(xi, r, N, n) for xi in perp_basis for r in r_basis]
     env = AlgebraPresentation(
-        n * n, A.N, rels, label=f"end({A.label or 'A'})", field=A.field
+        n * n, N, rels, label=f"end({A.label or 'A'})", field=A.field
     )
     expected = len(perp_basis) * len(r_basis)
-    if env.ideal_rank(A.N) != expected:
+    if env.ideal_rank(N) != expected:
         raise RuntimeError(
             "relation space of end(A) has unexpected dimension; internal error"
         )
@@ -103,13 +102,11 @@ def dual_character_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
 
 
 class KmtResult:
-    __slots__ = ("passed", "max_degree", "first_failure", "product", "dual_series")
+    __slots__ = ("passed", "first_failure", "dual_series")
 
-    def __init__(self, passed, max_degree, first_failure, product, dual_series):
+    def __init__(self, passed, first_failure, dual_series):
         self.passed = passed
-        self.max_degree = max_degree
         self.first_failure = first_failure
-        self.product = product
         self.dual_series = dual_series  # the J character series of the check
 
     def __bool__(self):
@@ -142,7 +139,7 @@ def kmt_check(B: ManinBialgebra, max_degree: int) -> KmtResult:
             if product.coeffs[d]:
                 first_failure = d
                 break
-    return KmtResult(first_failure is None, max_degree, first_failure, product, q)
+    return KmtResult(first_failure is None, first_failure, q)
 
 
 # ----------------------------------------------------------------------
@@ -168,7 +165,7 @@ def _noncommutative_minor(B: ManinBialgebra, subset, transpose: bool) -> Algebra
         rows, cols = (subset, permuted) if transpose else (permuted, subset)
         # the word determines the permutation, so no two terms share a word
         vec[z_word(word_index(rows, n), word_index(cols, n), ell, n)] = perm_sign(perm)
-    return E.reduce(Tensor.from_vec(n * n, ell, vec))
+    return E.reduce(ell, vec)
 
 
 def ferm_series(B: ManinBialgebra, max_degree: int, transpose: bool = False) -> UniSeries:

@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 
 from . import linalg
 from .algebras import antisymmetrizer, enumerate_admissible, perm_sign, polynomial
-from .freealg import Tensor, word_index
+from .freealg import index_word, word_index
 from .homog import AlgebraPresentation
 from .series import MultiSeries, exponents_of_total
 
@@ -55,22 +55,23 @@ def matrix_det(entries):
     return total
 
 
-def _transform_tensor(Z, t: Tensor) -> Tensor:
-    """Apply Z factor-wise: x_w ↦ Σ_{w'} (Π_s Z[w_s][w'_s]) x_{w'}."""
-    n = t.n
-    terms = {}
-    for w, c in t.terms.items():
-        partial = {(): c}
-        for letter in w:
+def _transform_tensor(Z, vec, k: int):
+    """Apply Z factor-wise to the grade-k column dict ``vec``:
+    x_w ↦ Σ_{w'} (Π_s Z[w_s][w'_s]) x_{w'}."""
+    n = len(Z)
+    out = {}
+    for w, c in vec.items():
+        partial = {0: c}
+        for letter in index_word(w, k, n):
             row = Z[letter]
             partial = {
-                prefix + (j,): coeff * row[j]
+                prefix * n + j: coeff * row[j]
                 for prefix, coeff in partial.items()
                 for j in range(n)
                 if row[j]
             }
-        linalg.axpy(terms, 1, partial)
-    return Tensor(n, t.grade, terms)
+        linalg.axpy(out, 1, partial)
+    return out
 
 
 def check_specializable(A: AlgebraPresentation, Z) -> bool:
@@ -80,7 +81,7 @@ def check_specializable(A: AlgebraPresentation, Z) -> bool:
     if len(Z) != A.n:
         raise ValueError("matrix size does not match the generator count")
     span = A.ideal_component(A.N)
-    return all(span.contains(_transform_tensor(Z, r).to_vec()) for r in A.relations)
+    return all(span.contains(_transform_tensor(Z, r, A.N)) for r in A.relations)
 
 
 def _check_reversal(A: AlgebraPresentation, max_degree: int) -> None:
@@ -92,13 +93,14 @@ def _check_reversal(A: AlgebraPresentation, max_degree: int) -> None:
     admissible classes form a basis and the G value of a word w is the
     rev(w)-coordinate of the reversed product in the normal basis.  Both
     hold for the polynomial and antisymmetrizer algebras."""
-    span = A.ideal_component(A.N)
+    n, N = A.n, A.N
+    span = A.ideal_component(N)
     for r in A.relations:
-        reversed_r = Tensor(A.n, A.N, {w[::-1]: c for w, c in r.terms.items()})
-        if not span.contains(reversed_r.to_vec()):
+        reversed_r = {word_index(reversed(index_word(w, N, n)), n): c for w, c in r.items()}
+        if not span.contains(reversed_r):
             raise ValueError("the relations are not stable under word reversal")
     for k in range(1, max_degree + 1):
-        reversed_words = {word_index(w[::-1], A.n) for w in enumerate_admissible(A.n, A.N, k)}
+        reversed_words = {word_index(reversed(w), n) for w in enumerate_admissible(n, N, k)}
         if reversed_words != set(A.normal_basis(k)):
             raise ValueError(f"reversed admissible words of degree {k} are not the normal words")
 
@@ -163,11 +165,10 @@ def _lhs_series(A: AlgebraPresentation, Z, max_degree: int) -> MultiSeries:
 
 
 class MasterResult:
-    __slots__ = ("passed", "max_degree", "first_mismatch", "lhs", "rhs")
+    __slots__ = ("passed", "first_mismatch", "lhs", "rhs")
 
-    def __init__(self, passed, max_degree, first_mismatch, lhs, rhs):
+    def __init__(self, passed, first_mismatch, lhs, rhs):
         self.passed = passed
-        self.max_degree = max_degree
         self.first_mismatch = first_mismatch  # (exponents, lhs value, rhs value)
         self.lhs = lhs
         self.rhs = rhs
@@ -187,7 +188,7 @@ def _compare(lhs: MultiSeries, rhs: MultiSeries, max_degree: int) -> MasterResul
                 break
         if first:
             break
-    return MasterResult(first is None, max_degree, first, lhs, rhs)
+    return MasterResult(first is None, first, lhs, rhs)
 
 
 def nmt_rhs_denominator(n: int, N: int, Z, field, max_degree: int) -> MultiSeries:

@@ -3,9 +3,9 @@ from itertools import permutations
 
 import pytest
 
-from nkoszul.freealg import Tensor, index_word, word_index, z_index, z_word
+from nkoszul.freealg import index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraClass
-from nkoszul.linalg import axpy
+from nkoszul.linalg import Echelon, axpy
 from nkoszul.manin import is_polynomial_presentation
 from nkoszul.scalar import QQ
 from nkoszul.series import MultiSeries, UniSeries
@@ -44,15 +44,31 @@ def det_inverse():
     return _det_inverse
 
 
-def _concat(a, b):
-    """Bilinear extension of word concatenation (the product of T(V))."""
-    if a.n != b.n:
-        raise ValueError("alphabet mismatch")
+def columns(n, terms):
+    """The ``{column: scalar}`` dict, the form of a relation or any other
+    homogeneous element, of the element given as ``{word tuple: scalar}``."""
+    return {word_index(w, n): c for w, c in terms.items()}
+
+
+def _concat(n, a, ka, b, kb):
+    """Bilinear extension of word concatenation (the product of T(V)) to the
+    grade-``ka`` column dict ``a`` and the grade-``kb`` column dict ``b``,
+    spelled out on word tuples."""
     terms = {}
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            terms[u + v] = cu * cv  # u + v determines u and v
-    return Tensor(a.n, a.grade + b.grade, terms)
+    for u, cu in a.items():
+        for v, cv in b.items():
+            # u then v determines u and v
+            terms[index_word(u, ka, n) + index_word(v, kb, n)] = cu * cv
+    return columns(n, terms)
+
+
+def _subspace_sum(u, w):
+    if u.ambient_dim != w.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    ech = Echelon(u.ambient_dim)
+    ech.extend(u.rows)
+    ech.extend(w.rows)
+    return ech.to_subspace()
 
 
 def _counit(B, c):
@@ -98,8 +114,15 @@ def _bos_series(B, max_degree):
 
 @pytest.fixture(scope="session")
 def concat():
-    """Concatenation of tensors, the oracle of the quotient product."""
+    """Concatenation of homogeneous elements, the oracle of the quotient
+    product."""
     return _concat
+
+
+@pytest.fixture(scope="session")
+def subspace_sum():
+    """U + W, the oracle the tests check intersect against."""
+    return _subspace_sum
 
 
 @pytest.fixture(scope="session")

@@ -49,8 +49,8 @@ def test_antisymmetrizer_shape():
     A = antisymmetrizer(3, 3)
     assert len(A.relations) == 1
     [rel] = A.relations
-    assert len(rel.terms) == 6
-    assert all(c in (1, -1) for c in rel.terms.values())
+    assert len(rel) == 6
+    assert all(c in (1, -1) for c in rel.values())
     assert len(antisymmetrizer(4, 3).relations) == 4
 
 

@@ -237,9 +237,14 @@ def _mono_xyx(n=2, N=3, grade=3, word=(0, 1, 0), **extra):
         _mono_xyx(word=[False, True, False]),
         _mono_xyx(label=5),
         _mono_xyx(parameters="q12"),
+        _mono_xyx(grade=2, word=(0, 1)),
+        _mono_xyx(word=(0, 1)),
+        _mono_xyx(word=(0, 2, 0)),
+        _mono_xyx(word=(0, -1, 0)),
     ],
     ids=["float-n", "float-N", "float-grade", "top-level-array", "float-letter",
-         "bool-letters", "numeric-label", "string-parameters"],
+         "bool-letters", "numeric-label", "string-parameters", "grade-not-N",
+         "short-word", "letter-too-large", "negative-letter"],
 )
 def test_malformed_algebra_file_exit_2(capsys, tmp_path, obj):
     # each used to crash with exit 1 or run on a silently misread value
@@ -248,6 +253,20 @@ def test_malformed_algebra_file_exit_2(capsys, tmp_path, obj):
     code, out, err = run(capsys, "info", "--algebra", f"file:{path}", "--max-degree", "2")
     assert (code, out) == (2, "")
     assert err.startswith("error: bad algebra JSON: ")
+
+
+def test_zero_coefficient_term_is_dropped(capsys, tmp_path):
+    plain = _mono_xyx()
+    padded = _mono_xyx()
+    padded["relations"][0]["terms"].append({"coeff": "0", "word": [1, 1, 1]})
+    outs = []
+    for name, obj in (("plain", plain), ("padded", padded)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "info", "--algebra", f"file:{path}", "--format", "json")
+        assert (code, err) == (0, "")
+        outs.append(json.loads(out)["report"])
+    assert outs[0] == outs[1]
 
 
 def test_non_string_coefficient_exit_2(capsys, tmp_path):

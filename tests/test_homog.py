@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import columns
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, free_algebra, polynomial
-from nkoszul.freealg import Tensor, index_word, word_index
+from nkoszul.freealg import index_word, word_index
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import koszul_certificate
 from nkoszul.linalg import Echelon
@@ -24,10 +25,10 @@ def ideal_bruteforce(A, d):
     for i in range(d - A.N + 1):
         j = d - A.N - i
         for r in A.relations:
+            rwords = {index_word(rw, A.N, A.n): c for rw, c in r.items()}
             for u in product(range(A.n), repeat=i):
                 for w in product(range(A.n), repeat=j):
-                    t = Tensor(A.n, d, {u + rw + w: c for rw, c in r.terms.items()})
-                    ech.add(t.to_vec())
+                    ech.add(columns(A.n, {u + rw + w: c for rw, c in rwords.items()}))
     return ech.to_subspace()
 
 
@@ -90,24 +91,27 @@ def test_low_degree_ideal_components_vanish():
     assert A.ideal_component(3) == ideal_bruteforce(A, 3)  # = span(R)
 
 
+def _word(A, w):
+    """The class of the word tuple ``w``."""
+    return A.reduce(len(w), columns(A.n, {w: Fraction(1)}))
+
+
 def test_reduce_is_unit_map_on_normal_words():
     A = polynomial(2)
     for w in A.normal_basis(3):
-        cls = A.reduce(Tensor.from_word(2, index_word(w, 3, 2), Fraction(1)))
+        cls = A.reduce(3, {w: Fraction(1)})
         assert cls.coords == {w: Fraction(1)}
 
 
 def test_reduce_relation_to_zero():
     for A in (polynomial(2), antisymmetrizer(3, 3)):
         for r in A.relations:
-            assert not A.reduce(r)
+            assert not A.reduce(A.N, r)
 
 
 def test_reduce_commutation():
     A = polynomial(2)
-    a = A.reduce(Tensor.from_word(2, (1, 0), Fraction(1)))
-    b = A.reduce(Tensor.from_word(2, (0, 1), Fraction(1)))
-    assert a == b
+    assert _word(A, (1, 0)) == _word(A, (0, 1))
 
 
 def test_reduce_mod_ideal_random():
@@ -117,26 +121,26 @@ def test_reduce_mod_ideal_random():
     ideal = A.ideal_component(d)
     for _ in range(20):
         words = list(product(range(3), repeat=d))
-        t = Tensor(3, d, {rng.choice(words): Fraction(rng.randint(-3, 3)) for _ in range(4)})
-        shifted = t.to_vec()  # t plus a random element of the ideal
+        t = columns(3, {rng.choice(words): Fraction(rng.randint(-3, 3)) for _ in range(4)})
+        shifted = dict(t)  # t plus a random element of the ideal
         for row in ideal.rows:
             c = Fraction(rng.randint(-2, 2))
             for col, val in row.items():
                 shifted[col] = shifted.get(col, Fraction(0)) + c * val
-        assert A.reduce(Tensor.from_vec(3, d, shifted)) == A.reduce(t)
+        assert A.reduce(d, shifted) == A.reduce(d, t)
 
 
 def test_multiply_unit():
     A = antisymmetrizer(3, 3)
     one = A.unit()
-    x = A.reduce(Tensor.from_word(3, (0, 2, 1)))
+    x = _word(A, (0, 2, 1))
     assert one * x == x and x * one == x
 
 
 def test_multiply_commutes_polynomial():
     A = polynomial(2)
-    x1 = A.reduce(Tensor.from_word(2, (0,)))
-    x2 = A.reduce(Tensor.from_word(2, (1,)))
+    x1 = _word(A, (0,))
+    x2 = _word(A, (1,))
     assert x1 * x2 == x2 * x1
 
 
@@ -148,7 +152,7 @@ def test_multiply_associative_random():
         if sum(degs) > 6:
             continue
         words = [tuple(rng.randrange(3) for _ in range(k)) for k in degs]
-        a, b, c = (A.reduce(Tensor.from_word(3, w)) for w in words)
+        a, b, c = (_word(A, w) for w in words)
         assert (a * b) * c == a * (b * c)
 
 
@@ -195,8 +199,8 @@ def test_admissible_words_span_quotient():
 
 
 def test_dependent_relation_lists_take_span():
-    r = Tensor(2, 2, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
-    r2 = Tensor(2, 2, {(0, 1): Fraction(2), (1, 0): Fraction(-2)})
+    r = columns(2, {(0, 1): Fraction(1), (1, 0): Fraction(-1)})
+    r2 = columns(2, {(0, 1): Fraction(2), (1, 0): Fraction(-2)})
     A = AlgebraPresentation(2, 2, [r, r, r2])
     assert A.ideal_component(2).dim == 1
     assert [A.dim_component(d) for d in range(4)] == [1, 2, 3, 4]
@@ -205,10 +209,9 @@ def test_dependent_relation_lists_take_span():
 def test_presentation_validation():
     with pytest.raises(ValueError):
         AlgebraPresentation(2, 1, [])
-    with pytest.raises(ValueError):
-        AlgebraPresentation(2, 2, [Tensor.from_word(2, (0, 1, 1), Fraction(1))])
-    with pytest.raises(ValueError):
-        AlgebraPresentation(2, 2, [Tensor.from_word(3, (0, 1), Fraction(1))])
+    for col in (-1, 4):  # a column outside range(n**N)
+        with pytest.raises(ValueError):
+            AlgebraPresentation(2, 2, [{0: Fraction(1), col: Fraction(1)}])
 
 
 def test_algebra_mismatch_errors():
@@ -261,10 +264,10 @@ def test_presentations_are_freed_without_the_cycle_collector(monkeypatch, run):
 COEFFS = st.integers(-3, 3).map(Fraction)
 
 
-def tensors(n, d):
+def elements(n, d):
     words = list(product(range(n), repeat=d))
     return st.dictionaries(st.sampled_from(words), COEFFS, max_size=4).map(
-        lambda terms: Tensor(n, d, terms)
+        lambda terms: columns(n, terms)
     )
 
 
@@ -272,13 +275,13 @@ def tensors(n, d):
 def presentations(draw):
     n = draw(st.integers(1, 3))
     N = draw(st.integers(2, 3))
-    rels = [draw(tensors(n, N)) for _ in range(draw(st.integers(1, 3)))]
+    rels = [draw(elements(n, N)) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):  # a dependent relation
         c = draw(COEFFS)
-        terms = {w: c * v for w, v in rels[0].terms.items()}
-        for w, v in rels[-1].terms.items():
+        terms = {w: c * v for w, v in rels[0].items()}
+        for w, v in rels[-1].items():
             terms[w] = terms.get(w, 0) + v
-        rels.append(Tensor(n, N, terms))
+        rels.append(terms)
     return AlgebraPresentation(n, N, rels)
 
 
@@ -303,6 +306,7 @@ def test_random_presentations_match_oracles(concat, A, data):
             assert A.class_of_word((d, idx)) == expected, (d, idx)
     # the product of classes concatenates columns as concat does tuples
     for d in range(top + 1):
-        s = data.draw(tensors(n, d))
-        t = data.draw(tensors(n, top - d))
-        assert A.reduce(s) * A.reduce(t) == A.reduce(concat(s, t)), d
+        s = data.draw(elements(n, d))
+        t = data.draw(elements(n, top - d))
+        product_st = A.reduce(d, s) * A.reduce(top - d, t)
+        assert product_st == A.reduce(top, concat(n, s, d, t, top - d)), d

@@ -1,12 +1,35 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+from conftest import columns
 from nkoszul import jsonio
 from nkoszul.algebras import antisymmetrizer, quantum_space
-from nkoszul.freealg import Tensor
+from nkoszul.freealg import index_word
 from nkoszul.scalar import QQ
+
+
+def _tensor_to_obj(k, n, vec):
+    terms = [
+        {"coeff": str(c), "word": list(index_word(w, k, n))}
+        for w, c in sorted(vec.items())
+    ]
+    return {"grade": k, "terms": terms}
+
+
+def _algebra_to_obj(A):
+    """The inverse of the algebra parser, for writing file: inputs."""
+    obj = {
+        "label": A.label,
+        "n": A.n,
+        "N": A.N,
+        "relations": [_tensor_to_obj(A.N, A.n, r) for r in A.relations],
+    }
+    if A.field.parameters:
+        obj["parameters"] = list(A.field.parameters)
+    return obj
 
 
 def test_scalar_strings():
@@ -20,8 +43,8 @@ def test_scalar_strings():
 
 
 def test_tensor_roundtrip():
-    t = Tensor(2, 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(-2)})
-    obj = jsonio.tensor_to_obj(t)
+    t = columns(2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(-2)})
+    obj = _tensor_to_obj(2, 2, t)
     assert obj == {
         "grade": 2,
         "terms": [
@@ -29,18 +52,32 @@ def test_tensor_roundtrip():
             {"coeff": "-2", "word": [1, 0]},
         ],
     }
-    assert jsonio.tensor_from_obj(obj, 2, QQ) == t
+    assert jsonio.tensor_from_obj(obj, 2, 2, QQ) == t
 
 
 def test_tensor_duplicate_word_rejected():
     obj = {"grade": 1, "terms": [{"coeff": "1", "word": [0]}, {"coeff": "2", "word": [0]}]}
     with pytest.raises(ValueError):
-        jsonio.tensor_from_obj(obj, 2, QQ)
+        jsonio.tensor_from_obj(obj, 2, 1, QQ)
+
+
+@pytest.mark.parametrize(
+    "grade, word, message",
+    [
+        (3, [0, 1], "word (0, 1) does not have grade 3"),
+        (3, [0, 2, 0], "word (0, 2, 0) out of alphabet range 2"),
+        (2, [0, 1], "relation grade 2 is not N = 3"),
+    ],
+)
+def test_relation_checks(grade, word, message):
+    obj = {"grade": grade, "terms": [{"coeff": "1", "word": word}]}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        jsonio.tensor_from_obj(obj, 2, 3, QQ)
 
 
 def test_algebra_roundtrip_rational():
     A = antisymmetrizer(3, 3)
-    obj = jsonio.algebra_to_obj(A)
+    obj = _algebra_to_obj(A)
     assert json.dumps(obj)  # serializable
     assert "parameters" not in obj
     back = jsonio.algebra_from_obj(obj)
@@ -50,7 +87,7 @@ def test_algebra_roundtrip_rational():
 
 def test_algebra_roundtrip_parametric():
     Q = quantum_space(2)
-    obj = jsonio.algebra_to_obj(Q)
+    obj = _algebra_to_obj(Q)
     assert obj["parameters"] == ["q12"]
     back = jsonio.algebra_from_obj(obj)
     assert back.field == Q.field

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 
 from nkoszul.algebras import antisymmetrizer, free_algebra, polynomial
-from nkoszul.freealg import Tensor, index_word
+from conftest import columns
+from nkoszul.freealg import index_word
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import (
     admissible_identity_check,
@@ -41,10 +42,10 @@ def j_bruteforce(A, m):
         j = m - A.N - i
         ech = Echelon(A.n**m)
         for r in A.relations:
+            rwords = {index_word(rw, A.N, A.n): c for rw, c in r.items()}
             for u in product(range(A.n), repeat=i):
                 for w in product(range(A.n), repeat=j):
-                    t = Tensor(A.n, m, {u + rw + w: c for rw, c in r.terms.items()})
-                    ech.add(t.to_vec())
+                    ech.add(columns(A.n, {u + rw + w: c for rw, c in rwords.items()}))
         window = ech.to_subspace()
         space = window if space is None else intersect(space, window)
     return space
@@ -101,7 +102,7 @@ def test_differential_d1_is_multiplication_and_surjective_below_N():
         assert rank(mat) == A.dim_component(m)
 
 
-def _wedge_tensor(n, subset):
+def _wedge(n, subset):
     from itertools import permutations
 
     from nkoszul.algebras import perm_sign
@@ -110,7 +111,7 @@ def _wedge_tensor(n, subset):
     for perm in permutations(range(len(subset))):
         word = tuple(subset[p] for p in perm)
         terms[word] = Fraction(perm_sign(perm))
-    return Tensor(n, len(subset), terms)
+    return columns(n, terms)
 
 
 def test_differential_matches_alternating_expansion():
@@ -128,7 +129,7 @@ def test_differential_matches_alternating_expansion():
         subsets = list(combinations(range(n), ell))
         # echelon rows are exactly the wedge tensors of ascending subsets
         assert [r for r in space.rows] == [
-            _wedge_tensor(n, s).to_vec() for s in subsets
+            _wedge(n, s) for s in subsets
         ]
         mat = differential(A, m, ell)
         dom_words = A.normal_basis(k)
@@ -141,7 +142,7 @@ def test_differential_matches_alternating_expansion():
                 for j, v in enumerate(subset):
                     rest = subset[:j] + subset[j + 1 :]
                     sign = Fraction((-1) ** j)  # (-1)^{j+1} with 1-based j
-                    prod = A.reduce(Tensor.from_word(n, index_word(e, k, n) + (v,)))
+                    prod = A.reduce(k + 1, columns(n, {index_word(e, k, n) + (v,): 1}))
                     g = lower_subsets.index(rest)
                     for fw, cf in prod.coords.items():
                         col = cod_pos[fw] * lower.dim + g
@@ -179,7 +180,7 @@ def test_certificate_free_algebra():
 def test_certificate_negative_fixture():
     # found empirically: the cubic monomial algebra with relation x0 x1 x0
     # (a self-overlapping monomial) fails exactness first at (m, ell) = (5, 2)
-    A = AlgebraPresentation(2, 3, [Tensor(2, 3, {(0, 1, 0): Fraction(1)})], label="mono_xyx")
+    A = AlgebraPresentation(2, 3, [columns(2, {(0, 1, 0): Fraction(1)})], label="mono_xyx")
     res = koszul_certificate(A, 6)
     assert not res.passed
     assert res.first_failure == (5, 2)
@@ -274,7 +275,7 @@ def test_dvp_independent_of_certificate():
 def test_truncated_polynomial_ring():
     # k[x]/(x^3): finite-dimensional, exact to any degree; the alternating
     # dual series 1 - t + t^3 - t^4 + t^6 - ... inverts 1 + t + t^2
-    A = AlgebraPresentation(1, 3, [Tensor(1, 3, {(0, 0, 0): Fraction(1)})], label="truncpoly")
+    A = AlgebraPresentation(1, 3, [columns(1, {(0, 0, 0): Fraction(1)})], label="truncpoly")
     assert [A.dim_component(d) for d in range(6)] == [1, 1, 1, 0, 0, 0]
     assert [dual_component_dim(A, m) for m in range(6)] == [1] * 6
     assert koszul_certificate(A, 7).passed

@@ -14,7 +14,6 @@ from nkoszul.linalg import (
     kernel,
     rank,
     rref,
-    subspace_sum,
     zero_space,
 )
 
@@ -90,7 +89,7 @@ def _random_subspace(rng, ambient, nrows):
     return ech.to_subspace()
 
 
-def test_grassmann_dimension_formula():
+def test_grassmann_dimension_formula(subspace_sum):
     rng = random.Random(3)
     for _ in range(25):
         u = _random_subspace(rng, 8, rng.randint(0, 5))
@@ -141,7 +140,7 @@ def test_intersection_against_bruteforce():
         assert intersect(u, w) == _intersect_bruteforce(u, w)
 
 
-def test_sum_intersection_trivial_cases():
+def test_sum_intersection_trivial_cases(subspace_sum):
     e1 = Subspace(2, (0,), ({0: 1},))
     e2 = Subspace(2, (1,), ({1: 1},))
     assert subspace_sum(e1, e2).dim == 2
@@ -176,7 +175,7 @@ def test_contains_iff_coordinates():
                     u.coordinates(outside)
 
 
-def test_ambient_mismatch():
+def test_ambient_mismatch(subspace_sum):
     with pytest.raises(ValueError):
         subspace_sum(full_space(2), full_space(3))
     with pytest.raises(ValueError):

@@ -6,7 +6,8 @@ import pytest
 
 from nkoszul import manin
 from nkoszul.algebras import antisymmetrizer, free_algebra, polynomial, quantum_space
-from nkoszul.freealg import Tensor, index_word, word_index, z_index
+from conftest import columns
+from nkoszul.freealg import index_word, word_index, z_index
 from nkoszul.homog import AlgebraClass, AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, dvp_check, nu
 from nkoszul.linalg import Echelon, axpy
@@ -62,11 +63,10 @@ def test_missing_relations_warning_span():
     n = 2
     a, b, c, d = (z_index(i, j, n) for i in (0, 1) for j in (0, 1))
     stated = [
-        Tensor(4, 2, {(a, c): Fraction(1), (c, a): Fraction(-1)}),
-        Tensor(4, 2, {(b, d): Fraction(1), (d, b): Fraction(-1)}),
-        Tensor(
+        columns(4, {(a, c): Fraction(1), (c, a): Fraction(-1)}),
+        columns(4, {(b, d): Fraction(1), (d, b): Fraction(-1)}),
+        columns(
             4,
-            2,
             {
                 (a, d): Fraction(1),
                 (d, a): Fraction(-1),
@@ -77,7 +77,7 @@ def test_missing_relations_warning_span():
     ]
     ech = Echelon(16)
     for t in stated:
-        ech.add(t.to_vec())
+        ech.add(t)
     assert ech.to_subspace() == B.env.ideal_component(2)
 
 
@@ -102,14 +102,15 @@ def _coaction_on_A(B, word):
     ]
 
 
-def _coaction_on_tensor(B, t):
-    """δ(t) as {A normal word: end(A) coordinates}, zero entries dropped;
-    the coaction is well defined on A exactly when this is empty for every
-    t in the ideal."""
+def _coaction_on_element(B, k, t):
+    """δ(t) of the grade-k column dict ``t`` as {A normal word: end(A)
+    coordinates}, zero entries dropped; the coaction is well defined on A
+    exactly when this is empty for every t in the ideal."""
     n = B.base.n
     acc = {}
-    for w, cw in t.terms.items():
-        for jw in product(range(n), repeat=t.grade):
+    for col, cw in t.items():
+        w = index_word(col, k, n)
+        for jw in product(range(n), repeat=k):
             zcoords = _cls(B.env, _z(w, jw, n)).coords
             for aw, ca in _cls(B.base, jw).coords.items():
                 axpy(acc.setdefault(aw, {}), cw * ca, zcoords)
@@ -159,7 +160,7 @@ def test_coaction_well_defined_on_relations():
     for A in (polynomial(2), antisymmetrizer(3, 3), quantum_space(2)):
         B = build_end(A)
         for r in A.relations:
-            assert not _coaction_on_tensor(B, r), A.label
+            assert not _coaction_on_element(B, A.N, r), A.label
 
 
 def test_coaction_kills_ideal_low_degrees():
@@ -168,8 +169,7 @@ def test_coaction_kills_ideal_low_degrees():
     for d in (2, 3, 4):
         ideal = A.ideal_component(d)
         for row in ideal.rows:
-            t = Tensor.from_vec(A.n, d, dict(row))
-            assert not _coaction_on_tensor(B, t), d
+            assert not _coaction_on_element(B, d, row), d
 
 
 def test_coaction_on_J_preserves_J():
@@ -246,7 +246,7 @@ def test_chi_J_trace_is_basis_independent():
             for wp in range(2):
                 coeff = u[a][w] * y[a][wp]
                 if coeff:
-                    acc = acc + B.env.reduce(Tensor.from_word(4, (z_index(w, wp, 2),), coeff))
+                    acc = acc + B.env.reduce(1, {z_index(w, wp, 2): coeff})
     assert acc == chi_J(B, 1)
 
 
@@ -270,7 +270,7 @@ def test_kmt_fails_for_non_koszul_fixture():
     # the cubic monomial algebra whose certificate fails at (5, 2): the
     # character identity breaks at the same total degree
     A = AlgebraPresentation(
-        2, 3, [Tensor(2, 3, {(0, 1, 0): Fraction(1)})], label="mono_xyx"
+        2, 3, [columns(2, {(0, 1, 0): Fraction(1)})], label="mono_xyx"
     )
     res = kmt_check(build_end(A), 6)
     assert not res.passed
@@ -357,7 +357,7 @@ def test_ferm_degree_two_is_determinant():
     B = build_end(polynomial(2))
     n = 2
     a, b, c, d = (z_index(i, j, n) for i in (0, 1) for j in (0, 1))
-    det = B.env.reduce(Tensor(4, 2, {(a, d): Fraction(1), (c, b): Fraction(-1)}))
+    det = B.env.reduce(2, columns(4, {(a, d): Fraction(1), (c, b): Fraction(-1)}))
     ferm = ferm_series(B, 2)
     assert ferm.coeffs[2] == det
 

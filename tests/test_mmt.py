@@ -6,7 +6,8 @@ from math import prod
 import pytest
 
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, polynomial, quantum_space
-from nkoszul.freealg import Tensor, index_word, word_index
+from conftest import columns
+from nkoszul.freealg import index_word, word_index
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, jumps
 from nkoszul.linalg import BasisSolver, axpy
@@ -260,6 +261,6 @@ def test_g_table_rejects_what_reversal_cannot_read():
         g_table(quantum_space(2, q=2), ident(2), 3)
     # x1⊗x1 is reversal-stable, but its normal words (those avoiding x1 x1)
     # are not the reversed admissible (non-decreasing) words
-    A = AlgebraPresentation(2, 2, [Tensor.from_word(2, (0, 0))])
+    A = AlgebraPresentation(2, 2, [columns(2, {(0, 0): 1})])
     with pytest.raises(ValueError, match="normal words"):
         g_table(A, ident(2), 3)

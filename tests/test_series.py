@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from nkoszul.algebras import polynomial
-from nkoszul.freealg import Tensor
+from conftest import columns
 from nkoszul.scalar import QQ
 from nkoszul.series import MultiSeries, UniSeries, exponents_of_total
 
@@ -44,21 +44,21 @@ def test_graded_ring_degree_check():
     s = UniSeries(A.unit(), 2, [A.unit(), A.zero_class(1), A.zero_class(2)])
     assert s.is_one()
     assert (s * s).is_one()
-    x2 = A.reduce(Tensor.from_word(2, (0, 1)))
+    x2 = A.reduce(2, columns(2, {(0, 1): 1}))
     assert not UniSeries(A.unit(), 2, [A.unit(), A.zero_class(1), x2]).is_one()
 
 
 def test_class_truth_value():
     A = polynomial(2)
     assert not A.zero_class(2)
-    yx = A.reduce(Tensor.from_word(2, (1, 0)))
+    yx = A.reduce(2, columns(2, {(1, 0): 1}))
     assert yx
-    assert not yx - A.reduce(Tensor.from_word(2, (0, 1)))
+    assert not yx - A.reduce(2, columns(2, {(0, 1): 1}))
 
 
 def test_graded_series_inversion_and_product():
     A = polynomial(2)
-    x = A.reduce(Tensor(2, 1, {(0,): 1, (1,): 1}))
+    x = A.reduce(1, columns(2, {(0,): 1, (1,): 1}))
     s = UniSeries(A.unit(), 3, [A.unit(), -x, A.zero_class(2), A.zero_class(3)])
     inv = s.invert()
     assert (s * inv).is_one()
@@ -72,7 +72,7 @@ def test_graded_series_inversion_and_product():
 def test_graded_series_with_negated_unit_inverts():
     # u = -1 is its own inverse: 1/(-1 - x t) = -Σ_k (-x)^k t^k
     A = polynomial(2)
-    x = A.reduce(Tensor(2, 1, {(0,): 1, (1,): 1}))
+    x = A.reduce(1, columns(2, {(0,): 1, (1,): 1}))
     s = UniSeries(A.unit(), 3, [-A.unit(), -x, A.zero_class(2), A.zero_class(3)])
     inv = s.invert()
     assert (s * inv).is_one()

@@ -16,13 +16,10 @@ def test_no_assert_in_library():
 
 # Public names that no src code uses, each kept for the reason given.
 UNUSED_ALLOWED = {
-    "linalg.subspace_sum": "the oracle the tests check intersect against",
     "linalg.BasisSolver": (
         "the oracle the tests check g_table against; perfbench/tracer.py wraps it"
         " until the benchmark change of ROADMAP item 4"
     ),
-    "jsonio.algebra_to_obj": "the inverse of the algebra parser, for writing file: inputs",
-    "freealg.Tensor.from_word": "builds a monomial relation, the simplest presentation input",
 }
 
 
@@ -93,12 +90,16 @@ def test_every_public_name_is_used_by_the_program():
     assert allowed == set(UNUSED_ALLOWED)  # no stale exception
 
 
-# The quotient layer's hot loops, which work on word columns only.
+# The quotient layer's per-degree loops, which work on word columns only.
 COLUMN_ONLY = {
-    "homog": ("AlgebraPresentation.class_of_word", "AlgebraClass.__mul__"),
+    "homog": (
+        "AlgebraPresentation._next_degree",
+        "AlgebraPresentation.class_of_word",
+        "AlgebraClass.__mul__",
+    ),
     "koszul": ("differential", "_j_slices"),
     "mmt": ("g_table",),
-    "manin": ("chi_A", "chi_J"),
+    "manin": ("build_end", "chi_A", "chi_J"),
 }
 
 
