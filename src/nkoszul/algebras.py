@@ -9,7 +9,6 @@ decreasing letters).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, permutations
 
 from .freealg import word_index
@@ -81,7 +80,7 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
             (i, j): field.parameter(f"q{i + 1}{j + 1}") for i, j in pairs
         }
     else:
-        q = Fraction(q)
+        q = QQ.convert(q)
         if not q:
             raise ValueError("parameter q must be nonzero")
         field = QQ

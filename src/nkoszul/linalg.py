@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
+from .scalar import div
+
 
 class Matrix:
     """A list of sparse rows with a fixed column count."""
@@ -96,7 +98,7 @@ class Echelon:
         j = min(row)
         lead = row[j]
         if lead != 1:
-            row = {col: val / lead for col, val in row.items()}
+            row = {col: div(val, lead) for col, val in row.items()}
             row[j] = 1
         if self.reduced:
             for prow in self.row_of.values():

@@ -15,11 +15,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 from . import linalg
 from .algebras import antisymmetrizer, enumerate_admissible, perm_sign, polynomial
 from .freealg import index_word, word_index
 from .homog import AlgebraPresentation
+from .scalar import div
 from .series import MultiSeries, exponents_of_total
 
 
@@ -37,7 +39,7 @@ def matrix_det(entries):
     """Exact determinant by the Leibniz expansion (sizes here are tiny)."""
     size = len(entries)
     if size == 0:
-        return Fraction(1)
+        return 1
     total = None
     for perm in permutations(range(size)):
         prod = entries[0][perm[0]]
@@ -114,20 +116,26 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
     The walk over the admissible-word tree multiplies on the left, so each
     word shares the reversed product of its prefix; appending b to a word
     of length k prepends it to the reversed word, whose column becomes
-    b·n^k + rev."""
+    b·n^k + rev.
+
+    G(w) is homogeneous of degree |w| in the entries of Z, so the walk
+    runs on the integer matrix LZ, L the lcm of the denominators of Z, and
+    divides each value once: G_Z(w) = G_{LZ}(w) / L^|w|."""
     if not check_specializable(A, Z):
         raise ValueError("matrix does not specialize this algebra's envelope")
     _check_reversal(A, max_degree)
     n, N = A.n, A.N
     one, zero = A.field.one, A.field.zero
+    L = lcm(*(z.denominator for row in Z for z in row))
+    LZ = [[z.numerator * (L // z.denominator) for z in row] for row in Z]
     table = {}
     # stack entries: (word, run length of current descent, column of the
     # reversed word, normal coordinates of the reversed product)
     stack = [((), 0, 0, {0: one})]
     while stack:
         word, run, rev, vec = stack.pop()
-        table[word] = vec.get(rev, zero)
         k = len(word)
+        table[word] = div(vec.get(rev, zero), L**k)
         if k == max_degree:
             continue
         shift = n**k
@@ -139,7 +147,7 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
             else:
                 nrun = 1
             nxt = {}
-            for j, z in enumerate(Z[b]):
+            for j, z in enumerate(LZ[b]):
                 if z:
                     head = j * shift
                     for w, c in vec.items():

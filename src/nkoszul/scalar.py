@@ -1,10 +1,18 @@
 """Exact coefficient fields.
 
-Two fields are supported: plain rationals (``fractions.Fraction``) and
-fractions of multivariate polynomials in named parameters (for quantum-space
-coefficients).  Scalars are duck-typed: everything downstream only uses
-``+ - * /``, equality and truthiness, so the two kinds mix freely with the
-rest of the code as long as a single field is used per algebra.
+Two fields are supported: the rationals and fractions of multivariate
+polynomials in named parameters (for quantum-space coefficients).  A
+rational is an ``int`` when it is integral and a ``fractions.Fraction``
+otherwise: every built-in relation is integral and almost every echelon
+pivot is ±1, so most arithmetic stays on ``int``.  The two kinds mix
+freely, since ``str`` writes ``3`` and ``Fraction(3)`` alike and they
+compare and hash equal; a ``Fraction`` that happens to be integral is
+never converted back.
+
+Scalars are duck-typed: everything downstream only uses ``+ - *``,
+equality and truthiness, and divides only through :func:`div`, since
+``int / int`` is a float.  So any field's values work with the rest of
+the code as long as a single field is used per algebra.
 """
 
 from __future__ import annotations
@@ -20,20 +28,38 @@ from sympy.polys.fields import field as _frac_field
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
 
 
+def div(a, b):
+    """The exact quotient a / b: for two ``int`` operands an ``int`` when b
+    divides a and a ``Fraction`` when it does not, for any other scalars
+    ``a / b``.  Raises ZeroDivisionError when b is zero."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return a / b
+
+
 class RationalField:
-    """The rationals, realized by arbitrary-precision ``Fraction`` values."""
+    """The rationals, realized by ``int`` values and arbitrary-precision
+    ``Fraction`` values."""
 
     parameters: tuple[str, ...] = ()
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
+
+    def convert(self, value):
+        """The rational ``value`` (an ``int``, a ``Fraction`` or anything
+        ``Fraction`` accepts) as an ``int`` when it is integral, else as a
+        ``Fraction``."""
+        value = Fraction(value)
+        return value.numerator if value.denominator == 1 else value
 
     def parse(self, text: str):
         """Read ``"p/q"`` or ``"p"``, as ``str`` writes them; raises
         ValueError on anything else, including a zero denominator."""
         if _RATIONAL.fullmatch(text) is None:
             raise ValueError(f"not a rational 'p/q' or 'p' with q > 0: {text!r}")
-        return Fraction(text)
+        return self.convert(text)
 
     def __repr__(self):
         return "QQ"

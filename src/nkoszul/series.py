@@ -9,6 +9,8 @@ commutative with scalar coefficients, truncated by total degree.
 
 from __future__ import annotations
 
+from .scalar import div
+
 
 def _convolve(a, b, lo, d):
     """Σ_{i=lo}^{d} a_i·b_{d-i}, started from its first product, so no
@@ -127,7 +129,7 @@ class MultiSeries:
         a0 = self.terms.get(zero_exp)
         if not a0:
             raise ValueError("constant term is zero")
-        u = self.field.one / a0
+        u = div(self.field.one, a0)
         out = {zero_exp: u}
         rest = [(e, c) for e, c in self.terms.items() if e != zero_exp]
         for total in range(1, self.trunc + 1):

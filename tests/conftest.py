@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import strategies as st
 
 from nkoszul.freealg import index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraClass
@@ -42,6 +43,21 @@ def _det_inverse(Z, max_degree):
 def det_inverse():
     """The det(I - ZT)^{-1} oracle of the original master identity."""
     return _det_inverse
+
+
+#: Rational scalars of both kinds QQ holds: plain ints and non-integral
+#: Fractions p/q with q <= 3.
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(2, 3)).filter(
+        lambda f: f.denominator != 1
+    ),
+)
+
+
+def assert_exact(values):
+    """Every value is an int or a Fraction: no float ever entered."""
+    assert [v for v in values if type(v) not in (int, Fraction)] == []
 
 
 def columns(n, terms):

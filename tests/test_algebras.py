@@ -14,7 +14,7 @@ from nkoszul.algebras import (
     polynomial,
     quantum_space,
 )
-from nkoszul.scalar import ParameterField
+from nkoszul.scalar import QQ, ParameterField
 
 
 def is_admissible(word, N):
@@ -85,6 +85,11 @@ def test_quantum_space_at_one_is_polynomial():
 def test_quantum_space_numeric_and_errors():
     Q = quantum_space(2, q=Fraction(2))
     assert Q.dim_component(3) == 4
+    # an integral q stays an int, so the echelon computes on ints
+    for q in (2, Fraction(4, 2), QQ.parse("2")):
+        coeffs = [c for r in quantum_space(3, q=q).relations for c in r.values()]
+        assert coeffs and all(type(c) is int for c in coeffs)
+    assert Fraction(-3, 2) in quantum_space(2, q=Fraction(3, 2)).relations[0].values()
     with pytest.raises(ValueError):
         quantum_space(2, q=0)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import columns
+from conftest import COEFFS, assert_exact, columns
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, free_algebra, polynomial
 from nkoszul.freealg import index_word, word_index
 from nkoszul.homog import AlgebraPresentation
@@ -17,6 +17,7 @@ from nkoszul.koszul import koszul_certificate
 from nkoszul.linalg import Echelon
 from nkoszul.manin import build_end, kmt_check
 from nkoszul.mmt import nmt_check, random_rational_matrix
+from nkoszul.series import UniSeries
 
 
 def ideal_bruteforce(A, d):
@@ -261,9 +262,6 @@ def test_presentations_are_freed_without_the_cycle_collector(monkeypatch, run):
         gc.enable()
 
 
-COEFFS = st.integers(-3, 3).map(Fraction)
-
-
 def elements(n, d):
     words = list(product(range(n), repeat=d))
     return st.dictionaries(st.sampled_from(words), COEFFS, max_size=4).map(
@@ -310,3 +308,21 @@ def test_random_presentations_match_oracles(concat, A, data):
         t = data.draw(elements(n, top - d))
         product_st = A.reduce(d, s) * A.reduce(top - d, t)
         assert product_st == A.reduce(top, concat(n, s, d, t, top - d)), d
+
+
+@settings(max_examples=50, deadline=None)
+@given(presentations(), st.data())
+def test_random_presentations_stay_exact(A, data):
+    # divisions go through scalar.div, so pivots that are not ±1 give
+    # Fractions, never floats, in every layer built on the echelon
+    top = A.N + 2
+    classes = [A.unit()] + [A.reduce(d, data.draw(elements(A.n, d))) for d in range(1, top + 1)]
+    s = UniSeries(A.unit(), top, classes)
+    inverse = s.invert()
+    assert (s * inverse).is_one()
+    for d in range(top + 1):
+        assert_exact(v for row in A.cache.degrees[d].echelon.row_of.values() for v in row.values())
+        assert_exact(v for row in A.ideal_component(d).rows for v in row.values())
+        assert_exact(v for i in range(A.n**d) for v in A.class_of_word((d, i)).values())
+        assert_exact(inverse.coeffs[d].coords.values())
+    assert_exact(v for r in A.dual().relations for v in r.values())

@@ -4,9 +4,11 @@ from itertools import product
 from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, polynomial, quantum_space
-from conftest import columns
+from conftest import assert_exact, columns
 from nkoszul.freealg import index_word, word_index
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, jumps
@@ -15,6 +17,7 @@ from nkoszul.manin import build_end, character_series, dual_character_series
 from nkoszul.mmt import (
     check_specializable,
     g_table,
+    matrix_det,
     mmt_check,
     nmt_check,
     nmt_rhs_denominator,
@@ -46,6 +49,12 @@ def test_random_matrix_deterministic():
             # p in [-9, 9], q in [1, 9]; reduction only shrinks them
             assert -9 <= v.numerator <= 9
             assert 1 <= v.denominator <= 9
+
+
+def test_matrix_det_of_empty_matrix_is_int():
+    assert matrix_det([]) == 1 and type(matrix_det([])) is int
+    assert matrix_det([[2, 3], [1, 4]]) == 5
+    assert matrix_det([[Fraction(1, 2), 3], [1, 4]]) == -1
 
 
 def test_specializable_builtins():
@@ -239,7 +248,20 @@ def _g_single(A, Z, word):
 def test_g_table_matches_single_calls():
     # qspace(2) at q = -1 is reversal-stable without being a built-in case
     diagonal = [[Fraction(3), Fraction(0)], [Fraction(0), Fraction(-2, 5)]]
+    # large coprime denominators, so the lcm L is large and G_{LZ}(w) / L^|w|
+    # must cancel exactly
+    coprime2 = [[Fraction(1, 101), Fraction(-3, 997)], [Fraction(7, 1009), Fraction(2, 3)]]
+    coprime3 = [
+        [Fraction(1, 7), Fraction(-2, 11), Fraction(3, 13)],
+        [Fraction(4, 17), Fraction(1, 19), Fraction(-5, 23)],
+        [Fraction(2, 29), Fraction(3, 31), Fraction(-7, 37)],
+    ]
+    mixed = [[Fraction(10**9 + 7, 10**9 + 9), 0, 1], [0, 1, 0], [2, 0, 3]]
     cases = [
+        (polynomial(2), coprime2, 5),
+        (antisymmetrizer(3, 3), coprime3, 4),
+        (polynomial(3), coprime3, 3),
+        (antisymmetrizer(3, 2), mixed, 3),
         (polynomial(2), random_rational_matrix(2, 41), 5),
         (polynomial(3), random_rational_matrix(3, 42), 4),
         (antisymmetrizer(3, 3), random_rational_matrix(3, 43), 4),
@@ -250,6 +272,7 @@ def test_g_table_matches_single_calls():
     ]
     for A, Z, D in cases:
         tab = g_table(A, Z, D)
+        assert_exact(tab.values())
         for k in range(D + 1):
             for w in enumerate_admissible(A.n, A.N, k):
                 assert tab[w] == _g_single(A, Z, w), (A.label, w)
@@ -264,3 +287,43 @@ def test_g_table_rejects_what_reversal_cannot_read():
     A = AlgebraPresentation(2, 2, [columns(2, {(0, 0): 1})])
     with pytest.raises(ValueError, match="normal words"):
         g_table(A, ident(2), 3)
+
+
+def _unscaled_g_table(A, Z, max_degree):
+    """G on every admissible word of length <= max_degree by the walk on Z
+    itself, recursively: the rev(w)-coordinate of X_{w_k}···X_{w_1}."""
+    n = A.n
+    admissible = {w for k in range(max_degree + 1) for w in enumerate_admissible(n, A.N, k)}
+    table = {}
+
+    def walk(word, vec):
+        k = len(word)
+        table[word] = vec.get(word_index(reversed(word), n), 0)
+        if k == max_degree:
+            return
+        for b in range(n):
+            if word + (b,) not in admissible:
+                continue
+            nxt = {}
+            for j, z in enumerate(Z[b]):
+                if z:
+                    for w, c in vec.items():
+                        axpy(nxt, z * c, A.class_of_word((k + 1, j * n**k + w)))
+            walk(word + (b,), nxt)
+
+    walk((), {0: 1})
+    return table
+
+
+RATIONAL_ENTRIES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 30))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 2, 5), (3, 2, 3), (3, 3, 4), (4, 3, 3)]), st.data())
+def test_scaled_g_table_matches_unscaled_walk(shape, data):
+    n, N, D = shape
+    Z = [[data.draw(RATIONAL_ENTRIES) for _ in range(n)] for _ in range(n)]
+    A = antisymmetrizer(n, N)
+    tab = g_table(A, Z, D)
+    assert tab == _unscaled_g_table(A, Z, D)
+    assert_exact(tab.values())

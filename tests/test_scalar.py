@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nkoszul.scalar import QQ, ParameterField, RationalField
+from nkoszul.scalar import QQ, ParameterField, RationalField, div
 
 
 def test_rational_examples():
@@ -15,6 +15,46 @@ def test_rational_examples():
     assert QQ.parse("+6/4") == Fraction(3, 2)
     for text in str(Fraction(-22, 7)), str(Fraction(0)):
         assert str(QQ.parse(text)) == text
+
+
+def test_integral_rationals_are_int():
+    assert type(QQ.one) is int and type(QQ.zero) is int
+    for text, value in (("10/2", 5), ("-7", -7), ("0", 0), ("-0/3", 0), ("+4/1", 4)):
+        assert type(QQ.parse(text)) is int and QQ.parse(text) == value
+    assert type(QQ.parse("6/4")) is Fraction
+    assert type(QQ.convert(Fraction(4, 2))) is int and QQ.convert(Fraction(4, 2)) == 2
+    assert QQ.convert(Fraction(3, 2)) == Fraction(3, 2)
+    # an int and the equal Fraction print, compare and hash alike
+    assert str(QQ.parse("2")) == str(Fraction(2)) == "2"
+    assert hash(QQ.parse("2")) == hash(Fraction(2))
+
+
+def test_div_int_exact():
+    for a, b, q in ((6, 3, 2), (-6, 3, -2), (6, -3, -2), (0, 5, 0), (7, 1, 7), (7, -1, -7)):
+        assert type(div(a, b)) is int and div(a, b) == q
+
+
+def test_div_int_inexact():
+    for a, b in ((1, 2), (-7, 3), (7, -3), (2, 4)):
+        assert type(div(a, b)) is Fraction and div(a, b) == Fraction(a, b)
+    assert div(5, -10) == Fraction(-1, 2)
+
+
+def test_div_fraction_operands():
+    assert div(Fraction(3, 4), Fraction(1, 2)) == Fraction(3, 2)
+    assert div(Fraction(3, 4), 3) == Fraction(1, 4)
+    assert div(3, Fraction(3, 4)) == 4
+    for a, b in ((Fraction(1, 2), 2), (2, Fraction(2, 3)), (Fraction(1, 3), Fraction(1, 6))):
+        assert type(div(a, b)) is Fraction
+
+
+def test_div_sympy_operands():
+    F = ParameterField(["q"])
+    q = F.parameter("q")
+    assert div(q**2 - 1, q - 1) == q + 1
+    assert div(F.one, q) == q**-1
+    assert div(q, 2) == q / 2
+    assert div(2, q) * q == 2
 
 
 def test_rational_parse_rejects_anything_else():
@@ -58,11 +98,10 @@ def test_param_laurent_identity():
 
 
 def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        Fraction(1) / Fraction(0)
     F = ParameterField(["q"])
-    with pytest.raises(ZeroDivisionError):
-        F.one / F.zero
+    for a, b in ((1, 0), (0, 0), (Fraction(1), Fraction(0)), (Fraction(1, 2), 0), (F.one, F.zero)):
+        with pytest.raises(ZeroDivisionError):
+            div(a, b)
 
 
 def test_param_parse_roundtrip():
@@ -116,7 +155,7 @@ def test_param_parse_rejects_anything_else():
 
 
 def _random_rational(rng):
-    return Fraction(rng.randint(-20, 20), rng.randint(1, 20))
+    return QQ.convert(Fraction(rng.randint(-20, 20), rng.randint(1, 20)))
 
 
 def _random_param(F, rng):
@@ -137,7 +176,8 @@ def test_field_axioms_randomized():
             assert a * (b + c) == a * b + a * c
             assert a + (-a) == a - a
             if a:
-                assert not a * (1 / a if isinstance(a, Fraction) else F.one / a) - 1
+                inverse = div(1, a)
+                assert not isinstance(inverse, float) and not a * inverse - 1
 
 
 def test_canonical_equality():

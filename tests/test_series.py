@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nkoszul.algebras import polynomial
-from conftest import columns
+from conftest import COEFFS, assert_exact, columns
 from nkoszul.scalar import QQ
 from nkoszul.series import MultiSeries, UniSeries, exponents_of_total
 
@@ -90,6 +92,20 @@ def test_multiseries_invert_two_vars():
     assert inv.coefficient((2, 1)) == 3
     assert inv.coefficient((3, 0)) == 1
     assert f * inv == MultiSeries(QQ, 2, 3, {(0, 0): Fraction(1)})
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    COEFFS.filter(bool),
+    st.dictionaries(st.sampled_from([(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]), COEFFS),
+)
+def test_multiseries_invert_is_exact(a0, terms):
+    # the constant term is inverted through scalar.div: an int constant
+    # other than ±1 gives a Fraction inverse, never a float
+    f = MultiSeries(QQ, 2, 4, {(0, 0): a0, **terms})
+    inv = f.invert()
+    assert_exact(inv.terms.values())
+    assert f * inv == MultiSeries(QQ, 2, 4, {(0, 0): 1})
 
 
 def test_multiseries_mul_truncates():

@@ -125,3 +125,16 @@ def test_hot_loops_do_not_convert_words():
                     if name in ("index_word", "word_index"):
                         found.append(f"{module}.{qualname}:{node.lineno}")
     assert found == []
+
+
+def test_no_division_outside_scalar():
+    # int / int is a float, so a scalar is divided only by scalar.div, which
+    # keeps the quotient exact; any "/" or "/=" elsewhere could let a float in
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "scalar.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
