@@ -85,14 +85,6 @@ def load_matrix(args):
     raise UsageError("provide --matrix or --random-seed")
 
 
-def config_obj(args, keys):
-    cfg = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        cfg[key.replace("_", "-")] = value
-    return cfg
-
-
 def ambient_bound(args):
     if args.max_ambient is not None:
         return args.max_ambient
@@ -257,7 +249,7 @@ def cmd_master(args):
         "matrix": jsonio.matrix_to_obj(Z),
     }
     if nmt:
-        res = mmt.nmt_check(args.n, args.N, Z, args.max_degree)
+        res = mmt.nmt_check(antisymmetrizer(args.n, args.N), Z, args.max_degree)
         report["N"] = args.N
         name = f"N={args.N} master identity"
     else:
@@ -318,19 +310,6 @@ HANDLERS = {
     "eq1": cmd_eq1,
 }
 
-CONFIG_KEYS = [
-    "command",
-    "algebra",
-    "n",
-    "N",
-    "q",
-    "max_degree",
-    "matrix",
-    "random_seed",
-    "max_ambient",
-    "format",
-]
-
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -375,7 +354,7 @@ def main(argv=None) -> int:
     document = {
         "tool": "nkoszul",
         "version": __version__,
-        "config": config_obj(args, CONFIG_KEYS),
+        "config": {k.replace("_", "-"): v for k, v in vars(args).items()},
         "max_degree": args.max_degree,
         "report": report,
         "verdict": "holds" if verdict else "violated",

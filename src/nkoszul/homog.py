@@ -146,8 +146,7 @@ class AlgebraPresentation:
 
     def dual(self) -> "AlgebraPresentation":
         """The dual N-homogeneous algebra on V* with relations R^⊥."""
-        span = self.ideal_component(self.N)
-        perp = linalg.kernel(linalg.Matrix(self.n**self.N, list(span.rows)))
+        perp = linalg.kernel(self.ideal_component(self.N))
         label = f"{self.label}!" if self.label else "dual"
         return AlgebraPresentation(self.n, self.N, perp.rows, label=label, field=self.field)
 

@@ -57,32 +57,12 @@ def dual_koszul_subspace(A: AlgebraPresentation, m: int) -> linalg.Subspace:
     elif m == N:
         space = A.ideal_component(N)
     else:
-        prev = dual_koszul_subspace(A, m - 1)
-        if prev.dim == 0:
-            space = linalg.zero_space(n**m)
-        else:
-            stride = n ** (m - 1)
-            left_rows = []
-            left_piv = []
-            for a in range(n):
-                off = a * stride
-                for p, row in zip(prev.pivots, prev.rows):
-                    left_piv.append(off + p)
-                    left_rows.append({off + idx: c for idx, c in row.items()})
-            left = linalg.Subspace(n**m, tuple(left_piv), tuple(left_rows))
-            right_piv = []
-            right_rows = []
-            for p, row in zip(prev.pivots, prev.rows):
-                for a in range(n):
-                    right_piv.append(p * n + a)
-                    right_rows.append({idx * n + a: c for idx, c in row.items()})
-            order = sorted(range(len(right_piv)), key=right_piv.__getitem__)
-            right = linalg.Subspace(
-                n**m,
-                tuple(right_piv[i] for i in order),
-                tuple(right_rows[i] for i in order),
-            )
-            space = linalg.intersect(left, right)
+        # J_m = (V ⊗ J_{m-1}) ∩ (J_{m-1} ⊗ V), each spanned by shifted rows
+        prev = dual_koszul_subspace(A, m - 1).rows
+        stride = n ** (m - 1)
+        left = [{a * stride + i: c for i, c in row.items()} for a in range(n) for row in prev]
+        right = [{i * n + a: c for i, c in row.items()} for row in prev for a in range(n)]
+        space = linalg.intersect(n**m, left, right)
     cache[m] = space
     return space
 
@@ -216,22 +196,20 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
         for l, d in jumps(A.N, m)
     }
     ells = list(dims)
-    matrices = {}
     ranks = {}
+    prev = None  # d_{ℓ-1}, or None where its domain is zero
     for l in ells[1:]:
-        if dims[l] == 0:
-            matrices[l] = None
+        if not dims[l]:
             ranks[l] = 0
+            prev = None
             continue
         mat = differential(A, m, l)
-        matrices[l] = mat
+        if prev is not None and not _composition_is_zero(mat, prev):
+            raise RuntimeError(
+                f"d_{l - 1} ∘ d_{l} != 0 at total degree {m}; internal error"
+            )
         ranks[l] = linalg.rank(mat)
-    for l in ells[1:]:
-        if l - 1 >= 1 and matrices.get(l) is not None and matrices.get(l - 1) is not None:
-            if not _composition_is_zero(matrices[l], matrices[l - 1]):
-                raise RuntimeError(
-                    f"d_{l - 1} ∘ d_{l} != 0 at total degree {m}; internal error"
-                )
+        prev = mat
     homology = {}
     for l in ells[1:]:
         incoming = ranks.get(l + 1, 0)

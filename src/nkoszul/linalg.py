@@ -108,12 +108,9 @@ class Echelon:
         self.row_of[j] = row
         return True
 
-    def extend(self, vecs) -> int:
-        grew = 0
+    def extend(self, vecs) -> None:
         for v in vecs:
-            if self.add(v):
-                grew += 1
-        return grew
+            self.add(v)
 
     def reduce(self, vec):
         """Remainder of ``vec`` modulo the row space, in either mode.
@@ -191,32 +188,23 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def rref(matrix: Matrix):
-    """Reduced row echelon form of the row space; returns (Subspace, rank)."""
-    ech = Echelon(matrix.ncols, reduced=True)
-    ech.extend(matrix.rows)
-    sub = ech.to_subspace()
-    return sub, sub.dim
-
-
 def rank(matrix: Matrix) -> int:
     ech = Echelon(matrix.ncols)
     ech.extend(matrix.rows)
     return ech.rank
 
 
-def kernel(matrix: Matrix) -> Subspace:
-    """Right kernel {v : M v = 0} as a subspace of the column space."""
-    sub, _ = rref(matrix)
-    pivset = set(sub.pivots)
-    index = {p: i for i, p in enumerate(sub.pivots)}
-    ech = Echelon(matrix.ncols, reduced=True)
-    for j in range(matrix.ncols):
-        if j in pivset:
+def kernel(sub: Subspace) -> Subspace:
+    """{v : Σ_j row[j]·v[j] = 0 for every row of ``sub``}, the annihilator
+    of a subspace given by its reduced row echelon basis."""
+    pivots = set(sub.pivots)
+    ech = Echelon(sub.ambient_dim, reduced=True)
+    for j in range(sub.ambient_dim):
+        if j in pivots:
             continue
         vec = {j: 1}
-        for p in sub.pivots:
-            c = sub.rows[index[p]].get(j)
+        for p, row in zip(sub.pivots, sub.rows):
+            c = row.get(j)
             if c:
                 vec[p] = -c
         ech.add(vec)
@@ -228,36 +216,25 @@ def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, tuple(range(ambient_dim)), rows)
 
 
-def zero_space(ambient_dim: int) -> Subspace:
-    return Subspace(ambient_dim, (), ())
-
-
-def intersect(u: Subspace, w: Subspace) -> Subspace:
-    """Intersection via the Zassenhaus block trick.
+def intersect(ambient_dim: int, u_rows, w_rows) -> Subspace:
+    """span(u_rows) ∩ span(w_rows) via the Zassenhaus block trick.
 
     Reduce the stacked block matrix [[U U], [W 0]]; rows whose pivots fall in
-    the right block have right halves forming an RREF basis of U ∩ W.
+    the right block have right halves forming an RREF basis of the
+    intersection.
     """
-    if u.ambient_dim != w.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    amb = u.ambient_dim
+    amb = ambient_dim
     ech = Echelon(2 * amb, reduced=True)
-    for row in u.rows:
+    for row in u_rows:
         double = dict(row)
         for col, val in row.items():
             double[col + amb] = val
         ech.add(double)
-    for row in w.rows:
+    for row in w_rows:
         ech.add(dict(row))
-    pivots = []
-    rows = []
-    for p in sorted(ech.row_of):
-        if p < amb:
-            continue
-        shifted = {col - amb: val for col, val in ech.row_of[p].items()}
-        pivots.append(p - amb)
-        rows.append(shifted)
-    return Subspace(amb, tuple(pivots), tuple(rows))
+    pivots = [p for p in sorted(ech.row_of) if p >= amb]
+    rows = [{col - amb: val for col, val in ech.row_of[p].items()} for p in pivots]
+    return Subspace(amb, [p - amb for p in pivots], rows)
 
 
 class BasisSolver:

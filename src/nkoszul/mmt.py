@@ -18,7 +18,7 @@ from itertools import combinations, permutations
 from math import lcm
 
 from . import linalg
-from .algebras import antisymmetrizer, enumerate_admissible, perm_sign, polynomial
+from .algebras import enumerate_admissible, perm_sign, polynomial
 from .freealg import index_word, word_index
 from .homog import AlgebraPresentation
 from .scalar import div
@@ -86,9 +86,10 @@ def check_specializable(A: AlgebraPresentation, Z) -> bool:
     return all(span.contains(_transform_tensor(Z, r, A.N)) for r in A.relations)
 
 
-def _check_reversal(A: AlgebraPresentation, max_degree: int) -> None:
-    """Raise unless word reversal maps the admissible words of each degree
-    k ≤ max_degree onto the normal words of A_k.
+def _check_reversal(A: AlgebraPresentation, max_degree: int):
+    """The set of normal columns of A_k for each k = 1..max_degree, keyed
+    by k; raises unless word reversal maps the admissible words of degree k
+    onto that set.
 
     When span(R) is stable under reversal, reversal is an anti-automorphism
     of A; if it also maps the admissible words onto the normal words, the
@@ -101,10 +102,13 @@ def _check_reversal(A: AlgebraPresentation, max_degree: int) -> None:
         reversed_r = {word_index(reversed(index_word(w, N, n)), n): c for w, c in r.items()}
         if not span.contains(reversed_r):
             raise ValueError("the relations are not stable under word reversal")
+    normal = {}
     for k in range(1, max_degree + 1):
         reversed_words = {word_index(reversed(w), n) for w in enumerate_admissible(n, N, k)}
-        if reversed_words != set(A.normal_basis(k)):
+        normal[k] = set(A.normal_basis(k))
+        if reversed_words != normal[k]:
             raise ValueError(f"reversed admissible words of degree {k} are not the normal words")
+    return normal
 
 
 def g_table(A: AlgebraPresentation, Z, max_degree: int):
@@ -116,43 +120,40 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
     The walk over the admissible-word tree multiplies on the left, so each
     word shares the reversed product of its prefix; appending b to a word
     of length k prepends it to the reversed word, whose column becomes
-    b·n^k + rev.
+    b·n^k + rev.  The extended word is admissible exactly when that column
+    is normal in degree k + 1.
 
     G(w) is homogeneous of degree |w| in the entries of Z, so the walk
     runs on the integer matrix LZ, L the lcm of the denominators of Z, and
     divides each value once: G_Z(w) = G_{LZ}(w) / L^|w|."""
     if not check_specializable(A, Z):
         raise ValueError("matrix does not specialize this algebra's envelope")
-    _check_reversal(A, max_degree)
-    n, N = A.n, A.N
+    normal = _check_reversal(A, max_degree)
+    n = A.n
     one, zero = A.field.one, A.field.zero
     L = lcm(*(z.denominator for row in Z for z in row))
     LZ = [[z.numerator * (L // z.denominator) for z in row] for row in Z]
     table = {}
-    # stack entries: (word, run length of current descent, column of the
-    # reversed word, normal coordinates of the reversed product)
-    stack = [((), 0, 0, {0: one})]
+    # stack entries: (word, column of the reversed word, normal coordinates
+    # of the reversed product)
+    stack = [((), 0, {0: one})]
     while stack:
-        word, run, rev, vec = stack.pop()
+        word, rev, vec = stack.pop()
         k = len(word)
         table[word] = div(vec.get(rev, zero), L**k)
         if k == max_degree:
             continue
         shift = n**k
         for b in range(n - 1, -1, -1):
-            if word and word[-1] > b:
-                if run + 1 >= N:
-                    continue
-                nrun = run + 1
-            else:
-                nrun = 1
+            if b * shift + rev not in normal[k + 1]:
+                continue
             nxt = {}
             for j, z in enumerate(LZ[b]):
                 if z:
                     head = j * shift
                     for w, c in vec.items():
                         linalg.axpy(nxt, z * c, A.class_of_word((k + 1, head + w)))
-            stack.append((word + (b,), nrun, b * shift + rev, nxt))
+            stack.append((word + (b,), b * shift + rev, nxt))
     return table
 
 
@@ -221,18 +222,18 @@ def nmt_rhs_denominator(n: int, N: int, Z, field, max_degree: int) -> MultiSerie
     return MultiSeries(field, n, max_degree, terms)
 
 
-def nmt_check(n: int, N: int, Z, max_degree: int, algebra=None) -> MasterResult:
-    """N-analog: the admissible G series equals the inverse of the ε-signed
+def nmt_check(A: AlgebraPresentation, Z, max_degree: int) -> MasterResult:
+    """N-analog for the antisymmetrizer algebra A (the polynomial algebra
+    at N = 2): the admissible G series equals the inverse of the ε-signed
     principal-minor sum, exactly, up to total degree ``max_degree``."""
-    A = algebra if algebra is not None else antisymmetrizer(n, N)
     lhs = _lhs_series(A, Z, max_degree)
-    denom = nmt_rhs_denominator(n, N, Z, A.field, max_degree)
+    denom = nmt_rhs_denominator(A.n, A.N, Z, A.field, max_degree)
     return _compare(lhs, denom.invert(), max_degree)
 
 
-def mmt_check(n: int, Z, max_degree: int, algebra=None) -> MasterResult:
+def mmt_check(n: int, Z, max_degree: int) -> MasterResult:
     """Original master identity: Σ_m G(m) t^m = det(I - ZT)^{-1} exactly,
     up to total degree ``max_degree``.  It is the N = 2 case of
     :func:`nmt_check`: at N = 2 the ε-signed principal-minor sum is the
     expansion of det(I - ZT)."""
-    return nmt_check(n, 2, Z, max_degree, algebra=algebra or polynomial(n))
+    return nmt_check(polynomial(n), Z, max_degree)

@@ -1,11 +1,11 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import strategies as st
 
 from nkoszul.freealg import index_word, word_index, z_index, z_word
-from nkoszul.homog import AlgebraClass
+from nkoszul.homog import AlgebraClass, AlgebraPresentation
 from nkoszul.linalg import Echelon, axpy
 from nkoszul.manin import is_polynomial_presentation
 from nkoszul.scalar import QQ
@@ -66,6 +66,30 @@ def columns(n, terms):
     return {word_index(w, n): c for w, c in terms.items()}
 
 
+def elements(n, d):
+    """Homogeneous elements of degree d: up to four words with COEFFS."""
+    words = list(product(range(n), repeat=d))
+    return st.dictionaries(st.sampled_from(words), COEFFS, max_size=4).map(
+        lambda terms: columns(n, terms)
+    )
+
+
+@st.composite
+def presentations(draw):
+    """Random QQ presentations with n <= 3 generators, N in {2, 3} and one
+    to three relations, sometimes followed by a dependent one."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 3))
+    rels = [draw(elements(n, N)) for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):  # a dependent relation
+        c = draw(COEFFS)
+        terms = {w: c * v for w, v in rels[0].items()}
+        for w, v in rels[-1].items():
+            terms[w] = terms.get(w, 0) + v
+        rels.append(terms)
+    return AlgebraPresentation(n, N, rels)
+
+
 def _concat(n, a, ka, b, kb):
     """Bilinear extension of word concatenation (the product of T(V)) to the
     grade-``ka`` column dict ``a`` and the grade-``kb`` column dict ``b``,
@@ -76,6 +100,14 @@ def _concat(n, a, ka, b, kb):
             # u then v determines u and v
             terms[index_word(u, ka, n) + index_word(v, kb, n)] = cu * cv
     return columns(n, terms)
+
+
+def rref(matrix):
+    """The row space of a ``linalg.Matrix`` as a Subspace, its reduced row
+    echelon basis, built by a reduced-mode Echelon."""
+    ech = Echelon(matrix.ncols, reduced=True)
+    ech.extend(matrix.rows)
+    return ech.to_subspace()
 
 
 def _subspace_sum(u, w):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from nkoszul.cli import main
+from nkoszul.cli import HANDLERS, main
 from nkoszul.scalar import ParameterField
 
 
@@ -61,6 +61,23 @@ def test_master_report_keys(capsys):
     assert code == 0 and set(json.loads(out)["report"]) == keys
     code, out, _ = run(capsys, "nmt", "--N", "2", *common)
     assert code == 0 and set(json.loads(out)["report"]) == keys | {"N"}
+
+
+CONFIG = {
+    "command", "algebra", "n", "N", "q", "max-degree", "matrix", "random-seed",
+    "max-ambient", "format",
+}
+
+
+@pytest.mark.parametrize("command", HANDLERS)
+def test_config_echoes_every_option(capsys, command):
+    # the config echo is the parsed arguments: one key per option, no more
+    code, out, _ = run(
+        capsys, command, "--n", "2", "--N", "2", "--random-seed", "1",
+        "--max-degree", "2", "--format", "json",
+    )
+    assert code == 0
+    assert set(json.loads(out)["config"]) == CONFIG
 
 
 def test_json_reports_byte_identical(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COEFFS, assert_exact, columns
+from conftest import COEFFS, assert_exact, columns, elements, presentations
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, free_algebra, polynomial
 from nkoszul.freealg import index_word, word_index
 from nkoszul.homog import AlgebraPresentation
@@ -237,7 +237,7 @@ def test_degenerate_free_and_empty():
     "run",
     [
         lambda: koszul_certificate(antisymmetrizer(3, 3), 5),
-        lambda: nmt_check(3, 3, random_rational_matrix(3, 1), 5, algebra=antisymmetrizer(3, 3)),
+        lambda: nmt_check(antisymmetrizer(3, 3), random_rational_matrix(3, 1), 5),
         lambda: kmt_check(build_end(polynomial(2)), 4),
     ],
     ids=["koszul_certificate", "nmt_check", "kmt_check"],
@@ -260,27 +260,6 @@ def test_presentations_are_freed_without_the_cycle_collector(monkeypatch, run):
         assert [ref for ref in built if ref() is not None] == []
     finally:
         gc.enable()
-
-
-def elements(n, d):
-    words = list(product(range(n), repeat=d))
-    return st.dictionaries(st.sampled_from(words), COEFFS, max_size=4).map(
-        lambda terms: columns(n, terms)
-    )
-
-
-@st.composite
-def presentations(draw):
-    n = draw(st.integers(1, 3))
-    N = draw(st.integers(2, 3))
-    rels = [draw(elements(n, N)) for _ in range(draw(st.integers(1, 3)))]
-    if draw(st.booleans()):  # a dependent relation
-        c = draw(COEFFS)
-        terms = {w: c * v for w, v in rels[0].items()}
-        for w, v in rels[-1].items():
-            terms[w] = terms.get(w, 0) + v
-        rels.append(terms)
-    return AlgebraPresentation(n, N, rels)
 
 
 @settings(max_examples=100, deadline=None)

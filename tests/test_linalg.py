@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import rref
 from nkoszul.linalg import (
     BasisSolver,
     Echelon,
@@ -13,8 +14,6 @@ from nkoszul.linalg import (
     intersect,
     kernel,
     rank,
-    rref,
-    zero_space,
 )
 
 
@@ -34,20 +33,20 @@ def _apply(m, vec):
 
 
 def test_rref_proportional_rows():
-    sub, rk = rref(dense([[2, 4], [1, 2]]))
-    assert rk == 1
+    sub = rref(dense([[2, 4], [1, 2]]))
+    assert sub.dim == 1
     assert sub.rows == ({0: 1, 1: Fraction(2)},)
     assert sub.pivots == (0,)
 
 
 def test_rref_zero_matrix():
-    sub, rk = rref(dense([[0, 0], [0, 0]]))
-    assert rk == 0 and sub.dim == 0
+    sub = rref(dense([[0, 0], [0, 0]]))
+    assert sub.dim == 0
 
 
 def test_rref_identity():
-    sub, rk = rref(dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
-    assert rk == 3
+    sub = rref(dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+    assert sub.dim == 3
     assert sub == full_space(3)
 
 
@@ -55,26 +54,26 @@ def test_rref_idempotent():
     rng = random.Random(1)
     for _ in range(20):
         m = dense([[rng.randint(-5, 5) for _ in range(6)] for _ in range(4)])
-        sub, _ = rref(m)
-        again, _ = rref(Matrix(6, [dict(r) for r in sub.rows]))
+        sub = rref(m)
+        again = rref(Matrix(6, [dict(r) for r in sub.rows]))
         assert again == sub
 
 
 def test_kernel_examples():
-    k = kernel(dense([[1, 1]]))
+    k = kernel(rref(dense([[1, 1]])))
     assert k.dim == 1
     [row] = k.rows
     # the kernel vector satisfies v_0 + v_1 = 0
     assert row[0] + row[1] == 0
-    assert kernel(dense([[1, 2], [3, 4]])).dim == 0
+    assert kernel(rref(dense([[1, 2], [3, 4]]))).dim == 0
 
 
 def test_rank_nullity_random():
     rng = random.Random(2)
     for _ in range(25):
         m = dense([[rng.randint(-4, 4) for _ in range(10)] for _ in range(6)])
-        k = kernel(m)
-        _, rk = rref(m)
+        k = kernel(rref(m))
+        rk = rank(m)
         assert rk + k.dim == 10
         for row in k.rows:
             assert not _apply(m, row)
@@ -95,7 +94,7 @@ def test_grassmann_dimension_formula(subspace_sum):
         u = _random_subspace(rng, 8, rng.randint(0, 5))
         w = _random_subspace(rng, 8, rng.randint(0, 5))
         s = subspace_sum(u, w)
-        i = intersect(u, w)
+        i = intersect(8, u.rows, w.rows)
         assert s.dim + i.dim == u.dim + w.dim
         for row in i.rows:
             assert u.contains(row) and w.contains(row)
@@ -119,7 +118,7 @@ def _intersect_bruteforce(u, w):
             if c:
                 row[u.dim + i] = -c
         rows.append(row)
-    combos = kernel(Matrix(cols, rows))
+    combos = kernel(rref(Matrix(cols, rows)))
     ech = Echelon(u.ambient_dim)
     for combo in combos.rows:
         vec = {}
@@ -137,16 +136,16 @@ def test_intersection_against_bruteforce():
     for _ in range(20):
         u = _random_subspace(rng, 7, rng.randint(1, 4))
         w = _random_subspace(rng, 7, rng.randint(1, 4))
-        assert intersect(u, w) == _intersect_bruteforce(u, w)
+        assert intersect(7, u.rows, w.rows) == _intersect_bruteforce(u, w)
 
 
 def test_sum_intersection_trivial_cases(subspace_sum):
     e1 = Subspace(2, (0,), ({0: 1},))
     e2 = Subspace(2, (1,), ({1: 1},))
     assert subspace_sum(e1, e2).dim == 2
-    assert intersect(e1, e2).dim == 0
+    assert intersect(2, e1.rows, e2.rows).dim == 0
     assert subspace_sum(e1, e1) == e1
-    assert intersect(e1, e1) == e1
+    assert intersect(2, e1.rows, e1.rows) == e1
 
 
 def test_contains_iff_coordinates():
@@ -178,8 +177,6 @@ def test_contains_iff_coordinates():
 def test_ambient_mismatch(subspace_sum):
     with pytest.raises(ValueError):
         subspace_sum(full_space(2), full_space(3))
-    with pytest.raises(ValueError):
-        intersect(zero_space(2), zero_space(3))
 
 
 def test_rank_only_echelon_matches_rref_rank():
@@ -189,7 +186,7 @@ def test_rank_only_echelon_matches_rref_rank():
             {j: Fraction(rng.randint(-3, 3)) for j in range(9)} for _ in range(7)
         ]
         m = Matrix(9, rows)
-        assert rank(m) == rref(m)[1]
+        assert rank(m) == rref(m).dim
         # the remainder on non-pivot columns is unique, reduced form or not
         plain, full = Echelon(9, reduced=False), Echelon(9, reduced=True)
         plain.extend(rows[:4])

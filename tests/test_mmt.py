@@ -124,7 +124,7 @@ def test_mmt_detects_perturbation():
 
 
 def test_nmt_identity_matrix():
-    res = nmt_check(3, 3, ident(3), 5)
+    res = nmt_check(antisymmetrizer(3, 3), ident(3), 5)
     assert res.passed
     denom = nmt_rhs_denominator(3, 3, ident(3), QQ, 5)
     expected = MultiSeries(
@@ -144,13 +144,13 @@ def test_nmt_identity_matrix():
 
 def test_nmt_random():
     Z = random_rational_matrix(3, 11)
-    assert nmt_check(3, 3, Z, 5).passed
+    assert nmt_check(antisymmetrizer(3, 3), Z, 5).passed
 
 
 def test_nmt_at_N2_coincides_with_mmt(det_inverse):
     # the epsilon-signed principal-minor sum at N=2 is det(I - ZT)
     Z = random_rational_matrix(3, 5)
-    res_n = nmt_check(3, 2, Z, 4, algebra=polynomial(3))
+    res_n = nmt_check(polynomial(3), Z, 4)
     res_m = mmt_check(3, Z, 4)
     assert res_n.passed and res_m.passed
     assert res_n.rhs == res_m.rhs == det_inverse(Z, 4)
