@@ -33,16 +33,15 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def polynomial(n: int, field=QQ) -> AlgebraPresentation:
+def polynomial(n: int) -> AlgebraPresentation:
     """S(V): relations x_i⊗x_j - x_j⊗x_i for i < j."""
     if n < 1:
         raise ValueError("polynomial algebra needs n >= 1")
-    one = field.one
     rels = [
-        {word_index((i, j), n): one, word_index((j, i), n): -one}
+        {word_index((i, j), n): 1, word_index((j, i), n): -1}
         for i, j in combinations(range(n), 2)
     ]
-    return AlgebraPresentation(n, 2, rels, label=f"poly({n})", field=field)
+    return AlgebraPresentation(n, 2, rels, label=f"poly({n})")
 
 
 def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
@@ -58,9 +57,9 @@ def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
         terms = {}
         for perm in permutations(range(N)):
             word = word_index((combo[p] for p in perm), n)
-            terms[word] = QQ.one if perm_sign(perm) == 1 else -QQ.one
+            terms[word] = perm_sign(perm)
         rels.append(terms)
-    return AlgebraPresentation(n, N, rels, label=f"antisym({n},{N})", field=QQ)
+    return AlgebraPresentation(n, N, rels, label=f"antisym({n},{N})")
 
 
 def quantum_space(n: int, q=None) -> AlgebraPresentation:
@@ -73,29 +72,27 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
     if n < 1:
         raise ValueError("quantum space needs n >= 1")
     pairs = list(combinations(range(n), 2))
+    names = ()
     if q is None:
-        names = [f"q{i + 1}{j + 1}" for i, j in pairs]
-        field = ParameterField(names) if names else QQ
-        coeff = {
-            (i, j): field.parameter(f"q{i + 1}{j + 1}") for i, j in pairs
-        }
+        names = tuple(f"q{i + 1}{j + 1}" for i, j in pairs)
+        # qspace(1) has no pairs, hence no parameters to make
+        params = map(ParameterField(names).parameter, names) if names else ()
+        coeff = dict(zip(pairs, params))
     else:
         q = QQ.convert(q)
         if not q:
             raise ValueError("parameter q must be nonzero")
-        field = QQ
         coeff = dict.fromkeys(pairs, q)
-    one = field.one
     rels = [
-        {word_index((j, i), n): one, word_index((i, j), n): -coeff[(i, j)]}
+        {word_index((j, i), n): 1, word_index((i, j), n): -coeff[(i, j)]}
         for i, j in pairs
     ]
-    return AlgebraPresentation(n, 2, rels, label=f"qspace({n})", field=field)
+    return AlgebraPresentation(n, 2, rels, label=f"qspace({n})", parameters=names)
 
 
 def free_algebra(n: int) -> AlgebraPresentation:
     """T(V): no relations (N recorded as 2, irrelevant for an empty R)."""
-    return AlgebraPresentation(n, 2, [], label=f"free({n})", field=QQ)
+    return AlgebraPresentation(n, 2, [], label=f"free({n})")
 
 
 # ----------------------------------------------------------------------

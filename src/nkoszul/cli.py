@@ -75,7 +75,7 @@ def load_matrix(args):
                 raise UsageError(f"cannot read matrix file: {exc}")
         try:
             obj = json.loads(text)
-            return jsonio.matrix_from_obj(obj, QQ)
+            return jsonio.matrix_from_obj(obj)
         except (json.JSONDecodeError, RecursionError, KeyError, ValueError, TypeError) as exc:
             raise UsageError(f"malformed matrix JSON: {exc}")
     if args.random_seed is not None:
@@ -112,7 +112,7 @@ def cmd_info(args):
         "N": A.N,
         "relation_count": len(A.relations),
         "relation_rank": A.ideal_rank(A.N),
-        "parameters": list(A.field.parameters),
+        "parameters": list(A.parameters),
         "dims": dims,
         "dual_dims": dual_dims,
     }
@@ -208,11 +208,11 @@ def cmd_dvp_check(args):
 def cmd_kmt_check(args):
     A = make_algebra(args)
     D = args.max_degree
-    ambient = manin.kmt_ambient(A.n, D)
+    ambient = manin.kmt_ambient(A.n, A.N, D)
     bound = ambient_bound(args)
     if ambient > bound:
         raise UsageError(
-            f"envelope ambient dimension n^(2D) = {ambient} exceeds the "
+            f"envelope ambient dimension n^(2·max(D, N)) = {ambient} exceeds the "
             f"guardrail {bound}; raise --max-ambient or KOSZUL_MAX_AMBIENT"
         )
     B = manin.build_end(A)
@@ -331,7 +331,7 @@ def build_parser():
                        help="inline matrix JSON or file:PATH")
         p.add_argument("--random-seed", type=int, default=None)
         p.add_argument("--max-ambient", type=int, default=None,
-                       help=f"guardrail on n^(2D) (default {DEFAULT_MAX_AMBIENT})")
+                       help=f"guardrail on n^(2·max(D, N)) (default {DEFAULT_MAX_AMBIENT})")
         p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

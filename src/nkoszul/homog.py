@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from . import linalg
 from . import series
-from .scalar import QQ
 
 
 class AlgebraPresentation:
@@ -30,12 +29,13 @@ class AlgebraPresentation:
 
     Each relation is a ``{column: scalar}`` dict over the columns of
     length-N words; zero entries are dropped.  Relations may be linearly
-    dependent; only their span matters.  The presentation itself is
-    immutable; everything computed from it is kept in ``cache``, a
-    :class:`PresentationCache`.
+    dependent; only their span matters.  ``parameters`` names the
+    parameters of the coefficients (none for rationals), for reports.
+    The presentation itself is immutable; everything computed from it is
+    kept in ``cache``, a :class:`PresentationCache`.
     """
 
-    def __init__(self, n, N, relations, label="", field=QQ):
+    def __init__(self, n, N, relations, label="", parameters=()):
         if N < 2:
             raise ValueError("relation degree N must be >= 2")
         if n < 0:
@@ -50,7 +50,7 @@ class AlgebraPresentation:
         self.N = N
         self.relations = tuple({col: c for col, c in r.items() if c} for r in relations)
         self.label = label
-        self.field = field
+        self.parameters = tuple(parameters)
         self.cache = PresentationCache()
 
     # ------------------------------------------------------------------
@@ -148,7 +148,9 @@ class AlgebraPresentation:
         """The dual N-homogeneous algebra on V* with relations R^⊥."""
         perp = linalg.kernel(self.ideal_component(self.N))
         label = f"{self.label}!" if self.label else "dual"
-        return AlgebraPresentation(self.n, self.N, perp.rows, label=label, field=self.field)
+        return AlgebraPresentation(
+            self.n, self.N, perp.rows, label=label, parameters=self.parameters
+        )
 
     def __repr__(self):
         name = self.label or "algebra"

@@ -61,14 +61,14 @@ def algebra_from_obj(obj: dict) -> AlgebraPresentation:
     n = _int(obj["n"], "n")
     N = _int(obj["N"], "N")
     rels = [tensor_from_obj(r, n, N, field) for r in obj["relations"]]
-    return AlgebraPresentation(n, N, rels, label=label, field=field)
+    return AlgebraPresentation(n, N, rels, label=label, parameters=params)
 
 
 def matrix_to_obj(Z) -> dict:
     return {"n": len(Z), "entries": [[str(v) for v in row] for row in Z]}
 
 
-def matrix_from_obj(obj: dict, field=QQ):
+def matrix_from_obj(obj: dict):
     if not isinstance(obj, dict):
         raise ValueError("the matrix is not a JSON object")
     n = _int(obj["n"], "n")
@@ -77,4 +77,4 @@ def matrix_from_obj(obj: dict, field=QQ):
         raise ValueError("matrix entries are not a list of lists")
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("matrix entries do not form an n×n grid")
-    return [[scalar_from_str(field, v) for v in row] for row in entries]
+    return [[scalar_from_str(QQ, v) for v in row] for row in entries]

@@ -198,7 +198,7 @@ def kernel(sub: Subspace) -> Subspace:
     """{v : Σ_j row[j]·v[j] = 0 for every row of ``sub``}, the annihilator
     of a subspace given by its reduced row echelon basis."""
     pivots = set(sub.pivots)
-    ech = Echelon(sub.ambient_dim, reduced=True)
+    ech = Echelon(sub.ambient_dim)
     for j in range(sub.ambient_dim):
         if j in pivots:
             continue

@@ -45,7 +45,7 @@ def build_end(A: AlgebraPresentation) -> ManinBialgebra:
     perp_basis = A.dual().relations
     rels = [shuffle_pairs(xi, r, N, n) for xi in perp_basis for r in r_basis]
     env = AlgebraPresentation(
-        n * n, N, rels, label=f"end({A.label or 'A'})", field=A.field
+        n * n, N, rels, label=f"end({A.label or 'A'})", parameters=A.parameters
     )
     expected = len(perp_basis) * len(r_basis)
     if env.ideal_rank(N) != expected:
@@ -113,9 +113,10 @@ class KmtResult:
         return self.passed
 
 
-def kmt_ambient(n: int, max_degree: int) -> int:
-    """Ambient dimension n^{2D} that the degree-D check must echelonize in."""
-    return (n * n) ** max_degree
+def kmt_ambient(n: int, N: int, max_degree: int) -> int:
+    """Ambient dimension n^{2·max(D, N)} that the degree-D check must
+    echelonize in: :func:`build_end` works in degree N whatever D is."""
+    return (n * n) ** max(max_degree, N)
 
 
 def kmt_check(B: ManinBialgebra, max_degree: int) -> KmtResult:
@@ -149,26 +150,25 @@ def kmt_check(B: ManinBialgebra, max_degree: int) -> KmtResult:
 def is_polynomial_presentation(A: AlgebraPresentation) -> bool:
     if A.N != 2 or A.n < 1:
         return False
-    model = polynomial(A.n, field=A.field)
+    model = polynomial(A.n)
     return A.ideal_component(2) == model.ideal_component(2)
 
 
-def _noncommutative_minor(B: ManinBialgebra, subset, transpose: bool) -> AlgebraClass:
-    """det(Z_J) in end(A) under one of the two orderings: column-ascending
-    with permuted row indices (default), or its transpose."""
+def _noncommutative_minor(B: ManinBialgebra, subset) -> AlgebraClass:
+    """det(Z_J) in end(A), column-ascending with permuted row indices."""
     E = B.env
     n = B.base.n
     ell = len(subset)
+    cols = word_index(subset, n)
     vec = {}
     for perm in permutations(range(ell)):
-        permuted = [subset[p] for p in perm]
-        rows, cols = (subset, permuted) if transpose else (permuted, subset)
+        rows = word_index((subset[p] for p in perm), n)
         # the word determines the permutation, so no two terms share a word
-        vec[z_word(word_index(rows, n), word_index(cols, n), ell, n)] = perm_sign(perm)
+        vec[z_word(rows, cols, ell, n)] = perm_sign(perm)
     return E.reduce(ell, vec)
 
 
-def ferm_series(B: ManinBialgebra, max_degree: int, transpose: bool = False) -> UniSeries:
+def ferm_series(B: ManinBialgebra, max_degree: int) -> UniSeries:
     """Ferm: Σ_J (-1)^{|J|} det(Z_J) t^{|J|} over subsets of the generators."""
     if not is_polynomial_presentation(B.base):
         raise ValueError("fermionic sum is defined for the polynomial algebra")
@@ -179,7 +179,7 @@ def ferm_series(B: ManinBialgebra, max_degree: int, transpose: bool = False) -> 
         acc = E.zero_class(ell)
         if ell <= n:
             for subset in combinations(range(n), ell):
-                acc = acc + _noncommutative_minor(B, subset, transpose)
+                acc = acc + _noncommutative_minor(B, subset)
             if ell % 2:
                 acc = -acc
         coeffs.append(acc)
@@ -187,17 +187,12 @@ def ferm_series(B: ManinBialgebra, max_degree: int, transpose: bool = False) -> 
 
 
 def ferm_convention(B: ManinBialgebra, target: UniSeries, max_degree: int) -> str:
-    """Which determinant ordering matches the character series up to
-    ``max_degree`` (or the truncation of ``target``, if lower), checked
-    afresh on every call.
-
-    The fermionic series must agree with ``target``, the series
-    Σ (-1)^ℓ χ(J_ℓ) t^ℓ of :func:`dual_character_series`; the ordering that
-    validates is returned ("row-permuted" is the default convention,
-    "column-permuted" its transpose).
-    """
-    if ferm_series(B, max_degree, transpose=False) == target:
-        return "row-permuted"
-    if ferm_series(B, max_degree, transpose=True) == target:
-        return "column-permuted"
-    raise RuntimeError("neither determinant ordering matches the character series")
+    """The determinant ordering of :func:`ferm_series`, "row-permuted",
+    once the fermionic series is checked afresh against ``target``, the
+    series Σ (-1)^ℓ χ(J_ℓ) t^ℓ of :func:`dual_character_series`, up to
+    ``max_degree`` (or the truncation of ``target``, if lower)."""
+    if ferm_series(B, max_degree) != target:
+        raise RuntimeError(
+            "the row-permuted fermionic series does not match the character series"
+        )
+    return "row-permuted"

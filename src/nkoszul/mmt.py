@@ -37,23 +37,15 @@ def random_rational_matrix(n: int, seed: int):
 
 def matrix_det(entries):
     """Exact determinant by the Leibniz expansion (sizes here are tiny)."""
-    size = len(entries)
-    if size == 0:
-        return 1
-    total = None
-    for perm in permutations(range(size)):
-        prod = entries[0][perm[0]]
-        for i in range(1, size):
+    total = 0
+    for perm in permutations(range(len(entries))):
+        prod = perm_sign(perm)
+        for i, j in enumerate(perm):
+            prod = prod * entries[i][j]
             if not prod:
                 break
-            prod = prod * entries[i][perm[i]]
-        if not prod:
-            continue
-        if perm_sign(perm) < 0:
-            prod = -prod
-        total = prod if total is None else total + prod
-    if total is None:
-        total = entries[0][0] - entries[0][0]
+        else:
+            total = total + prod
     return total
 
 
@@ -130,17 +122,16 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
         raise ValueError("matrix does not specialize this algebra's envelope")
     normal = _check_reversal(A, max_degree)
     n = A.n
-    one, zero = A.field.one, A.field.zero
     L = lcm(*(z.denominator for row in Z for z in row))
     LZ = [[z.numerator * (L // z.denominator) for z in row] for row in Z]
     table = {}
     # stack entries: (word, column of the reversed word, normal coordinates
     # of the reversed product)
-    stack = [((), 0, {0: one})]
+    stack = [((), 0, {0: 1})]
     while stack:
         word, rev, vec = stack.pop()
         k = len(word)
-        table[word] = div(vec.get(rev, zero), L**k)
+        table[word] = div(vec.get(rev, 0), L**k)
         if k == max_degree:
             continue
         shift = n**k
@@ -169,8 +160,8 @@ def _lhs_series(A: AlgebraPresentation, Z, max_degree: int) -> MultiSeries:
             exps[letter] += 1
         key = tuple(exps)
         # MultiSeries drops the terms that cancel to zero
-        terms[key] = terms.get(key, A.field.zero) + value
-    return MultiSeries(A.field, n, max_degree, terms)
+        terms[key] = terms.get(key, 0) + value
+    return MultiSeries(n, max_degree, terms)
 
 
 class MasterResult:
@@ -200,7 +191,7 @@ def _compare(lhs: MultiSeries, rhs: MultiSeries, max_degree: int) -> MasterResul
     return MasterResult(first is None, first, lhs, rhs)
 
 
-def nmt_rhs_denominator(n: int, N: int, Z, field, max_degree: int) -> MultiSeries:
+def nmt_rhs_denominator(n: int, N: int, Z, max_degree: int) -> MultiSeries:
     """Σ over J ⊆ {1..n} with |J| ≡ 0, 1 (mod N) of ε(|J|) det(Z_J) Π_{j∈J} t_j,
     where ε is +1 on sizes ≡ 0 and -1 on sizes ≡ 1 mod N, truncated at
     total degree ``max_degree``, the largest |J| kept."""
@@ -219,7 +210,7 @@ def nmt_rhs_denominator(n: int, N: int, Z, field, max_degree: int) -> MultiSerie
                 exps[j] = 1
             # one subset per exponent vector, so no key repeats
             terms[tuple(exps)] = minor if eps > 0 else -minor
-    return MultiSeries(field, n, max_degree, terms)
+    return MultiSeries(n, max_degree, terms)
 
 
 def nmt_check(A: AlgebraPresentation, Z, max_degree: int) -> MasterResult:
@@ -227,7 +218,7 @@ def nmt_check(A: AlgebraPresentation, Z, max_degree: int) -> MasterResult:
     at N = 2): the admissible G series equals the inverse of the ε-signed
     principal-minor sum, exactly, up to total degree ``max_degree``."""
     lhs = _lhs_series(A, Z, max_degree)
-    denom = nmt_rhs_denominator(A.n, A.N, Z, A.field, max_degree)
+    denom = nmt_rhs_denominator(A.n, A.N, Z, max_degree)
     return _compare(lhs, denom.invert(), max_degree)
 
 

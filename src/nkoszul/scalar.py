@@ -10,9 +10,10 @@ compare and hash equal; a ``Fraction`` that happens to be integral is
 never converted back.
 
 Scalars are duck-typed: everything downstream only uses ``+ - *``,
-equality and truthiness, and divides only through :func:`div`, since
-``int / int`` is a float.  So any field's values work with the rest of
-the code as long as a single field is used per algebra.
+equality and truthiness, writes its zero and one as the literals ``0``
+and ``1``, and divides only through :func:`div`, since ``int / int`` is a
+float.  The field objects here exist to parse scalars and to make the
+parameters; past the parser no code carries one.
 """
 
 from __future__ import annotations
@@ -42,11 +43,6 @@ class RationalField:
     """The rationals, realized by ``int`` values and arbitrary-precision
     ``Fraction`` values."""
 
-    parameters: tuple[str, ...] = ()
-
-    zero = 0
-    one = 1
-
     def convert(self, value):
         """The rational ``value`` (an ``int``, a ``Fraction`` or anything
         ``Fraction`` accepts) as an ``int`` when it is integral, else as a
@@ -63,12 +59,6 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("RationalField")
 
 
 class ParameterField:
@@ -91,14 +81,6 @@ class ParameterField:
         self._field = fld
         self._gens = dict(zip(names, gens))
 
-    @property
-    def zero(self):
-        return self._field.zero
-
-    @property
-    def one(self):
-        return self._field.one
-
     def parameter(self, name: str):
         return self._gens[name]
 
@@ -113,12 +95,6 @@ class ParameterField:
 
     def __repr__(self):
         return f"QQ({', '.join(self.parameters)})"
-
-    def __eq__(self, other):
-        return isinstance(other, ParameterField) and self.parameters == other.parameters
-
-    def __hash__(self):
-        return hash(("ParameterField", self.parameters))
 
 
 #: Every value a parsed parameter expression passes through has a numerator

@@ -87,13 +87,13 @@ def exponents_of_total(nvars, total):
 
 
 class MultiSeries:
-    """Commutative multivariate series over a scalar field, truncated by
-    total degree; terms is an exponent-vector -> scalar map without zeros."""
+    """Commutative multivariate series with scalar coefficients, truncated
+    by total degree; terms is an exponent-vector -> scalar map without
+    zeros."""
 
-    __slots__ = ("field", "nvars", "trunc", "terms")
+    __slots__ = ("nvars", "trunc", "terms")
 
-    def __init__(self, field, nvars, trunc, terms=None):
-        self.field = field
+    def __init__(self, nvars, trunc, terms=None):
         self.nvars = nvars
         self.trunc = trunc
         clean = {}
@@ -108,12 +108,13 @@ class MultiSeries:
         self.terms = clean
 
     def coefficient(self, exps):
-        return self.terms.get(tuple(exps), self.field.zero)
+        return self.terms.get(tuple(exps), 0)
 
     def __mul__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        self._check(other)
+        if self.nvars != other.nvars:
+            raise ValueError("variable count mismatch")
         trunc = min(self.trunc, other.trunc)
         terms = {}
         for e1, c1 in self.terms.items():
@@ -121,15 +122,15 @@ class MultiSeries:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 if sum(e) <= trunc:
                     # the constructor drops the terms that cancel to zero
-                    terms[e] = terms.get(e, self.field.zero) + c1 * c2
-        return MultiSeries(self.field, self.nvars, trunc, terms)
+                    terms[e] = terms.get(e, 0) + c1 * c2
+        return MultiSeries(self.nvars, trunc, terms)
 
     def invert(self):
         zero_exp = (0,) * self.nvars
         a0 = self.terms.get(zero_exp)
         if not a0:
             raise ValueError("constant term is zero")
-        u = div(self.field.one, a0)
+        u = div(1, a0)
         out = {zero_exp: u}
         rest = [(e, c) for e, c in self.terms.items() if e != zero_exp]
         for total in range(1, self.trunc + 1):
@@ -146,23 +147,17 @@ class MultiSeries:
                     acc = term if acc is None else acc + term
                 if acc:
                     out[e] = -u * acc
-        return MultiSeries(self.field, self.nvars, self.trunc, out)
+        return MultiSeries(self.nvars, self.trunc, out)
 
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):
             return NotImplemented
-        if self.field != other.field or self.nvars != other.nvars:
+        if self.nvars != other.nvars:
             return False
         trunc = min(self.trunc, other.trunc)
         mine = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
         theirs = {e: c for e, c in other.terms.items() if sum(e) <= trunc}
         return mine == theirs
-
-    def _check(self, other):
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        if self.field != other.field:
-            raise ValueError("field mismatch")
 
     def __repr__(self):
         return f"MultiSeries(nvars={self.nvars}, trunc={self.trunc}, {len(self.terms)} terms)"

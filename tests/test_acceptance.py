@@ -193,20 +193,20 @@ def test_criterion_07_character_identity(algebras, envelopes, counit):
     _verdict(7, "character identity to degree 4", failures, time.perf_counter() - t0, 600)
 
 
-def test_criterion_08_bos_ferm_crosscheck(envelopes, bos_series):
+def test_criterion_08_bos_ferm_crosscheck(envelopes, bos_series, transposed_ferm_series):
     t0 = time.perf_counter()
     failures = []
     B = envelopes["poly2"]
     dual = dual_character_series(B, 4)
     convention = ferm_convention(B, dual, 4)
     bos = bos_series(B, 4)
-    ferm = ferm_series(B, 4, transpose=(convention == "column-permuted"))
+    ferm = ferm_series(B, 4)
     if bos != character_series(B, 4):
         failures.append("bosonic series mismatch")
     if ferm != dual:
         failures.append("fermionic series mismatch")
     # exactly one of the two determinant orderings validates
-    if ferm_series(B, 4, transpose=True) == dual:
+    if transposed_ferm_series(B, 4) == dual:
         failures.append("transpose ordering also matches; not exclusive")
     print(f"  (determinant convention recorded: {convention})")
     _verdict(8, "bosonic/fermionic cross-check", failures, time.perf_counter() - t0, 60)

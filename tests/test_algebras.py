@@ -14,6 +14,7 @@ from nkoszul.algebras import (
     polynomial,
     quantum_space,
 )
+from nkoszul.freealg import word_index
 from nkoszul.scalar import QQ, ParameterField
 
 
@@ -69,8 +70,9 @@ def test_antisymmetrizer_bounds():
 
 def test_quantum_space_generic():
     Q = quantum_space(2)
-    assert isinstance(Q.field, ParameterField)
-    assert Q.field.parameters == ("q12",)
+    assert Q.parameters == ("q12",)
+    q12 = ParameterField(["q12"]).parameter("q12")
+    assert Q.relations == ({word_index((1, 0), 2): 1, word_index((0, 1), 2): -q12},)
     assert Q.hilbert_series(6).coeffs == list(range(1, 8))
     # dual bookkeeping: dim R = 1 -> dim R^perp = 3 -> dim A!_2 = 1
     assert Q.dual().dim_component(2) == 1

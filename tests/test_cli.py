@@ -118,6 +118,16 @@ def test_kmt_guardrail(capsys):
     assert "guardrail" in err
 
 
+def test_kmt_guardrail_counts_degree_N(capsys):
+    # build_end works in degree N = 3 even at D = 1: 9^3 = 729 > 100
+    code, out, err = run(
+        capsys, "kmt-check", "--algebra", "antisym", "--n", "3", "--N", "3",
+        "--max-degree", "1", "--max-ambient", "100",
+    )
+    assert code == 2 and out == ""
+    assert "n^(2·max(D, N)) = 729 exceeds the guardrail 100" in err
+
+
 def test_kmt_guardrail_override(capsys, monkeypatch):
     # raising the bound through the environment lets the check proceed
     monkeypatch.setenv("KOSZUL_MAX_AMBIENT", "100000000000000000")
@@ -223,7 +233,7 @@ def test_deeply_nested_input_exit_2(capsys, tmp_path):
 def test_oversized_parameter_expression_exit_2(capsys, tmp_path, monkeypatch):
     # a nested power and a long product, each of degree 10000 in q12; the
     # parser refuses both before forming any value over degree 100
-    frac = type(ParameterField(["q12"]).one)
+    frac = type(ParameterField(["q12"]).from_int(1))
     degrees = []
     for name in ("__mul__", "__pow__"):
         def spy(self, other, op=getattr(frac, name)):

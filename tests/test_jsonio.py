@@ -27,8 +27,8 @@ def _algebra_to_obj(A):
         "N": A.N,
         "relations": [_tensor_to_obj(A.N, A.n, r) for r in A.relations],
     }
-    if A.field.parameters:
-        obj["parameters"] = list(A.field.parameters)
+    if A.parameters:
+        obj["parameters"] = list(A.parameters)
     return obj
 
 
@@ -90,7 +90,7 @@ def test_algebra_roundtrip_parametric():
     obj = _algebra_to_obj(Q)
     assert obj["parameters"] == ["q12"]
     back = jsonio.algebra_from_obj(obj)
-    assert back.field == Q.field
+    assert back.parameters == Q.parameters
     assert back.ideal_component(2).dim == 1
     assert back.dim_component(3) == 4
 

@@ -23,7 +23,6 @@ from nkoszul.mmt import (
     nmt_rhs_denominator,
     random_rational_matrix,
 )
-from nkoszul.scalar import QQ
 from nkoszul.series import MultiSeries
 
 
@@ -126,9 +125,8 @@ def test_mmt_detects_perturbation():
 def test_nmt_identity_matrix():
     res = nmt_check(antisymmetrizer(3, 3), ident(3), 5)
     assert res.passed
-    denom = nmt_rhs_denominator(3, 3, ident(3), QQ, 5)
+    denom = nmt_rhs_denominator(3, 3, ident(3), 5)
     expected = MultiSeries(
-        QQ,
         3,
         5,
         {
@@ -189,7 +187,7 @@ def test_numeric_ferm_equals_restricted_traces():
     for n, N in ((2, 2), (3, 3)):
         A = antisymmetrizer(n, N)
         Z = random_rational_matrix(n, 17)
-        denom = nmt_rhs_denominator(n, N, Z, QQ, n + 2)
+        denom = nmt_rhs_denominator(n, N, Z, n + 2)
         by_total = {}
         for exps, c in denom.terms.items():
             by_total[sum(exps)] = by_total.get(sum(exps), Fraction(0)) + c
@@ -215,7 +213,7 @@ def test_numeric_evaluation_of_character_series():
                 (v for w, v in tab.items() if len(w) == k), Fraction(0)
             )
             assert _evaluate_character(B, p.coeffs[k], Z) == bos_k, (A.label, k)
-        denom = nmt_rhs_denominator(A.n, A.N, Z, QQ, D)
+        denom = nmt_rhs_denominator(A.n, A.N, Z, D)
         by_total = {}
         for exps, c in denom.terms.items():
             by_total[sum(exps)] = by_total.get(sum(exps), Fraction(0)) + c

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from nkoszul.algebras import polynomial
 from conftest import COEFFS, assert_exact, columns
-from nkoszul.scalar import QQ
 from nkoszul.series import MultiSeries, UniSeries, exponents_of_total
 
 
@@ -85,13 +84,13 @@ def test_graded_series_with_negated_unit_inverts():
 
 
 def test_multiseries_invert_two_vars():
-    f = MultiSeries(QQ, 2, 3, {(0, 0): Fraction(1), (1, 0): Fraction(-1), (0, 1): Fraction(-1)})
+    f = MultiSeries(2, 3, {(0, 0): Fraction(1), (1, 0): Fraction(-1), (0, 1): Fraction(-1)})
     inv = f.invert()
     # oracle: sum of (t1+t2)^k expanded with multinomials
     assert inv.coefficient((1, 1)) == 2
     assert inv.coefficient((2, 1)) == 3
     assert inv.coefficient((3, 0)) == 1
-    assert f * inv == MultiSeries(QQ, 2, 3, {(0, 0): Fraction(1)})
+    assert f * inv == MultiSeries(2, 3, {(0, 0): Fraction(1)})
 
 
 @settings(max_examples=50, deadline=None)
@@ -102,27 +101,27 @@ def test_multiseries_invert_two_vars():
 def test_multiseries_invert_is_exact(a0, terms):
     # the constant term is inverted through scalar.div: an int constant
     # other than ±1 gives a Fraction inverse, never a float
-    f = MultiSeries(QQ, 2, 4, {(0, 0): a0, **terms})
+    f = MultiSeries(2, 4, {(0, 0): a0, **terms})
     inv = f.invert()
     assert_exact(inv.terms.values())
-    assert f * inv == MultiSeries(QQ, 2, 4, {(0, 0): 1})
+    assert f * inv == MultiSeries(2, 4, {(0, 0): 1})
 
 
 def test_multiseries_mul_truncates():
-    f = MultiSeries(QQ, 2, 2, {(1, 0): Fraction(1)})
-    g = MultiSeries(QQ, 2, 2, {(1, 1): Fraction(1)})
+    f = MultiSeries(2, 2, {(1, 0): Fraction(1)})
+    g = MultiSeries(2, 2, {(1, 1): Fraction(1)})
     assert (f * g).terms == {}
 
 
 def test_multiseries_equality():
-    f = MultiSeries(QQ, 2, 3, {(1, 0): Fraction(2)})
-    g = MultiSeries(QQ, 2, 5, {(1, 0): Fraction(2), (4, 0): Fraction(7)})
+    f = MultiSeries(2, 3, {(1, 0): Fraction(2)})
+    g = MultiSeries(2, 5, {(1, 0): Fraction(2), (4, 0): Fraction(7)})
     assert f == g  # compared up to total degree 3, below the (4,0) term
-    assert f != MultiSeries(QQ, 2, 3, {(1, 0): Fraction(3)})
+    assert f != MultiSeries(2, 3, {(1, 0): Fraction(3)})
 
 
 def test_multiseries_has_no_addition():
-    f = MultiSeries(QQ, 2, 3, {(1, 0): Fraction(2)})
+    f = MultiSeries(2, 3, {(1, 0): Fraction(2)})
     with pytest.raises(TypeError):
         f + f
 

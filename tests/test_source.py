@@ -187,3 +187,36 @@ def test_no_division_outside_scalar():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+# The modules that make scalars: the fields and their parsers, the algebra
+# files, and the generic q_ij of quantum_space.  Past them, scalars bring
+# their own + - * ==, and zero and one are the literals 0 and 1.
+FIELD_OWNERS = ("scalar.py", "jsonio.py", "algebras.py")
+
+
+# the field of each node kind that holds a name, an attribute or a parameter
+_NAME_FIELD = {ast.Name: "id", ast.Attribute: "attr", ast.arg: "arg", ast.keyword: "arg"}
+
+
+def test_no_field_past_the_parser():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in FIELD_OWNERS:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            key = _NAME_FIELD.get(type(node))
+            if key and getattr(node, key) == "field":
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_homog_imports_no_scalar():
+    tree = ast.parse((SRC / "homog.py").read_text())
+    found = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and "scalar" in {node.module, *(alias.name for alias in node.names)}
+    ]
+    assert found == []
