@@ -76,8 +76,8 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
     if q is None:
         names = tuple(f"q{i + 1}{j + 1}" for i, j in pairs)
         # qspace(1) has no pairs, hence no parameters to make
-        params = map(ParameterField(names).parameter, names) if names else ()
-        coeff = dict(zip(pairs, params))
+        field = ParameterField(names) if names else None
+        coeff = {pair: field.parameter(name) for pair, name in zip(pairs, names)}
     else:
         q = QQ.convert(q)
         if not q:

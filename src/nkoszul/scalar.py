@@ -9,6 +9,15 @@ freely, since ``str`` writes ``3`` and ``Fraction(3)`` alike and they
 compare and hash equal; a ``Fraction`` that happens to be integral is
 never converted back.
 
+A parameter value is a :class:`ParameterValue`.  Every value the generic
+quantum spaces reach is a Laurent polynomial, held as a dict from exponent
+tuples to rationals, whose ``+ - *`` and division by a monomial are plain
+loops; only a value whose reduced denominator is not a monomial is held in
+sympy's fraction field.  sympy is imported on first need (for such a
+value, a division by a value of several terms, the parameter-expression
+parser and ``str``), so a command that meets only Laurent values never
+imports it.
+
 Scalars are duck-typed: everything downstream only uses ``+ - *``,
 equality and truthiness, writes its zero and one as the literals ``0``
 and ``1``, and divides only through :func:`div`, since ``int / int`` is a
@@ -21,9 +30,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
-
-from sympy.polys.domains import QQ as _SYMPY_QQ
-from sympy.polys.fields import field as _frac_field
+from operator import add, mul, sub, truediv
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?")
@@ -64,10 +71,10 @@ class RationalField:
 class ParameterField:
     """Field of fractions of polynomials over QQ in named parameters.
 
-    Backed by sympy's sparse fraction field, whose elements are kept in
-    lowest terms with a sign-normalized denominator, so equality of values
-    is equality of representations.  Negative powers of a parameter are
-    ordinary fractions, which covers Laurent expressions like q**-1.
+    Its values are :class:`ParameterValue` objects.  The parameters are
+    made without sympy; sympy's sparse fraction field, whose elements are
+    kept in lowest terms with a sign-normalized denominator, is built on
+    first need.
     """
 
     def __init__(self, names):
@@ -77,24 +84,222 @@ class ParameterField:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names: {names}")
         self.parameters = names
-        fld, *gens = _frac_field(" ".join(names), _SYMPY_QQ)
-        self._field = fld
-        self._gens = dict(zip(names, gens))
+        self._zero = (0,) * len(names)  # the exponent of a constant
+        self._fraction_field = None  # sympy's, built by _sympy_field
+        self._gens = {
+            name: ParameterValue(self, {tuple(int(i == j) for i in range(len(names))): 1})
+            for j, name in enumerate(names)
+        }
 
     def parameter(self, name: str):
         return self._gens[name]
 
-    def from_int(self, k: int):
-        return self._field.one * k
+    def constant(self, c):
+        """The rational ``c`` (an ``int`` or a ``Fraction``) as a value."""
+        return ParameterValue(self, {self._zero: c} if c else {})
 
     def parse(self, text: str):
         """Read a rational expression in the parameters, as ``str`` writes
         it; raises ValueError on anything else.  The text is never
         evaluated as Python code."""
-        return _ExpressionParser(self, text).parse()
+        return self._from_sympy(_ExpressionParser(self, text).parse())
+
+    def _sympy_field(self):
+        """sympy's fraction field in the parameters, built on first call."""
+        if self._fraction_field is None:
+            from sympy.polys.domains import QQ as sympy_qq
+            from sympy.polys.fields import field
+
+            self._fraction_field = field(" ".join(self.parameters), sympy_qq)[0]
+        return self._fraction_field
+
+    def _from_sympy(self, frac):
+        """The sympy value ``frac`` in canonical form: Laurent when its
+        reduced denominator is a monomial c·q^m, sympy's otherwise."""
+        if len(frac.denom) != 1:
+            return ParameterValue(self, None, frac)
+        ((m, d),) = frac.denom.terms()
+        d = _rational(d)
+        return ParameterValue(
+            self, {tuple(map(sub, e, m)): div(_rational(c), d) for e, c in frac.numer.terms()}
+        )
 
     def __repr__(self):
         return f"QQ({', '.join(self.parameters)})"
+
+
+def _rational(c):
+    """The sympy rational ``c`` as an ``int`` or a ``Fraction``."""
+    return div(int(c.numerator), int(c.denominator))
+
+
+def _to_sympy(fld, c):
+    """The rational ``c`` as an element of the ground domain of ``fld``."""
+    return fld.domain(c.numerator, c.denominator)
+
+
+def _laurent_add(a, b):
+    """The sum of two Laurent term dicts."""
+    if len(a) < len(b):
+        a, b = b, a
+    out = dict(a)
+    for e, c in b.items():
+        c += out.get(e, 0)
+        if c:
+            out[e] = c
+        else:
+            del out[e]
+    return out
+
+
+def _laurent_sub(a, b):
+    return _laurent_add(a, {e: -c for e, c in b.items()})
+
+
+def _laurent_mul(a, b):
+    """The product of two Laurent term dicts."""
+    out = {}
+    for e, c in a.items():
+        for f, d in b.items():
+            g = tuple(map(add, e, f))
+            v = out.get(g, 0) + c * d
+            if v:
+                out[g] = v
+            else:
+                del out[g]
+    return out
+
+
+def _laurent_div(a, b):
+    """The quotient of two Laurent term dicts when ``b`` has one term; None
+    when it has several."""
+    if not b:
+        raise ZeroDivisionError("division by zero")
+    if len(b) > 1:
+        return None
+    ((m, d),) = b.items()
+    return {tuple(map(sub, e, m)): div(c, d) for e, c in a.items()}
+
+
+class ParameterValue:
+    """An element of a :class:`ParameterField`, in one of two forms.
+
+    A Laurent polynomial is held in ``terms``, a dict from exponent tuples
+    (entries may be negative) to nonzero ``int`` or ``Fraction``
+    coefficients; ``+ - *`` and a division by a one-term value stay in this
+    form.  Any other value is a sympy ``FracElement`` in ``frac``, and
+    ``terms`` is None.  An operation that involves such a value, or that
+    divides by a value of several terms, is done in sympy's field and its
+    result brought back to the Laurent form whenever it is one, as
+    (q**2 - 1)/(q - 1) = q + 1 is.  The form is a function of the value,
+    so equality is equality of representations, and a constant compares
+    and hashes equal to the ``int`` or ``Fraction`` it is.  No
+    ``FracElement`` leaves the class: sympy's ``==`` is False, not
+    NotImplemented, against an operand it does not know.
+    """
+
+    __slots__ = ("field", "terms", "frac")
+
+    def __init__(self, field, terms, frac=None):
+        self.field = field
+        self.terms = terms
+        self.frac = frac
+
+    def _sympy(self):
+        """This value in sympy's fraction field."""
+        if self.frac is not None:
+            return self.frac
+        fld = self.field._sympy_field()
+        if not self.terms:
+            return fld.zero
+        shift = tuple(min(0, *col) for col in zip(*self.terms))
+        numer = fld.ring.from_dict(
+            {tuple(map(sub, e, shift)): _to_sympy(fld, c) for e, c in self.terms.items()}
+        )
+        denom = fld.ring.from_dict({tuple(-s for s in shift): fld.domain.one})
+        return fld.new(numer, denom)
+
+    def _apply(self, other, laurent, op):
+        """``op(self, other)``: ``laurent`` on the two term dicts when both
+        operands are Laurent and it gives a result, else ``op`` in sympy's
+        field.  NotImplemented for an operand that is no scalar of this
+        field."""
+        if type(other) is ParameterValue:
+            if other.field is not self.field and other.field.parameters != self.field.parameters:
+                return NotImplemented
+            terms = other.terms
+        elif isinstance(other, (int, Fraction)):
+            terms = {self.field._zero: other} if other else {}
+        else:
+            return NotImplemented
+        if self.terms is not None and terms is not None:
+            out = laurent(self.terms, terms)
+            if out is not None:
+                return ParameterValue(self.field, out)
+        fld = self.field._sympy_field()
+        rhs = other._sympy() if type(other) is ParameterValue else _to_sympy(fld, other)
+        return self.field._from_sympy(op(self._sympy(), rhs))
+
+    def __add__(self, other):
+        return self._apply(other, _laurent_add, add)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._apply(other, _laurent_sub, sub)
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        return self._apply(other, _laurent_mul, mul)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._apply(other, _laurent_div, truediv)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return self.field.constant(other) / self
+
+    def __pow__(self, e):
+        if type(e) is not int:
+            return NotImplemented
+        if e < 0:
+            return (1 / self) ** -e
+        value = self.field.constant(1)
+        for _ in range(e):
+            value = value * self
+        return value
+
+    def __bool__(self):
+        return bool(self.terms if self.frac is None else self.frac)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = self.field.constant(other)
+        elif type(other) is not ParameterValue:
+            return NotImplemented
+        if self.frac is None and other.frac is None:
+            return self.terms == other.terms and self.field.parameters == other.field.parameters
+        return self._sympy() == other._sympy()
+
+    def __hash__(self):
+        if self.frac is not None:
+            return hash(self.frac)
+        if self.terms.keys() <= {self.field._zero}:  # a constant
+            return hash(self.terms.get(self.field._zero, 0))
+        return hash(frozenset(self.terms.items()))
+
+    def __str__(self):
+        return str(self._sympy())
+
+    __repr__ = __str__
 
 
 #: Every value a parsed parameter expression passes through has a numerator
@@ -153,13 +358,17 @@ class _ExpressionParser:
         atom     := integer | parameter name | "(" sum ")"
         exponent := ("+" | "-") exponent | "(" exponent ")" | integer
 
-    so unary minus binds as in Python: -q**2 is -(q**2).  Each operation
-    first checks the bounds above on the size of its result.
+    so unary minus binds as in Python: -q**2 is -(q**2).  It computes in
+    sympy's fraction field, and each operation first checks the bounds above
+    on the size of its result.
     """
 
     def __init__(self, field, text):
         self.field = field
         self.text = text
+        fld = field._sympy_field()
+        self.one = fld.one
+        self.gens = dict(zip(field.parameters, fld.gens))
         self.tokens = []
         pos, end = 0, len(text.rstrip())
         while pos < end:
@@ -216,6 +425,9 @@ class _ExpressionParser:
         return value
 
     def sum(self):
+        """A sum of products.  Terms over the running denominator add in the
+        polynomial ring, with no gcd; the sum is brought to lowest terms
+        once, on return."""
         value = self.product()
         while op := self.accept("+", "-"):
             rhs = self.product()
@@ -223,8 +435,12 @@ class _ExpressionParser:
             (a, b), (c, d) = _sizes(value), _sizes(rhs)
             ad, cb = _times(a, d), _times(c, b)
             self.bound((max(ad[0], cb[0]), ad[1] + cb[1]), _times(b, d))
-            value = self.checked(value + rhs if op == "+" else value - rhs)
-        return value
+            if value.denom == rhs.denom:
+                numer = value.numer + rhs.numer if op == "+" else value.numer - rhs.numer
+                value = self.checked(value.raw_new(numer, value.denom))
+            else:
+                value = self.checked(value + rhs if op == "+" else value - rhs)
+        return value.new(value.numer, value.denom)
 
     def product(self):
         value = self.unary()
@@ -282,9 +498,9 @@ class _ExpressionParser:
             return value
         tok = self.tokens[self.pos]
         if tok.isdigit():
-            value = self.checked(self.field.from_int(int(tok)))
-        elif tok in self.field.parameters:
-            value = self.field.parameter(tok)
+            value = self.checked(self.one * int(tok))
+        elif tok in self.gens:
+            value = self.gens[tok]
         else:
             raise self.error()
         self.pos += 1

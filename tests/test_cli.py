@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from sympy.polys.fields import FracElement
 
 from nkoszul.cli import HANDLERS, main
-from nkoszul.scalar import ParameterField
+from nkoszul.scalar import ParameterField, ParameterValue
 
 
 def run(capsys, *argv):
@@ -232,15 +237,15 @@ def test_deeply_nested_input_exit_2(capsys, tmp_path):
 
 def test_oversized_parameter_expression_exit_2(capsys, tmp_path, monkeypatch):
     # a nested power and a long product, each of degree 10000 in q12; the
-    # parser refuses both before forming any value over degree 100
-    frac = type(ParameterField(["q12"]).from_int(1))
+    # parser refuses both before forming any value over degree 100; it
+    # computes in sympy's fraction field
     degrees = []
     for name in ("__mul__", "__pow__"):
-        def spy(self, other, op=getattr(frac, name)):
+        def spy(self, other, op=getattr(FracElement, name)):
             result = op(self, other)
             degrees.append(max(result.numer.degree(), result.denom.degree()))
             return result
-        monkeypatch.setattr(frac, name, spy)
+        monkeypatch.setattr(FracElement, name, spy)
     for coeff in ("((q12 + 1)**100)**100", "*".join(["(q12 + 1)**100"] * 100)):
         algebra = _qspace_file(tmp_path, coeff)
         code, _, err = run(capsys, "info", "--algebra", algebra, "--max-degree", "2")
@@ -359,3 +364,67 @@ def test_algebra_file_cannot_run_code(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert "bad algebra JSON" in err
     assert calls == []
+
+
+GENERIC_QSPACE = (
+    ("koszul-check", "3", "7"),
+    ("hilbert", "3", "6"),
+    ("kmt-check", "2", "5"),
+)
+
+
+def test_laurent_values_match_the_sympy_field_end_to_end(capsys, monkeypatch):
+    # the slow path: every parameter value held and computed in sympy's
+    # field, as all of them were before the Laurent form
+    fast = [
+        run(capsys, cmd, "--algebra", "qspace", "--n", n, "--max-degree", D, "--format", "json")
+        for cmd, n, D in GENERIC_QSPACE
+    ]
+    normalised = []
+
+    def sympy_only(self, frac):
+        normalised.append(frac)
+        return ParameterValue(self, None, frac)
+
+    def sympy_parameter(self, name):
+        return ParameterValue(self, None, self._sympy_field().gens[self.parameters.index(name)])
+
+    monkeypatch.setattr(ParameterField, "_from_sympy", sympy_only)
+    monkeypatch.setattr(ParameterField, "parameter", sympy_parameter)
+    slow = [
+        run(capsys, cmd, "--algebra", "qspace", "--n", n, "--max-degree", D, "--format", "json")
+        for cmd, n, D in GENERIC_QSPACE
+    ]
+    assert normalised  # the slow path ran
+    assert [code for code, _, _ in fast] == [0, 0, 0]
+    assert slow == fast
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+_SYMPY_PROBE = """
+import contextlib, io, json, sys
+from nkoszul.cli import main
+seen = ["sympy" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if main(argv) != 0:
+            raise SystemExit(f"{argv} failed")
+    seen.append("sympy" in sys.modules)
+print(json.dumps(seen))
+"""
+
+
+def test_sympy_is_imported_only_for_a_non_laurent_value(tmp_path):
+    # a rational command and the generic quantum spaces compute without
+    # sympy; a coefficient with a denominator of several terms needs it
+    runs = [
+        ["koszul-check", "--algebra", "antisym", "--n", "3", "--N", "3", "--max-degree", "5"],
+        ["koszul-check", "--algebra", "qspace", "--n", "3", "--max-degree", "5"],
+        ["info", "--algebra", _qspace_file(tmp_path, "1/(q12 + 1)"), "--max-degree", "3"],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SYMPY_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
+    )
+    assert json.loads(proc.stdout) == [False, False, False, True]

@@ -1,8 +1,14 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.polys.domains import QQ as SYMPY_QQ
+from sympy.polys.fields import field as sympy_field
 
+from conftest import COEFFS
 from nkoszul.scalar import QQ, ParameterField, RationalField, div
 
 
@@ -51,7 +57,7 @@ def test_div_sympy_operands():
     F = ParameterField(["q"])
     q = F.parameter("q")
     assert div(q**2 - 1, q - 1) == q + 1
-    assert div(F.from_int(1), q) == q**-1
+    assert div(F.constant(1), q) == q**-1
     assert div(q, 2) == q / 2
     assert div(2, q) * q == 2
 
@@ -84,9 +90,12 @@ def test_param_fraction_cancellation():
     F = ParameterField(["q"])
     q = F.parameter("q")
     a = (q - 1) / (q**2 - 1)
-    b = F.from_int(1) / (q + 1)
+    b = F.constant(1) / (q + 1)
     assert a == b
     assert str(a) == str(b)
+    # terms over one denominator add without a gcd; the sum still cancels
+    assert F.parse("q/(q**2 - 1) - 1/(q**2 - 1)") == b
+    assert F.parse("1/(q + 1) + q/(q + 1)") == 1
 
 
 def test_param_laurent_identity():
@@ -98,7 +107,7 @@ def test_param_laurent_identity():
 
 def test_division_by_zero():
     F = ParameterField(["q"])
-    one, zero = F.from_int(1), F.from_int(0)
+    one, zero = F.constant(1), F.constant(0)
     for a, b in ((1, 0), (0, 0), (Fraction(1), Fraction(0)), (Fraction(1, 2), 0), (one, zero)):
         with pytest.raises(ZeroDivisionError):
             div(a, b)
@@ -110,11 +119,11 @@ def test_param_parse_roundtrip():
     values = [
         -q12,
         (q12 + 1) / (2 * q13),
-        q12 / 2 + F.from_int(1) / 3,
+        q12 / 2 + F.constant(1) / 3,
         q12**-1,
         -((q12 + q13) ** 2) / (q12 - q13),
-        F.from_int(0),
-        F.from_int(-3) / 4,
+        F.constant(0),
+        F.constant(-3) / 4,
         (q12 + 1) ** 100,
         (q12 + q13 + 1) ** 43,
     ]
@@ -160,7 +169,7 @@ def _random_rational(rng):
 
 def _random_param(F, rng):
     q = F.parameter("q")
-    num = sum(rng.randint(-3, 3) * q**k for k in range(3)) + F.from_int(rng.randint(0, 1))
+    num = sum(rng.randint(-3, 3) * q**k for k in range(3)) + F.constant(rng.randint(0, 1))
     den = q ** rng.randint(0, 2) * rng.randint(1, 3) + 1
     return num / den
 
@@ -196,4 +205,91 @@ def test_field_instances():
     # fields with the same names make values that compare equal
     assert ParameterField(["a"]).parameter("a") == ParameterField(["a"]).parameter("a")
     assert ParameterField(["a"]).parameter("a") != ParameterField(["b"]).parameter("b")
+    a, b = ParameterField(["a"]).parameter("a"), ParameterField(["b"]).parameter("b")
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(a, ParameterField(["a"]).parameter("a")) == op(a, a)
+        with pytest.raises(TypeError):
+            op(a, b)  # values of two fields do not mix
     assert repr(ParameterField(["a", "b"])) == "QQ(a, b)"
+
+
+NAMES = ("q1", "q2", "q3")
+
+
+_LAURENT_COEFFS = st.one_of(COEFFS, st.integers(-9, 9))
+
+
+def _exponents(k):
+    return st.tuples(*[st.integers(-3, 3)] * k)
+
+
+@st.composite
+def _laurent_operands(draw):
+    """k parameters, three Laurent polynomials as ``{exponent tuple:
+    coefficient}`` (exponents in -3..3; zero coefficients drop out), a
+    nonzero monomial and a rational."""
+    k = draw(st.integers(1, 3))
+    terms = [draw(st.dictionaries(_exponents(k), _LAURENT_COEFFS, max_size=4)) for _ in range(3)]
+    monomial = {draw(_exponents(k)): draw(_LAURENT_COEFFS) or 1}
+    return k, terms, monomial, draw(COEFFS)
+
+
+@given(_laurent_operands())
+@settings(max_examples=100, deadline=None)
+def test_laurent_fast_path_matches_sympy_field(operands):
+    # every operation of the Laurent form against the same operation done
+    # directly in sympy's field, the representation it stands in for
+    k, terms, monomial, r = operands
+    F = ParameterField(NAMES[:k])
+    fld = sympy_field(" ".join(NAMES[:k]), SYMPY_QQ)[0]
+
+    def constant(c):
+        return fld.one * fld.domain(c.numerator, c.denominator)
+
+    def both(t):
+        value, frac = F.constant(0), fld.zero
+        for exps, c in t.items():
+            term, sterm = F.constant(c), constant(c)
+            for name, g, e in zip(NAMES, fld.gens, exps):
+                term, sterm = term * F.parameter(name) ** e, sterm * g**e
+            value, frac = value + term, frac + sterm
+        return value, frac
+
+    def agree(value, frac):
+        assert str(value) == str(frac)
+        assert (value.terms is not None) == (len(frac.denom) == 1)  # Laurent stays Laurent
+        assert bool(value) == bool(frac)
+        for c in (0, 1, r):
+            assert (value == c) == (frac == constant(c))
+        if frac.numer.is_ground and frac.denom == 1:
+            const = QQ.parse(str(frac))
+            assert value == const and hash(value) == hash(const)
+
+    (a, sa), (b, sb), (c, sc) = map(both, terms)
+    m, sm = both(monomial)
+    sr = constant(r)
+    for value, frac in ((a, sa), (b, sb), (c, sc), (m, sm)):
+        agree(value, frac)
+    agree(a + b, sa + sb)
+    agree(a - b, sa - sb)
+    agree(a * b, sa * sb)
+    agree(-a, -sa)
+    agree(div(a, m), sa / sm)
+    agree(r * a, sr * sa)
+    agree(a + r, sa + sr)
+    agree(r - a, sr - sa)
+    assert (a == b) == (sa == sb)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    if c:
+        # a quotient by several terms is held in sympy's field until it
+        # is a Laurent polynomial again
+        q, sq = div(a, c), sa / sc
+        agree(q, sq)
+        agree(q * c, sa)
+        agree(q + b, sq + sb)
+        agree(q * b, sq * sb)
+        agree(div(q, m), sq / sm)
+        agree(q - q, sq - sq)
+        assert (q == a) == (sq == sa)
+        if r:
+            agree(div(r, c), sr / sc)
