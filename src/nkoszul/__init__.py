@@ -25,4 +25,4 @@ from .koszul import (
 )
 from .manin import ManinBialgebra, build_end, chi_A, chi_J, kmt_check
 from .mmt import mmt_check, nmt_check, random_rational_matrix
-from .scalar import QQ, ParameterField, RationalField
+from .scalar import ParameterField

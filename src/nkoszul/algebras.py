@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 
 from .freealg import word_index
 from .homog import AlgebraPresentation
-from .scalar import QQ, ParameterField
+from .scalar import ParameterField, rational
 
 
 def perm_sign(perm) -> int:
@@ -79,7 +79,7 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
         field = ParameterField(names) if names else None
         coeff = {pair: field.parameter(name) for pair, name in zip(pairs, names)}
     else:
-        q = QQ.convert(q)
+        q = rational(q)
         if not q:
             raise ValueError("parameter q must be nonzero")
         coeff = dict.fromkeys(pairs, q)

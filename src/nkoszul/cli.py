@@ -23,7 +23,7 @@ from .algebras import (
     polynomial,
     quantum_space,
 )
-from .scalar import QQ
+from .scalar import parse_rational
 
 DEFAULT_MAX_AMBIENT = 10**7
 
@@ -56,7 +56,7 @@ def make_algebra(args):
             raise UsageError("--N is required for antisym")
         return antisymmetrizer(args.n, args.N)
     if spec == "qspace":
-        q = QQ.parse(args.q) if args.q is not None else None
+        q = parse_rational(args.q) if args.q is not None else None
         return quantum_space(args.n, q=q)
     if spec == "free":
         return free_algebra(args.n)

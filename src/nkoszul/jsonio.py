@@ -12,13 +12,13 @@ from __future__ import annotations
 
 from .freealg import word_index
 from .homog import AlgebraPresentation
-from .scalar import QQ, ParameterField
+from .scalar import ParameterField, parse_rational
 
 
-def scalar_from_str(field, text: str):
+def scalar_from_str(parse, text: str):
     if not isinstance(text, str):
         raise ValueError(f"scalar {text!r} is not a JSON string")
-    return field.parse(text)
+    return parse(text)
 
 
 def _int(value, what):
@@ -28,12 +28,12 @@ def _int(value, what):
     return value
 
 
-def tensor_from_obj(obj: dict, n: int, N: int, field) -> dict:
+def tensor_from_obj(obj: dict, n: int, N: int, parse) -> dict:
     """The relation ``obj``, a grade-N term list, as a column dict."""
     terms = {}
     for item in obj["terms"]:
         word = tuple(_int(a, "word letter") for a in item["word"])
-        coeff = scalar_from_str(field, item["coeff"])
+        coeff = scalar_from_str(parse, item["coeff"])
         if word in terms:
             raise ValueError(f"duplicate word {word} in tensor JSON")
         terms[word] = coeff
@@ -57,10 +57,11 @@ def algebra_from_obj(obj: dict) -> AlgebraPresentation:
     label = obj.get("label", "")
     if not isinstance(label, str):
         raise ValueError(f"label {label!r} is not a string")
-    field = ParameterField(params) if params else QQ
+    field = ParameterField(params) if params else None
+    parse = (lambda text: field.parse(text)) if field else parse_rational
     n = _int(obj["n"], "n")
     N = _int(obj["N"], "N")
-    rels = [tensor_from_obj(r, n, N, field) for r in obj["relations"]]
+    rels = [tensor_from_obj(r, n, N, parse) for r in obj["relations"]]
     return AlgebraPresentation(n, N, rels, label=label, parameters=params)
 
 
@@ -77,4 +78,4 @@ def matrix_from_obj(obj: dict):
         raise ValueError("matrix entries are not a list of lists")
     if len(entries) != n or any(len(row) != n for row in entries):
         raise ValueError("matrix entries do not form an n×n grid")
-    return [[scalar_from_str(QQ, v) for v in row] for row in entries]
+    return [[scalar_from_str(parse_rational, v) for v in row] for row in entries]

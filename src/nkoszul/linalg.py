@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
-from .scalar import div
+from .scalar import axpy, div
 
 
 class Matrix:
@@ -21,27 +21,6 @@ class Matrix:
     def __init__(self, ncols: int, rows):
         self.ncols = ncols
         self.rows = list(rows)
-
-
-def axpy(acc, c, vec, skip=None):
-    """Add ``c·vec`` into ``acc`` in place, dropping entries that cancel.
-
-    Column ``skip`` of ``vec`` is left out.  ``c`` must be nonzero and
-    ``vec`` hold no zeros, so a new entry is never zero.  Returns ``acc``.
-    """
-    for col, val in vec.items():
-        if col == skip:
-            continue
-        cur = acc.get(col)
-        if cur is None:
-            acc[col] = c * val
-        else:
-            cur = cur + c * val
-            if cur:
-                acc[col] = cur
-            else:
-                del acc[col]
-    return acc
 
 
 def _eliminate(row_of, row):

@@ -1,28 +1,29 @@
-"""Exact coefficient fields.
+"""Exact scalars, and the two kernels every layer computes with: the
+exact division :func:`div` and the sparse accumulate :func:`axpy`.
 
-Two fields are supported: the rationals and fractions of multivariate
-polynomials in named parameters (for quantum-space coefficients).  A
-rational is an ``int`` when it is integral and a ``fractions.Fraction``
+A rational is an ``int`` when it is integral and a ``fractions.Fraction``
 otherwise: every built-in relation is integral and almost every echelon
 pivot is ±1, so most arithmetic stays on ``int``.  The two kinds mix
 freely, since ``str`` writes ``3`` and ``Fraction(3)`` alike and they
 compare and hash equal; a ``Fraction`` that happens to be integral is
-never converted back.
+never converted back.  :func:`rational` makes one, :func:`parse_rational`
+reads one.
 
-A parameter value is a :class:`ParameterValue`.  Every value the generic
-quantum spaces reach is a Laurent polynomial, held as a dict from exponent
-tuples to rationals, whose ``+ - *`` and division by a monomial are plain
-loops; only a value whose reduced denominator is not a monomial is held in
-sympy's fraction field.  sympy is imported on first need (for such a
-value, a division by a value of several terms, the parameter-expression
-parser and ``str``), so a command that meets only Laurent values never
-imports it.
+A parameter value is a :class:`ParameterValue` of a :class:`ParameterField`
+(for quantum-space coefficients).  Every value the generic quantum spaces
+reach is a Laurent polynomial, held as a dict from exponent tuples to
+rationals, whose ``+ - *`` run on :func:`axpy`; only a value whose reduced
+denominator is not a monomial is held in sympy's fraction field.  sympy is
+imported on first need (for such a value, a division by a value of several
+terms, the parameter-expression parser and ``str``), so a command that
+meets only Laurent values never imports it.
 
 Scalars are duck-typed: everything downstream only uses ``+ - *``,
 equality and truthiness, writes its zero and one as the literals ``0``
 and ``1``, and divides only through :func:`div`, since ``int / int`` is a
-float.  The field objects here exist to parse scalars and to make the
-parameters; past the parser no code carries one.
+float.  The only field object is :class:`ParameterField`, which parses
+parameter values and makes the parameters; past the parser no code
+carries one.
 """
 
 from __future__ import annotations
@@ -46,26 +47,44 @@ def div(a, b):
     return a / b
 
 
-class RationalField:
-    """The rationals, realized by ``int`` values and arbitrary-precision
-    ``Fraction`` values."""
+def axpy(acc, c, vec, skip=None):
+    """Add ``c·vec`` into ``acc`` in place, dropping entries that cancel.
 
-    def convert(self, value):
-        """The rational ``value`` (an ``int``, a ``Fraction`` or anything
-        ``Fraction`` accepts) as an ``int`` when it is integral, else as a
-        ``Fraction``."""
-        value = Fraction(value)
-        return value.numerator if value.denominator == 1 else value
+    Column ``skip`` of ``vec`` is left out.  ``c`` must be nonzero and
+    ``vec`` hold no zeros, so a new entry is never zero.  Returns ``acc``.
+    """
+    for col, val in vec.items():
+        if col == skip:
+            continue
+        cur = acc.get(col)
+        if cur is None:
+            acc[col] = c * val
+        else:
+            cur = cur + c * val
+            if cur:
+                acc[col] = cur
+            else:
+                del acc[col]
+    return acc
 
-    def parse(self, text: str):
-        """Read ``"p/q"`` or ``"p"``, as ``str`` writes them; raises
-        ValueError on anything else, including a zero denominator."""
-        if _RATIONAL.fullmatch(text) is None:
-            raise ValueError(f"not a rational 'p/q' or 'p' with q > 0: {text!r}")
-        return self.convert(text)
 
-    def __repr__(self):
-        return "QQ"
+def rational(value):
+    """The rational ``value`` (an ``int``, a ``Fraction`` or anything
+    ``Fraction`` accepts) as an ``int`` when it is integral, else as a
+    ``Fraction``."""
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def parse_rational(text: str):
+    """Read ``"p/q"`` or ``"p"``, as ``str`` writes them; raises
+    ValueError on anything else, including a zero denominator."""
+    if _RATIONAL.fullmatch(text) is None:
+        raise ValueError(f"not a rational 'p/q' or 'p' with q > 0: {text!r}")
+    return rational(text)
+
+
+_NAME = "[A-Za-z_][A-Za-z_0-9]*"  # a parameter name, as the expression parser reads it
 
 
 class ParameterField:
@@ -83,6 +102,9 @@ class ParameterField:
             raise ValueError("parameter field needs at least one parameter name")
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate parameter names: {names}")
+        for name in names:
+            if re.fullmatch(_NAME, name) is None:
+                raise ValueError(f"parameter name {name!r} does not match {_NAME}")
         self.parameters = names
         self._zero = (0,) * len(names)  # the exponent of a constant
         self._fraction_field = None  # sympy's, built by _sympy_field
@@ -139,34 +161,23 @@ def _to_sympy(fld, c):
 
 
 def _laurent_add(a, b):
-    """The sum of two Laurent term dicts."""
     if len(a) < len(b):
         a, b = b, a
-    out = dict(a)
-    for e, c in b.items():
-        c += out.get(e, 0)
-        if c:
-            out[e] = c
-        else:
-            del out[e]
-    return out
+    return axpy(dict(a), 1, b)
 
 
 def _laurent_sub(a, b):
-    return _laurent_add(a, {e: -c for e, c in b.items()})
+    return axpy(dict(a), -1, b)
 
 
 def _laurent_mul(a, b):
-    """The product of two Laurent term dicts."""
+    """The product of two Laurent term dicts: a shifted copy of the longer
+    per term of the shorter."""
+    if len(a) > len(b):
+        a, b = b, a
     out = {}
     for e, c in a.items():
-        for f, d in b.items():
-            g = tuple(map(add, e, f))
-            v = out.get(g, 0) + c * d
-            if v:
-                out[g] = v
-            else:
-                del out[g]
+        axpy(out, c, {tuple(map(add, e, f)): d for f, d in b.items()})
     return out
 
 
@@ -346,7 +357,7 @@ def _power(p, e):
     return degree * e, comb(e + terms - 1, e) if terms > 1 else terms
 
 
-_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/()])")
+_TOKEN = re.compile(rf"\s*([0-9]+|{_NAME}|\*\*|[-+*/()])")
 
 
 class _ExpressionParser:
@@ -505,7 +516,3 @@ class _ExpressionParser:
             raise self.error()
         self.pos += 1
         return value
-
-
-#: Shared default field instance.
-QQ = RationalField()

@@ -273,10 +273,13 @@ def _mono_xyx(n=2, N=3, grade=3, word=(0, 1, 0), **extra):
         _mono_xyx(word=(0, 1)),
         _mono_xyx(word=(0, 2, 0)),
         _mono_xyx(word=(0, -1, 0)),
+        _mono_xyx(parameters=["x y", "z"]),
+        _mono_xyx(parameters=["x,y"]),
     ],
     ids=["float-n", "float-N", "float-grade", "top-level-array", "float-letter",
          "bool-letters", "numeric-label", "string-parameters", "grade-not-N",
-         "short-word", "letter-too-large", "negative-letter"],
+         "short-word", "letter-too-large", "negative-letter", "space-in-parameter",
+         "comma-in-parameter"],
 )
 def test_malformed_algebra_file_exit_2(capsys, tmp_path, obj):
     # each used to crash with exit 1 or run on a silently misread value

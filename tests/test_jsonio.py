@@ -8,7 +8,7 @@ from conftest import columns
 from nkoszul import jsonio
 from nkoszul.algebras import antisymmetrizer, quantum_space
 from nkoszul.freealg import index_word
-from nkoszul.scalar import QQ
+from nkoszul.scalar import parse_rational
 
 
 def _tensor_to_obj(k, n, vec):
@@ -35,11 +35,11 @@ def _algebra_to_obj(A):
 def test_scalar_strings():
     Z = [[Fraction(3, 4), Fraction(-5)], [Fraction(0), Fraction(1)]]
     assert jsonio.matrix_to_obj(Z)["entries"] == [["3/4", "-5"], ["0", "1"]]
-    assert jsonio.scalar_from_str(QQ, "7/2") == Fraction(7, 2)
-    assert jsonio.scalar_from_str(QQ, "7") == Fraction(7)
+    assert jsonio.scalar_from_str(parse_rational, "7/2") == Fraction(7, 2)
+    assert jsonio.scalar_from_str(parse_rational, "7") == Fraction(7)
     for value in (7, 1.5, None, ["1"]):
         with pytest.raises(ValueError):
-            jsonio.scalar_from_str(QQ, value)
+            jsonio.scalar_from_str(parse_rational, value)
 
 
 def test_tensor_roundtrip():
@@ -52,13 +52,13 @@ def test_tensor_roundtrip():
             {"coeff": "-2", "word": [1, 0]},
         ],
     }
-    assert jsonio.tensor_from_obj(obj, 2, 2, QQ) == t
+    assert jsonio.tensor_from_obj(obj, 2, 2, parse_rational) == t
 
 
 def test_tensor_duplicate_word_rejected():
     obj = {"grade": 1, "terms": [{"coeff": "1", "word": [0]}, {"coeff": "2", "word": [0]}]}
     with pytest.raises(ValueError):
-        jsonio.tensor_from_obj(obj, 2, 1, QQ)
+        jsonio.tensor_from_obj(obj, 2, 1, parse_rational)
 
 
 @pytest.mark.parametrize(
@@ -72,7 +72,7 @@ def test_tensor_duplicate_word_rejected():
 def test_relation_checks(grade, word, message):
     obj = {"grade": grade, "terms": [{"coeff": "1", "word": word}]}
     with pytest.raises(ValueError, match=re.escape(message)):
-        jsonio.tensor_from_obj(obj, 2, 3, QQ)
+        jsonio.tensor_from_obj(obj, 2, 3, parse_rational)
 
 
 def test_algebra_roundtrip_rational():

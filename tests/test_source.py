@@ -18,7 +18,7 @@ def test_no_assert_in_library():
 UNUSED_ALLOWED = {
     "linalg.BasisSolver": (
         "the oracle the tests check g_table against; perfbench/tracer.py wraps it"
-        " until the benchmark change of ROADMAP item 4"
+        " until the benchmark-only change of ROADMAP item 1"
     ),
 }
 
@@ -173,6 +173,26 @@ def test_hot_loops_do_not_convert_words():
                     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                     if name in ("index_word", "word_index"):
                         found.append(f"{module}.{qualname}:{node.lineno}")
+    assert found == []
+
+
+def test_no_sparse_accumulate_outside_axpy():
+    # scalar.axpy is the one loop that drops an entry that cancels; any
+    # other "del vec[key]" is a hand-written copy of it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        kernel = {
+            node
+            for top in tree.body
+            if path.name == "scalar.py" and getattr(top, "name", None) == "axpy"
+            for node in ast.walk(top)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Delete) and node not in kernel:
+                for target in node.targets:
+                    if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+                        found.append(f"{path.name}:{node.lineno}")
     assert found == []
 
 
