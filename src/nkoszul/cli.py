@@ -3,9 +3,10 @@
 Exit codes follow a CI-friendly contract: 0 means the requested identity or
 certificate holds, 1 means the computation succeeded but the verdict is
 negative (the report pinpoints the first failure), 2 means a usage or
-feasibility error.  With ``--format json`` the report is a single
-deterministic JSON document: identical configuration (including seeds)
-produces byte-identical output.
+feasibility error, and 3 means an internal error, such as a failed
+invariant check, reported as one ``internal error:`` line on stderr.
+With ``--format json`` the report is a single deterministic JSON document:
+identical configuration (including seeds) produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -351,6 +352,10 @@ def main(argv=None) -> int:
         # a precondition violation from the library is a usage error too
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a bug, not a verdict: exit 1 would read as a failed identity
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     document = {
         "tool": "nkoszul",
         "version": __version__,

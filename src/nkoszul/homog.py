@@ -11,8 +11,10 @@ are copied in as they are.  Since R ⊗ I_{d-N} ⊆ V ⊗ I_{d-1}, only the rows
 R ⊗ w for normal words w of degree d-N are eliminated.  The words at
 non-pivot columns form the normal basis of A_d, and forward reduction
 against the echelon gives the unique normal form of any element, which is
-the quotient arithmetic.  Every word here is its base-n column and every
-element, each relation included, a ``{column: scalar}`` dict (see
+the quotient arithmetic: an element lies in the ideal exactly when that
+remainder is zero, and :meth:`AlgebraPresentation.multiply` is the one
+product.  Every word here is its base-n column and every element, each
+relation included, a ``{column: scalar}`` dict (see
 :mod:`nkoszul.freealg`), so a normal form is the echelon remainder as it
 is.  The canonical reduced basis of I_d is built only when
 :meth:`AlgebraPresentation.ideal_component` asks for it.
@@ -125,6 +127,21 @@ class AlgebraPresentation:
         normal-basis coordinates."""
         return AlgebraClass(self, d, self._component(d).echelon.reduce(vec))
 
+    def multiply(self, d, k, left, right, out=None):
+        """Add into ``out`` (a new dict when None) the normal form in A_d of
+        the product of the column dicts ``left``, of degree d - k, and
+        ``right``, of degree k, and return ``out``.  Neither factor may hold
+        a zero entry.  The word u then v has column u·n^k + v.  This is the
+        one product of the quotient."""
+        if out is None:
+            out = {}
+        shift = self.n**k
+        for u, cu in left.items():
+            head = u * shift
+            for v, cv in right.items():
+                linalg.axpy(out, cu * cv, self.class_of_word((d, head + v)))
+        return out
+
     def class_of_word(self, word):
         """Normal form {normal column: scalar} of the word given as the pair
         (degree, column); memoized, the hot path for multiplication.  The
@@ -219,20 +236,14 @@ class AlgebraClass:
         return self + (-other)
 
     def __mul__(self, other):
-        """Product in A; the word u then v has column u·n^|v| + v."""
+        """Product in A, by :meth:`AlgebraPresentation.multiply`."""
         if not isinstance(other, AlgebraClass):
             return NotImplemented
         if other.algebra is not self.algebra:
             raise ValueError("algebra mismatch")
         A = self.algebra
         d = self.degree + other.degree
-        shift = A.n**other.degree
-        out = {}
-        for u, cu in self.coords.items():
-            head = u * shift
-            for v, cv in other.coords.items():
-                linalg.axpy(out, cu * cv, A.class_of_word((d, head + v)))
-        return AlgebraClass(A, d, out)
+        return AlgebraClass(A, d, A.multiply(d, other.degree, self.coords, other.coords))
 
     def __eq__(self, other):
         return (

@@ -79,8 +79,8 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
 
     For each basis row of J_m, the slice at every length-s prefix must lie
     in J_{m-s}; a failure signals an implementation bug, not bad input.
-    Returns, per basis row, a list of (prefix column, {J_{m-s} basis index:
-    coefficient}).
+    Returns, per basis row, {J_{m-s} basis index g: {prefix column:
+    coefficient}}: the row is Σ_g y_g ⊗ (basis row g), y_g of degree s.
     """
     cache = A.cache.j_slices
     key = (m, s)
@@ -96,7 +96,7 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
         for idx, c in row.items():
             p, t = divmod(idx, tail)
             groups.setdefault(p, {})[t] = c
-        entries = []
+        slices = {}
         for p in sorted(groups):
             try:
                 coords = lower.coordinates(groups[p])
@@ -105,8 +105,9 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
                     f"J_{m} slice not contained in V^{{⊗{s}}}⊗J_{m - s}; "
                     "this is an internal invariant violation"
                 ) from exc
-            entries.append((p, coords))
-        data.append(entries)
+            for g, lam in coords.items():
+                slices.setdefault(g, {})[p] = lam
+        data.append(slices)
     cache[key] = data
     return data
 
@@ -117,8 +118,8 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
     Rows are images of the domain basis pairs (normal word e, J basis row b),
     flattened as e_pos * dim J + b; columns are flattened the same way on the
     codomain.  The map splits the first s = ν(ℓ)-ν(ℓ-1) tensor factors off
-    the J part and multiplies them into the algebra factor: the word e then
-    the prefix p has column e·n^s + p.
+    the J part and multiplies them into the algebra factor: with the J row
+    b = Σ_g y_g ⊗ (row g of J_{ν(ℓ-1)}), e ⊗ b maps to Σ_g e·y_g ⊗ (row g).
     """
     if ell < 1:
         raise ValueError("differential needs homological degree >= 1")
@@ -129,25 +130,18 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
     k = m - hi
     if k < 0:
         raise ValueError(f"total degree {m} is below ν({ell}) = {hi}")
-    lower = dual_koszul_subspace(A, lo)
-    dim_lower = lower.dim
+    dim_lower = dual_koszul_subspace(A, lo).dim
     slices = _j_slices(A, hi, s)
     cod_pos = {f: i for i, f in enumerate(A.normal_basis(k + s))}
-    shift = A.n**s
-    rows = []
-    for e in A.normal_basis(k):
-        head = e * shift
-        for entries in slices:
-            slots = {}  # J_{ν(ℓ-1)} basis index -> A_{k+s} coordinates
-            for p, coords in entries:
-                cls = A.class_of_word((k + s, head + p))
-                for g, lam in coords.items():
-                    linalg.axpy(slots.setdefault(g, {}), lam, cls)
-            rows.append({
-                cod_pos[f] * dim_lower + g: v
-                for g, slot in slots.items()
-                for f, v in slot.items()
-            })
+    rows = [
+        {
+            cod_pos[f] * dim_lower + g: v
+            for g, y in row.items()
+            for f, v in A.multiply(k + s, s, {e: 1}, y).items()
+        }
+        for e in A.normal_basis(k)
+        for row in slices
+    ]
     return linalg.Matrix(len(cod_pos) * dim_lower, rows)
 
 

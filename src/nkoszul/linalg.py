@@ -127,30 +127,18 @@ class Subspace:
     def dim(self) -> int:
         return len(self.pivots)
 
-    def _split(self, vec):
-        """(coordinates, residual) of ``vec``.
+    def coordinates(self, vec):
+        """Coordinates of ``vec`` in the basis rows, as a sparse
+        ``{row_index: scalar}`` dict; raises ValueError if not a member.
 
         For a reduced echelon basis the coordinate along row i is the entry
         of ``vec`` at pivot i, and ``vec`` is a member exactly when the
         residual ``vec - Σ coordinate·row`` is zero.
         """
-        coords = {}
-        for i, p in enumerate(self.pivots):
-            c = vec.get(p)
-            if c:
-                coords[i] = c
+        coords = {i: vec[p] for i, p in enumerate(self.pivots) if vec.get(p)}
         residual = {j: v for j, v in vec.items() if v}
         for i, c in coords.items():
             axpy(residual, -c, self.rows[i])
-        return coords, residual
-
-    def contains(self, vec) -> bool:
-        return not self._split(vec)[1]
-
-    def coordinates(self, vec):
-        """Coordinates of ``vec`` in the basis rows, as a sparse
-        ``{row_index: scalar}`` dict; raises ValueError if not a member."""
-        coords, residual = self._split(vec)
         if residual:
             raise ValueError("vector is not in the subspace")
         return coords

@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 
-from . import linalg
 from .algebras import enumerate_admissible, perm_sign, polynomial
 from .freealg import index_word, word_index
 from .homog import AlgebraPresentation
@@ -49,33 +48,26 @@ def matrix_det(entries):
     return total
 
 
-def _transform_tensor(Z, vec, k: int):
-    """Apply Z factor-wise to the grade-k column dict ``vec``:
-    x_w ↦ Σ_{w'} (Π_s Z[w_s][w'_s]) x_{w'}."""
-    n = len(Z)
-    out = {}
-    for w, c in vec.items():
-        partial = {0: c}
-        for letter in index_word(w, k, n):
-            row = Z[letter]
-            partial = {
-                prefix * n + j: coeff * row[j]
-                for prefix, coeff in partial.items()
-                for j in range(n)
-                if row[j]
-            }
-        linalg.axpy(out, 1, partial)
-    return out
-
-
 def check_specializable(A: AlgebraPresentation, Z) -> bool:
     """True iff span(R) is invariant under Z^{⊗N}, which makes z_i^j ↦ Z_ij
-    kill every relation of end(A).  Always true for the polynomial and
-    antisymmetrizer algebras; generically false for quantum spaces."""
+    kill every relation of end(A): each relation Σ c_w x_w must map to
+    Σ c_w X_{w_1}···X_{w_N} = 0 in A_N, X_i = Σ_j Z_ij x_j.  Always true
+    for the polynomial and antisymmetrizer algebras; generically false for
+    quantum spaces."""
     if len(Z) != A.n:
         raise ValueError("matrix size does not match the generator count")
-    span = A.ideal_component(A.N)
-    return all(span.contains(_transform_tensor(Z, r, A.N)) for r in A.relations)
+    X = [{j: z for j, z in enumerate(row) if z} for row in Z]
+    for r in A.relations:
+        image = {}
+        for w, c in r.items():
+            *head, last = index_word(w, A.N, A.n)
+            prod = {0: c}
+            for k, b in enumerate(head, 1):
+                prod = A.multiply(k, 1, prod, X[b])
+            A.multiply(A.N, 1, prod, X[last], image)
+        if image:
+            return False
+    return True
 
 
 def _check_reversal(A: AlgebraPresentation, max_degree: int):
@@ -89,10 +81,9 @@ def _check_reversal(A: AlgebraPresentation, max_degree: int):
     rev(w)-coordinate of the reversed product in the normal basis.  Both
     hold for the polynomial and antisymmetrizer algebras."""
     n, N = A.n, A.N
-    span = A.ideal_component(N)
     for r in A.relations:
         reversed_r = {word_index(reversed(index_word(w, N, n)), n): c for w, c in r.items()}
-        if not span.contains(reversed_r):
+        if A.reduce(N, reversed_r):
             raise ValueError("the relations are not stable under word reversal")
     normal = {}
     for k in range(1, max_degree + 1):
@@ -123,7 +114,8 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
     normal = _check_reversal(A, max_degree)
     n = A.n
     L = lcm(*(z.denominator for row in Z for z in row))
-    LZ = [[z.numerator * (L // z.denominator) for z in row] for row in Z]
+    # X_b = Σ_j (LZ)_bj x_j, of degree 1
+    X = [{j: z.numerator * (L // z.denominator) for j, z in enumerate(row) if z} for row in Z]
     table = {}
     # stack entries: (word, column of the reversed word, normal coordinates
     # of the reversed product)
@@ -138,13 +130,7 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
         for b in range(n - 1, -1, -1):
             if b * shift + rev not in normal[k + 1]:
                 continue
-            nxt = {}
-            for j, z in enumerate(LZ[b]):
-                if z:
-                    head = j * shift
-                    for w, c in vec.items():
-                        linalg.axpy(nxt, z * c, A.class_of_word((k + 1, head + w)))
-            stack.append((word + (b,), b * shift + rev, nxt))
+            stack.append((word + (b,), b * shift + rev, A.multiply(k + 1, k, X[b], vec)))
     return table
 
 

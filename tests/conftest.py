@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from nkoszul.algebras import perm_sign
 from nkoszul.freealg import index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraClass, AlgebraPresentation
-from nkoszul.linalg import Echelon, axpy
+from nkoszul.linalg import Echelon, Matrix, axpy, rank
 from nkoszul.manin import is_polynomial_presentation
 from nkoszul.series import MultiSeries, UniSeries
 
@@ -108,6 +108,44 @@ def rref(matrix):
     ech = Echelon(matrix.ncols, reduced=True)
     ech.extend(matrix.rows)
     return ech.to_subspace()
+
+
+def in_span(sub, vec):
+    """v ∈ sub iff the rank of sub's rows plus v is dim sub; independent of
+    the reduced echelon form that ``Subspace.coordinates`` reads."""
+    return rank(Matrix(sub.ambient_dim, [*sub.rows, vec])) == sub.dim
+
+
+def _transform_tensor(Z, vec, k):
+    """Apply Z factor-wise to the grade-k column dict ``vec``:
+    x_w ↦ Σ_{w'} (Π_s Z[w_s][w'_s]) x_{w'}."""
+    n = len(Z)
+    out = {}
+    for w, c in vec.items():
+        partial = {0: c}
+        for letter in index_word(w, k, n):
+            row = Z[letter]
+            partial = {
+                prefix * n + j: coeff * row[j]
+                for prefix, coeff in partial.items()
+                for j in range(n)
+                if row[j]
+            }
+        axpy(out, 1, partial)
+    return out
+
+
+def specializable_oracle(A, Z):
+    """span(R) is invariant under Z^{⊗N}: Z^{⊗N} r is spelled out on words
+    and tested against the RREF basis of I_N, the path ``check_specializable``
+    took before it reduced products in A_N."""
+    span = A.ideal_component(A.N)
+    try:
+        for r in A.relations:
+            span.coordinates(_transform_tensor(Z, r, A.N))
+    except ValueError:
+        return False
+    return True
 
 
 def _subspace_sum(u, w):

@@ -20,7 +20,7 @@ from nkoszul.algebras import (
     polynomial,
     quantum_space,
 )
-from conftest import columns, rref
+from conftest import columns, in_span, rref
 from nkoszul.koszul import (
     admissible_identity_check,
     dual_component_dim,
@@ -322,7 +322,7 @@ def test_criterion_11_property_suites(algebras, subspace_sum):
                     p, t = divmod(idx, tail)
                     groups.setdefault(p, {})[t] = coeff
                 for vec in groups.values():
-                    if not lower.contains(vec):
+                    if not in_span(lower, vec):
                         failures.append(("inclusion", key, ell))
 
     # specializability guard rejects the quantum space at a generic matrix

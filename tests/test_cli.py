@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from sympy.polys.fields import FracElement
 
+from nkoszul import koszul
 from nkoszul.cli import HANDLERS, main
 from nkoszul.scalar import ParameterField, ParameterValue
 
@@ -49,6 +50,27 @@ def test_negative_verdict_exit_code(capsys, tmp_path):
     )
     assert code == 1
     assert "FAILS" in out and "5" in out
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    # a failed invariant check is a program fault; exit 1 would read as a
+    # negative verdict
+    real = koszul.differential
+
+    def perturbed(A, m, ell):
+        mat = real(A, m, ell)
+        if ell == 2:
+            mat.rows[0][0] = mat.rows[0].get(0, 0) + 1  # breaks d∘d = 0
+        return mat
+
+    monkeypatch.setattr(koszul, "differential", perturbed)
+    code, out, err = run(
+        capsys, "koszul-check", "--algebra", "poly", "--n", "2", "--max-degree", "2"
+    )
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "internal error: RuntimeError: d_1 ∘ d_2 != 0 at total degree 2; internal error"
+    ]
 
 
 def test_mmt_seeded(capsys):

@@ -287,6 +287,13 @@ def test_random_presentations_match_oracles(concat, A, data):
         t = data.draw(elements(n, top - d))
         product_st = A.reduce(d, s) * A.reduce(top - d, t)
         assert product_st == A.reduce(top, concat(n, s, d, t, top - d)), d
+        # multiply adds the product into out, and an empty factor adds
+        # nothing; like axpy it takes factors with no zero entries
+        s, t = ({w: c for w, c in v.items() if c} for v in (s, t))
+        acc = A.reduce(top, data.draw(elements(n, top)))
+        assert A.multiply(top, top - d, s, t, out=dict(acc.coords)) == (acc + product_st).coords, d
+        assert A.multiply(top, top - d, {}, t, out=dict(acc.coords)) == acc.coords, d
+        assert A.multiply(top, top - d, s, {}) == {}, d
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rref
+from conftest import in_span, rref
 from nkoszul.linalg import (
     BasisSolver,
     Echelon,
@@ -97,7 +97,7 @@ def test_grassmann_dimension_formula(subspace_sum):
         i = intersect(8, u.rows, w.rows)
         assert s.dim + i.dim == u.dim + w.dim
         for row in i.rows:
-            assert u.contains(row) and w.contains(row)
+            assert in_span(u, row) and in_span(w, row)
 
 
 def _intersect_bruteforce(u, w):
@@ -149,6 +149,7 @@ def test_sum_intersection_trivial_cases(subspace_sum):
 
 
 def test_contains_iff_coordinates():
+    # coordinates succeeds exactly on the members the rank oracle accepts
     rng = random.Random(5)
     for _ in range(20):
         u = _random_subspace(rng, 6, 3)
@@ -158,20 +159,22 @@ def test_contains_iff_coordinates():
             for col, val in row.items():
                 inside[col] = inside.get(col, Fraction(0)) + c * val
         inside = {c: v for c, v in inside.items() if v}
-        assert u.contains(inside)
-        coords = u.coordinates(inside)
-        rebuilt = {}
-        for i, c in coords.items():
-            for col, val in u.rows[i].items():
-                rebuilt[col] = rebuilt.get(col, Fraction(0)) + c * val
-        assert {c: v for c, v in rebuilt.items() if v} == inside
         outside = dict(inside)
         free = [j for j in range(6) if j not in u.pivots]
-        if free and u.dim < 6:
-            outside[free[0]] = outside.get(free[0], Fraction(0)) + 1
-            if not u.contains(outside):
+        outside[free[0]] = outside.get(free[0], Fraction(0)) + 1
+        noise = {j: Fraction(rng.randint(-2, 2)) for j in rng.sample(range(6), 2)}
+        assert in_span(u, inside)
+        assert not in_span(u, outside)
+        for vec in (inside, outside, noise):
+            if not in_span(u, vec):
                 with pytest.raises(ValueError):
-                    u.coordinates(outside)
+                    u.coordinates(vec)
+                continue
+            rebuilt = {}
+            for i, c in u.coordinates(vec).items():
+                for col, val in u.rows[i].items():
+                    rebuilt[col] = rebuilt.get(col, Fraction(0)) + c * val
+            assert {c: v for c, v in rebuilt.items() if v} == {c: v for c, v in vec.items() if v}
 
 
 def test_ambient_mismatch(subspace_sum):

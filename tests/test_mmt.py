@@ -4,11 +4,11 @@ from itertools import product
 from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nkoszul.algebras import antisymmetrizer, enumerate_admissible, polynomial, quantum_space
-from conftest import assert_exact, columns
+from conftest import COEFFS, assert_exact, columns, presentations, specializable_oracle
 from nkoszul.freealg import index_word, word_index
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, jumps
@@ -69,6 +69,37 @@ def test_specializable_quantum_fails():
     # and the guard is exactly "some relation is not killed": evaluate it
     # z_i^j -> 1 on relation x2⊗x1 - 2 x1⊗x2 pairs R^perp against a moved R
     assert check_specializable(Q, ident(2))  # diagonal matrices are fine
+
+
+@st.composite
+def specializations(draw):
+    """A random or built-in algebra and a small rational matrix Z: dense,
+    diagonal or a permutation, with some rows set to zero."""
+    builtins = st.sampled_from(
+        [polynomial(2), polynomial(3), antisymmetrizer(3, 3), antisymmetrizer(4, 3),
+         quantum_space(2, q=2), quantum_space(3)]
+    )
+    A = draw(st.one_of(presentations(), builtins))
+    n = A.n
+    Z = draw(st.one_of(
+        st.lists(st.lists(COEFFS, min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(COEFFS, min_size=n, max_size=n).map(
+            lambda d: [[d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        ),
+        st.permutations(range(n)).map(lambda p: [[int(p[i] == j) for j in range(n)] for i in range(n)]),
+    ))
+    for i in draw(st.sets(st.integers(0, n - 1))):
+        Z[i] = [0] * n
+    return A, Z
+
+
+@settings(max_examples=100, deadline=None)
+@given(specializations())
+@example((quantum_space(2, q=2), [[1, 2], [3, 5]]))  # not specializable
+def test_specializable_matches_transformed_relations(case):
+    # the product in A_N against Z^{⊗N} spelled out on words and the RREF
+    A, Z = case
+    assert check_specializable(A, Z) == specializable_oracle(A, Z)
 
 
 def test_g_identity_matrix_all_ones():

@@ -143,6 +143,7 @@ if __name__ == "__main__":
 COLUMN_ONLY = {
     "homog": (
         "AlgebraPresentation._next_degree",
+        "AlgebraPresentation.multiply",
         "AlgebraPresentation.class_of_word",
         "AlgebraClass.__mul__",
     ),
@@ -174,6 +175,31 @@ def test_hot_loops_do_not_convert_words():
                     if name in ("index_word", "word_index"):
                         found.append(f"{module}.{qualname}:{node.lineno}")
     assert found == []
+
+
+# The callers of class_of_word: the one product of the quotient, and the
+# characters, which reduce single z-words rather than products.
+WORD_REDUCERS = {"homog.AlgebraPresentation.multiply", "manin.chi_A", "manin.chi_J"}
+
+
+def _callers(tree, attr, scope=()):
+    """Qualified names of the functions whose bodies call ``<obj>.attr(...)``."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            inner = (*scope, node.name)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr:
+            yield ".".join(scope)
+        yield from _callers(node, attr, inner)
+
+
+def test_only_multiply_reduces_products():
+    # a second loop over concatenated words would be a copy of multiply
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.update(f"{path.stem}.{q}" for q in _callers(tree, "class_of_word"))
+    assert found - WORD_REDUCERS == set()
 
 
 def test_no_sparse_accumulate_outside_axpy():
