@@ -27,20 +27,20 @@ def _eliminate(row_of, row):
     """Clear from ``row``, in place, every column that is a key of ``row_of``.
 
     ``row_of`` maps pivot columns to echelon rows: each row has entry 1 at
-    its pivot and nothing left of it.  Pivots are cleared in increasing
-    order from a heap; clearing pivot j only adds columns right of j, so
-    each pivot is cleared at most once.  What is left lies on non-pivot
-    columns and is the unique representative of ``row`` there.
+    its pivot and nothing left of it, so subtracting c·row cancels column j
+    exactly.  Pivots are cleared in increasing order from a heap; clearing
+    pivot j only adds columns right of j, so each is cleared at most once.
+    What is left is the unique representative of ``row`` on non-pivot columns.
     """
     heap = [j for j in row if j in row_of]
     heapify(heap)
     while heap:
         j = heappop(heap)
-        c = row.pop(j, None)
+        c = row.get(j)
         if c is None:
             continue
         prow = row_of[j]
-        axpy(row, -c, prow, skip=j)
+        axpy(row, -c, prow)
         for col in prow:
             if col > j and col in row_of:
                 heappush(heap, col)
@@ -81,9 +81,9 @@ class Echelon:
             row[j] = 1
         if self.reduced:
             for prow in self.row_of.values():
-                c = prow.pop(j, None)
+                c = prow.get(j)
                 if c is not None:
-                    axpy(prow, -c, row, skip=j)
+                    axpy(prow, -c, row)
         self.row_of[j] = row
         return True
 

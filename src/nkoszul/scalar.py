@@ -47,15 +47,13 @@ def div(a, b):
     return a / b
 
 
-def axpy(acc, c, vec, skip=None):
+def axpy(acc, c, vec):
     """Add ``c·vec`` into ``acc`` in place, dropping entries that cancel.
 
-    Column ``skip`` of ``vec`` is left out.  ``c`` must be nonzero and
-    ``vec`` hold no zeros, so a new entry is never zero.  Returns ``acc``.
+    ``c`` must be nonzero and ``vec`` hold no zeros, so a new entry is
+    never zero.  Returns ``acc``.
     """
     for col, val in vec.items():
-        if col == skip:
-            continue
         cur = acc.get(col)
         if cur is None:
             acc[col] = c * val

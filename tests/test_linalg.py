@@ -15,6 +15,7 @@ from nkoszul.linalg import (
     kernel,
     rank,
 )
+from nkoszul.scalar import ParameterField, div
 
 
 def dense(entries):
@@ -182,11 +183,25 @@ def test_ambient_mismatch(subspace_sum):
         subspace_sum(full_space(2), full_space(3))
 
 
-def test_rank_only_echelon_matches_rref_rank():
+_Q = ParameterField(["q"]).parameter("q")
+# kind -> (make the scalar k, rounds); sympy's field is slow, so it gets fewer
+SCALAR_KINDS = {
+    "fraction": (Fraction, 20),
+    "laurent": (lambda k: k * _Q, 20),
+    "sympy_form": (lambda k: div(k, _Q + 1), 4),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SCALAR_KINDS))
+def test_rank_only_echelon_matches_rref_rank(kind):
+    # elimination subtracts whole echelon rows and lets each pivot cancel in
+    # exact arithmetic, so this must hold for every kind of scalar; the zero
+    # entries are kept, and Echelon.add must drop them
+    scalar, rounds = SCALAR_KINDS[kind]
     rng = random.Random(6)
-    for _ in range(20):
+    for _ in range(rounds):
         rows = [
-            {j: Fraction(rng.randint(-3, 3)) for j in range(9)} for _ in range(7)
+            {j: scalar(rng.randint(-3, 3)) for j in range(9)} for _ in range(7)
         ]
         m = Matrix(9, rows)
         assert rank(m) == rref(m).dim
@@ -196,6 +211,14 @@ def test_rank_only_echelon_matches_rref_rank():
         full.extend(rows[:4])
         assert plain.reduce(rows[-1]) == full.reduce(rows[-1])
         assert plain.to_subspace() == full.to_subspace()
+        for ech in (plain, full):
+            pivots = set(ech.row_of)
+            for p, row in ech.row_of.items():
+                assert row[p] == 1 and min(row) == p and all(row.values())
+                if ech.reduced:
+                    assert pivots & set(row) == {p}
+            for vec in rows:
+                assert not pivots & set(ech.reduce(vec))
     acc = {0: Fraction(1), 1: Fraction(2)}
     assert axpy(acc, Fraction(-2), {1: Fraction(1), 2: Fraction(3)}) == {
         0: Fraction(1),

@@ -220,6 +220,15 @@ def test_no_sparse_accumulate_outside_axpy():
                     if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
                         found.append(f"{path.name}:{node.lineno}")
     assert found == []
+    # and it is only that loop: an echelon pivot cancels in it like any other
+    # entry, so it takes exactly (acc, c, vec), with no column to leave out
+    (axpy,) = [
+        top
+        for top in ast.parse((SRC / "scalar.py").read_text()).body
+        if getattr(top, "name", None) == "axpy"
+    ]
+    expected = ast.parse("def axpy(acc, c, vec): pass").body[0].args
+    assert ast.dump(axpy.args) == ast.dump(expected)
 
 
 def test_no_division_outside_scalar():
