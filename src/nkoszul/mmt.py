@@ -20,8 +20,8 @@ from math import lcm
 from .algebras import enumerate_admissible, perm_sign, polynomial
 from .freealg import index_word, word_index
 from .homog import AlgebraPresentation
-from .scalar import div
-from .series import MultiSeries, exponents_of_total
+from .scalar import axpy, div
+from .series import MultiSeries
 
 
 def random_rational_matrix(n: int, seed: int):
@@ -108,14 +108,17 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
 
     G(w) is homogeneous of degree |w| in the entries of Z, so the walk
     runs on the integer matrix LZ, L the lcm of the denominators of Z, and
-    divides each value once: G_Z(w) = G_{LZ}(w) / L^|w|."""
-    if not check_specializable(A, Z):
+    divides each value once: G_Z(w) = G_{LZ}(w) / L^|w|.  The guard runs
+    on LZ too: span(R) is stable under Z^{⊗N} exactly when it is under
+    (LZ)^{⊗N} = L^N·Z^{⊗N}, since L ≠ 0."""
+    L = lcm(*(z.denominator for row in Z for z in row))
+    LZ = [[z.numerator * (L // z.denominator) for z in row] for row in Z]
+    if not check_specializable(A, LZ):
         raise ValueError("matrix does not specialize this algebra's envelope")
     normal = _check_reversal(A, max_degree)
     n = A.n
-    L = lcm(*(z.denominator for row in Z for z in row))
     # X_b = Σ_j (LZ)_bj x_j, of degree 1
-    X = [{j: z.numerator * (L // z.denominator) for j, z in enumerate(row) if z} for row in Z]
+    X = [{j: z for j, z in enumerate(row) if z} for row in LZ]
     table = {}
     # stack entries: (word, column of the reversed word, normal coordinates
     # of the reversed product)
@@ -135,19 +138,13 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
 
 
 def _lhs_series(A: AlgebraPresentation, Z, max_degree: int) -> MultiSeries:
-    table = g_table(A, Z, max_degree)
+    """Σ_w G(w) t^w over the admissible words w, t^w the monomial of the
+    letters of w."""
     terms = {}
-    n = A.n
-    for word, value in table.items():
-        if not value:
-            continue
-        exps = [0] * n
-        for letter in word:
-            exps[letter] += 1
-        key = tuple(exps)
-        # MultiSeries drops the terms that cancel to zero
-        terms[key] = terms.get(key, 0) + value
-    return MultiSeries(n, max_degree, terms)
+    for word, value in g_table(A, Z, max_degree).items():
+        if value:
+            axpy(terms, value, {tuple(map(word.count, range(A.n))): 1})
+    return MultiSeries(A.n, max_degree, terms)
 
 
 class MasterResult:
@@ -163,18 +160,20 @@ class MasterResult:
         return self.passed
 
 
-def _compare(lhs: MultiSeries, rhs: MultiSeries, max_degree: int) -> MasterResult:
-    first = None
-    for total in range(max_degree + 1):
-        for exps in exponents_of_total(lhs.nvars, total):
-            a = lhs.coefficient(exps)
-            b = rhs.coefficient(exps)
-            if a != b:
-                first = (exps, a, b)
-                break
-        if first:
-            break
-    return MasterResult(first is None, first, lhs, rhs)
+def _compare(lhs: MultiSeries, rhs: MultiSeries) -> MasterResult:
+    """The two series compared up to the smaller truncation; the first
+    mismatch is the least differing exponent vector by total degree, then
+    in descending lexicographic order."""
+    trunc = min(lhs.trunc, rhs.trunc)
+    differing = [
+        e
+        for e in lhs.terms.keys() | rhs.terms.keys()
+        if sum(e) <= trunc and lhs.coefficient(e) != rhs.coefficient(e)
+    ]
+    if not differing:
+        return MasterResult(True, None, lhs, rhs)
+    e = min(differing, key=lambda e: (sum(e), [-a for a in e]))
+    return MasterResult(False, (e, lhs.coefficient(e), rhs.coefficient(e)), lhs, rhs)
 
 
 def nmt_rhs_denominator(n: int, N: int, Z, max_degree: int) -> MultiSeries:
@@ -205,7 +204,7 @@ def nmt_check(A: AlgebraPresentation, Z, max_degree: int) -> MasterResult:
     principal-minor sum, exactly, up to total degree ``max_degree``."""
     lhs = _lhs_series(A, Z, max_degree)
     denom = nmt_rhs_denominator(A.n, A.N, Z, max_degree)
-    return _compare(lhs, denom.invert(), max_degree)
+    return _compare(lhs, denom.invert())
 
 
 def mmt_check(n: int, Z, max_degree: int) -> MasterResult:

@@ -1,5 +1,6 @@
-"""Exact scalars, and the two kernels every layer computes with: the
-exact division :func:`div` and the sparse accumulate :func:`axpy`.
+"""Exact scalars, and the kernels every layer computes with: the exact
+division :func:`div`, the sparse accumulate :func:`axpy`, and on it the
+product :func:`mul_terms` of two dicts from exponent tuples to scalars.
 
 A rational is an ``int`` when it is integral and a ``fractions.Fraction``
 otherwise: every built-in relation is integral and almost every echelon
@@ -12,11 +13,11 @@ reads one.
 A parameter value is a :class:`ParameterValue` of a :class:`ParameterField`
 (for quantum-space coefficients).  Every value the generic quantum spaces
 reach is a Laurent polynomial, held as a dict from exponent tuples to
-rationals, whose ``+ - *`` run on :func:`axpy`; only a value whose reduced
-denominator is not a monomial is held in sympy's fraction field.  sympy is
-imported on first need (for such a value, a division by a value of several
-terms, the parameter-expression parser and ``str``), so a command that
-meets only Laurent values never imports it.
+rationals, whose ``+ - *`` run on :func:`axpy` and :func:`mul_terms`; only
+a value whose reduced denominator is not a monomial is held in sympy's
+fraction field.  sympy is imported on first need (for such a value, a
+division by a value of several terms, the parameter-expression parser and
+``str``), so a command that meets only Laurent values never imports it.
 
 Scalars are duck-typed: everything downstream only uses ``+ - *``,
 equality and truthiness, writes its zero and one as the literals ``0``
@@ -168,9 +169,10 @@ def _laurent_sub(a, b):
     return axpy(dict(a), -1, b)
 
 
-def _laurent_mul(a, b):
-    """The product of two Laurent term dicts: a shifted copy of the longer
-    per term of the shorter."""
+def mul_terms(a, b):
+    """The product of two term dicts, each from exponent tuples to nonzero
+    scalars (a Laurent value, or a part of a series): a shifted copy of the
+    longer per term of the shorter, summed by :func:`axpy`."""
     if len(a) > len(b):
         a, b = b, a
     out = {}
@@ -264,7 +266,7 @@ class ParameterValue:
         return self * -1
 
     def __mul__(self, other):
-        return self._apply(other, _laurent_mul, mul)
+        return self._apply(other, mul_terms, mul)
 
     __rmul__ = __mul__
 

@@ -9,7 +9,7 @@ commutative with scalar coefficients, truncated by total degree.
 
 from __future__ import annotations
 
-from .scalar import div
+from .scalar import axpy, div, mul_terms
 
 
 def _convolve(a, b, lo, d):
@@ -72,20 +72,6 @@ class UniSeries:
         return f"UniSeries(trunc={self.trunc}, {self.coeffs!r})"
 
 
-def exponents_of_total(nvars, total):
-    """All exponent vectors with the given total degree, lexicographically."""
-    if nvars == 0:
-        if total == 0:
-            yield ()
-        return
-    if nvars == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in exponents_of_total(nvars - 1, total - head):
-            yield (head,) + rest
-
-
 class MultiSeries:
     """Commutative multivariate series with scalar coefficients, truncated
     by total degree; terms is an exponent-vector -> scalar map without
@@ -116,38 +102,28 @@ class MultiSeries:
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         trunc = min(self.trunc, other.trunc)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if sum(e) <= trunc:
-                    # the constructor drops the terms that cancel to zero
-                    terms[e] = terms.get(e, 0) + c1 * c2
-        return MultiSeries(self.nvars, trunc, terms)
+        terms = mul_terms(self.terms, other.terms)
+        return MultiSeries(self.nvars, trunc, {e: c for e, c in terms.items() if sum(e) <= trunc})
 
     def invert(self):
+        """The inverse series, one total degree at a time: its part of
+        degree t is -u·Σ_{j=1}^{t} a_j·b_{t-j}, a_j the part of degree j of
+        this series, b_i that of the inverse and u the inverse of a_0."""
         zero_exp = (0,) * self.nvars
         a0 = self.terms.get(zero_exp)
         if not a0:
             raise ValueError("constant term is zero")
         u = div(1, a0)
-        out = {zero_exp: u}
-        rest = [(e, c) for e, c in self.terms.items() if e != zero_exp]
-        for total in range(1, self.trunc + 1):
-            for e in exponents_of_total(self.nvars, total):
-                acc = None
-                for f, c in rest:
-                    if any(fi > ei for fi, ei in zip(f, e)):
-                        continue
-                    g = tuple(ei - fi for ei, fi in zip(e, f))
-                    b = out.get(g)
-                    if b is None:
-                        continue
-                    term = c * b
-                    acc = term if acc is None else acc + term
-                if acc:
-                    out[e] = -u * acc
-        return MultiSeries(self.nvars, self.trunc, out)
+        parts = [{} for _ in range(self.trunc + 1)]
+        for e, c in self.terms.items():
+            parts[sum(e)][e] = c
+        out = [{zero_exp: u}]
+        for t in range(1, self.trunc + 1):
+            part = {}
+            for j in range(1, t + 1):
+                axpy(part, -u, mul_terms(parts[j], out[t - j]))
+            out.append(part)
+        return MultiSeries(self.nvars, self.trunc, {e: c for part in out for e, c in part.items()})
 
     def __eq__(self, other):
         if not isinstance(other, MultiSeries):

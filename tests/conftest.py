@@ -9,6 +9,7 @@ from nkoszul.freealg import index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraClass, AlgebraPresentation
 from nkoszul.linalg import Echelon, Matrix, axpy, rank
 from nkoszul.manin import is_polynomial_presentation
+from nkoszul.scalar import div
 from nkoszul.series import MultiSeries, UniSeries
 
 
@@ -58,6 +59,66 @@ COEFFS = st.one_of(
 def assert_exact(values):
     """Every value is an int or a Fraction: no float ever entered."""
     assert [v for v in values if type(v) not in (int, Fraction)] == []
+
+
+def exponents_of_total(nvars, total):
+    """All exponent vectors with the given total degree, in descending
+    lexicographic order."""
+    if nvars == 0:
+        if total == 0:
+            yield ()
+        return
+    if nvars == 1:
+        yield (total,)
+        return
+    for head in range(total, -1, -1):
+        for rest in exponents_of_total(nvars - 1, total - head):
+            yield (head,) + rest
+
+
+def invert_by_scan(f):
+    """The inverse of the MultiSeries ``f``, solved one exponent vector at
+    a time in the order of :func:`exponents_of_total`, each coefficient by
+    a scan of every term of ``f`` that divides it; independent of the
+    homogeneous parts and the term-dict product ``MultiSeries.invert``
+    works with."""
+    zero_exp = (0,) * f.nvars
+    u = div(1, f.terms[zero_exp])
+    out = {zero_exp: u}
+    rest = [(e, c) for e, c in f.terms.items() if e != zero_exp]
+    for total in range(1, f.trunc + 1):
+        for e in exponents_of_total(f.nvars, total):
+            acc = 0
+            for g, c in rest:
+                if all(gi <= ei for gi, ei in zip(g, e)):
+                    acc = acc + c * out.get(tuple(ei - gi for ei, gi in zip(e, g)), 0)
+            if acc:
+                out[e] = -u * acc
+    return MultiSeries(f.nvars, f.trunc, out)
+
+
+def first_mismatch_by_walk(lhs, rhs, max_degree):
+    """(exponents, lhs value, rhs value) at the first exponent vector where
+    the coefficients differ, walking the total degrees up to
+    ``max_degree`` in the order of :func:`exponents_of_total`; None when
+    there is none."""
+    for total in range(max_degree + 1):
+        for e in exponents_of_total(lhs.nvars, total):
+            if lhs.coefficient(e) != rhs.coefficient(e):
+                return e, lhs.coefficient(e), rhs.coefficient(e)
+    return None
+
+
+@st.composite
+def multiseries(draw, nvars, trunc, constant=None):
+    """A MultiSeries in ``nvars`` variables truncated at ``trunc``, with
+    COEFFS coefficients on up to eight exponent vectors; its constant term
+    is drawn from ``constant`` when that is given."""
+    exps = draw(st.lists(st.tuples(*[st.integers(0, trunc)] * nvars), max_size=8))
+    terms = {e: draw(COEFFS) for e in exps if sum(e) <= trunc}
+    if constant is not None:
+        terms[(0,) * nvars] = draw(constant)
+    return MultiSeries(nvars, trunc, terms)
 
 
 def columns(n, terms):

@@ -126,6 +126,12 @@ def test_g_rejects_non_specializable():
     Q = quantum_space(2, q=2)
     with pytest.raises(ValueError):
         g_table(Q, ones(2), 2)
+    # the guard runs on LZ, L the lcm of the denominators: the verdict is
+    # that of Z
+    halves = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(1, 7)]]
+    assert not check_specializable(Q, halves)
+    with pytest.raises(ValueError, match="does not specialize"):
+        g_table(Q, halves, 2)
 
 
 def test_mmt_zero_and_identity():

@@ -5,8 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkoszul.algebras import polynomial
-from conftest import COEFFS, assert_exact, columns
-from nkoszul.series import MultiSeries, UniSeries, exponents_of_total
+from conftest import (
+    COEFFS,
+    assert_exact,
+    columns,
+    exponents_of_total,
+    first_mismatch_by_walk,
+    invert_by_scan,
+    multiseries,
+)
+from nkoszul.mmt import _compare
+from nkoszul.series import MultiSeries, UniSeries
 
 
 def test_invert_geometric():
@@ -126,8 +135,53 @@ def test_multiseries_has_no_addition():
         f + f
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 6), st.data())
+def test_multiseries_invert_matches_scan(nvars, trunc, data):
+    # constant terms other than ±1 make every coefficient a multiple of a
+    # power of 1/a0, so an error in the scaling by u shows
+    f = data.draw(multiseries(nvars, trunc, COEFFS.filter(bool)))
+    inv = f.invert()
+    assert inv.terms == invert_by_scan(f).terms
+    assert_exact(inv.terms.values())
+
+
 def test_exponent_enumeration():
-    exps = list(exponents_of_total(3, 2))
-    assert len(exps) == 6
-    assert all(sum(e) == 2 for e in exps)
-    assert len(set(exps)) == 6
+    # the first mismatch of the master identity is the first differing
+    # exponent vector in the order of the walk by total degree: for every
+    # pair of vectors, _compare reports the one the walk meets first
+    exps = [e for total in range(4) for e in exponents_of_total(3, total)]
+    assert len(exps) == len(set(exps)) == 20
+    assert exps[:5] == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0)]
+    for i, first in enumerate(exps):
+        for later in exps[i + 1 :]:
+            lhs = MultiSeries(3, 3, {first: 1, later: 1})
+            assert _compare(lhs, MultiSeries(3, 3)).first_mismatch == (first, 1, 0)
+
+
+@st.composite
+def series_pairs(draw):
+    """Two series with the same variables and truncation: the second is
+    the first with a few coefficients set anew, some of them to zero and
+    some at exponents the first holds, so that the pair agrees at low
+    degree as often as not."""
+    nvars, trunc = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    lhs = draw(multiseries(nvars, trunc))
+    targets = draw(st.lists(st.tuples(*[st.integers(0, trunc)] * nvars), max_size=3))
+    if lhs.terms:
+        targets += draw(st.lists(st.sampled_from(sorted(lhs.terms)), max_size=2))
+    terms = dict(lhs.terms)
+    for e in targets:
+        if sum(e) <= trunc:
+            terms[e] = draw(COEFFS)
+    return lhs, MultiSeries(nvars, trunc, terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_pairs())
+def test_first_mismatch_matches_walk(pair):
+    lhs, rhs = pair
+    expected = first_mismatch_by_walk(lhs, rhs, lhs.trunc)
+    res = _compare(lhs, rhs)
+    assert res.first_mismatch == expected
+    assert res.passed == (expected is None) == (lhs == rhs)

@@ -231,6 +231,38 @@ def test_no_sparse_accumulate_outside_axpy():
     assert ast.dump(axpy.args) == ast.dump(expected)
 
 
+def _sums_by_key(tree):
+    """Line numbers of the assignments ``d[k] = ... d.get(...) ...``: a sum
+    by key into ``d`` that keeps the entries that cancel."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            if isinstance(target, ast.Subscript) and isinstance(target.value, ast.Name):
+                for sub in ast.walk(node.value):
+                    func = getattr(sub, "func", None)
+                    if (
+                        isinstance(sub, ast.Call)
+                        and isinstance(func, ast.Attribute)
+                        and func.attr == "get"
+                        and isinstance(func.value, ast.Name)
+                        and func.value.id == target.value.id
+                    ):
+                        yield node.lineno
+
+
+def test_series_sum_through_axpy():
+    # the master identity sums its series by key through scalar.axpy and
+    # multiplies them through scalar.mul_terms; "d[k] = d.get(k, 0) + v" is
+    # a hand-written copy of the kernel
+    found = [
+        f"{module}.py:{line}"
+        for module in ("series", "mmt")
+        for line in _sums_by_key(ast.parse((SRC / f"{module}.py").read_text()))
+    ]
+    assert found == []
+
+
 def test_no_division_outside_scalar():
     # int / int is a float, so a scalar is divided only by scalar.div, which
     # keeps the quotient exact; any "/" or "/=" elsewhere could let a float in
