@@ -12,7 +12,7 @@ from .algebras import (
     quantum_space,
 )
 from .freealg import shuffle_pairs
-from .homog import AlgebraClass, AlgebraPresentation
+from .homog import AlgebraPresentation
 from .koszul import (
     admissible_identity_check,
     dual_component_dim,

@@ -15,8 +15,9 @@ the quotient arithmetic: an element lies in the ideal exactly when that
 remainder is zero, and :meth:`AlgebraPresentation.multiply` is the one
 product.  Every word here is its base-n column and every element, each
 relation included, a ``{column: scalar}`` dict (see
-:mod:`nkoszul.freealg`), so a normal form is the echelon remainder as it
-is.  The canonical reduced basis of I_d is built only when
+:mod:`nkoszul.freealg`), so an element of A_d is its normal form, the
+echelon remainder as it is, with no class around it.  The canonical
+reduced basis of I_d is built only when
 :meth:`AlgebraPresentation.ideal_component` asks for it.
 """
 
@@ -115,7 +116,7 @@ class AlgebraPresentation:
 
     def hilbert_series(self, max_degree) -> series.UniSeries:
         coeffs = [self.dim_component(d) for d in range(max_degree + 1)]
-        return series.UniSeries(1, max_degree, coeffs)
+        return series.UniSeries(max_degree, coeffs)
 
     def normal_basis(self, d):
         """The non-pivot columns of I_d, increasing; their classes form a
@@ -123,9 +124,9 @@ class AlgebraPresentation:
         return self._component(d).normal
 
     def reduce(self, d, vec):
-        """Projection T(V)_d -> A_d of the column dict ``vec``, in
-        normal-basis coordinates."""
-        return AlgebraClass(self, d, self._component(d).echelon.reduce(vec))
+        """Projection T(V)_d -> A_d of the column dict ``vec``: its normal
+        form {normal column: scalar}, the echelon remainder."""
+        return self._component(d).echelon.reduce(vec)
 
     def multiply(self, d, k, left, right, out=None):
         """Add into ``out`` (a new dict when None) the normal form in A_d of
@@ -152,12 +153,6 @@ class AlgebraPresentation:
         if vec is None:
             vec = data.word_class[col] = data.echelon.reduce({col: 1})
         return vec
-
-    def unit(self):
-        return AlgebraClass(self, 0, {0: 1})
-
-    def zero_class(self, d):
-        return AlgebraClass(self, d, {})
 
     # ------------------------------------------------------------------
 
@@ -206,58 +201,3 @@ class _DegreeData:
         self.normal = normal  # non-pivot columns, increasing
         self.subspace = None
         self.word_class = {}  # column -> normal form, see class_of_word
-
-
-class AlgebraClass:
-    """An element of A_d in coordinates over the degree-d normal basis,
-    keyed by normal column."""
-
-    __slots__ = ("algebra", "degree", "coords")
-
-    def __init__(self, algebra, degree, coords):
-        self.algebra = algebra
-        self.degree = degree
-        self.coords = {w: c for w, c in coords.items() if c}
-
-    def __bool__(self):
-        return bool(self.coords)
-
-    def __add__(self, other):
-        self._check(other)
-        coords = linalg.axpy(dict(self.coords), 1, other.coords)
-        return AlgebraClass(self.algebra, self.degree, coords)
-
-    def __neg__(self):
-        return AlgebraClass(
-            self.algebra, self.degree, {w: -c for w, c in self.coords.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        """Product in A, by :meth:`AlgebraPresentation.multiply`."""
-        if not isinstance(other, AlgebraClass):
-            return NotImplemented
-        if other.algebra is not self.algebra:
-            raise ValueError("algebra mismatch")
-        A = self.algebra
-        d = self.degree + other.degree
-        return AlgebraClass(A, d, A.multiply(d, other.degree, self.coords, other.coords))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraClass)
-            and self.algebra is other.algebra
-            and self.degree == other.degree
-            and self.coords == other.coords
-        )
-
-    def _check(self, other):
-        if self.algebra is not other.algebra:
-            raise ValueError("algebra mismatch")
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-
-    def __repr__(self):
-        return f"AlgebraClass(deg={self.degree}, {self.coords!r})"

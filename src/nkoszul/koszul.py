@@ -222,9 +222,6 @@ class CertificateResult:
         self.first_failure = first_failure  # (m, ell) or None
         self.reports = reports
 
-    def __bool__(self):
-        return self.passed
-
     def to_obj(self):
         return {
             "passed": self.passed,
@@ -267,7 +264,7 @@ def dvp_rhs(A: AlgebraPresentation, max_degree: int) -> series.UniSeries:
     coeffs = [0] * (max_degree + 1)
     for ell, d in jumps(A.N, max_degree):
         coeffs[d] += (-1) ** ell * dual_component_dim(A, d)
-    return series.UniSeries(1, max_degree, coeffs)
+    return series.UniSeries(max_degree, coeffs)
 
 
 class DvpResult:
@@ -281,9 +278,6 @@ class DvpResult:
         self.hilbert = hilbert
         self.rhs = rhs
         self.product = product
-
-    def __bool__(self):
-        return self.passed
 
 
 def dvp_check(A: AlgebraPresentation, max_degree: int) -> DvpResult:
@@ -318,9 +312,6 @@ class AdmissibleIdentityResult:
         self.degree_rule_ok = degree_rule_ok
         self.ell_max = ell_max
 
-    def __bool__(self):
-        return self.passed
-
 
 def admissible_identity_check(n: int, N: int, max_degree: int) -> AdmissibleIdentityResult:
     """Admissible-word counts against the inverted alternating binomial series.
@@ -345,7 +336,7 @@ def admissible_identity_check(n: int, N: int, max_degree: int) -> AdmissibleIden
     q, r = divmod(n, N)
     expected_ell_max = 2 * q if r == 0 else 2 * q + 1
     degree_rule_ok = ell_max == expected_ell_max
-    poly = series.UniSeries(1, max_degree, coeffs)
+    poly = series.UniSeries(max_degree, coeffs)
     inverse = poly.invert()
     counts = [count_admissible(n, N, k) for k in range(max_degree + 1)]
     passed = degree_rule_ok and counts == inverse.coeffs

@@ -156,9 +156,6 @@ class MasterResult:
         self.lhs = lhs
         self.rhs = rhs
 
-    def __bool__(self):
-        return self.passed
-
 
 def _compare(lhs: MultiSeries, rhs: MultiSeries) -> MasterResult:
     """The two series compared up to the smaller truncation; the first

@@ -1,9 +1,7 @@
 """Truncated power series.
 
-Univariate series compute with their coefficients' own ``+``, ``*`` and
-unary ``-``, so the same arithmetic serves integer Hilbert series and
-series whose degree-d coefficient is a degree-d element of a graded algebra
-(the form the bialgebra identities live in).  Multivariate series are
+Univariate series have integer coefficients: Hilbert series and the
+alternating series of the duality identities.  Multivariate series are
 commutative with scalar coefficients, truncated by total degree.
 """
 
@@ -13,60 +11,40 @@ from .scalar import axpy, div, mul_terms
 
 
 def _convolve(a, b, lo, d):
-    """Σ_{i=lo}^{d} a_i·b_{d-i}, started from its first product, so no
-    degree-d zero is needed; the other products are skipped when a factor
-    is zero."""
-    acc = a[lo] * b[d - lo]
-    for i in range(lo + 1, d + 1):
-        if a[i] and b[d - i]:
-            acc = acc + a[i] * b[d - i]
-    return acc
+    """Σ_{i=lo}^{d} a_i·b_{d-i}."""
+    return sum(a[i] * b[d - i] for i in range(lo, d + 1))
 
 
 class UniSeries:
-    """Series truncated at degree ``trunc``; coefficients c_0..c_trunc.
+    """Series truncated at degree ``trunc``; integer coefficients
+    c_0..c_trunc."""
 
-    ``one`` is the unit of the coefficient ring (``1``, or the unit class of
-    a graded algebra).  A coefficient with a ``degree`` must have degree d
-    at t^d.
-    """
+    __slots__ = ("trunc", "coeffs")
 
-    __slots__ = ("one", "trunc", "coeffs")
-
-    def __init__(self, one, trunc, coeffs):
+    def __init__(self, trunc, coeffs):
         if len(coeffs) != trunc + 1:
             raise ValueError("coefficient list does not match truncation degree")
-        for d, c in enumerate(coeffs):
-            if getattr(c, "degree", d) != d:
-                raise ValueError(f"coefficient at t^{d} has grade {c.degree}")
-        self.one = one
         self.trunc = trunc
         self.coeffs = list(coeffs)
 
     def __mul__(self, other):
         trunc = min(self.trunc, other.trunc)
         out = [_convolve(self.coeffs, other.coeffs, 0, d) for d in range(trunc + 1)]
-        return UniSeries(self.one, trunc, out)
+        return UniSeries(trunc, out)
 
     def invert(self):
-        """The inverse series; the constant term u must satisfy u·u = one,
-        so that u is its own inverse."""
+        """The inverse series; the constant term u must be ±1, so that u
+        is its own inverse."""
         u = self.coeffs[0]
-        if u * u != self.one:
+        if u * u != 1:
             raise ValueError(f"constant term {u!r} is not invertible")
         out = [u]
         for d in range(1, self.trunc + 1):
             out.append(-(u * _convolve(self.coeffs, out, 1, d)))
-        return UniSeries(self.one, self.trunc, out)
+        return UniSeries(self.trunc, out)
 
     def is_one(self) -> bool:
-        return self.coeffs[0] == self.one and not any(self.coeffs[1:])
-
-    def __eq__(self, other):
-        if not isinstance(other, UniSeries):
-            return NotImplemented
-        trunc = min(self.trunc, other.trunc)
-        return self.coeffs[: trunc + 1] == other.coeffs[: trunc + 1]
+        return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def __repr__(self):
         return f"UniSeries(trunc={self.trunc}, {self.coeffs!r})"

@@ -6,38 +6,41 @@ from hypothesis import strategies as st
 
 from nkoszul.algebras import perm_sign
 from nkoszul.freealg import index_word, word_index, z_index, z_word
-from nkoszul.homog import AlgebraClass, AlgebraPresentation
+from nkoszul.homog import AlgebraPresentation
 from nkoszul.linalg import Echelon, Matrix, axpy, rank
 from nkoszul.manin import is_polynomial_presentation
 from nkoszul.scalar import div
-from nkoszul.series import MultiSeries, UniSeries
+from nkoszul.series import MultiSeries
 
 
 def _det_inverse(Z, max_degree):
     """det(I - ZT)^{-1} up to total degree ``max_degree``, T = diag(t_j).
 
-    The determinant is the Leibniz sum over permutations of products of
-    series entries δ_ij - Z_ij t_j, independent of the signed
-    principal-minor sum that ``nmt_check`` inverts.
+    The determinant is the Leibniz sum over permutations of products of the
+    entries δ_ij - Z_ij t_j, expanded on plain ``{exponent tuple: scalar}``
+    dicts and truncated at the bound, and :func:`invert_by_scan` inverts
+    it.  Neither the series product and inverse of ``nkoszul.series`` nor
+    the signed principal-minor sum that ``nmt_check`` inverts takes part.
     """
     n = len(Z)
-
-    def entry(i, j):
-        terms = {(0,) * n: Fraction(1)} if i == j else {}
-        if Z[i][j]:
-            terms[tuple(int(k == j) for k in range(n))] = -Z[i][j]
-        return MultiSeries(n, max_degree, terms)
-
     det = {}
     for perm in permutations(range(n)):
-        prod = entry(0, perm[0])
-        for i in range(1, n):
-            prod = prod * entry(i, perm[i])
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
-        sign = -1 if inversions % 2 else 1
-        for e, c in prod.terms.items():
-            det[e] = det.get(e, 0) + sign * c
-    return MultiSeries(n, max_degree, det).invert()
+        terms = {(0,) * n: -1 if inversions % 2 else 1}
+        for i, j in enumerate(perm):
+            entry = {(0,) * n: 1} if i == j else {}
+            if Z[i][j]:
+                entry[tuple(int(k == j) for k in range(n))] = -Z[i][j]
+            product_terms = {}
+            for e, c in terms.items():
+                for f, v in entry.items():
+                    g = tuple(a + b for a, b in zip(e, f))
+                    if sum(g) <= max_degree:
+                        product_terms[g] = product_terms.get(g, 0) + c * v
+            terms = product_terms
+        for e, c in terms.items():
+            det[e] = det.get(e, 0) + c
+    return invert_by_scan(MultiSeries(n, max_degree, det))
 
 
 @pytest.fixture(scope="session")
@@ -136,10 +139,10 @@ def elements(n, d):
 
 
 @st.composite
-def presentations(draw):
-    """Random QQ presentations with n <= 3 generators, N in {2, 3} and one
-    to three relations, sometimes followed by a dependent one."""
-    n = draw(st.integers(1, 3))
+def presentations(draw, max_n=3):
+    """Random QQ presentations with n <= ``max_n`` generators, N in {2, 3}
+    and one to three relations, sometimes followed by a dependent one."""
+    n = draw(st.integers(1, max_n))
     N = draw(st.integers(2, 3))
     rels = [draw(elements(n, N)) for _ in range(draw(st.integers(1, 3)))]
     if draw(st.booleans()):  # a dependent relation
@@ -161,6 +164,21 @@ def _concat(n, a, ka, b, kb):
             # u then v determines u and v
             terms[index_word(u, ka, n) + index_word(v, kb, n)] = cu * cv
     return columns(n, terms)
+
+
+def series_product_by_concat(A, p, q):
+    """The coefficients of the product of two series whose coefficient at
+    t^d is a normal-form dict of A_d.  Each is the concatenation of every
+    pair of terms, spelled out on word tuples by :func:`_concat`, reduced
+    once with ``A.reduce``; independent of ``A.multiply``."""
+    out = []
+    for d in range(min(len(p), len(q))):
+        vec = {}
+        for j in range(d + 1):
+            for col, c in _concat(A.n, p[d - j], d - j, q[j], j).items():
+                vec[col] = vec.get(col, 0) + c
+        out.append(A.reduce(d, vec))
+    return out
 
 
 def rref(matrix):
@@ -218,15 +236,15 @@ def _subspace_sum(u, w):
     return ech.to_subspace()
 
 
-def _counit(B, c):
-    """Evaluate a class of end(A), such as a character, by z_i^j ↦ δ_ij;
-    independent of representative since every relation of end(A) pairs R^⊥
-    against R."""
+def _counit(B, k, c):
+    """Evaluate the normal form ``c`` of an element of end(A)_k, such as a
+    character, by z_i^j ↦ δ_ij; independent of representative since every
+    relation of end(A) pairs R^⊥ against R."""
     n = B.base.n
     diagonal = {z_index(i, i, n) for i in range(n)}
     total = 0
-    for zw, coeff in c.coords.items():
-        if diagonal.issuperset(index_word(zw, c.degree, n * n)):
+    for zw, coeff in c.items():
+        if diagonal.issuperset(index_word(zw, k, n * n)):
             total = total + coeff
     return total
 
@@ -234,7 +252,8 @@ def _counit(B, c):
 def _bos_series(B, max_degree):
     """Bos: coefficient of t^k is Σ_{|m|=k} G(m), where G(m) is the
     x^m-coefficient of the ordered product X^m = X_1^{m_1}···X_n^{m_n}
-    inside end(A) ⊗ A, with X_i = Σ_j z_i^j ⊗ x_j.
+    inside end(A) ⊗ A, with X_i = Σ_j z_i^j ⊗ x_j, as the list of its
+    coefficients.
 
     X^m = Σ_{jw} z_{w(m)}^{jw} ⊗ x_{jw}, where w(m) is the non-decreasing
     word with m_i letters i.  A normal word e of x_{jw} = Σ_e c_e x_e
@@ -255,8 +274,8 @@ def _bos_series(B, max_degree):
             for e, ce in A.class_of_word((k, jw)).items():
                 row = word_index(sorted(index_word(e, k, n)), n)
                 axpy(acc, ce, E.class_of_word((k, z_word(row, jw, k, n))))
-        coeffs.append(AlgebraClass(E, k, acc))
-    return UniSeries(E.unit(), max_degree, coeffs)
+        coeffs.append(acc)
+    return coeffs
 
 
 def _transposed_ferm_series(B, max_degree):
@@ -276,7 +295,7 @@ def _transposed_ferm_series(B, max_degree):
                 # distinct subsets and permutations give distinct words
                 vec[z_word(rows, cols, ell, n)] = (-1) ** ell * perm_sign(perm)
         coeffs.append(E.reduce(ell, vec))
-    return UniSeries(E.unit(), max_degree, coeffs)
+    return coeffs
 
 
 @pytest.fixture(scope="session")

@@ -4,12 +4,13 @@ from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from nkoszul import manin
 from nkoszul.algebras import antisymmetrizer, free_algebra, polynomial, quantum_space
-from conftest import columns, presentations
+from conftest import columns, presentations, series_product_by_concat
 from nkoszul.freealg import index_word, word_index, z_index
-from nkoszul.homog import AlgebraClass, AlgebraPresentation
+from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import dual_koszul_subspace, dvp_check, dvp_rhs, koszul_certificate, nu
 from nkoszul.linalg import Echelon, axpy
 from nkoszul.manin import (
@@ -24,7 +25,6 @@ from nkoszul.manin import (
     kmt_ambient,
     kmt_check,
 )
-from nkoszul.series import UniSeries
 
 
 def test_build_end_poly2():
@@ -83,8 +83,9 @@ def test_missing_relations_warning_span():
 
 
 def _cls(P, word):
-    """The class in P of a word given as a tuple of letters."""
-    return AlgebraClass(P, len(word), P.class_of_word((len(word), word_index(word, P.n))))
+    """The normal form in P of a word given as a tuple of letters, a copy
+    of the cached dict."""
+    return dict(P.class_of_word((len(word), word_index(word, P.n))))
 
 
 def _z(iw, jw, n):
@@ -112,8 +113,8 @@ def _coaction_on_element(B, k, t):
     for col, cw in t.items():
         w = index_word(col, k, n)
         for jw in product(range(n), repeat=k):
-            zcoords = _cls(B.env, _z(w, jw, n)).coords
-            for aw, ca in _cls(B.base, jw).coords.items():
+            zcoords = _cls(B.env, _z(w, jw, n))
+            for aw, ca in _cls(B.base, jw).items():
                 axpy(acc.setdefault(aw, {}), cw * ca, zcoords)
     return {aw: coords for aw, coords in acc.items() if coords}
 
@@ -132,7 +133,7 @@ def _assert_coaction_preserves_J(B, ell):
         for idx, c in row.items():
             w = index_word(idx, m, n)
             for jw in product(range(n), repeat=m):
-                axpy(slots.setdefault(jw, {}), c, _cls(E, _z(w, jw, n)).coords)
+                axpy(slots.setdefault(jw, {}), c, _cls(E, _z(w, jw, n)))
         for jw in product(range(n), repeat=m):
             residual = dict(slots[jw])
             for arow, pw in zip(space.rows, pivot_words):
@@ -154,7 +155,7 @@ def test_coaction_on_generators():
 
 def test_coaction_on_unit():
     B = build_end(polynomial(2))
-    assert _coaction_on_A(B, ()) == [(B.env.unit(), B.base.unit())]
+    assert _coaction_on_A(B, ()) == [({0: 1}, {0: 1})]
 
 
 def test_coaction_well_defined_on_relations():
@@ -183,32 +184,33 @@ def test_coaction_on_J_preserves_J():
 def test_chi_A_degree_one_is_trace():
     for A in (polynomial(2), antisymmetrizer(3, 3)):
         B = build_end(A)
-        expected = B.env.zero_class(1)
+        expected = {}
         for i in range(A.n):
-            expected = expected + _cls(B.env, (z_index(i, i, A.n),))
+            axpy(expected, 1, _cls(B.env, (z_index(i, i, A.n),)))
         assert chi_A(B, 1) == expected
 
 
 def test_chi_degree_zero_is_unit():
     B = build_end(polynomial(2))
-    assert chi_A(B, 0) == B.env.unit()
-    assert chi_J(B, 0) == B.env.unit()
+    assert chi_A(B, 0) == {0: 1}
+    assert chi_J(B, 0) == {0: 1}
 
 
 def test_counit_of_characters_is_dimension(counit):
     for A in (polynomial(2), antisymmetrizer(3, 3), quantum_space(2)):
         B = build_end(A)
         for k in range(6):
-            assert counit(B, chi_A(B, k)) == A.dim_component(k), (A.label, k)
+            assert counit(B, k, chi_A(B, k)) == A.dim_component(k), (A.label, k)
         for ell in range(5):
-            expected = dual_koszul_subspace(A, nu(A.N, ell)).dim
-            assert counit(B, chi_J(B, ell)) == expected, (A.label, ell)
+            m = nu(A.N, ell)
+            expected = dual_koszul_subspace(A, m).dim
+            assert counit(B, m, chi_J(B, ell)) == expected, (A.label, ell)
 
 
 def test_counit_unit(counit):
     B = build_end(polynomial(2))
-    assert counit(B, B.env.unit()) == 1
-    assert counit(B, chi_A(B, 1)) == 2
+    assert counit(B, 0, {0: 1}) == 1
+    assert counit(B, 1, chi_A(B, 1)) == 2
 
 
 def test_chi_multiplicative_on_free_coactions():
@@ -217,10 +219,10 @@ def test_chi_multiplicative_on_free_coactions():
     A = free_algebra(2)
     B = build_end(A)
     c1 = chi_A(B, 1)
-    power = B.env.unit()
+    power = {0: 1}
     for m in range(4):
         assert chi_A(B, m) == power
-        power = power * c1
+        power = B.env.multiply(m + 1, 1, power, c1)
 
 
 def test_chi_J_trace_is_basis_independent():
@@ -239,7 +241,7 @@ def test_chi_J_trace_is_basis_independent():
         [u[1][1] / det, -u[1][0] / det],
         [-u[0][1] / det, u[0][0] / det],
     ]
-    acc = B.env.zero_class(1)
+    acc = {}
     for a in range(2):
         for w in range(2):
             if not u[a][w]:
@@ -247,7 +249,7 @@ def test_chi_J_trace_is_basis_independent():
             for wp in range(2):
                 coeff = u[a][w] * y[a][wp]
                 if coeff:
-                    acc = acc + B.env.reduce(1, {z_index(w, wp, 2): coeff})
+                    axpy(acc, 1, B.env.reduce(1, {z_index(w, wp, 2): coeff}))
     assert acc == chi_J(B, 1)
 
 
@@ -267,13 +269,15 @@ def test_kmt_quantum_generic():
     assert kmt_check(B, 4).passed
 
 
+def _mono_xyx():
+    # the cubic monomial algebra whose certificate fails at (5, 2)
+    return AlgebraPresentation(2, 3, [columns(2, {(0, 1, 0): Fraction(1)})], label="mono_xyx")
+
+
 def test_kmt_fails_for_non_koszul_fixture():
-    # the cubic monomial algebra whose certificate fails at (5, 2): the
-    # character identity breaks at the same total degree
-    A = AlgebraPresentation(
-        2, 3, [columns(2, {(0, 1, 0): Fraction(1)})], label="mono_xyx"
-    )
-    res = kmt_check(build_end(A), 6)
+    # the character identity breaks at the total degree where the
+    # certificate of the cubic monomial algebra fails
+    res = kmt_check(build_end(_mono_xyx()), 6)
     assert not res.passed
     assert res.first_failure == 5
 
@@ -292,12 +296,61 @@ def test_kmt_implies_dvp_via_counit(counit, A):
     D = 3
     p = character_series(B, D)
     q = dual_character_series(B, D)
-    pm = [counit(B, c) for c in p.coeffs]
-    qm = [counit(B, c) for c in q.coeffs]
+    pm = [counit(B, k, c) for k, c in enumerate(p)]
+    qm = [counit(B, k, c) for k, c in enumerate(q)]
     assert all(a == b for a, b in zip(pm, A.hilbert_series(D).coeffs)), A
     assert all(a == b for a, b in zip(qm, dvp_rhs(A, D).coeffs)), A
     if koszul_certificate(A, D).passed:
-        assert kmt_check(B, D).passed and dvp_check(A, D), A
+        assert kmt_check(B, D).passed and dvp_check(A, D).passed, A
+
+
+def _kmt_product_by_multiply(B, D):
+    """The coefficients of the product that kmt_check forms, each summed
+    into one dict by ``multiply``."""
+    p, q = character_series(B, D), dual_character_series(B, D)
+    out = []
+    for d in range(D + 1):
+        coeff = {}
+        for j in range(d + 1):
+            B.env.multiply(d, j, p[d - j], q[j], coeff)
+        out.append(coeff)
+    return out
+
+
+def _assert_kmt_product_matches_concat(B, D):
+    # each coefficient Σ_j χ(A_{d-j})·q_j is also formed by concatenating
+    # z-word columns and reducing once, without multiply; kmt_check must
+    # fail first where that product first differs from 1
+    p, q = character_series(B, D), dual_character_series(B, D)
+    by_concat = series_product_by_concat(B.env, p, q)
+    assert _kmt_product_by_multiply(B, D) == by_concat
+    unit = [{0: 1}] + [{}] * D
+    first = next((d for d in range(D + 1) if by_concat[d] != unit[d]), None)
+    res = kmt_check(B, D)
+    assert (res.passed, res.first_failure) == (first is None, first)
+    return first
+
+
+@settings(max_examples=25, deadline=None)
+@given(presentations(max_n=2), st.integers(1, 4))
+def test_kmt_product_matches_concat_oracle(A, D):
+    _assert_kmt_product_matches_concat(build_end(A), D)
+
+
+@pytest.mark.parametrize(
+    "make, D, first",
+    [
+        (lambda: polynomial(2), 4, None),
+        (lambda: polynomial(3), 3, None),
+        (lambda: antisymmetrizer(3, 3), 4, None),
+        (lambda: quantum_space(2), 4, None),
+        (lambda: free_algebra(2), 4, None),
+        (_mono_xyx, 6, 5),
+    ],
+    ids=["poly2", "poly3", "antisym33", "qspace2", "free2", "mono_xyx"],
+)
+def test_kmt_product_matches_concat_oracle_on_fixtures(make, D, first):
+    assert _assert_kmt_product_matches_concat(build_end(make()), D) == first
 
 
 def test_ferm_convention_and_bos_ferm(bos_series):
@@ -308,7 +361,7 @@ def test_ferm_convention_and_bos_ferm(bos_series):
         bos, ferm = bos_series(B, D), ferm_series(B, D)
         assert bos == character_series(B, D), n
         assert ferm == dual, n
-        assert (bos * ferm).is_one(), n
+        assert series_product_by_concat(B.env, bos, ferm) == [{0: 1}] + [{}] * D, n
 
 
 def test_ferm_convention_checks_every_call(monkeypatch):
@@ -318,8 +371,7 @@ def test_ferm_convention_checks_every_call(monkeypatch):
     assert ferm_convention(B, dual, 1) == "row-permuted"
 
     def mismatched(B, max_degree):
-        zeros = [B.env.zero_class(d) for d in range(max_degree + 1)]
-        return UniSeries(B.env.unit(), max_degree, zeros)
+        return [{} for _ in range(max_degree + 1)]
 
     monkeypatch.setattr(manin, "ferm_series", mismatched)
     with pytest.raises(RuntimeError, match="row-permuted fermionic series does not match"):
@@ -333,7 +385,7 @@ def test_ferm_convention_uses_the_kmt_series():
         B = build_end(polynomial(2))
         res = kmt_check(B, D)
         assert res.dual_series == dual_character_series(B, D)
-        assert res.dual_series.trunc == D
+        assert len(res.dual_series) == D + 1
         assert ferm_convention(B, res.dual_series, min(D, 4)) == "row-permuted"
 
 
@@ -351,11 +403,11 @@ def test_ferm_convention_is_exclusive(transposed_ferm_series):
 def test_ferm_constant_and_linear_terms():
     B = build_end(polynomial(2))
     ferm = ferm_series(B, 2)
-    assert ferm.coeffs[0] == B.env.unit()
+    assert ferm[0] == {0: 1}
     # degree 1: -(z_1^1 + z_2^2)
     n = 2
-    tr = _cls(B.env, (z_index(0, 0, n),)) + _cls(B.env, (z_index(1, 1, n),))
-    assert ferm.coeffs[1] == -tr
+    tr = axpy(_cls(B.env, (z_index(0, 0, n),)), 1, _cls(B.env, (z_index(1, 1, n),)))
+    assert ferm[1] == {w: -c for w, c in tr.items()}
 
 
 def test_ferm_degree_two_is_determinant():
@@ -365,13 +417,13 @@ def test_ferm_degree_two_is_determinant():
     a, b, c, d = (z_index(i, j, n) for i in (0, 1) for j in (0, 1))
     det = B.env.reduce(2, columns(4, {(a, d): Fraction(1), (c, b): Fraction(-1)}))
     ferm = ferm_series(B, 2)
-    assert ferm.coeffs[2] == det
+    assert ferm[2] == det
 
 
 def test_bos_degree_one(bos_series):
     B = build_end(polynomial(2))
     bos = bos_series(B, 1)
-    assert bos.coeffs[1] == chi_A(B, 1)
+    assert bos[1] == chi_A(B, 1)
 
 
 def test_bos_ferm_rejects_non_polynomial(bos_series):

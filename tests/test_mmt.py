@@ -205,13 +205,14 @@ def _restricted_trace(Z, space, n, m):
     return total
 
 
-def _evaluate_character(B, value, Z):
-    """Specialize an end(A) class at a numeric matrix, z_i^j ↦ Z[i][j]."""
+def _evaluate_character(B, k, value, Z):
+    """Specialize the normal form ``value`` of an element of end(A)_k at a
+    numeric matrix, z_i^j ↦ Z[i][j]."""
     n = B.base.n
     total = Fraction(0)
-    for zw, coeff in value.coords.items():
+    for zw, coeff in value.items():
         factor = coeff
-        for letter in index_word(zw, value.degree, n * n):
+        for letter in index_word(zw, k, n * n):
             i, j = divmod(letter, n)
             factor *= Z[i][j]
         total += factor
@@ -249,13 +250,13 @@ def test_numeric_evaluation_of_character_series():
             bos_k = sum(
                 (v for w, v in tab.items() if len(w) == k), Fraction(0)
             )
-            assert _evaluate_character(B, p.coeffs[k], Z) == bos_k, (A.label, k)
+            assert _evaluate_character(B, k, p[k], Z) == bos_k, (A.label, k)
         denom = nmt_rhs_denominator(A.n, A.N, Z, D)
         by_total = {}
         for exps, c in denom.terms.items():
             by_total[sum(exps)] = by_total.get(sum(exps), Fraction(0)) + c
         for d in range(D + 1):
-            assert _evaluate_character(B, q.coeffs[d], Z) == by_total.get(d, Fraction(0)), (
+            assert _evaluate_character(B, d, q[d], Z) == by_total.get(d, Fraction(0)), (
                 A.label,
                 d,
             )

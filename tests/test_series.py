@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkoszul.algebras import polynomial
+from nkoszul.scalar import axpy
 from conftest import (
     COEFFS,
     assert_exact,
@@ -19,77 +20,45 @@ from nkoszul.series import MultiSeries, UniSeries
 
 
 def test_invert_geometric():
-    s = UniSeries(1, 4, [1, -1, 0, 0, 0])
+    s = UniSeries(4, [1, -1, 0, 0, 0])
     assert s.invert().coeffs == [1, 1, 1, 1, 1]
 
 
 def test_invert_squared_geometric():
-    s = UniSeries(1, 5, [1, -2, 1, 0, 0, 0])
+    s = UniSeries(5, [1, -2, 1, 0, 0, 0])
     assert s.invert().coeffs == [k + 1 for k in range(6)]
 
 
 def test_invert_roundtrip():
-    s = UniSeries(1, 6, [1, 3, -2, 5, 0, 1, -4])
-    assert s.invert().invert() == s
+    s = UniSeries(6, [1, 3, -2, 5, 0, 1, -4])
+    assert s.invert().invert().coeffs == s.coeffs
     assert (s * s.invert()).is_one()
 
 
 def test_invert_requires_unit():
     with pytest.raises(ValueError):
-        UniSeries(1, 2, [2, 0, 0]).invert()
+        UniSeries(2, [2, 0, 0]).invert()
     with pytest.raises(ValueError):
-        UniSeries(1, 1, [0, 1]).invert()
-
-
-def test_equality_up_to_min_truncation():
-    a = UniSeries(1, 3, [1, 2, 3, 4])
-    b = UniSeries(1, 5, [1, 2, 3, 4, 9, 9])
-    assert a == b
-
-
-def test_graded_ring_degree_check():
-    A = polynomial(2)
-    with pytest.raises(ValueError):
-        UniSeries(A.unit(), 1, [A.unit(), A.unit()])
-    s = UniSeries(A.unit(), 2, [A.unit(), A.zero_class(1), A.zero_class(2)])
-    assert s.is_one()
-    assert (s * s).is_one()
-    x2 = A.reduce(2, columns(2, {(0, 1): 1}))
-    assert not UniSeries(A.unit(), 2, [A.unit(), A.zero_class(1), x2]).is_one()
+        UniSeries(1, [0, 1]).invert()
 
 
 def test_class_truth_value():
+    # a normal form holds no zero entry, so it is falsy exactly when the
+    # element is zero, the test mmt._check_reversal makes
     A = polynomial(2)
-    assert not A.zero_class(2)
+    assert not A.reduce(2, {})
     yx = A.reduce(2, columns(2, {(1, 0): 1}))
     assert yx
-    assert not yx - A.reduce(2, columns(2, {(0, 1): 1}))
+    assert not axpy(yx, -1, A.reduce(2, columns(2, {(0, 1): 1})))
+    assert not A.reduce(2, columns(2, {(1, 0): 1, (0, 1): -1}))
 
 
-def test_graded_series_inversion_and_product():
-    A = polynomial(2)
-    x = A.reduce(1, columns(2, {(0,): 1, (1,): 1}))
-    s = UniSeries(A.unit(), 3, [A.unit(), -x, A.zero_class(2), A.zero_class(3)])
+def test_invert_negated_unit():
+    # u = -1 is its own inverse: 1/(-1 - t) = -Σ_k (-t)^k
+    s = UniSeries(3, [-1, -1, 0, 0])
     inv = s.invert()
+    assert inv.coeffs == [-1, 1, -1, 1]
     assert (s * inv).is_one()
-    # geometric series in the quotient: coefficient k is (x1+x2)^k
-    power = A.unit()
-    for k in range(4):
-        assert inv.coeffs[k] == power
-        power = power * x
-
-
-def test_graded_series_with_negated_unit_inverts():
-    # u = -1 is its own inverse: 1/(-1 - x t) = -Σ_k (-x)^k t^k
-    A = polynomial(2)
-    x = A.reduce(1, columns(2, {(0,): 1, (1,): 1}))
-    s = UniSeries(A.unit(), 3, [-A.unit(), -x, A.zero_class(2), A.zero_class(3)])
-    inv = s.invert()
-    assert (s * inv).is_one()
-    power = -A.unit()
-    for k in range(4):
-        assert inv.coeffs[k] == power
-        power = -(power * x)
 
 
 def test_multiseries_invert_two_vars():

@@ -145,11 +145,10 @@ COLUMN_ONLY = {
         "AlgebraPresentation._next_degree",
         "AlgebraPresentation.multiply",
         "AlgebraPresentation.class_of_word",
-        "AlgebraClass.__mul__",
     ),
     "koszul": ("differential", "_j_slices"),
     "mmt": ("g_table",),
-    "manin": ("build_end", "chi_A", "chi_J"),
+    "manin": ("build_end", "chi_A", "chi_J", "kmt_check"),
 }
 
 
