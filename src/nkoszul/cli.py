@@ -98,6 +98,18 @@ def ambient_bound(args):
     return DEFAULT_MAX_AMBIENT
 
 
+def _power_exceeds(n, k, bound):
+    """n^k > bound, without building n^k when a huge k makes it huge."""
+    if n < 2:
+        return n**k > bound
+    power = 1
+    for _ in range(k):
+        power *= n
+        if power > bound:
+            return True
+    return False
+
+
 # ----------------------------------------------------------------------
 # command handlers: return (report dict, verdict bool, text lines)
 
@@ -128,6 +140,13 @@ def cmd_info(args):
 
 def cmd_hilbert(args):
     A = make_algebra(args)
+    bound = ambient_bound(args)
+    # n^D bounds the pivot columns of I_D plus the normal words of A_D
+    if _power_exceeds(A.n, args.max_degree, bound):
+        raise UsageError(
+            f"ambient dimension n^D = {A.n}^{args.max_degree} exceeds the "
+            f"guardrail {bound}; raise --max-ambient or KOSZUL_MAX_AMBIENT"
+        )
     coeffs = A.hilbert_series(args.max_degree).coeffs
     report = {"label": A.label, "coefficients": coeffs}
     return report, True, [f"H_A coefficients 0..{args.max_degree}: {coeffs}"]
@@ -332,7 +351,8 @@ def build_parser():
                        help="inline matrix JSON or file:PATH")
         p.add_argument("--random-seed", type=int, default=None)
         p.add_argument("--max-ambient", type=int, default=None,
-                       help=f"guardrail on n^(2·max(D, N)) (default {DEFAULT_MAX_AMBIENT})")
+                       help="guardrail on the dimension of the largest tensor power "
+                       f"a command builds (default {DEFAULT_MAX_AMBIENT})")
         p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 

@@ -6,9 +6,12 @@ built by the recursion
 
     I_d = V ⊗ I_{d-1} + R ⊗ V^{⊗(d-N)}        (d > N).
 
-The shifted rows of I_{d-1} are already an echelon basis of V ⊗ I_{d-1} and
-are copied in as they are.  Since R ⊗ I_{d-N} ⊆ V ⊗ I_{d-1}, only the rows
-R ⊗ w for normal words w of degree d-N are eliminated.  The words at
+The shifted rows of I_{d-1} are already an echelon basis of V ⊗ I_{d-1},
+so the degree-d echelon has the echelon of degree d-1 as its base (see
+:class:`nkoszul.linalg.Echelon`): it starts with their pivots and builds a
+shifted row only when elimination first needs it.  Since R ⊗ I_{d-N} ⊆
+V ⊗ I_{d-1}, only the rows R ⊗ w for normal words w of degree d-N are
+eliminated, and only the rows they add are new.  The words at
 non-pivot columns form the normal basis of A_d, and forward reduction
 against the echelon gives the unique normal form of any element, which is
 the quotient arithmetic: an element lies in the ideal exactly when that
@@ -72,20 +75,17 @@ class AlgebraPresentation:
     def _next_degree(self):
         n, N, degrees = self.n, self.N, self.cache.degrees
         d = len(degrees)
-        ech = linalg.Echelon(n**d)
-        if d == N:
-            for r in self.relations:
-                ech.add(r)
-        elif d > N:
-            stride = n ** (d - 1)
-            for p, row in degrees[d - 1].echelon.row_of.items():
-                for a in range(n):
-                    off = a * stride
-                    ech.row_of[off + p] = {off + idx: c for idx, c in row.items()}
+        if d > N:
+            ech = linalg.Echelon(n**d, base=degrees[d - 1].echelon, n=n)
             tail = n ** (d - N)
             for r in self.relations:
                 for widx in degrees[d - N].normal:
                     ech.add({ridx * tail + widx: c for ridx, c in r.items()})
+        else:
+            ech = linalg.Echelon(n**d)
+            if d == N:
+                for r in self.relations:
+                    ech.add(r)
         if d == 0:
             normal = (0,)
         else:
@@ -94,7 +94,7 @@ class AlgebraPresentation:
                 i
                 for q in degrees[d - 1].normal
                 for i in range(q * n, q * n + n)
-                if i not in ech.row_of
+                if i not in ech.pivots
             )
         return _DegreeData(ech, normal)
 
@@ -175,7 +175,10 @@ class PresentationCache:
     Each field is read and written only by the module named in its comment.
     An entry is computed on first use and never changes afterwards.  The
     caches must be written from one thread at a time; once the entries a
-    computation needs are filled, any number of threads may read them.
+    computation needs are filled, any number of threads may read them,
+    except that a read of a degree's echelon (``reduce``,
+    ``class_of_word``) may store a shifted row of the degree below that it
+    had not used before; that write stores the same row whoever makes it.
     ``mmt`` keeps nothing here: its G tables read the normal coordinates of
     ``degrees``.
     """

@@ -23,16 +23,17 @@ class Matrix:
         self.rows = list(rows)
 
 
-def _eliminate(row_of, row):
-    """Clear from ``row``, in place, every column that is a key of ``row_of``.
+def _eliminate(pivots, row_of, row):
+    """Clear from ``row``, in place, every column in ``pivots``.
 
-    ``row_of`` maps pivot columns to echelon rows: each row has entry 1 at
-    its pivot and nothing left of it, so subtracting c·row cancels column j
-    exactly.  Pivots are cleared in increasing order from a heap; clearing
-    pivot j only adds columns right of j, so each is cleared at most once.
-    What is left is the unique representative of ``row`` on non-pivot columns.
+    ``row_of`` maps each pivot column to an echelon row: each row has entry
+    1 at its pivot and nothing left of it, so subtracting c·row cancels
+    column j exactly.  Pivots are cleared in increasing order from a heap;
+    clearing pivot j only adds columns right of j, so each is cleared at
+    most once.  What is left is the unique representative of ``row`` on
+    non-pivot columns.
     """
-    heap = [j for j in row if j in row_of]
+    heap = [j for j in row if j in pivots]
     heapify(heap)
     while heap:
         j = heappop(heap)
@@ -42,36 +43,76 @@ def _eliminate(row_of, row):
         prow = row_of[j]
         axpy(row, -c, prow)
         for col in prow:
-            if col > j and col in row_of:
+            if col > j and col in pivots:
                 heappush(heap, col)
     return row
+
+
+class _ShiftedRows(dict):
+    """Pivot column -> echelon row, over the echelon ``base`` of the words
+    one letter shorter.
+
+    A column missing here is a pivot a·stride + q of V ⊗ base, whose row is
+    x_a ⊗ (the row of q in ``base``); it is built on first use and kept, so
+    a hit stays a plain dict lookup.  Storing it is idempotent.
+    """
+
+    __slots__ = ("base", "stride")
+
+    def __init__(self, base, stride):
+        super().__init__()
+        self.base = base
+        self.stride = stride
+
+    def __missing__(self, p):
+        q = p % self.stride
+        off = p - q
+        row = self[p] = {off + col: c for col, c in self.base[q].items()}
+        return row
 
 
 class Echelon:
     """Mutable row-echelon accumulator.
 
-    ``row_of`` maps each pivot column to a row with entry 1 at the pivot and
-    nothing left of it, so the rows are an echelon basis of the row space.
-    Rank, :meth:`reduce` and :meth:`to_subspace` work from any such basis.
-    With ``reduced=True`` each insertion also clears the new pivot column
-    from every other row, so the rows stay in reduced row echelon form; by
-    default that back-substitution is left to :meth:`to_subspace`.
+    ``pivots`` is the set of pivot columns and ``row_of`` maps each pivot
+    to a row with entry 1 at the pivot and nothing left of it, so the rows
+    are an echelon basis of the row space.  Rank, :meth:`reduce` and
+    :meth:`to_subspace` work from any such basis.  With ``reduced=True``
+    each insertion also clears the new pivot column from every other row,
+    so the rows stay in reduced row echelon form; by default that
+    back-substitution is left to :meth:`to_subspace`.
+
+    Over a ``base`` echelon on ``ncols // n`` columns the row space starts
+    as V ⊗ base, with V of dimension ``n``: its n·rank(base) pivots
+    a·stride + q are in ``pivots`` from the start, and their rows x_a ⊗ row
+    are built from ``base`` when elimination first needs them.  ``row_of``
+    stores only the rows :meth:`add` keeps and the shifted rows used so
+    far.  Such an echelon cannot be reduced, as back-substitution walks the
+    stored rows only.
     """
 
-    __slots__ = ("ncols", "reduced", "row_of")
+    __slots__ = ("ncols", "reduced", "pivots", "row_of")
 
-    def __init__(self, ncols: int, reduced: bool = False):
+    def __init__(self, ncols: int, reduced: bool = False, base=None, n=0):
         self.ncols = ncols
         self.reduced = reduced
-        self.row_of = {}  # pivot column -> row dict (includes the pivot entry 1)
+        if base is None:
+            self.pivots = set()
+            self.row_of = {}  # pivot column -> row dict (includes the pivot entry 1)
+            return
+        if reduced:
+            raise ValueError("a reduced echelon cannot have a base")
+        stride = base.ncols
+        self.pivots = {a * stride + q for a in range(n) for q in base.pivots}
+        self.row_of = _ShiftedRows(base.row_of, stride)
 
     @property
     def rank(self) -> int:
-        return len(self.row_of)
+        return len(self.pivots)
 
     def add(self, vec) -> bool:
         """Absorb ``vec``; return True when the rank grew."""
-        row = _eliminate(self.row_of, {j: v for j, v in vec.items() if v})
+        row = _eliminate(self.pivots, self.row_of, {j: v for j, v in vec.items() if v})
         if not row:
             return False
         j = min(row)
@@ -85,6 +126,7 @@ class Echelon:
                 if c is not None:
                     axpy(prow, -c, row)
         self.row_of[j] = row
+        self.pivots.add(j)
         return True
 
     def extend(self, vecs) -> None:
@@ -97,14 +139,14 @@ class Echelon:
         The remainder is supported on non-pivot columns and is the unique
         representative of ``vec`` modulo the row space there.
         """
-        return _eliminate(self.row_of, {j: v for j, v in vec.items() if v})
+        return _eliminate(self.pivots, self.row_of, {j: v for j, v in vec.items() if v})
 
     def to_subspace(self):
         """The row space as a :class:`Subspace` (reduced row echelon basis)."""
         rows = {}
         # Last pivot first: each row is cleared against rows already reduced.
-        for p in sorted(self.row_of, reverse=True):
-            rows[p] = _eliminate(rows, dict(self.row_of[p]))
+        for p in sorted(self.pivots, reverse=True):
+            rows[p] = _eliminate(rows, rows, dict(self.row_of[p]))
         pivots = sorted(rows)
         return Subspace(self.ncols, pivots, [rows[p] for p in pivots])
 
@@ -199,7 +241,7 @@ def intersect(ambient_dim: int, u_rows, w_rows) -> Subspace:
         ech.add(double)
     for row in w_rows:
         ech.add(dict(row))
-    pivots = [p for p in sorted(ech.row_of) if p >= amb]
+    pivots = [p for p in sorted(ech.pivots) if p >= amb]
     rows = [{col - amb: val for col, val in ech.row_of[p].items()} for p in pivots]
     return Subspace(amb, [p - amb for p in pivots], rows)
 
@@ -222,7 +264,7 @@ class BasisSolver:
             aug = dict(row)
             aug[ambient_dim + i] = 1
             ech.add(aug)
-        if any(p >= ambient_dim for p in ech.row_of):
+        if any(p >= ambient_dim for p in ech.pivots):
             raise ValueError("basis rows are linearly dependent")
         self._ech = ech
 

@@ -154,6 +154,34 @@ def presentations(draw, max_n=3):
     return AlgebraPresentation(n, N, rels)
 
 
+def full_copy_echelons(A, top):
+    """(echelon of I_d, normal columns of degree d) for d = 0..``top``, by
+    the recursion I_d = V ⊗ I_{d-1} + R ⊗ V^{⊗(d-N)} with every shifted row
+    of I_{d-1} copied into the degree-d echelon, n copies per row, and the
+    rows R ⊗ w added for the normal columns w of degree d - N.  The normal
+    columns are the complement of the pivots.  This is the slow path that
+    ``Echelon(..., base=...)`` replaces by looking the shifted rows up."""
+    n, N = A.n, A.N
+    out = []
+    for d in range(top + 1):
+        ech = Echelon(n**d)
+        if d == N:
+            ech.extend(A.relations)
+        elif d > N:
+            stride = n ** (d - 1)
+            for p, row in out[d - 1][0].row_of.items():
+                for a in range(n):
+                    off = a * stride
+                    ech.row_of[off + p] = {off + idx: c for idx, c in row.items()}
+                    ech.pivots.add(off + p)
+            tail = n ** (d - N)
+            for r in A.relations:
+                for widx in out[d - N][1]:
+                    ech.add({ridx * tail + widx: c for ridx, c in r.items()})
+        out.append((ech, tuple(i for i in range(n**d) if i not in ech.pivots)))
+    return out
+
+
 def _concat(n, a, ka, b, kb):
     """Bilinear extension of word concatenation (the product of T(V)) to the
     grade-``ka`` column dict ``a`` and the grade-``kb`` column dict ``b``,

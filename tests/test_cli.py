@@ -9,6 +9,7 @@ from sympy.polys.fields import FracElement
 
 from nkoszul import koszul
 from nkoszul.cli import HANDLERS, main
+from nkoszul.homog import AlgebraPresentation
 from nkoszul.scalar import ParameterField, ParameterValue
 
 
@@ -162,6 +163,40 @@ def test_kmt_guardrail_override(capsys, monkeypatch):
         capsys, "kmt-check", "--algebra", "poly", "--n", "2", "--max-degree", "2"
     )
     assert code == 0
+
+
+def test_hilbert_guardrail(capsys, monkeypatch):
+    # n^D = 10^8 words exceed the default bound 10^7: refused before any
+    # degree is built, so a missing guard fails here instead of allocating
+    monkeypatch.delenv("KOSZUL_MAX_AMBIENT", raising=False)
+
+    def no_degree(self, d):
+        raise AssertionError("hilbert built a degree past the guardrail")
+
+    monkeypatch.setattr(AlgebraPresentation, "_component", no_degree)
+    code, out, err = run(
+        capsys, "hilbert", "--algebra", "free", "--n", "10", "--max-degree", "8"
+    )
+    assert code == 2 and out == ""
+    assert "n^D = 10^8 exceeds the guardrail 10000000" in err
+    # a huge D is refused without computing n^D
+    code, _, err = run(
+        capsys, "hilbert", "--algebra", "free", "--n", "10", "--max-degree", str(10**12)
+    )
+    assert code == 2 and "guardrail" in err
+    monkeypatch.setenv("KOSZUL_MAX_AMBIENT", "7")
+    code, _, err = run(capsys, "hilbert", "--algebra", "free", "--n", "2", "--max-degree", "3")
+    assert code == 2 and "n^D = 2^3 exceeds the guardrail 7" in err
+
+
+def test_hilbert_guardrail_is_inclusive(capsys):
+    # n^D equal to the bound is allowed
+    code, out, _ = run(
+        capsys, "hilbert", "--algebra", "free", "--n", "2", "--max-degree", "3",
+        "--max-ambient", "8", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["report"]["coefficients"] == [1, 2, 4, 8]
 
 
 def test_unknown_algebra_exit_2(capsys):

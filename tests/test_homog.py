@@ -14,12 +14,20 @@ from conftest import (
     assert_exact,
     columns,
     elements,
+    full_copy_echelons,
     presentations,
     series_product_by_concat,
 )
-from nkoszul.algebras import antisymmetrizer, enumerate_admissible, free_algebra, polynomial
+from nkoszul.algebras import (
+    antisymmetrizer,
+    enumerate_admissible,
+    free_algebra,
+    polynomial,
+    quantum_space,
+)
 from nkoszul.freealg import index_word, word_index
 from nkoszul.homog import AlgebraPresentation
+from nkoszul.jsonio import algebra_from_obj
 from nkoszul.koszul import koszul_certificate
 from nkoszul.linalg import Echelon
 from nkoszul.manin import build_end, kmt_check
@@ -316,3 +324,73 @@ def test_random_presentations_stay_exact(A, data):
         assert_exact(v for i in range(A.n**d) for v in A.class_of_word((d, i)).values())
         assert_exact(inverse[d].values())
     assert_exact(v for r in A.dual().relations for v in r.values())
+
+
+def _full_copy_checks(A):
+    """Compare every degree up to N + 3 with the full-copy recursion of
+    ``full_copy_echelons``: rank, pivot set, normal basis and the canonical
+    ideal component.  Returns the oracle echelons for ``reduce`` checks."""
+    top = A.N + 3
+    oracle = full_copy_echelons(A, top)
+    for d, (ech, normal) in enumerate(oracle):
+        assert A.ideal_rank(d) == ech.rank, d
+        assert A.cache.degrees[d].echelon.pivots == ech.pivots, d
+        assert A.normal_basis(d) == normal, d
+        assert A.ideal_component(d) == ech.to_subspace(), d
+    return oracle
+
+
+def _reduce_checks(A, oracle, data):
+    for d, (ech, _) in enumerate(oracle):
+        vec = data.draw(elements(A.n, d))
+        assert A.reduce(d, vec) == ech.reduce(vec), d
+
+
+@settings(max_examples=100, deadline=None)
+@given(presentations(), st.data())
+def test_random_presentations_match_full_copy_recursion(A, data):
+    oracle = _full_copy_checks(A)
+    _reduce_checks(A, oracle, data)
+
+
+MONO_XYX = {
+    "label": "mono_xyx",
+    "n": 2,
+    "N": 3,
+    "relations": [{"grade": 3, "terms": [{"coeff": "1", "word": [0, 1, 0]}]}],
+}
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: polynomial(3),
+        lambda: antisymmetrizer(4, 3),
+        lambda: quantum_space(3),
+        lambda: quantum_space(2, q=2),
+        lambda: free_algebra(2),
+        lambda: algebra_from_obj(MONO_XYX),
+    ],
+    ids=["poly3", "antisym43", "qspace3", "qspace2_q2", "free2", "mono_xyx"],
+)
+def test_builtins_match_full_copy_recursion(build):
+    A = build()
+    oracle = _full_copy_checks(A)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def reduce_matches(data):
+        _reduce_checks(A, oracle, data)
+
+    reduce_matches()
+
+
+def test_ideal_stores_only_new_and_used_rows():
+    # I_8 of antisym(4,3) has rank 21855, but V ⊗ I_7 is looked up through
+    # degree 7: degree 8 stores its 3135 new rows and the shifted rows its
+    # elimination used, not n copies of every row of I_7
+    A = antisymmetrizer(4, 3)
+    assert A.hilbert_series(8).coeffs[8] == 4**8 - 21855
+    ech = A.cache.degrees[8].echelon
+    assert ech.rank == 21855
+    assert len(ech.row_of) < 21855 / 2

@@ -236,3 +236,22 @@ def test_basis_solver():
         solver.coordinates({2: Fraction(1)})
     with pytest.raises(ValueError):
         BasisSolver([{0: Fraction(1)}, {0: Fraction(2)}], 2)
+
+
+def test_echelon_over_a_base():
+    # over a base echelon B on 4 columns the row space starts as V ⊗ B with
+    # dim V = 2: the pivots are shifted at once, a row only when looked up
+    base = Echelon(4)
+    base.add({1: Fraction(2), 3: Fraction(4)})
+    ech = Echelon(8, base=base, n=2)
+    assert ech.rank == 2 and ech.pivots == {1, 5} and dict(ech.row_of) == {}
+    assert ech.reduce({5: Fraction(1)}) == {7: Fraction(-2)}
+    assert dict(ech.row_of) == {5: {5: 1, 7: Fraction(2)}}
+    assert ech.add({0: Fraction(3), 1: Fraction(3)}) and ech.rank == 3
+    # column 1 was cleared with the shifted row x_0 ⊗ (row 1 of B)
+    assert ech.row_of[0] == {0: 1, 3: -2} and ech.pivots == {0, 1, 5}
+    assert sorted(ech.row_of) == [0, 1, 5]
+    assert ech.to_subspace() == rref(Matrix(8, [{0: 1, 1: 1}, {1: 1, 3: 2}, {5: 1, 7: 2}]))
+    # back-substitution would walk only the stored rows
+    with pytest.raises(ValueError):
+        Echelon(8, reduced=True, base=base, n=2)

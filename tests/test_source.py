@@ -306,3 +306,34 @@ def test_homog_imports_no_scalar():
         and "scalar" in {node.module, *(alias.name for alias in node.names)}
     ]
     assert found == []
+
+
+def _row_of_writes(tree):
+    """Line numbers of the writes into an echelon's rows: an item stored or
+    deleted in ``x.row_of``, ``x.row_of`` itself rebound, or a mutating
+    method called on it."""
+    mutators = {"update", "setdefault", "pop", "popitem", "clear"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "row_of" and isinstance(node.ctx, ast.Store):
+            yield node.lineno
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            if isinstance(node.value, ast.Attribute) and node.value.attr == "row_of":
+                yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = node.func.value
+            if node.func.attr in mutators and isinstance(owner, ast.Attribute) and owner.attr == "row_of":
+                yield node.lineno
+
+
+def test_only_linalg_writes_echelon_rows():
+    # a row enters an echelon through Echelon.add, which keeps the pivot set
+    # and the rows in step and is what the benchmark's tracer counts; the
+    # shifted rows of a lower degree are looked up through a base echelon,
+    # never copied in by hand
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "linalg.py"
+        for line in _row_of_writes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
