@@ -228,12 +228,13 @@ def cmd_dvp_check(args):
 def cmd_kmt_check(args):
     A = make_algebra(args)
     D = args.max_degree
-    ambient = manin.kmt_ambient(A.n, A.N, D)
     bound = ambient_bound(args)
-    if ambient > bound:
+    # build_end echelonizes end(A) on n^2 generators in degree N whatever D is
+    top = max(D, A.N)
+    if _power_exceeds(A.n * A.n, top, bound):
         raise UsageError(
-            f"envelope ambient dimension n^(2·max(D, N)) = {ambient} exceeds the "
-            f"guardrail {bound}; raise --max-ambient or KOSZUL_MAX_AMBIENT"
+            f"envelope ambient dimension n^(2·max(D, N)) = {A.n * A.n}^{top} exceeds "
+            f"the guardrail {bound}; raise --max-ambient or KOSZUL_MAX_AMBIENT"
         )
     B = manin.build_end(A)
     res = manin.kmt_check(B, D)

@@ -13,9 +13,11 @@ without echelonizing the (huge) ideal of R^⊥.  J is built by the two-window
 recursion J_m = (V⊗J_{m-1}) ∩ (J_{m-1}⊗V) seeded at J_N = span(R).
 
 A certificate at bound M is degree-bounded evidence of Koszulity, never a
-proof: it checks homology vanishing in homological degrees ℓ ≥ 1 and, for
-the Euler-characteristic argument behind the Hilbert-series duality,
-surjectivity of d_1 onto A_m, for every total degree 0 < m ≤ M.
+proof: it checks homology vanishing in homological degrees ℓ ≥ 1 for every
+total degree 0 < m ≤ M.  Surjectivity of d_1 onto A_m, which the
+Euler-characteristic argument behind the Hilbert-series duality also uses,
+holds by construction of the normal words (see :func:`homology_report`)
+and is not checked; d_1 is never assembled there.
 """
 
 from __future__ import annotations
@@ -145,27 +147,58 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
     return linalg.Matrix(len(cod_pos) * dim_lower, rows)
 
 
-def _composition_is_zero(d_hi: linalg.Matrix, d_lo: linalg.Matrix) -> bool:
+def _composition_is_zero(d_hi: linalg.Matrix, lo_rows) -> bool:
     for row in d_hi.rows:
         acc = {}
         for mid, c in row.items():
-            linalg.axpy(acc, c, d_lo.rows[mid])
+            linalg.axpy(acc, c, lo_rows[mid])
         if acc:
             return False
     return True
 
 
+class _MultiplicationRows(dict):
+    """Row index -> row of d_1: A_{m-1} ⊗ V → A_m, the rows of
+    ``differential(A, m, 1)`` built one at a time.
+
+    J_1 = V has the unit rows x_0, ..., x_{n-1}, so row e_pos·n + a is
+    the normal form of e·x_a, e the normal word at e_pos, on the columns of
+    the normal words of degree m.  A row is built on first lookup and kept.
+    Construction raises RuntimeError unless every normal word of degree m
+    has a normal prefix, the invariant that makes d_1 onto.
+    """
+
+    __slots__ = ("A", "m", "words", "cod_pos")
+
+    def __init__(self, A, m):
+        super().__init__()
+        self.A = A
+        self.m = m
+        self.words = A.normal_basis(m - 1)
+        self.cod_pos = {f: i for i, f in enumerate(A.normal_basis(m))}
+        prefixes = set(self.words)
+        if any(f // A.n not in prefixes for f in self.cod_pos):
+            raise RuntimeError(
+                f"a normal word of degree {m} has no normal prefix; internal error"
+            )
+
+    def __missing__(self, i):
+        e, a = divmod(i, self.A.n)
+        prod = self.A.multiply(self.m, 1, {self.words[e]: 1}, {a: 1})
+        row = self[i] = {self.cod_pos[f]: v for f, v in prod.items()}
+        return row
+
+
 class DegreeReport:
     """Homology data of the total-degree-m subcomplex."""
 
-    __slots__ = ("m", "component_dims", "ranks", "homology", "d1_surjective")
+    __slots__ = ("m", "component_dims", "ranks", "homology")
 
-    def __init__(self, m, component_dims, ranks, homology, d1_surjective):
+    def __init__(self, m, component_dims, ranks, homology):
         self.m = m
         self.component_dims = component_dims  # {ell: dim A_k ⊗ J_ν(ell)}
         self.ranks = ranks  # {ell: rank d_ell}
         self.homology = homology  # {ell: dim H_ell}, ell >= 1
-        self.d1_surjective = d1_surjective
 
     def to_obj(self):
         return {
@@ -173,15 +206,25 @@ class DegreeReport:
             "component_dims": {str(l): d for l, d in self.component_dims.items()},
             "differential_ranks": {str(l): r for l, r in self.ranks.items()},
             "homology_dims": {str(l): h for l, h in self.homology.items()},
-            "d1_surjective": self.d1_surjective,
+            "d1_surjective": True,  # rank d_1 = dim A_m, see homology_report
         }
 
 
 def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
     """Ranks and homology dimensions of the subcomplex at total degree m.
 
-    d∘d = 0 is verified on every constructed consecutive pair and raises
-    RuntimeError if violated (an implementation bug, not a user error).
+    d_1: A_{m-1} ⊗ V → A_m is not assembled: its rank is dim A_m.
+    Lemma: every normal word f of degree m is e·x_a with e a normal word of
+    degree m-1.  Proof: write f = q·n + a; if q were a pivot of I_{m-1},
+    its row times x_a, an element of I_{m-1} ⊗ V ⊆ I_m, would lead at f,
+    so f would be a pivot of I_m.  Hence the row of e ⊗ x_a is the unit
+    vector of f, and d_1 has dim A_m distinct unit rows.  The prefix of
+    every normal word is checked; a missing one raises RuntimeError (an
+    implementation bug, not a user error).
+
+    d∘d = 0 is verified on every consecutive pair and raises RuntimeError
+    if violated; for d_1 ∘ d_2 the rows of d_1 are built only where a row
+    of d_2 has an entry.
     """
     if m < 1:
         raise ValueError("total degree must be >= 1")
@@ -190,9 +233,9 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
         for l, d in jumps(A.N, m)
     }
     ells = list(dims)
-    ranks = {}
-    prev = None  # d_{ℓ-1}, or None where its domain is zero
-    for l in ells[1:]:
+    ranks = {1: dims[0]}
+    prev = _MultiplicationRows(A, m)  # rows of d_{ℓ-1}, None where its domain is zero
+    for l in ells[2:]:
         if not dims[l]:
             ranks[l] = 0
             prev = None
@@ -203,14 +246,12 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
                 f"d_{l - 1} ∘ d_{l} != 0 at total degree {m}; internal error"
             )
         ranks[l] = linalg.rank(mat)
-        prev = mat
+        prev = mat.rows
     homology = {}
     for l in ells[1:]:
         incoming = ranks.get(l + 1, 0)
         homology[l] = dims[l] - ranks[l] - incoming
-    d1_rank = ranks.get(1, 0)
-    d1_surjective = d1_rank == dims[0]
-    return DegreeReport(m, dims, ranks, homology, d1_surjective)
+    return DegreeReport(m, dims, ranks, homology)
 
 
 class CertificateResult:
@@ -239,8 +280,9 @@ def koszul_certificate(A: AlgebraPresentation, max_degree: int) -> CertificateRe
 
     Passing is degree-bounded evidence for Koszulity up to degree M only.
     Homological degrees ℓ ≥ 1 carry the Koszulity condition itself;
-    surjectivity of d_1 (exactness at ℓ = 0) is what the Euler-Poincaré
-    derivation of the Hilbert-series identity additionally uses.
+    surjectivity of d_1 (exactness at ℓ = 0), which the Euler-Poincaré
+    derivation of the Hilbert-series identity additionally uses, holds by
+    construction (see :func:`homology_report`).
     """
     if max_degree < 1:
         raise ValueError("certificate bound must be >= 1")
@@ -250,8 +292,6 @@ def koszul_certificate(A: AlgebraPresentation, max_degree: int) -> CertificateRe
         rep = homology_report(A, m)
         reports.append(rep)
         if first_failure is None:
-            if not rep.d1_surjective:
-                first_failure = (m, 0)
             for l in sorted(rep.homology):
                 if rep.homology[l] != 0:
                     first_failure = (m, l)

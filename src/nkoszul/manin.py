@@ -109,12 +109,6 @@ class KmtResult:
         self.dual_series = dual_series  # the J character series of the check
 
 
-def kmt_ambient(n: int, N: int, max_degree: int) -> int:
-    """Ambient dimension n^{2·max(D, N)} that the degree-D check must
-    echelonize in: :func:`build_end` works in degree N whatever D is."""
-    return (n * n) ** max(max_degree, N)
-
-
 def kmt_check(B: ManinBialgebra, max_degree: int) -> KmtResult:
     """The character-map identity: the product of the character series of A
     and the alternating character series of the J spaces is 1 in end(A),

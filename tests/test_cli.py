@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from sympy.polys.fields import FracElement
 
-from nkoszul import koszul
+from nkoszul import koszul, manin
 from nkoszul.cli import HANDLERS, main
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.scalar import ParameterField, ParameterValue
@@ -153,7 +153,52 @@ def test_kmt_guardrail_counts_degree_N(capsys):
         "--max-degree", "1", "--max-ambient", "100",
     )
     assert code == 2 and out == ""
-    assert "n^(2·max(D, N)) = 729 exceeds the guardrail 100" in err
+    assert "n^(2·max(D, N)) = 9^3 exceeds the guardrail 100" in err
+
+
+@pytest.mark.parametrize(
+    "n, N, D, bound, refused",
+    [
+        (2, 2, 1, 16, False),  # D < N: (2·2)^2 = 16, the bound is inclusive
+        (2, 2, 1, 15, True),
+        (3, 3, 2, 729, False),  # D < N: 9^3
+        (3, 3, 2, 728, True),
+        (2, 2, 4, 256, False),  # D >= N: 4^4
+        (2, 2, 4, 255, True),
+        (3, 3, 4, 6560, True),  # D >= N: 9^4 = 6561
+    ],
+)
+def test_kmt_guardrail_quantity(capsys, monkeypatch, n, N, D, bound, refused):
+    # n^(2·max(D, N)) against the bound, decided before end(A) is built
+    def no_build(A):
+        raise AssertionError("kmt-check built end(A) past the guardrail")
+
+    if refused:
+        monkeypatch.setattr(manin, "build_end", no_build)
+    code, _, err = run(
+        capsys, "kmt-check", "--algebra", "antisym", "--n", str(n), "--N", str(N),
+        "--max-degree", str(D), "--max-ambient", str(bound),
+    )
+    if refused:
+        assert code == 2
+        assert f"n^(2·max(D, N)) = {n * n}^{max(D, N)} exceeds the guardrail {bound}" in err
+    else:
+        assert code == 0, err
+
+
+def test_kmt_guardrail_huge_degree(capsys, monkeypatch):
+    # a huge D is refused without computing (n·n)^D
+    def no_build(A):
+        raise AssertionError("kmt-check built end(A) past the guardrail")
+
+    monkeypatch.delenv("KOSZUL_MAX_AMBIENT", raising=False)
+    monkeypatch.setattr(manin, "build_end", no_build)
+    code, out, err = run(
+        capsys, "kmt-check", "--algebra", "antisym", "--n", "3", "--N", "3",
+        "--max-degree", str(10**9),
+    )
+    assert code == 2 and out == ""
+    assert "n^(2·max(D, N)) = 9^1000000000 exceeds the guardrail 10000000" in err
 
 
 def test_kmt_guardrail_override(capsys, monkeypatch):

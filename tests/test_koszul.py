@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nkoszul.algebras import antisymmetrizer, free_algebra, polynomial, quantum_space
 from conftest import columns, presentations, rref
 from nkoszul import koszul
+from nkoszul.cli import main
 from nkoszul.freealg import index_word
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import (
@@ -105,11 +106,41 @@ def test_dual_dim_cross_check_against_dual_presentation(A):
         assert dual_component_dim(A, m) == D.dim_component(m), (A.label, m)
 
 
-def test_differential_d1_is_multiplication_and_surjective_below_N():
-    A = antisymmetrizer(3, 3)
-    for m in (1, 2):
+@settings(max_examples=30, deadline=None)
+@given(presentations())
+@example(polynomial(3))
+@example(antisymmetrizer(3, 3))
+@example(antisymmetrizer(4, 3))
+@example(quantum_space(2))
+@example(quantum_space(2, q=Fraction(2)))
+@example(free_algebra(2))
+@example(AlgebraPresentation(2, 3, [columns(2, {(0, 1, 0): Fraction(1)})], label="mono_xyx"))
+def test_d1_rank_is_dim_A_and_lazy_rows_match(A):
+    # the assembled d_1 is the oracle of the lemma homology_report relies
+    # on (rank d_1 = dim A_m) and of the rows it builds one at a time
+    for m in range(1, 6):
         mat = differential(A, m, 1)
-        assert rank(mat) == A.dim_component(m)
+        assert rank(mat) == A.dim_component(m), m
+        lazy = koszul._MultiplicationRows(A, m)
+        for i, row in enumerate(mat.rows):
+            assert lazy[i] == row, (m, i)
+
+
+def test_homology_report_checks_normal_prefixes(capsys, monkeypatch):
+    # a normal word whose prefix is not normal breaks rank d_1 = dim A_m:
+    # an internal error, not a verdict
+    real = AlgebraPresentation.normal_basis
+
+    def drop_x0(self, d):
+        words = real(self, d)
+        return words[1:] if d == 1 else words
+
+    monkeypatch.setattr(AlgebraPresentation, "normal_basis", drop_x0)
+    with pytest.raises(RuntimeError, match="no normal prefix"):
+        homology_report(polynomial(2), 2)
+    code = main(["koszul-check", "--algebra", "poly", "--n", "2", "--max-degree", "3"])
+    assert code == 3
+    assert "internal error: RuntimeError" in capsys.readouterr().err
 
 
 def _wedge(n, subset):
@@ -166,7 +197,8 @@ def test_polynomial_complex_dims_degree2():
     A = polynomial(2)
     rep = homology_report(A, 2)
     assert rep.component_dims == {0: 3, 1: 4, 2: 1}
-    assert rep.d1_surjective
+    assert rep.ranks[1] == 3  # d_1 onto A_2
+    assert rep.to_obj()["d1_surjective"] is True
     assert rep.homology == {1: 0, 2: 0}
 
 

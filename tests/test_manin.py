@@ -22,7 +22,6 @@ from nkoszul.manin import (
     ferm_convention,
     ferm_series,
     is_polynomial_presentation,
-    kmt_ambient,
     kmt_check,
 )
 
@@ -440,10 +439,3 @@ def test_is_polynomial_presentation():
     assert not is_polynomial_presentation(antisymmetrizer(3, 3))
     assert not is_polynomial_presentation(quantum_space(2))
     assert not is_polynomial_presentation(free_algebra(2))
-
-
-def test_kmt_ambient_guardrail_quantity():
-    assert kmt_ambient(2, 2, 4) == 2**8
-    assert kmt_ambient(3, 3, 4) == 3**8
-    # build_end echelonizes end(A) in degree N, whatever the bound D
-    assert kmt_ambient(3, 3, 1) == kmt_ambient(3, 3, 3) == 3**6
