@@ -22,6 +22,41 @@ relation included, a ``{column: scalar}`` dict (see
 echelon remainder as it is, with no class around it.  The canonical
 reduced basis of I_d is built only when
 :meth:`AlgebraPresentation.ideal_component` asks for it.
+
+When the relations are a Gröbner basis, no degree above 2N-1 is
+eliminated.  Columns of one length are ordered as integers, the lex order
+of words, and a row's pivot is its least column, so the pivot of u ⊗ r ⊗ v
+is u·lead(r)·v.  Let L be the pivots of I_N, the leading words of R.
+
+Lemma.  Suppose that for d = N+1, ..., 2N-1 every pivot of I_d contains a
+word of L.  Then in every degree the pivots of I_d are the words that
+contain a word of L, and for each occurrence ℓ of a word of L in a word
+u·ℓ·v, u ⊗ (the row of ℓ in I_N) ⊗ v is a row of I_d with pivot u·ℓ·v.
+
+Proof.  A word that contains a word of L is a pivot, since
+u ⊗ I_N ⊗ v ⊆ I_d.  Rewriting u·ℓ·v to u ⊗ (ℓ - row of ℓ) ⊗ v, a sum of
+larger words, is a reduction system compatible with the order, which is
+a well-order in each degree.  All words of L have length N, so its only
+ambiguities are overlaps a·b·c with a·b and b·c in L, of length N+1 to
+2N-1.  Reducing an overlap fully in its two ways gives two elements whose
+difference lies in I_d and is supported on words that avoid L; a nonzero
+element of I_d has a pivot, which by the assumption contains a word of L,
+so the difference is 0 and every ambiguity resolves.  By Bergman's diamond
+lemma (G. M. Bergman, "The diamond lemma for ring theory", Adv. Math. 29
+(1978) 178-218, Theorem 1.2) the words that avoid L are then a basis of A,
+so in each degree they are the normal words and the pivots are the rest.
+
+The assumption is checked by counting.  ``allowed[s]`` lists the letters
+a for which s·a, s a word of N-1 letters, is not in L.  While every pivot
+of I_{d-1} contains a word of L, the words of degree d that avoid L are
+the normal words q of degree d-1 followed by a letter of allowed[the last
+N-1 letters of q].  Every normal word of degree d is one of them: its
+prefix is normal, as I_{d-1} ⊗ V ⊆ I_d, and it avoids L.  So their count
+equals dim A_d exactly when every pivot of I_d contains a word of L.  From
+degree 2N on, a presentation that passed in every degree N+1..2N-1 takes
+those extensions as its normal words and a
+:class:`nkoszul.linalg.RewriteEchelon` as its echelon, with no
+elimination; any other presentation is eliminated in every degree.
 """
 
 from __future__ import annotations
@@ -73,8 +108,13 @@ class AlgebraPresentation:
         return degrees[d]
 
     def _next_degree(self):
-        n, N, degrees = self.n, self.N, self.cache.degrees
+        n, N, cache = self.n, self.N, self.cache
+        degrees, allowed = cache.degrees, cache.groebner
         d = len(degrees)
+        suffixes = n ** (N - 1)  # q % suffixes: the last N-1 letters of q
+        if d >= 2 * N and allowed is not None:
+            normal = tuple(q * n + a for q in degrees[d - 1].normal for a in allowed[q % suffixes])
+            return _DegreeData(linalg.RewriteEchelon(n**d, normal, degrees[N].echelon, n), normal)
         if d > N:
             ech = linalg.Echelon(n**d, base=degrees[d - 1].echelon, n=n)
             tail = n ** (d - N)
@@ -96,6 +136,13 @@ class AlgebraPresentation:
                 for i in range(q * n, q * n + n)
                 if i not in ech.pivots
             )
+        if d == N:
+            cache.groebner = tuple(
+                tuple(a for a in range(n) if s * n + a not in ech.pivots) for s in range(suffixes)
+            )
+        elif d > N and allowed is not None:
+            if sum(len(allowed[q % suffixes]) for q in degrees[d - 1].normal) != len(normal):
+                cache.groebner = None
         return _DegreeData(ech, normal)
 
     def ideal_component(self, d) -> linalg.Subspace:
@@ -173,20 +220,27 @@ class PresentationCache:
     """The lazily filled caches of one presentation, one field per cache.
 
     Each field is read and written only by the module named in its comment.
-    An entry is computed on first use and never changes afterwards.  The
-    caches must be written from one thread at a time; once the entries a
-    computation needs are filled, any number of threads may read them,
-    except that a read of a degree's echelon (``reduce``,
-    ``class_of_word``) may store a shifted row of the degree below that it
-    had not used before; that write stores the same row whoever makes it.
+    An entry is computed on first use and never changes afterwards, except
+    ``groebner``, which the degrees N..2N-1 set and may clear while they are
+    built.  The caches must be written from one thread at a time; once the
+    entries a computation needs are filled, any number of threads may read
+    them, except that a read of a degree's echelon (``reduce``,
+    ``class_of_word``) may store a row it had not used before: a shifted
+    row of the degree below, or from degree 2N on a rewrite row
+    u ⊗ (row of I_N) ⊗ v; that write stores the same row whoever makes it.
     ``mmt`` keeps nothing here: its G tables read the normal coordinates of
     ``degrees``.
     """
 
-    __slots__ = ("degrees", "j_spaces", "j_slices")
+    __slots__ = ("degrees", "groebner", "j_spaces", "j_slices")
 
     def __init__(self):
         self.degrees = []  # homog: _DegreeData of degrees 0, 1, 2, ...
+        # homog: the Gröbner check's table allowed[s], built at degree N:
+        # the letters a for which s·a, s a word of N-1 letters, is not a
+        # pivot of I_N; None before degree N and from the first degree
+        # that fails the check
+        self.groebner = None
         self.j_spaces = {}  # koszul: m -> the subspace J_m
         self.j_slices = {}  # koszul: (m, s) -> J_m in V^{⊗s} ⊗ J_{m-s} coordinates
 

@@ -8,6 +8,7 @@ there is no tolerance anywhere.
 
 from __future__ import annotations
 
+from collections.abc import Set
 from heapq import heapify, heappop, heappush
 
 from .scalar import axpy, div
@@ -149,6 +150,86 @@ class Echelon:
             rows[p] = _eliminate(rows, rows, dict(self.row_of[p]))
         pivots = sorted(rows)
         return Subspace(self.ncols, pivots, [rows[p] for p in pivots])
+
+
+class _Complement(Set):
+    """The columns of ``range(ncols)`` outside ``normal``, the pivots of a
+    :class:`RewriteEchelon`.  Membership reads a bitmap of the normal
+    columns, one byte per column; the pivots are listed only when
+    iterated."""
+
+    __slots__ = ("flags", "size")
+
+    def __init__(self, ncols, normal):
+        flags = self.flags = bytearray(ncols)
+        for col in normal:
+            flags[col] = 1
+        self.size = ncols - len(normal)
+
+    def __contains__(self, col):
+        return not self.flags[col]
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        return (col for col, flag in enumerate(self.flags) if not flag)
+
+
+class _RewriteRows(dict):
+    """Pivot column -> echelon row of a :class:`RewriteEchelon`.
+
+    A column missing here is a word u·ℓ·v whose leftmost window of length N
+    that is a pivot of ``lead`` is ℓ; its row is u ⊗ (the row of ℓ) ⊗ v,
+    built on first use and kept.  Storing it is idempotent.
+    """
+
+    __slots__ = ("lead", "ncols", "n")
+
+    def __init__(self, lead, ncols, n):
+        super().__init__()
+        self.lead = lead
+        self.ncols = ncols
+        self.n = n
+
+    def __missing__(self, p):
+        lead = self.lead
+        size = lead.ncols
+        tail = self.ncols // size  # n^|v| of the leftmost window
+        while True:
+            ell = p // tail % size
+            if ell in lead.pivots:
+                head = p - p % (tail * size) + p % tail
+                row = self[p] = {head + col * tail: c for col, c in lead.row_of[ell].items()}
+                return row
+            if tail == 1:
+                raise KeyError(p)
+            tail //= self.n
+
+
+class RewriteEchelon(Echelon):
+    """The echelon of a degree-d ideal component I_d whose pivots are the
+    words that contain a pivot of ``lead``, the echelon of I_N.
+
+    Its normal words, ``normal``, are those that avoid the pivots of
+    ``lead``; ``pivots`` is their complement and the row of a pivot is
+    u ⊗ (row of ℓ) ⊗ v at its leftmost window ℓ, V of dimension ``n``.
+    That these rows are an echelon basis of I_d is what the caller has
+    checked (see :mod:`nkoszul.homog`).  Rank, :meth:`reduce` and
+    :meth:`to_subspace` are those of :class:`Echelon`; the echelon is
+    complete, so :meth:`add` raises.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, ncols: int, normal, lead, n):
+        self.ncols = ncols
+        self.reduced = False
+        self.pivots = _Complement(ncols, normal)
+        self.row_of = _RewriteRows(lead, ncols, n)
+
+    def add(self, vec):
+        raise TypeError("a rewrite echelon is complete; no row can be added")
 
 
 class Subspace:

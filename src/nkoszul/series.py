@@ -75,13 +75,26 @@ class MultiSeries:
         return self.terms.get(tuple(exps), 0)
 
     def __mul__(self, other):
+        """The product truncated at the lower truncation; part i of one
+        factor meets part j of the other only where i + j is within it."""
         if not isinstance(other, MultiSeries):
             return NotImplemented
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
         trunc = min(self.trunc, other.trunc)
-        terms = mul_terms(self.terms, other.terms)
-        return MultiSeries(self.nvars, trunc, {e: c for e, c in terms.items() if sum(e) <= trunc})
+        a, b = self._parts(), other._parts()
+        terms = {}
+        for i in range(trunc + 1):
+            for j in range(trunc + 1 - i):
+                axpy(terms, 1, mul_terms(a[i], b[j]))
+        return MultiSeries(self.nvars, trunc, terms)
+
+    def _parts(self):
+        """The homogeneous parts: the terms of total degree t, t = 0..trunc."""
+        parts = [{} for _ in range(self.trunc + 1)]
+        for e, c in self.terms.items():
+            parts[sum(e)][e] = c
+        return parts
 
     def invert(self):
         """The inverse series, one total degree at a time: its part of
@@ -92,9 +105,7 @@ class MultiSeries:
         if not a0:
             raise ValueError("constant term is zero")
         u = div(1, a0)
-        parts = [{} for _ in range(self.trunc + 1)]
-        for e, c in self.terms.items():
-            parts[sum(e)][e] = c
+        parts = self._parts()
         out = [{zero_exp: u}]
         for t in range(1, self.trunc + 1):
             part = {}

@@ -154,6 +154,47 @@ def presentations(draw, max_n=3):
     return AlgebraPresentation(n, N, rels)
 
 
+def _overlaps(u, v):
+    """Some proper suffix of the word tuple ``u`` is a prefix of ``v``."""
+    return any(u[len(u) - k :] == v[:k] for k in range(1, len(u)))
+
+
+@st.composite
+def groebner_presentations(draw):
+    """QQ presentations with n <= 3 generators and N in {2, 3} whose
+    relations are a Gröbner basis for the lex order, by one of two
+    constructions that need no Gröbner computation to see it:
+
+    - monomial relations c·w, whose words may overlap: I_d is spanned by
+      the words that contain a relation word, so those are its pivots;
+    - relations ℓ + Σ c_w w with every w after ℓ in lex order, whose
+      leading words ℓ are distinct and do not overlap one another or
+      themselves: with no ambiguity, Bergman's diamond lemma holds
+      vacuously.
+    """
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 3))
+    words = list(product(range(n), repeat=N))
+    nonzero = COEFFS.filter(bool)
+    count = draw(st.integers(1, 3))
+    # over one letter every word overlaps itself
+    if n == 1 or draw(st.booleans()):
+        rels = [{draw(st.sampled_from(words)): draw(nonzero)} for _ in range(count)]
+        return AlgebraPresentation(n, N, [columns(n, r) for r in rels])
+    leads = []
+    candidates = [w for w in words if not _overlaps(w, w)]
+    for lead in draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=count)):
+        if lead not in leads and not any(_overlaps(u, lead) or _overlaps(lead, u) for u in leads):
+            leads.append(lead)
+    rels = []
+    for lead in leads:
+        # a lead is not the last word, which overlaps itself
+        later = st.sampled_from([w for w in words if w > lead])
+        tail = draw(st.dictionaries(later, nonzero, min_size=1, max_size=2))
+        rels.append(columns(n, {lead: draw(nonzero), **tail}))
+    return AlgebraPresentation(n, N, rels)
+
+
 def full_copy_echelons(A, top):
     """(echelon of I_d, normal columns of degree d) for d = 0..``top``, by
     the recursion I_d = V ⊗ I_{d-1} + R ⊗ V^{⊗(d-N)} with every shifted row

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import random
 import weakref
@@ -15,6 +16,7 @@ from conftest import (
     columns,
     elements,
     full_copy_echelons,
+    groebner_presentations,
     presentations,
     series_product_by_concat,
 )
@@ -29,7 +31,8 @@ from nkoszul.freealg import index_word, word_index
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.jsonio import algebra_from_obj
 from nkoszul.koszul import koszul_certificate
-from nkoszul.linalg import Echelon
+from nkoszul.cli import main
+from nkoszul.linalg import Echelon, RewriteEchelon
 from nkoszul.manin import build_end, kmt_check
 from nkoszul.mmt import nmt_check, random_rational_matrix
 from nkoszul.scalar import axpy
@@ -326,11 +329,10 @@ def test_random_presentations_stay_exact(A, data):
     assert_exact(v for r in A.dual().relations for v in r.values())
 
 
-def _full_copy_checks(A):
-    """Compare every degree up to N + 3 with the full-copy recursion of
+def _full_copy_checks(A, top):
+    """Compare every degree up to ``top`` with the full-copy recursion of
     ``full_copy_echelons``: rank, pivot set, normal basis and the canonical
     ideal component.  Returns the oracle echelons for ``reduce`` checks."""
-    top = A.N + 3
     oracle = full_copy_echelons(A, top)
     for d, (ech, normal) in enumerate(oracle):
         assert A.ideal_rank(d) == ech.rank, d
@@ -338,6 +340,11 @@ def _full_copy_checks(A):
         assert A.normal_basis(d) == normal, d
         assert A.ideal_component(d) == ech.to_subspace(), d
     return oracle
+
+
+def _rewrite_degrees(A):
+    """The degrees built so far whose echelon is a rewrite echelon."""
+    return [d for d, data in enumerate(A.cache.degrees) if type(data.echelon) is RewriteEchelon]
 
 
 def _reduce_checks(A, oracle, data):
@@ -349,7 +356,7 @@ def _reduce_checks(A, oracle, data):
 @settings(max_examples=100, deadline=None)
 @given(presentations(), st.data())
 def test_random_presentations_match_full_copy_recursion(A, data):
-    oracle = _full_copy_checks(A)
+    oracle = _full_copy_checks(A, A.N + 3)
     _reduce_checks(A, oracle, data)
 
 
@@ -374,8 +381,11 @@ MONO_XYX = {
     ids=["poly3", "antisym43", "qspace3", "qspace2_q2", "free2", "mono_xyx"],
 )
 def test_builtins_match_full_copy_recursion(build):
+    # every built-in passes the Gröbner check, so up to 2N + 1 it is
+    # compared in two rewrite degrees
     A = build()
-    oracle = _full_copy_checks(A)
+    oracle = _full_copy_checks(A, 2 * A.N + 1)
+    assert _rewrite_degrees(A) == [2 * A.N, 2 * A.N + 1]
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -386,11 +396,77 @@ def test_builtins_match_full_copy_recursion(build):
 
 
 def test_ideal_stores_only_new_and_used_rows():
-    # I_8 of antisym(4,3) has rank 21855, but V ⊗ I_7 is looked up through
-    # degree 7: degree 8 stores its 3135 new rows and the shifted rows its
-    # elimination used, not n copies of every row of I_7
+    # I_8 of antisym(4,3) has rank 21855, but no degree copies the rows of
+    # the degree below: degrees 4 and 5 are built over the degree below and
+    # store only their new rows and the shifted rows their elimination used,
+    # and degree 8, above 2N - 1, is a rewrite echelon, which stores a row
+    # only when a reduction uses it
     A = antisymmetrizer(4, 3)
     assert A.hilbert_series(8).coeffs[8] == 4**8 - 21855
     ech = A.cache.degrees[8].echelon
     assert ech.rank == 21855
     assert len(ech.row_of) < 21855 / 2
+    # a presentation that fails the Gröbner check eliminates degree 8 over
+    # degree 7, whose rows it looks up rather than copies
+    B = _perturbed_antisym43(0)
+    B.hilbert_series(8)
+    ech = B.cache.degrees[8].echelon
+    assert type(ech) is Echelon and ech.rank == 23040
+    assert len(ech.row_of) < 23040 / 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(groebner_presentations(), st.data())
+def test_groebner_presentations_match_full_copy_recursion(A, data):
+    # every degree from 2N on is a rewrite echelon, which no Echelon.add
+    # built, and it agrees with the full-copy recursion up to 2N + 1
+    oracle = _full_copy_checks(A, 2 * A.N + 1)
+    _reduce_checks(A, oracle, data)
+    assert A.cache.groebner is not None
+    assert _rewrite_degrees(A) == [2 * A.N, 2 * A.N + 1]
+
+
+def _perturbed_antisym43(index):
+    """antisym(4,3) with the coefficient at the leading word of relation
+    ``index`` doubled."""
+    rels = [dict(r) for r in antisymmetrizer(4, 3).relations]
+    rels[index][min(rels[index])] *= 2
+    return AlgebraPresentation(4, 3, rels)
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_perturbed_antisym_falls_back(index):
+    # doubling one coefficient of one relation of antisym(4,3) breaks the
+    # Gröbner property: the check fails, every degree is eliminated as
+    # before, and the Hilbert series is still the full-copy recursion's
+    A = _perturbed_antisym43(index)
+    coeffs = A.hilbert_series(7).coeffs
+    assert A.cache.groebner is None
+    assert _rewrite_degrees(A) == []
+    assert coeffs == [len(normal) for _, normal in full_copy_echelons(A, 7)]
+    assert coeffs != antisymmetrizer(4, 3).hilbert_series(7).coeffs
+
+
+@pytest.mark.parametrize(
+    "argv, n, N, top, rank",
+    [
+        (("--algebra", "antisym", "--n", "4", "--N", "3", "--max-degree", "8"), 4, 3, 8, 21855),
+        (("--algebra", "poly", "--n", "3", "--max-degree", "7"), 3, 2, 7, 3**7 - 36),
+    ],
+    ids=["antisym43_D8", "poly3_D7"],
+)
+def test_no_elimination_above_2N_minus_1(capsys, monkeypatch, argv, n, N, top, rank):
+    # hilbert eliminates only in degrees N..2N-1; every higher degree is a
+    # rewrite echelon
+    ambients = []
+    add = Echelon.add
+
+    def counted_add(self, vec):
+        ambients.append(self.ncols)
+        return add(self, vec)
+
+    monkeypatch.setattr(Echelon, "add", counted_add)
+    assert main(["hilbert", *argv, "--format", "json"]) == 0
+    coeffs = json.loads(capsys.readouterr().out)["report"]["coefficients"]
+    assert coeffs[top] == n**top - rank
+    assert ambients and max(ambients) == n ** (2 * N - 1)

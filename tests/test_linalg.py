@@ -9,6 +9,7 @@ from nkoszul.linalg import (
     Echelon,
     axpy,
     Matrix,
+    RewriteEchelon,
     Subspace,
     full_space,
     intersect,
@@ -255,3 +256,20 @@ def test_echelon_over_a_base():
     # back-substitution would walk only the stored rows
     with pytest.raises(ValueError):
         Echelon(8, reduced=True, base=base, n=2)
+
+
+def test_rewrite_echelon():
+    # I_3 of poly(2), whose one leading word is x0x1 (column 1 of I_2): the
+    # normal words are those that avoid it, 000, 100, 110 and 111
+    lead = Echelon(4)
+    lead.add({1: 1, 2: -1})
+    ech = RewriteEchelon(8, (0, 4, 6, 7), lead, 2)
+    assert ech.rank == 4 and len(ech.pivots) == 4 and dict(ech.row_of) == {}
+    assert ech.pivots == {1, 2, 3, 5} and sorted(ech.pivots) == [1, 2, 3, 5]
+    assert 5 in ech.pivots and 4 not in ech.pivots
+    # 011 rewrites at its leftmost window, 01·1 → 10·1, then 1·01 → 1·10
+    assert ech.reduce({3: Fraction(2)}) == {6: Fraction(2)}
+    assert dict(ech.row_of) == {3: {3: 1, 5: -1}, 5: {5: 1, 6: -1}}
+    assert ech.to_subspace() == rref(Matrix(8, [{1: 1, 2: -1}, {2: 1, 4: -1}, {3: 1, 5: -1}, {5: 1, 6: -1}]))
+    with pytest.raises(TypeError):
+        ech.add({0: 1})

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nkoszul.algebras import polynomial
-from nkoszul.scalar import axpy
+from nkoszul import series
+from nkoszul.scalar import axpy, mul_terms
 from conftest import (
     COEFFS,
     assert_exact,
@@ -89,6 +90,34 @@ def test_multiseries_mul_truncates():
     f = MultiSeries(2, 2, {(1, 0): Fraction(1)})
     g = MultiSeries(2, 2, {(1, 1): Fraction(1)})
     assert (f * g).terms == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 5), st.integers(0, 5), st.data())
+def test_multiseries_mul_matches_full_product(nvars, ta, tb, data):
+    # the product by parts equals every term product cut at the truncation
+    f = data.draw(multiseries(nvars, ta))
+    g = data.draw(multiseries(nvars, tb))
+    trunc = min(ta, tb)
+    full = mul_terms(f.terms, g.terms)
+    product = f * g
+    assert product.trunc == trunc
+    assert product.terms == {e: c for e, c in full.items() if sum(e) <= trunc}
+
+
+def test_multiseries_mul_forms_no_term_beyond_truncation(monkeypatch):
+    formed = []
+
+    def recorded(a, b):
+        out = mul_terms(a, b)
+        formed.extend(sum(e) for e in out)
+        return out
+
+    monkeypatch.setattr(series, "mul_terms", recorded)
+    f = MultiSeries(2, 4, {(0, 0): 1, (2, 1): 1, (1, 3): 2})
+    g = MultiSeries(2, 3, {(0, 0): 1, (3, 0): 1, (1, 1): -1})
+    assert (f * g).terms == {(0, 0): 1, (2, 1): 1, (3, 0): 1, (1, 1): -1}
+    assert formed and max(formed) <= 3
 
 
 def test_multiseries_equality():
