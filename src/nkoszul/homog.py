@@ -23,40 +23,42 @@ echelon remainder as it is, with no class around it.  The canonical
 reduced basis of I_d is built only when
 :meth:`AlgebraPresentation.ideal_component` asks for it.
 
-When the relations are a Gröbner basis, no degree above 2N-1 is
-eliminated.  Columns of one length are ordered as integers, the lex order
-of words, and a row's pivot is its least column, so the pivot of u ⊗ r ⊗ v
-is u·lead(r)·v.  Let L be the pivots of I_N, the leading words of R.
+Above degree N the relations are first tried as a Gröbner basis.
+Columns of one length are ordered as integers, the lex order of words, and
+a row's pivot is its least column, so the pivot of u ⊗ r ⊗ v is
+u·lead(r)·v.  Let L be the pivots of I_N, the leading words of R, and ρ_ℓ
+the row of ℓ in I_N.  Rewriting u·ℓ·v to u ⊗ (ℓ - ρ_ℓ) ⊗ v, a sum of
+larger words, is a reduction system compatible with the order, which is a
+well-order in each degree.  All words of L have length N, so none contains
+another, and the only ambiguities are the overlaps w = ℓ·v = u·ℓ′ with ℓ,
+ℓ′ in L and N < |w| < 2N; w resolves when ρ_ℓ ⊗ v - u ⊗ ρ_ℓ′, the
+difference of its two rewritings, reduces to 0.
 
-Lemma.  Suppose that for d = N+1, ..., 2N-1 every pivot of I_d contains a
-word of L.  Then in every degree the pivots of I_d are the words that
-contain a word of L, and for each occurrence ℓ of a word of L in a word
-u·ℓ·v, u ⊗ (the row of ℓ in I_N) ⊗ v is a row of I_d with pivot u·ℓ·v.
+Lemma.  If every overlap of length at most d resolves, the words of degree
+d that avoid L are a basis of A_d, and for each word u·ℓ·v with ℓ in L,
+u ⊗ ρ_ℓ ⊗ v is a row of I_d with pivot u·ℓ·v.
 
-Proof.  A word that contains a word of L is a pivot, since
-u ⊗ I_N ⊗ v ⊆ I_d.  Rewriting u·ℓ·v to u ⊗ (ℓ - row of ℓ) ⊗ v, a sum of
-larger words, is a reduction system compatible with the order, which is
-a well-order in each degree.  All words of L have length N, so its only
-ambiguities are overlaps a·b·c with a·b and b·c in L, of length N+1 to
-2N-1.  Reducing an overlap fully in its two ways gives two elements whose
-difference lies in I_d and is supported on words that avoid L; a nonzero
-element of I_d has a pivot, which by the assumption contains a word of L,
-so the difference is 0 and every ambiguity resolves.  By Bergman's diamond
-lemma (G. M. Bergman, "The diamond lemma for ring theory", Adv. Math. 29
-(1978) 178-218, Theorem 1.2) the words that avoid L are then a basis of A,
-so in each degree they are the normal words and the pivots are the rest.
+Proof.  Reductions keep degree, so the argument of Bergman's diamond lemma
+(G. M. Bergman, "The diamond lemma for ring theory", Adv. Math. 29 (1978)
+178-218, Theorem 1.2) runs in each degree alone: the ambiguities it uses
+in degree d are the overlaps inside words u'·w·v' of degree d, and such an
+overlap resolves there because it resolves in degree |w| ≤ d and
+u' ⊗ - ⊗ v' maps reductions to reductions.  An overlap longer than d cannot
+affect degree d.  So every element of degree d reduces to one combination
+of words that avoid L, and those words are a basis of A_d; the rows
+u ⊗ ρ_ℓ ⊗ v lie in I_d, and their pivots are the other words.
 
-The assumption is checked by counting.  ``allowed[s]`` lists the letters
-a for which s·a, s a word of N-1 letters, is not in L.  While every pivot
-of I_{d-1} contains a word of L, the words of degree d that avoid L are
-the normal words q of degree d-1 followed by a letter of allowed[the last
-N-1 letters of q].  Every normal word of degree d is one of them: its
-prefix is normal, as I_{d-1} ⊗ V ⊆ I_d, and it avoids L.  So their count
-equals dim A_d exactly when every pivot of I_d contains a word of L.  From
-degree 2N on, a presentation that passed in every degree N+1..2N-1 takes
-those extensions as its normal words and a
-:class:`nkoszul.linalg.RewriteEchelon` as its echelon, with no
-elimination; any other presentation is eliminated in every degree.
+So degree d, at d = N+1 or when degree d-1 is one, is first built as a
+:class:`nkoszul.linalg.RewriteEchelon`: its normal words are the normal
+words of degree d-1 followed by a letter, those that avoid L, and the row
+of a pivot is u ⊗ ρ_ℓ ⊗ v at its rightmost window ℓ in L.  For d < 2N each
+overlap w of length d is checked: the echelon's own row at w is u ⊗ ρ_ℓ′,
+so w resolves when ρ_ℓ ⊗ v reduces to 0 through the echelon.  Conversely
+a remainder that is not 0 is an element of I_d on words that avoid L, so
+the check fails exactly when some pivot of I_d avoids L.  From degree 2N
+on there is no overlap to check.  If one fails, degree d and every later
+degree are eliminated over the degree below, which may be a rewrite
+echelon.
 """
 
 from __future__ import annotations
@@ -108,15 +110,24 @@ class AlgebraPresentation:
         return degrees[d]
 
     def _next_degree(self):
-        n, N, cache = self.n, self.N, self.cache
-        degrees, allowed = cache.degrees, cache.groebner
+        n, N, degrees = self.n, self.N, self.cache.degrees
         d = len(degrees)
-        suffixes = n ** (N - 1)  # q % suffixes: the last N-1 letters of q
-        if d >= 2 * N and allowed is not None:
-            normal = tuple(q * n + a for q in degrees[d - 1].normal for a in allowed[q % suffixes])
-            return _DegreeData(linalg.RewriteEchelon(n**d, normal, degrees[N].echelon, n), normal)
+        if d == 0:
+            return _DegreeData(linalg.Echelon(1), (0,))
+        below = degrees[d - 1]
+        if d == N + 1 or isinstance(below.echelon, linalg.RewriteEchelon):
+            lead = degrees[N].echelon
+            # allowed[s]: the letters a for which s·a, s a word of N-1
+            # letters, is not a pivot of I_N; q % suffixes is the last N-1
+            # letters of q
+            suffixes = n ** (N - 1)
+            allowed = [[a for a in range(n) if s * n + a not in lead.pivots] for s in range(suffixes)]
+            normal = tuple(q * n + a for q in below.normal for a in allowed[q % suffixes])
+            ech = linalg.RewriteEchelon(n**d, normal, lead, n)
+            if d >= 2 * N or _resolves(ech, lead, n ** (d - N)):
+                return _DegreeData(ech, normal)
         if d > N:
-            ech = linalg.Echelon(n**d, base=degrees[d - 1].echelon, n=n)
+            ech = linalg.Echelon(n**d, base=below.echelon, n=n)
             tail = n ** (d - N)
             for r in self.relations:
                 for widx in degrees[d - N].normal:
@@ -126,23 +137,10 @@ class AlgebraPresentation:
             if d == N:
                 for r in self.relations:
                     ech.add(r)
-        if d == 0:
-            normal = (0,)
-        else:
-            # I_{d-1} ⊗ V ⊆ I_d, so every normal word extends one of degree d-1.
-            normal = tuple(
-                i
-                for q in degrees[d - 1].normal
-                for i in range(q * n, q * n + n)
-                if i not in ech.pivots
-            )
-        if d == N:
-            cache.groebner = tuple(
-                tuple(a for a in range(n) if s * n + a not in ech.pivots) for s in range(suffixes)
-            )
-        elif d > N and allowed is not None:
-            if sum(len(allowed[q % suffixes]) for q in degrees[d - 1].normal) != len(normal):
-                cache.groebner = None
+        # I_{d-1} ⊗ V ⊆ I_d, so every normal word extends one of degree d-1.
+        normal = tuple(
+            i for q in below.normal for i in range(q * n, q * n + n) if i not in ech.pivots
+        )
         return _DegreeData(ech, normal)
 
     def ideal_component(self, d) -> linalg.Subspace:
@@ -216,31 +214,39 @@ class AlgebraPresentation:
         return f"<{name}: n={self.n}, N={self.N}, {len(self.relations)} relations>"
 
 
+def _resolves(ech, lead, tail):
+    """Whether every overlap w = ℓ·v = u·ℓ′ of two pivots of ``lead``, the
+    echelon of I_N, with ``tail`` = n^|v|, resolves: the row ρ_ℓ ⊗ v of its
+    leftmost occurrence reduces to 0 through the rewrite echelon ``ech``,
+    whose own row at w is u ⊗ ρ_ℓ′ (see the module lemma)."""
+    size = lead.ncols
+    for ell in lead.pivots:
+        for v in range(tail):
+            if (ell * tail + v) % size in lead.pivots:
+                if ech.reduce({col * tail + v: c for col, c in lead.row_of[ell].items()}):
+                    return False
+    return True
+
+
 class PresentationCache:
     """The lazily filled caches of one presentation, one field per cache.
 
     Each field is read and written only by the module named in its comment.
-    An entry is computed on first use and never changes afterwards, except
-    ``groebner``, which the degrees N..2N-1 set and may clear while they are
-    built.  The caches must be written from one thread at a time; once the
-    entries a computation needs are filled, any number of threads may read
-    them, except that a read of a degree's echelon (``reduce``,
-    ``class_of_word``) may store a row it had not used before: a shifted
-    row of the degree below, or from degree 2N on a rewrite row
-    u ⊗ (row of I_N) ⊗ v; that write stores the same row whoever makes it.
+    An entry is computed on first use and never changes afterwards.  The
+    caches must be written from one thread at a time; once the entries a
+    computation needs are filled, any number of threads may read them,
+    except that a read of a degree's echelon (``reduce``, ``class_of_word``)
+    may store a row it had not used before, u ⊗ (row of ℓ) ⊗ v for a pivot
+    ℓ of the degree below or of I_N; that write stores the same row
+    whoever makes it.
     ``mmt`` keeps nothing here: its G tables read the normal coordinates of
     ``degrees``.
     """
 
-    __slots__ = ("degrees", "groebner", "j_spaces", "j_slices")
+    __slots__ = ("degrees", "j_spaces", "j_slices")
 
     def __init__(self):
         self.degrees = []  # homog: _DegreeData of degrees 0, 1, 2, ...
-        # homog: the Gröbner check's table allowed[s], built at degree N:
-        # the letters a for which s·a, s a word of N-1 letters, is not a
-        # pivot of I_N; None before degree N and from the first degree
-        # that fails the check
-        self.groebner = None
         self.j_spaces = {}  # koszul: m -> the subspace J_m
         self.j_slices = {}  # koszul: (m, s) -> J_m in V^{⊗s} ⊗ J_{m-s} coordinates
 

@@ -49,27 +49,39 @@ def _eliminate(pivots, row_of, row):
     return row
 
 
-class _ShiftedRows(dict):
-    """Pivot column -> echelon row, over the echelon ``base`` of the words
-    one letter shorter.
+class _WindowRows(dict):
+    """Pivot column -> echelon row, for the words on ``ncols`` columns that
+    contain a pivot of ``lead``, an echelon on shorter words, with V of
+    dimension ``n``.
 
-    A column missing here is a pivot a·stride + q of V ⊗ base, whose row is
-    x_a ⊗ (the row of q in ``base``); it is built on first use and kept, so
-    a hit stays a plain dict lookup.  Storing it is idempotent.
+    A column missing here is a word u·ℓ·v whose rightmost window that is a
+    pivot of ``lead`` is ℓ; its row is u ⊗ (the row of ℓ) ⊗ v, built on
+    first use and kept, so a hit stays a plain dict lookup.  Storing it is
+    idempotent.  Over a base echelon on the words one letter shorter that
+    window is the suffix q of a·q, and the row is x_a ⊗ (the row of q).
     """
 
-    __slots__ = ("base", "stride")
+    __slots__ = ("lead", "ncols", "n")
 
-    def __init__(self, base, stride):
+    def __init__(self, lead, ncols, n):
         super().__init__()
-        self.base = base
-        self.stride = stride
+        self.lead = lead
+        self.ncols = ncols
+        self.n = n
 
     def __missing__(self, p):
-        q = p % self.stride
-        off = p - q
-        row = self[p] = {off + col: c for col, c in self.base[q].items()}
-        return row
+        lead = self.lead
+        size = lead.ncols
+        tail = 1  # n^|v| of the window
+        while True:
+            ell = p // tail % size
+            if ell in lead.pivots:
+                head = p - p % (tail * size) + p % tail
+                row = self[p] = {head + col * tail: c for col, c in lead.row_of[ell].items()}
+                return row
+            if tail * size == self.ncols:
+                raise KeyError(p)
+            tail *= self.n
 
 
 class Echelon:
@@ -105,7 +117,7 @@ class Echelon:
             raise ValueError("a reduced echelon cannot have a base")
         stride = base.ncols
         self.pivots = {a * stride + q for a in range(n) for q in base.pivots}
-        self.row_of = _ShiftedRows(base.row_of, stride)
+        self.row_of = _WindowRows(base, ncols, n)
 
     @property
     def rank(self) -> int:
@@ -176,46 +188,15 @@ class _Complement(Set):
         return (col for col, flag in enumerate(self.flags) if not flag)
 
 
-class _RewriteRows(dict):
-    """Pivot column -> echelon row of a :class:`RewriteEchelon`.
-
-    A column missing here is a word u·ℓ·v whose leftmost window of length N
-    that is a pivot of ``lead`` is ℓ; its row is u ⊗ (the row of ℓ) ⊗ v,
-    built on first use and kept.  Storing it is idempotent.
-    """
-
-    __slots__ = ("lead", "ncols", "n")
-
-    def __init__(self, lead, ncols, n):
-        super().__init__()
-        self.lead = lead
-        self.ncols = ncols
-        self.n = n
-
-    def __missing__(self, p):
-        lead = self.lead
-        size = lead.ncols
-        tail = self.ncols // size  # n^|v| of the leftmost window
-        while True:
-            ell = p // tail % size
-            if ell in lead.pivots:
-                head = p - p % (tail * size) + p % tail
-                row = self[p] = {head + col * tail: c for col, c in lead.row_of[ell].items()}
-                return row
-            if tail == 1:
-                raise KeyError(p)
-            tail //= self.n
-
-
 class RewriteEchelon(Echelon):
     """The echelon of a degree-d ideal component I_d whose pivots are the
     words that contain a pivot of ``lead``, the echelon of I_N.
 
     Its normal words, ``normal``, are those that avoid the pivots of
     ``lead``; ``pivots`` is their complement and the row of a pivot is
-    u ⊗ (row of ℓ) ⊗ v at its leftmost window ℓ, V of dimension ``n``.
-    That these rows are an echelon basis of I_d is what the caller has
-    checked (see :mod:`nkoszul.homog`).  Rank, :meth:`reduce` and
+    u ⊗ (row of ℓ) ⊗ v at its rightmost window ℓ, V of dimension ``n``.
+    That these rows are an echelon basis of I_d is what the caller checks
+    (see :mod:`nkoszul.homog`).  Rank, :meth:`reduce` and
     :meth:`to_subspace` are those of :class:`Echelon`; the echelon is
     complete, so :meth:`add` raises.
     """
@@ -226,7 +207,7 @@ class RewriteEchelon(Echelon):
         self.ncols = ncols
         self.reduced = False
         self.pivots = _Complement(ncols, normal)
-        self.row_of = _RewriteRows(lead, ncols, n)
+        self.row_of = _WindowRows(lead, ncols, n)
 
     def add(self, vec):
         raise TypeError("a rewrite echelon is complete; no row can be added")

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -381,11 +381,11 @@ MONO_XYX = {
     ids=["poly3", "antisym43", "qspace3", "qspace2_q2", "free2", "mono_xyx"],
 )
 def test_builtins_match_full_copy_recursion(build):
-    # every built-in passes the Gröbner check, so up to 2N + 1 it is
-    # compared in two rewrite degrees
+    # the relations of every built-in are a Gröbner basis, so every degree
+    # above N is a rewrite echelon, compared up to 2N + 1
     A = build()
     oracle = _full_copy_checks(A, 2 * A.N + 1)
-    assert _rewrite_degrees(A) == [2 * A.N, 2 * A.N + 1]
+    assert _rewrite_degrees(A) == list(range(A.N + 1, 2 * A.N + 2))
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -397,17 +397,15 @@ def test_builtins_match_full_copy_recursion(build):
 
 def test_ideal_stores_only_new_and_used_rows():
     # I_8 of antisym(4,3) has rank 21855, but no degree copies the rows of
-    # the degree below: degrees 4 and 5 are built over the degree below and
-    # store only their new rows and the shifted rows their elimination used,
-    # and degree 8, above 2N - 1, is a rewrite echelon, which stores a row
-    # only when a reduction uses it
+    # the degree below: every degree above N is a rewrite echelon, which
+    # stores a row only when a reduction uses it
     A = antisymmetrizer(4, 3)
     assert A.hilbert_series(8).coeffs[8] == 4**8 - 21855
     ech = A.cache.degrees[8].echelon
     assert ech.rank == 21855
     assert len(ech.row_of) < 21855 / 2
-    # a presentation that fails the Gröbner check eliminates degree 8 over
-    # degree 7, whose rows it looks up rather than copies
+    # a presentation that fails the ambiguity check eliminates degree 8
+    # over degree 7, whose rows it looks up rather than copies
     B = _perturbed_antisym43(0)
     B.hilbert_series(8)
     ech = B.cache.degrees[8].echelon
@@ -418,12 +416,52 @@ def test_ideal_stores_only_new_and_used_rows():
 @settings(max_examples=60, deadline=None)
 @given(groebner_presentations(), st.data())
 def test_groebner_presentations_match_full_copy_recursion(A, data):
-    # every degree from 2N on is a rewrite echelon, which no Echelon.add
+    # every degree above N is a rewrite echelon, which no Echelon.add
     # built, and it agrees with the full-copy recursion up to 2N + 1
     oracle = _full_copy_checks(A, 2 * A.N + 1)
     _reduce_checks(A, oracle, data)
-    assert A.cache.groebner is not None
-    assert _rewrite_degrees(A) == [2 * A.N, 2 * A.N + 1]
+    assert _rewrite_degrees(A) == list(range(A.N + 1, 2 * A.N + 2))
+
+
+# 010 - 011 + 2·110 over two letters: its one leading word 010 overlaps
+# itself only in 01010, so degree 4 is a rewrite echelon and degree 5,
+# where that overlap does not resolve, is eliminated over it
+MIDWAY = {2: 1, 3: -1, 6: 2}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(presentations(), groebner_presentations()))
+@example(AlgebraPresentation(2, 3, [MIDWAY]))
+def test_rewrite_degrees_match_the_pivot_oracle(A):
+    # a degree d above N is a rewrite echelon exactly when, in each degree
+    # d' = N+1 .. min(d, 2N-1), every pivot of the full-copy I_d' contains
+    # a pivot of I_N, a leading word of R
+    n, N, top = A.n, A.N, 2 * A.N + 1
+    oracle = full_copy_echelons(A, top)
+    leads, size = oracle[N][0].pivots, n**N
+
+    def contains_lead(d, p):
+        return any(p // n**k % size in leads for k in range(d - N + 1))
+
+    good = {d: all(contains_lead(d, p) for p in oracle[d][0].pivots) for d in range(N + 1, top + 1)}
+    A.ideal_rank(top)
+    expected = [
+        d for d in range(N + 1, top + 1) if all(good[e] for e in range(N + 1, min(d, 2 * N - 1) + 1))
+    ]
+    assert _rewrite_degrees(A) == expected
+
+
+def test_midway_presentation_matches_full_copy_recursion():
+    A = AlgebraPresentation(2, 3, [MIDWAY], label="midway")
+    oracle = _full_copy_checks(A, 2 * A.N + 1)
+    assert _rewrite_degrees(A) == [4]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def reduce_matches(data):
+        _reduce_checks(A, oracle, data)
+
+    reduce_matches()
 
 
 def _perturbed_antisym43(index):
@@ -437,11 +475,11 @@ def _perturbed_antisym43(index):
 @pytest.mark.parametrize("index", range(4))
 def test_perturbed_antisym_falls_back(index):
     # doubling one coefficient of one relation of antisym(4,3) breaks the
-    # Gröbner property: the check fails, every degree is eliminated as
-    # before, and the Hilbert series is still the full-copy recursion's
+    # Gröbner property: an overlap of degree N + 1 does not resolve, every
+    # degree above N is eliminated, and the Hilbert series is still the
+    # full-copy recursion's
     A = _perturbed_antisym43(index)
     coeffs = A.hilbert_series(7).coeffs
-    assert A.cache.groebner is None
     assert _rewrite_degrees(A) == []
     assert coeffs == [len(normal) for _, normal in full_copy_echelons(A, 7)]
     assert coeffs != antisymmetrizer(4, 3).hilbert_series(7).coeffs
@@ -455,9 +493,9 @@ def test_perturbed_antisym_falls_back(index):
     ],
     ids=["antisym43_D8", "poly3_D7"],
 )
-def test_no_elimination_above_2N_minus_1(capsys, monkeypatch, argv, n, N, top, rank):
-    # hilbert eliminates only in degrees N..2N-1; every higher degree is a
-    # rewrite echelon
+def test_no_elimination_above_N(capsys, monkeypatch, argv, n, N, top, rank):
+    # hilbert eliminates only in degree N; every higher degree is a rewrite
+    # echelon
     ambients = []
     add = Echelon.add
 
@@ -469,4 +507,4 @@ def test_no_elimination_above_2N_minus_1(capsys, monkeypatch, argv, n, N, top, r
     assert main(["hilbert", *argv, "--format", "json"]) == 0
     coeffs = json.loads(capsys.readouterr().out)["report"]["coefficients"]
     assert coeffs[top] == n**top - rank
-    assert ambients and max(ambients) == n ** (2 * N - 1)
+    assert ambients and max(ambients) == n**N

@@ -267,9 +267,15 @@ def test_rewrite_echelon():
     assert ech.rank == 4 and len(ech.pivots) == 4 and dict(ech.row_of) == {}
     assert ech.pivots == {1, 2, 3, 5} and sorted(ech.pivots) == [1, 2, 3, 5]
     assert 5 in ech.pivots and 4 not in ech.pivots
-    # 011 rewrites at its leftmost window, 01·1 → 10·1, then 1·01 → 1·10
+    # 011 rewrites at its one window that is a pivot, 01·1 → 10·1, then
+    # 101 at its rightmost window, 1·01 → 1·10
     assert ech.reduce({3: Fraction(2)}) == {6: Fraction(2)}
     assert dict(ech.row_of) == {3: {3: 1, 5: -1}, 5: {5: 1, 6: -1}}
     assert ech.to_subspace() == rref(Matrix(8, [{1: 1, 2: -1}, {2: 1, 4: -1}, {3: 1, 5: -1}, {5: 1, 6: -1}]))
     with pytest.raises(TypeError):
         ech.add({0: 1})
+    # in degree 4 the row of 0101 is taken at its rightmost window,
+    # 01·01 → 01·10, not at 01·01 → 10·01
+    ech = RewriteEchelon(16, (0, 8, 12, 14, 15), lead, 2)
+    assert ech.row_of[5] == {5: 1, 6: -1}
+    assert ech.reduce({5: Fraction(1)}) == {12: Fraction(1)}

@@ -337,3 +337,16 @@ def test_only_linalg_writes_echelon_rows():
         for line in _row_of_writes(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def test_one_lazy_row_class():
+    # every row an echelon builds on first use, over a base echelon or over
+    # the echelon of I_N, comes from one dict subclass
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    lazy = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__missing__" for f in node.body)
+    ]
+    assert len(lazy) == 1, lazy
