@@ -1,64 +1,67 @@
 """The N-homogeneous algebra engine.
 
-An algebra A = T(V)/(R) is presented by (n, N, relations).  Per degree d the
-engine keeps one echelon basis, not reduced, of the ideal component I_d,
-built by the recursion
-
-    I_d = V ⊗ I_{d-1} + R ⊗ V^{⊗(d-N)}        (d > N).
-
-The shifted rows of I_{d-1} are already an echelon basis of V ⊗ I_{d-1},
-so the degree-d echelon has the echelon of degree d-1 as its base (see
-:class:`nkoszul.linalg.Echelon`): it starts with their pivots and builds a
-shifted row only when elimination first needs it.  Since R ⊗ I_{d-N} ⊆
-V ⊗ I_{d-1}, only the rows R ⊗ w for normal words w of degree d-N are
-eliminated, and only the rows they add are new.  The words at
-non-pivot columns form the normal basis of A_d, and forward reduction
+An algebra A = T(V)/(R) is presented by (n, N, relations).  Every word is
+its base-n column and every element, each relation included, a
+``{column: scalar}`` dict (see :mod:`nkoszul.freealg`).  Per degree d the
+engine keeps one echelon basis, not reduced, of the ideal component I_d: a
+:class:`nkoszul.linalg.RewriteEchelon` over a set of rules.  The words at
+its non-pivot columns form the normal basis of A_d, and forward reduction
 against the echelon gives the unique normal form of any element, which is
 the quotient arithmetic: an element lies in the ideal exactly when that
 remainder is zero, and :meth:`AlgebraPresentation.multiply` is the one
-product.  Every word here is its base-n column and every element, each
-relation included, a ``{column: scalar}`` dict (see
-:mod:`nkoszul.freealg`), so an element of A_d is its normal form, the
-echelon remainder as it is, with no class around it.  The canonical
-reduced basis of I_d is built only when
-:meth:`AlgebraPresentation.ideal_component` asks for it.
+product.  So an element of A_d is its normal form, the echelon remainder as
+it is, with no class around it.  The canonical reduced basis of I_d is
+built only when :meth:`AlgebraPresentation.ideal_component` asks for it.
 
-Above degree N the relations are first tried as a Gröbner basis.
 Columns of one length are ordered as integers, the lex order of words, and
 a row's pivot is its least column, so the pivot of u ⊗ r ⊗ v is
-u·lead(r)·v.  Let L be the pivots of I_N, the leading words of R, and ρ_ℓ
-the row of ℓ in I_N.  Rewriting u·ℓ·v to u ⊗ (ℓ - ρ_ℓ) ⊗ v, a sum of
-larger words, is a reduction system compatible with the order, which is a
-well-order in each degree.  All words of L have length N, so none contains
-another, and the only ambiguities are the overlaps w = ℓ·v = u·ℓ′ with ℓ,
-ℓ′ in L and N < |w| < 2N; w resolves when ρ_ℓ ⊗ v - u ⊗ ρ_ℓ′, the
-difference of its two rewritings, reduces to 0.
+u·lead(r)·v.  A rule is a row ρ_ℓ of the ideal with entry 1 at its leading
+word ℓ.  Rewriting u·ℓ·v to u ⊗ (ℓ - ρ_ℓ) ⊗ v, a sum of larger words, is a
+reduction system compatible with the order, which is a well-order in each
+degree.  The rules are completed one degree at a time, a degree-truncated
+noncommutative Buchberger algorithm (T. Mora, "Gröbner bases for
+non-commutative polynomial rings", AAECC-3, LNCS 229 (1986)).  At degree d,
+with the rules shorter than d fixed:
 
-Lemma.  If every overlap of length at most d resolves, the words of degree
-d that avoid L are a basis of A_d, and for each word u·ℓ·v with ℓ in L,
-u ⊗ ρ_ℓ ⊗ v is a row of I_d with pivot u·ℓ·v.
+- the candidate rows are the relations, at d = N, and the row ρ_ℓ ⊗ v for
+  each overlap w = ℓ·v = u·ℓ′ of two rules with |w| = d;
+- each overlap row is reduced through the rewrite echelon of the shorter
+  rules, whose own row at w is u ⊗ ρ_ℓ′, so it reduces as
+  ρ_ℓ ⊗ v - u ⊗ ρ_ℓ′, the difference of the two rewritings of w;
+- the relations and the overlap remainders that are not 0 are
+  echelonized, and the pivots are the leading words of the rules of
+  length d.
 
-Proof.  Reductions keep degree, so the argument of Bergman's diamond lemma
-(G. M. Bergman, "The diamond lemma for ring theory", Adv. Math. 29 (1978)
-178-218, Theorem 1.2) runs in each degree alone: the ambiguities it uses
-in degree d are the overlaps inside words u'·w·v' of degree d, and such an
-overlap resolves there because it resolves in degree |w| ≤ d and
-u' ⊗ - ⊗ v' maps reductions to reductions.  An overlap longer than d cannot
-affect degree d.  So every element of degree d reduces to one combination
-of words that avoid L, and those words are a basis of A_d; the rows
-u ⊗ ρ_ℓ ⊗ v lie in I_d, and their pivots are the other words.
+A remainder lies on words that contain no shorter leading word, so no
+leading word contains a shorter one, and the rules of one length have
+distinct leading words.  So the only ambiguities are the overlaps, and at
+most one leading word ends at each position of a word.
 
-So degree d, at d = N+1 or when degree d-1 is one, is first built as a
-:class:`nkoszul.linalg.RewriteEchelon`: its normal words are the normal
-words of degree d-1 followed by a letter, those that avoid L, and the row
-of a pivot is u ⊗ ρ_ℓ ⊗ v at its rightmost window ℓ in L.  For d < 2N each
-overlap w of length d is checked: the echelon's own row at w is u ⊗ ρ_ℓ′,
-so w resolves when ρ_ℓ ⊗ v reduces to 0 through the echelon.  Conversely
-a remainder that is not 0 is an element of I_d on words that avoid L, so
-the check fails exactly when some pivot of I_d avoids L.  From degree 2N
-on there is no overlap to check.  If one fails, degree d and every later
-degree are eliminated over the degree below, which may be a rewrite
-echelon.
+Lemma.  The words of degree d that contain no leading word are a basis of
+A_d, and for each word u·ℓ·v with ℓ a leading word, u ⊗ ρ_ℓ ⊗ v is a row
+of I_d with pivot u·ℓ·v.
+
+Proof.  Every rule lies in (R), and the rules of length N span R, so the
+rows u ⊗ ρ_ℓ ⊗ v of degree d span I_d.  Reductions keep degree, so the
+argument of Bergman's diamond lemma (G. M. Bergman, "The diamond lemma for
+ring theory", Adv. Math. 29 (1978) 178-218, Theorem 1.2) runs in each
+degree alone: the ambiguities it uses in degree d are the overlaps inside
+words u'·w·v' of degree d.  An overlap w of length e ≤ d resolves: the
+remainder of ρ_ℓ ⊗ v is a combination of the rules of length e, and
+u' ⊗ - ⊗ v' maps reductions to reductions.  A rule or an overlap longer
+than d cannot affect degree d.  So every element of degree d reduces to
+one combination of words that contain no leading word, those words are a
+basis of A_d, and the rows u ⊗ ρ_ℓ ⊗ v lie in I_d with the other words as
+pivots.
+
+A normal word of degree d extends one of degree d-1 by a letter, so it can
+contain a leading word only as a suffix.  The rewrite echelon takes the
+row of a pivot at its rightmost window ℓ, which is unique; so its row at an
+overlap w is u ⊗ ρ_ℓ′, not ρ_ℓ ⊗ v, and the reduction above checks w.  Two
+rules of lengths k and k′ overlap only in words shorter than k + k′, so
+when every rule has length N, as for each built-in algebra, its dual and
+its envelope, only the relations are ever eliminated, and from degree 2N
+on nothing is reduced to build a degree.
 """
 
 from __future__ import annotations
@@ -100,8 +103,9 @@ class AlgebraPresentation:
     # ideal components
 
     def _component(self, d):
-        """Degree-d data; every lower degree is built first, since I_d
-        needs I_{d-1} and the normal words of degrees d-1 and d-N."""
+        """Degree-d data; every lower degree is built first, since degree d
+        needs the rules of every shorter length and the normal words of
+        degree d-1."""
         if d < 0:
             raise ValueError("degree must be >= 0")
         degrees = self.cache.degrees
@@ -110,38 +114,36 @@ class AlgebraPresentation:
         return degrees[d]
 
     def _next_degree(self):
-        n, N, degrees = self.n, self.N, self.cache.degrees
+        n, degrees = self.n, self.cache.degrees
         d = len(degrees)
         if d == 0:
-            return _DegreeData(linalg.Echelon(1), (0,))
-        below = degrees[d - 1]
-        if d == N + 1 or isinstance(below.echelon, linalg.RewriteEchelon):
-            lead = degrees[N].echelon
-            # allowed[s]: the letters a for which s·a, s a word of N-1
-            # letters, is not a pivot of I_N; q % suffixes is the last N-1
-            # letters of q
-            suffixes = n ** (N - 1)
-            allowed = [[a for a in range(n) if s * n + a not in lead.pivots] for s in range(suffixes)]
-            normal = tuple(q * n + a for q in below.normal for a in allowed[q % suffixes])
-            ech = linalg.RewriteEchelon(n**d, normal, lead, n)
-            if d >= 2 * N or _resolves(ech, lead, n ** (d - N)):
-                return _DegreeData(ech, normal)
-        if d > N:
-            ech = linalg.Echelon(n**d, base=below.echelon, n=n)
-            tail = n ** (d - N)
-            for r in self.relations:
-                for widx in degrees[d - N].normal:
-                    ech.add({ridx * tail + widx: c for ridx, c in r.items()})
-        else:
-            ech = linalg.Echelon(n**d)
-            if d == N:
-                for r in self.relations:
-                    ech.add(r)
-        # I_{d-1} ⊗ V ⊆ I_d, so every normal word extends one of degree d-1.
-        normal = tuple(
-            i for q in below.normal for i in range(q * n, q * n + n) if i not in ech.pivots
-        )
-        return _DegreeData(ech, normal)
+            return _DegreeData(linalg.RewriteEchelon(1, (0,), (None,), n), (0,), None)
+        rules = tuple(data.rules for data in degrees) + (None,)
+        ends = [(k, n**k, ech) for k, ech in enumerate(rules) if ech is not None]
+        # a normal word extends one of degree d-1 by a letter, so it can hold
+        # a leading word only as a suffix; ``ending`` holds the words of
+        # ``longest`` letters that end in one, and allowed[s] the letters a
+        # for which s·a does not
+        longest = ends[-1][0] if ends else 1
+        ending = {
+            x * size + ell for k, size, ech in ends for ell in ech.pivots for x in range(n ** (longest - k))
+        }
+        suffixes = n ** (longest - 1)
+        allowed = [[a for a in range(n) if s * n + a not in ending] for s in range(suffixes)]
+        normal = tuple(q * n + a for q in degrees[d - 1].normal for a in allowed[q % suffixes])
+        ech = linalg.RewriteEchelon(n**d, normal, rules, n)
+        new = linalg.Echelon(n**d)
+        if d == self.N:
+            new.extend(self.relations)
+        for row in _overlap_rows(ends, n, d):
+            rem = ech.reduce(row)
+            if rem:
+                new.add(rem)
+        if not new.rank:
+            return _DegreeData(ech, normal, None)
+        normal = tuple(i for i in normal if i not in new.pivots)
+        ech = linalg.RewriteEchelon(n**d, normal, rules[:d] + (new,), n)
+        return _DegreeData(ech, normal, new)
 
     def ideal_component(self, d) -> linalg.Subspace:
         """The degree-d component of the two-sided ideal (R), as a subspace."""
@@ -214,18 +216,21 @@ class AlgebraPresentation:
         return f"<{name}: n={self.n}, N={self.N}, {len(self.relations)} relations>"
 
 
-def _resolves(ech, lead, tail):
-    """Whether every overlap w = ℓ·v = u·ℓ′ of two pivots of ``lead``, the
-    echelon of I_N, with ``tail`` = n^|v|, resolves: the row ρ_ℓ ⊗ v of its
-    leftmost occurrence reduces to 0 through the rewrite echelon ``ech``,
-    whose own row at w is u ⊗ ρ_ℓ′ (see the module lemma)."""
-    size = lead.ncols
-    for ell in lead.pivots:
-        for v in range(tail):
-            if (ell * tail + v) % size in lead.pivots:
-                if ech.reduce({col * tail + v: c for col, c in lead.row_of[ell].items()}):
-                    return False
-    return True
+def _overlap_rows(ends, n, d):
+    """The rows ρ_ℓ ⊗ v, one for each overlap w = ℓ·v = u·ℓ′ of two rules
+    with |w| = d, from ``ends``, the triples (k, n^k, echelon of the rules
+    of length k) of the rules shorter than d.  ℓ′, of length j, is the one
+    leading word that ends w, and it overlaps ℓ when it is longer than v."""
+    for k, _, ech in ends:
+        tail = n ** (d - k)
+        for j, size, other in ends:
+            if j <= d - k:
+                continue
+            for ell in ech.pivots:
+                row = ech.row_of[ell]
+                for v in range(tail):
+                    if (ell * tail + v) % size in other.pivots:
+                        yield {col * tail + v: c for col, c in row.items()}
 
 
 class PresentationCache:
@@ -236,9 +241,9 @@ class PresentationCache:
     caches must be written from one thread at a time; once the entries a
     computation needs are filled, any number of threads may read them,
     except that a read of a degree's echelon (``reduce``, ``class_of_word``)
-    may store a row it had not used before, u ⊗ (row of ℓ) ⊗ v for a pivot
-    ℓ of the degree below or of I_N; that write stores the same row
-    whoever makes it.
+    may store a row it had not used before, u ⊗ (row of ℓ) ⊗ v for the
+    leading word ℓ of a rule; that write stores the same row whoever makes
+    it.
     ``mmt`` keeps nothing here: its G tables read the normal coordinates of
     ``degrees``.
     """
@@ -252,15 +257,17 @@ class PresentationCache:
 
 
 class _DegreeData:
-    """The echelon of I_d, its normal columns, and what is derived from them.
+    """The echelon of I_d, its normal columns, the rules of length d, and
+    what is derived from them.
 
     ``subspace`` stays None until first asked for.
     """
 
-    __slots__ = ("echelon", "normal", "subspace", "word_class")
+    __slots__ = ("echelon", "normal", "rules", "subspace", "word_class")
 
-    def __init__(self, echelon, normal):
+    def __init__(self, echelon, normal, rules):
         self.echelon = echelon
         self.normal = normal  # non-pivot columns, increasing
+        self.rules = rules  # Echelon of the rules of length d, or None
         self.subspace = None
         self.word_class = {}  # column -> normal form, see class_of_word

@@ -50,38 +50,39 @@ def _eliminate(pivots, row_of, row):
 
 
 class _WindowRows(dict):
-    """Pivot column -> echelon row, for the words on ``ncols`` columns that
-    contain a pivot of ``lead``, an echelon on shorter words, with V of
-    dimension ``n``.
+    """Pivot column -> echelon row, for the words of length d that contain
+    a leading word of a rule, over V of dimension ``n``.
 
-    A column missing here is a word u·ℓ·v whose rightmost window that is a
-    pivot of ``lead`` is ℓ; its row is u ⊗ (the row of ℓ) ⊗ v, built on
+    ``rules`` has d + 1 entries: ``rules[k]`` is the echelon of the rules of
+    length k, whose pivots are their leading words, or None.  No leading
+    word contains a shorter one, so at most one ends at each position of a
+    word.  A column missing here is a word u·ℓ·v whose rightmost window that
+    is a leading word is ℓ; its row is u ⊗ (the row of ℓ) ⊗ v, built on
     first use and kept, so a hit stays a plain dict lookup.  Storing it is
-    idempotent.  Over a base echelon on the words one letter shorter that
-    window is the suffix q of a·q, and the row is x_a ⊗ (the row of q).
+    idempotent.
     """
 
-    __slots__ = ("lead", "ncols", "n")
+    __slots__ = ("ends", "length", "n")
 
-    def __init__(self, lead, ncols, n):
+    def __init__(self, rules, n):
         super().__init__()
-        self.lead = lead
-        self.ncols = ncols
+        self.ends = [(k, n**k, ech) for k, ech in enumerate(rules) if ech is not None]
+        self.length = len(rules) - 1
         self.n = n
 
     def __missing__(self, p):
-        lead = self.lead
-        size = lead.ncols
         tail = 1  # n^|v| of the window
-        while True:
-            ell = p // tail % size
-            if ell in lead.pivots:
-                head = p - p % (tail * size) + p % tail
-                row = self[p] = {head + col * tail: c for col, c in lead.row_of[ell].items()}
-                return row
-            if tail * size == self.ncols:
-                raise KeyError(p)
+        for right in range(self.length):  # |v|, from the right end
+            for k, size, ech in self.ends:
+                if k + right > self.length:
+                    break
+                ell = p // tail % size
+                if ell in ech.pivots:
+                    head = p - p % (tail * size) + p % tail
+                    row = self[p] = {head + col * tail: c for col, c in ech.row_of[ell].items()}
+                    return row
             tail *= self.n
+        raise KeyError(p)
 
 
 class Echelon:
@@ -94,30 +95,15 @@ class Echelon:
     each insertion also clears the new pivot column from every other row,
     so the rows stay in reduced row echelon form; by default that
     back-substitution is left to :meth:`to_subspace`.
-
-    Over a ``base`` echelon on ``ncols // n`` columns the row space starts
-    as V ⊗ base, with V of dimension ``n``: its n·rank(base) pivots
-    a·stride + q are in ``pivots`` from the start, and their rows x_a ⊗ row
-    are built from ``base`` when elimination first needs them.  ``row_of``
-    stores only the rows :meth:`add` keeps and the shifted rows used so
-    far.  Such an echelon cannot be reduced, as back-substitution walks the
-    stored rows only.
     """
 
     __slots__ = ("ncols", "reduced", "pivots", "row_of")
 
-    def __init__(self, ncols: int, reduced: bool = False, base=None, n=0):
+    def __init__(self, ncols: int, reduced: bool = False):
         self.ncols = ncols
         self.reduced = reduced
-        if base is None:
-            self.pivots = set()
-            self.row_of = {}  # pivot column -> row dict (includes the pivot entry 1)
-            return
-        if reduced:
-            raise ValueError("a reduced echelon cannot have a base")
-        stride = base.ncols
-        self.pivots = {a * stride + q for a in range(n) for q in base.pivots}
-        self.row_of = _WindowRows(base, ncols, n)
+        self.pivots = set()
+        self.row_of = {}  # pivot column -> row dict (includes the pivot entry 1)
 
     @property
     def rank(self) -> int:
@@ -189,25 +175,27 @@ class _Complement(Set):
 
 
 class RewriteEchelon(Echelon):
-    """The echelon of a degree-d ideal component I_d whose pivots are the
-    words that contain a pivot of ``lead``, the echelon of I_N.
+    """The echelon on the ``ncols`` words of length d of a set of rules,
+    V of dimension ``n``: its pivots are the words that contain a leading
+    word, and the row of a pivot is u ⊗ (row of ℓ) ⊗ v at its rightmost
+    window ℓ that is one.
 
-    Its normal words, ``normal``, are those that avoid the pivots of
-    ``lead``; ``pivots`` is their complement and the row of a pivot is
-    u ⊗ (row of ℓ) ⊗ v at its rightmost window ℓ, V of dimension ``n``.
-    That these rows are an echelon basis of I_d is what the caller checks
-    (see :mod:`nkoszul.homog`).  Rank, :meth:`reduce` and
-    :meth:`to_subspace` are those of :class:`Echelon`; the echelon is
-    complete, so :meth:`add` raises.
+    ``rules[k]``, k = 0..d, is the echelon of the rules of length k or
+    None, and no leading word contains a shorter one (see
+    :class:`_WindowRows`).  ``normal`` lists the words that contain none,
+    and ``pivots`` is their complement.  That these rows are an echelon
+    basis of I_d is what the caller proves (see :mod:`nkoszul.homog`).
+    Rank, :meth:`reduce` and :meth:`to_subspace` are those of
+    :class:`Echelon`; the echelon is complete, so :meth:`add` raises.
     """
 
     __slots__ = ()
 
-    def __init__(self, ncols: int, normal, lead, n):
+    def __init__(self, ncols: int, normal, rules, n):
         self.ncols = ncols
         self.reduced = False
         self.pivots = _Complement(ncols, normal)
-        self.row_of = _WindowRows(lead, ncols, n)
+        self.row_of = _WindowRows(rules, n)
 
     def add(self, vec):
         raise TypeError("a rewrite echelon is complete; no row can be added")

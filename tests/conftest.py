@@ -201,7 +201,8 @@ def full_copy_echelons(A, top):
     of I_{d-1} copied into the degree-d echelon, n copies per row, and the
     rows R ⊗ w added for the normal columns w of degree d - N.  The normal
     columns are the complement of the pivots.  This is the slow path that
-    ``Echelon(..., base=...)`` replaces by looking the shifted rows up."""
+    the rewrite echelons of ``homog`` replace: they eliminate no row R ⊗ w
+    and build a row only when a reduction uses it."""
     n, N = A.n, A.N
     out = []
     for d in range(top + 1):

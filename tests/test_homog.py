@@ -342,9 +342,9 @@ def _full_copy_checks(A, top):
     return oracle
 
 
-def _rewrite_degrees(A):
-    """The degrees built so far whose echelon is a rewrite echelon."""
-    return [d for d, data in enumerate(A.cache.degrees) if type(data.echelon) is RewriteEchelon]
+def _rule_degrees(A):
+    """The degrees built so far that have rules of their own."""
+    return [d for d, data in enumerate(A.cache.degrees) if data.rules is not None]
 
 
 def _reduce_checks(A, oracle, data):
@@ -381,11 +381,11 @@ MONO_XYX = {
     ids=["poly3", "antisym43", "qspace3", "qspace2_q2", "free2", "mono_xyx"],
 )
 def test_builtins_match_full_copy_recursion(build):
-    # the relations of every built-in are a Gröbner basis, so every degree
-    # above N is a rewrite echelon, compared up to 2N + 1
+    # the relations of every built-in are a Gröbner basis, so its only rules
+    # are of length N (none for the free algebra), compared up to 2N + 1
     A = build()
     oracle = _full_copy_checks(A, 2 * A.N + 1)
-    assert _rewrite_degrees(A) == list(range(A.N + 1, 2 * A.N + 2))
+    assert _rule_degrees(A) == ([A.N] if A.relations else [])
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -396,36 +396,35 @@ def test_builtins_match_full_copy_recursion(build):
 
 
 def test_ideal_stores_only_new_and_used_rows():
-    # I_8 of antisym(4,3) has rank 21855, but no degree copies the rows of
-    # the degree below: every degree above N is a rewrite echelon, which
-    # stores a row only when a reduction uses it
-    A = antisymmetrizer(4, 3)
-    assert A.hilbert_series(8).coeffs[8] == 4**8 - 21855
-    ech = A.cache.degrees[8].echelon
-    assert ech.rank == 21855
-    assert len(ech.row_of) < 21855 / 2
-    # a presentation that fails the ambiguity check eliminates degree 8
-    # over degree 7, whose rows it looks up rather than copies
-    B = _perturbed_antisym43(0)
-    B.hilbert_series(8)
-    ech = B.cache.degrees[8].echelon
-    assert type(ech) is Echelon and ech.rank == 23040
-    assert len(ech.row_of) < 23040 / 2
+    # no degree copies the rows of the degree below: I_8 is a rewrite
+    # echelon, over the rules of length 3 of antisym(4,3) or of lengths 3
+    # and 4 of the perturbed one, and stores a row only when a reduction
+    # uses it, so hilbert, which needs only counts, stores none
+    for A, rank in ((antisymmetrizer(4, 3), 21855), (_perturbed_antisym43(0), 23040)):
+        assert A.hilbert_series(8).coeffs[8] == 4**8 - rank
+        ech = A.cache.degrees[8].echelon
+        assert type(ech) is RewriteEchelon and ech.rank == rank
+        assert len(ech.row_of) == 0
+        for col in sorted(ech.pivots)[:50]:
+            A.class_of_word((8, col))
+        assert 0 < len(ech.row_of) < rank / 2
+        for p, row in ech.row_of.items():
+            assert p in ech.pivots and row[p] == 1 and min(row) == p
 
 
 @settings(max_examples=60, deadline=None)
 @given(groebner_presentations(), st.data())
 def test_groebner_presentations_match_full_copy_recursion(A, data):
-    # every degree above N is a rewrite echelon, which no Echelon.add
-    # built, and it agrees with the full-copy recursion up to 2N + 1
+    # every overlap resolves, so the only rules are the relations, and
+    # every degree agrees with the full-copy recursion up to 2N + 1
     oracle = _full_copy_checks(A, 2 * A.N + 1)
     _reduce_checks(A, oracle, data)
-    assert _rewrite_degrees(A) == list(range(A.N + 1, 2 * A.N + 2))
+    assert _rule_degrees(A) == [A.N]
 
 
 # 010 - 011 + 2·110 over two letters: its one leading word 010 overlaps
-# itself only in 01010, so degree 4 is a rewrite echelon and degree 5,
-# where that overlap does not resolve, is eliminated over it
+# itself in 01010, which does not resolve, and the completion goes on to
+# add one rule in every odd degree
 MIDWAY = {2: 1, 3: -1, 6: 2}
 
 
@@ -433,28 +432,24 @@ MIDWAY = {2: 1, 3: -1, 6: 2}
 @given(st.one_of(presentations(), groebner_presentations()))
 @example(AlgebraPresentation(2, 3, [MIDWAY]))
 def test_rewrite_degrees_match_the_pivot_oracle(A):
-    # a degree d above N is a rewrite echelon exactly when, in each degree
-    # d' = N+1 .. min(d, 2N-1), every pivot of the full-copy I_d' contains
-    # a pivot of I_N, a leading word of R
-    n, N, top = A.n, A.N, 2 * A.N + 1
+    # every degree is a rewrite echelon over the rules up to its length;
+    # the leading words of the rules of degree d are the pivots of the
+    # full-copy I_d that contain no pivot of I_{d-1} as a prefix or suffix,
+    # so none contains a shorter leading word
+    n, top = A.n, 2 * A.N + 1
     oracle = full_copy_echelons(A, top)
-    leads, size = oracle[N][0].pivots, n**N
-
-    def contains_lead(d, p):
-        return any(p // n**k % size in leads for k in range(d - N + 1))
-
-    good = {d: all(contains_lead(d, p) for p in oracle[d][0].pivots) for d in range(N + 1, top + 1)}
     A.ideal_rank(top)
-    expected = [
-        d for d in range(N + 1, top + 1) if all(good[e] for e in range(N + 1, min(d, 2 * N - 1) + 1))
-    ]
-    assert _rewrite_degrees(A) == expected
+    for d in range(1, top + 1):
+        below, size = oracle[d - 1][0].pivots, n ** (d - 1)
+        expected = {p for p in oracle[d][0].pivots if p // n not in below and p % size not in below}
+        rules = A.cache.degrees[d].rules
+        assert (rules.pivots if rules is not None else set()) == expected, d
 
 
 def test_midway_presentation_matches_full_copy_recursion():
     A = AlgebraPresentation(2, 3, [MIDWAY], label="midway")
-    oracle = _full_copy_checks(A, 2 * A.N + 1)
-    assert _rewrite_degrees(A) == [4]
+    oracle = _full_copy_checks(A, 11)
+    assert _rule_degrees(A) == [3, 5, 7, 9, 11]
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
@@ -472,39 +467,54 @@ def _perturbed_antisym43(index):
     return AlgebraPresentation(4, 3, rels)
 
 
-@pytest.mark.parametrize("index", range(4))
-def test_perturbed_antisym_falls_back(index):
+@pytest.mark.parametrize(
+    "index, degrees", [(0, [3, 4]), (1, [3, 4, 5]), (2, [3, 4, 6]), (3, [3, 4])], ids=range(4)
+)
+def test_perturbed_antisym_completes(index, degrees):
     # doubling one coefficient of one relation of antisym(4,3) breaks the
-    # Gröbner property: an overlap of degree N + 1 does not resolve, every
-    # degree above N is eliminated, and the Hilbert series is still the
-    # full-copy recursion's
+    # Gröbner property: an overlap of degree N + 1 does not resolve, the
+    # completion adds rules of higher degree, and the Hilbert series is
+    # still the full-copy recursion's
     A = _perturbed_antisym43(index)
     coeffs = A.hilbert_series(7).coeffs
-    assert _rewrite_degrees(A) == []
+    assert _rule_degrees(A) == degrees
     assert coeffs == [len(normal) for _, normal in full_copy_echelons(A, 7)]
     assert coeffs != antisymmetrizer(4, 3).hilbert_series(7).coeffs
 
 
+def _perturbed_file(tmp_path):
+    """The ``--algebra`` value of a file holding ``_perturbed_antisym43(0)``."""
+    relations = [
+        {"grade": 3, "terms": [{"coeff": str(c), "word": list(index_word(w, 3, 4))} for w, c in r.items()]}
+        for r in _perturbed_antisym43(0).relations
+    ]
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps({"label": "perturbed", "n": 4, "N": 3, "relations": relations}))
+    return (f"file:{path}",)
+
+
 @pytest.mark.parametrize(
-    "argv, n, N, top, rank",
+    "algebra, n, top, rank, ambients",
     [
-        (("--algebra", "antisym", "--n", "4", "--N", "3", "--max-degree", "8"), 4, 3, 8, 21855),
-        (("--algebra", "poly", "--n", "3", "--max-degree", "7"), 3, 2, 7, 3**7 - 36),
+        (lambda _: ("antisym", "--n", "4", "--N", "3"), 4, 8, 21855, [4**3] * 4),
+        (lambda _: ("poly", "--n", "3"), 3, 7, 3**7 - 36, [3**2] * 3),
+        (_perturbed_file, 4, 8, 23040, [4**3] * 4 + [4**4]),
     ],
-    ids=["antisym43_D8", "poly3_D7"],
+    ids=["antisym43_D8", "poly3_D7", "perturbed0_D8"],
 )
-def test_no_elimination_above_N(capsys, monkeypatch, argv, n, N, top, rank):
-    # hilbert eliminates only in degree N; every higher degree is a rewrite
-    # echelon
-    ambients = []
+def test_no_elimination_above_N(capsys, monkeypatch, tmp_path, algebra, n, top, rank, ambients):
+    # hilbert eliminates only the relations, and the overlap remainders that
+    # are not 0, in the degree of each new rule; no row R ⊗ w is eliminated
+    offered = []
     add = Echelon.add
 
     def counted_add(self, vec):
-        ambients.append(self.ncols)
+        offered.append(self.ncols)
         return add(self, vec)
 
     monkeypatch.setattr(Echelon, "add", counted_add)
-    assert main(["hilbert", *argv, "--format", "json"]) == 0
+    argv = ("--algebra", *algebra(tmp_path), "--max-degree", str(top), "--format", "json")
+    assert main(["hilbert", *argv]) == 0
     coeffs = json.loads(capsys.readouterr().out)["report"]["coefficients"]
     assert coeffs[top] == n**top - rank
-    assert ambients and max(ambients) == n**N
+    assert offered == ambients

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import in_span, rref
+from conftest import full_copy_echelons, in_span, rref
+from nkoszul.homog import AlgebraPresentation
 from nkoszul.linalg import (
     BasisSolver,
     Echelon,
@@ -239,31 +240,12 @@ def test_basis_solver():
         BasisSolver([{0: Fraction(1)}, {0: Fraction(2)}], 2)
 
 
-def test_echelon_over_a_base():
-    # over a base echelon B on 4 columns the row space starts as V ⊗ B with
-    # dim V = 2: the pivots are shifted at once, a row only when looked up
-    base = Echelon(4)
-    base.add({1: Fraction(2), 3: Fraction(4)})
-    ech = Echelon(8, base=base, n=2)
-    assert ech.rank == 2 and ech.pivots == {1, 5} and dict(ech.row_of) == {}
-    assert ech.reduce({5: Fraction(1)}) == {7: Fraction(-2)}
-    assert dict(ech.row_of) == {5: {5: 1, 7: Fraction(2)}}
-    assert ech.add({0: Fraction(3), 1: Fraction(3)}) and ech.rank == 3
-    # column 1 was cleared with the shifted row x_0 ⊗ (row 1 of B)
-    assert ech.row_of[0] == {0: 1, 3: -2} and ech.pivots == {0, 1, 5}
-    assert sorted(ech.row_of) == [0, 1, 5]
-    assert ech.to_subspace() == rref(Matrix(8, [{0: 1, 1: 1}, {1: 1, 3: 2}, {5: 1, 7: 2}]))
-    # back-substitution would walk only the stored rows
-    with pytest.raises(ValueError):
-        Echelon(8, reduced=True, base=base, n=2)
-
-
 def test_rewrite_echelon():
     # I_3 of poly(2), whose one leading word is x0x1 (column 1 of I_2): the
     # normal words are those that avoid it, 000, 100, 110 and 111
     lead = Echelon(4)
     lead.add({1: 1, 2: -1})
-    ech = RewriteEchelon(8, (0, 4, 6, 7), lead, 2)
+    ech = RewriteEchelon(8, (0, 4, 6, 7), (None, None, lead, None), 2)
     assert ech.rank == 4 and len(ech.pivots) == 4 and dict(ech.row_of) == {}
     assert ech.pivots == {1, 2, 3, 5} and sorted(ech.pivots) == [1, 2, 3, 5]
     assert 5 in ech.pivots and 4 not in ech.pivots
@@ -276,6 +258,39 @@ def test_rewrite_echelon():
         ech.add({0: 1})
     # in degree 4 the row of 0101 is taken at its rightmost window,
     # 01·01 → 01·10, not at 01·01 → 10·01
-    ech = RewriteEchelon(16, (0, 8, 12, 14, 15), lead, 2)
+    ech = RewriteEchelon(16, (0, 8, 12, 14, 15), (None, None, lead, None, None), 2)
     assert ech.row_of[5] == {5: 1, 6: -1}
     assert ech.reduce({5: Fraction(1)}) == {12: Fraction(1)}
+
+
+def _avoiding(d, words):
+    """The columns of the binary words of length d that contain none of
+    ``words``."""
+    return tuple(i for i in range(2**d) if not any(w in format(i, f"0{d}b") for w in words))
+
+
+def test_rewrite_echelon_with_rules_of_two_lengths():
+    # the rules of lengths 3 and 5 of 010 - 011 + 2·110: the second is the
+    # remainder of the overlap 01010, 010 ⊗ 10 reduced by 01 ⊗ 010, and
+    # contains no 010; up to degree 6 there is no other rule
+    r3, r5 = Echelon(8), Echelon(32)
+    r3.add({0b010: 1, 0b011: -1, 0b110: 2})
+    r5.add({0b01110: 3, 0b01111: -1, 0b11110: 4})
+    ech = RewriteEchelon(128, _avoiding(7, ("010", "01110")), (None, None, None, r3, None, r5, None, None), 2)
+    # 0101110 holds 010 at its start and 01110 at its end; 0111010 the
+    # other way round: each row is taken at the window that ends the word
+    assert ech.row_of[0b0101110] == {0b0101110: 1, 0b0101111: Fraction(-1, 3), 0b0111110: Fraction(4, 3)}
+    assert ech.row_of[0b0111010] == {0b0111010: 1, 0b0111011: -1, 0b0111110: 2}
+    # a normal word has no row, though 1011111 padded on the left with a 0
+    # would begin with 010
+    with pytest.raises(KeyError):
+        ech.row_of[0b1011111]
+    A = AlgebraPresentation(2, 3, [{0b010: 1, 0b011: -1, 0b110: 2}])
+    oracle, normal = full_copy_echelons(A, 6)[6]
+    ech = RewriteEchelon(64, _avoiding(6, ("010", "01110")), (None, None, None, r3, None, r5, None), 2)
+    assert ech.pivots == oracle.pivots and _avoiding(6, ("010", "01110")) == normal
+    rng = random.Random(7)
+    for _ in range(20):
+        vec = {rng.randrange(64): Fraction(rng.randint(-3, 3)) for _ in range(4)}
+        assert ech.reduce(vec) == oracle.reduce(vec)
+    assert ech.to_subspace() == oracle.to_subspace()

@@ -328,8 +328,8 @@ def _row_of_writes(tree):
 def test_only_linalg_writes_echelon_rows():
     # a row enters an echelon through Echelon.add, which keeps the pivot set
     # and the rows in step and is what the benchmark's tracer counts; the
-    # shifted rows of a lower degree are looked up through a base echelon,
-    # never copied in by hand
+    # rows u ⊗ (row of a rule) ⊗ v of a rewrite echelon are looked up
+    # through its lazy row map, never copied in by hand
     found = [
         f"{path.name}:{line}"
         for path in sorted(SRC.glob("*.py"))
@@ -340,8 +340,8 @@ def test_only_linalg_writes_echelon_rows():
 
 
 def test_one_lazy_row_class():
-    # every row an echelon builds on first use, over a base echelon or over
-    # the echelon of I_N, comes from one dict subclass
+    # every row an echelon builds on first use, u ⊗ (row of a rule) ⊗ v at
+    # its rightmost window, comes from one dict subclass
     tree = ast.parse((SRC / "linalg.py").read_text())
     lazy = [
         node.name
@@ -350,3 +350,42 @@ def test_one_lazy_row_class():
         and any(isinstance(f, ast.FunctionDef) and f.name == "__missing__" for f in node.body)
     ]
     assert len(lazy) == 1, lazy
+
+
+def _names(node):
+    """The names and attribute names read anywhere under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_one_echelon_path():
+    # every degree of the ideal is a rewrite echelon over its rules, so an
+    # Echelon is never built over another one, and homog never asks which
+    # kind of echelon a degree has
+    tree = ast.parse((SRC / "linalg.py").read_text())
+    [init] = [
+        item
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == "Echelon"
+        for item in node.body
+        if isinstance(item, ast.FunctionDef) and item.name == "__init__"
+    ]
+    args = init.args
+    assert [a.arg for a in args.args] == ["self", "ncols", "reduced"]
+    assert [ast.literal_eval(v) for v in args.defaults] == [False]
+    assert not (args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs)
+    found = []
+    for node in ast.walk(ast.parse((SRC / "homog.py").read_text())):
+        if isinstance(node, ast.Call):
+            parts = [node]
+        elif isinstance(node, ast.Compare):
+            parts = [node.left, *node.comparators]
+        else:
+            continue
+        asks = any(getattr(getattr(p, "func", None), "id", None) in ("isinstance", "type") for p in parts)
+        if asks and any("echelon" in name.lower() for name in _names(node)):
+            found.append(node.lineno)
+    assert found == []
