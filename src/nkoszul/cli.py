@@ -261,6 +261,14 @@ def cmd_master(args):
     nmt = args.command == "nmt"
     if args.n is None or (nmt and args.N is None):
         raise UsageError("--n and --N are required" if nmt else "--n is required")
+    bound = ambient_bound(args)
+    # I_D keeps a bitmap of n^D words, and the G walk visits every
+    # admissible word up to D
+    if _power_exceeds(args.n, args.max_degree, bound):
+        raise UsageError(
+            f"ambient dimension n^D = {args.n}^{args.max_degree} exceeds the "
+            f"guardrail {bound}; raise --max-ambient or KOSZUL_MAX_AMBIENT"
+        )
     Z = load_matrix(args)
     if len(Z) != args.n:
         raise UsageError("matrix size does not match --n")

@@ -106,6 +106,17 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
     b·n^k + rev.  The extended word is admissible exactly when that column
     is normal in degree k + 1.
 
+    Left multiplication by X_b is a linear map M_b: A_k → A_{k+1}, so the
+    walk works per column, not per word.  Below the last level the column
+    M_b·e, e a normal word of A_k, is built on first use and kept, and a
+    vector extends as Σ_e vec[e]·(M_b·e).  At the last level, k + 1 =
+    max_degree, only the coordinate t = b·n^k + rev of M_b·vec is read, so
+    no vector is built: rows[t] = {e: (M_b·e)[t]} is taken once from every
+    column of A_k, with b the first letter of t, and G is the dot product
+    Σ_e vec[e]·rows[t][e].  By linearity each value is the same exact
+    combination as the coordinate of the whole product.  The columns and
+    rows are local to one call.
+
     G(w) is homogeneous of degree |w| in the entries of Z, so the walk
     runs on the integer matrix LZ, L the lcm of the denominators of Z, and
     divides each value once: G_Z(w) = G_{LZ}(w) / L^|w|.  The guard runs
@@ -119,6 +130,19 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
     n = A.n
     # X_b = Σ_j (LZ)_bj x_j, of degree 1
     X = [{j: z for j, z in enumerate(row) if z} for row in LZ]
+    # columns[k][b]: normal e of A_k -> M_b·e, for k < max_degree - 1
+    columns = [[{} for _ in range(n)] for _ in range(max_degree - 1)]
+    # rows[t]: normal e of A_{max_degree-1} -> (M_b·e)[t], b the first letter of t
+    rows = {}
+    if max_degree:
+        last = max_degree - 1
+        shift = n**last
+        basis = A.normal_basis(last)
+        for b in range(n):
+            for e in basis:
+                for t, c in A.multiply(max_degree, last, X[b], {e: 1}).items():
+                    if t // shift == b:
+                        rows.setdefault(t, {})[e] = c
     table = {}
     # stack entries: (word, column of the reversed word, normal coordinates
     # of the reversed product)
@@ -130,10 +154,27 @@ def g_table(A: AlgebraPresentation, Z, max_degree: int):
         if k == max_degree:
             continue
         shift = n**k
+        if k + 1 == max_degree:
+            for b in range(n):
+                t = b * shift + rev
+                if t in normal[max_degree]:
+                    row = rows.get(t, {})
+                    small, big = (row, vec) if len(row) < len(vec) else (vec, row)
+                    g = sum(c * big[e] for e, c in small.items() if e in big)
+                    table[word + (b,)] = div(g, L**max_degree)
+            continue
         for b in range(n - 1, -1, -1):
-            if b * shift + rev not in normal[k + 1]:
+            t = b * shift + rev
+            if t not in normal[k + 1]:
                 continue
-            stack.append((word + (b,), b * shift + rev, A.multiply(k + 1, k, X[b], vec)))
+            cols = columns[k][b]
+            nxt = {}
+            for e, c in vec.items():
+                col = cols.get(e)
+                if col is None:
+                    col = cols[e] = A.multiply(k + 1, k, X[b], {e: 1})
+                axpy(nxt, c, col)
+            stack.append((word + (b,), t, nxt))
     return table
 
 

@@ -244,6 +244,37 @@ def test_hilbert_guardrail_is_inclusive(capsys):
     assert json.loads(out)["report"]["coefficients"] == [1, 2, 4, 8]
 
 
+@pytest.mark.parametrize("command", ["nmt", "mmt"])
+def test_master_guardrail(capsys, monkeypatch, command):
+    # n^D bounds I_D and the G walk: a huge D is refused before any degree
+    # is built, without computing n^D
+    monkeypatch.delenv("KOSZUL_MAX_AMBIENT", raising=False)
+
+    def no_degree(self, d):
+        raise AssertionError(f"{command} built a degree past the guardrail")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraPresentation, "_component", no_degree)
+        code, out, err = run(
+            capsys, command, "--n", "4", "--N", "3", "--random-seed", "2",
+            "--max-degree", "1000000",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: ambient dimension n^D = 4^1000000 exceeds the guardrail "
+            "10000000; raise --max-ambient or KOSZUL_MAX_AMBIENT\n"
+        )
+    argv = (command, "--n", "2", "--N", "2", "--random-seed", "2", "--max-degree", "3")
+    code, _, err = run(capsys, *argv, "--max-ambient", "7")
+    assert code == 2 and "n^D = 2^3 exceeds the guardrail 7" in err
+    # the bound is inclusive, and the flag or the environment lifts it
+    assert run(capsys, *argv, "--max-ambient", "8")[0] == 0
+    monkeypatch.setenv("KOSZUL_MAX_AMBIENT", "7")
+    assert run(capsys, *argv)[0] == 2
+    monkeypatch.setenv("KOSZUL_MAX_AMBIENT", "8")
+    assert run(capsys, *argv)[0] == 0
+
+
 def test_unknown_algebra_exit_2(capsys):
     code, _, err = run(capsys, "info", "--algebra", "nonesuch", "--n", "2")
     assert code == 2

@@ -355,7 +355,7 @@ RATIONAL_ENTRIES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 30))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from([(2, 2, 5), (3, 2, 3), (3, 3, 4), (4, 3, 3)]), st.data())
+@given(st.sampled_from([(2, 2, 5), (3, 2, 3), (3, 3, 4), (4, 3, 3), (4, 4, 4)]), st.data())
 def test_scaled_g_table_matches_unscaled_walk(shape, data):
     n, N, D = shape
     Z = [[data.draw(RATIONAL_ENTRIES) for _ in range(n)] for _ in range(n)]
@@ -363,3 +363,41 @@ def test_scaled_g_table_matches_unscaled_walk(shape, data):
     tab = g_table(A, Z, D)
     assert tab == _unscaled_g_table(A, Z, D)
     assert_exact(tab.values())
+
+
+@pytest.mark.parametrize(
+    "A", [polynomial(2), antisymmetrizer(3, 3), quantum_space(2, q=-1)], ids=lambda A: A.label
+)
+def test_g_table_without_levels_and_with_only_the_last(A):
+    # D = 0 walks no level; at D = 1 the last level, read one coordinate
+    # at a time, is the first
+    diagonal = [[Fraction(3 - 2 * i, 1 + i) if i == j else 0 for j in range(A.n)] for i in range(A.n)]
+    assert g_table(A, diagonal, 0) == {(): 1}
+    tab = g_table(A, diagonal, 1)
+    assert tab == {(): 1, **{(b,): diagonal[b][b] for b in range(A.n)}}
+    assert tab == _unscaled_g_table(A, diagonal, 1)
+    assert all(tab[w] == _g_single(A, diagonal, w) for w in tab)
+    assert_exact(tab.values())
+
+
+def test_g_table_work_is_per_column():
+    # the walk multiplies by each column M_b·e once, and the last level
+    # reads one coordinate from rows taken once: at most n^2 class_of_word
+    # calls per normal word e of A_k, k < D, and as many again for the
+    # specialization guard; a walk that multiplies each word's whole
+    # vector makes about 800,000 calls here
+    A = antisymmetrizer(4, 3)
+    D = 5
+    calls = 0
+    word_class = A.class_of_word
+
+    def counting(word):
+        nonlocal calls
+        calls += 1
+        return word_class(word)
+
+    A.class_of_word = counting
+    g_table(A, random_rational_matrix(4, 2), D)
+    bound = 2 * A.n**2 * sum(A.dim_component(k) for k in range(D))
+    assert bound == 9792
+    assert 0 < calls <= bound
