@@ -12,6 +12,7 @@ identical configuration (including seeds) produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -110,6 +111,17 @@ def _power_exceeds(n, k, bound):
     return False
 
 
+def _refuse_above_bound(args, name, n, k):
+    """Raise UsageError when n^k, the dimension ``name``, exceeds the
+    ``--max-ambient`` guardrail."""
+    bound = ambient_bound(args)
+    if _power_exceeds(n, k, bound):
+        raise UsageError(
+            f"{name} = {n}^{k} exceeds the guardrail {bound}; "
+            "raise --max-ambient or KOSZUL_MAX_AMBIENT"
+        )
+
+
 # ----------------------------------------------------------------------
 # command handlers: return (report dict, verdict bool, text lines)
 
@@ -117,6 +129,8 @@ def _power_exceeds(n, k, bound):
 def cmd_info(args):
     A = make_algebra(args)
     D = args.max_degree
+    # the dims keep flags of n^D bytes for A_D, as in hilbert
+    _refuse_above_bound(args, "ambient dimension n^D", A.n, D)
     dims = [A.dim_component(d) for d in range(D + 1)]
     dual_dims = [koszul.dual_component_dim(A, m) for m in range(D + 1)]
     report = {
@@ -140,13 +154,8 @@ def cmd_info(args):
 
 def cmd_hilbert(args):
     A = make_algebra(args)
-    bound = ambient_bound(args)
-    # n^D bounds the pivot columns of I_D plus the normal words of A_D
-    if _power_exceeds(A.n, args.max_degree, bound):
-        raise UsageError(
-            f"ambient dimension n^D = {A.n}^{args.max_degree} exceeds the "
-            f"guardrail {bound}; raise --max-ambient or KOSZUL_MAX_AMBIENT"
-        )
+    # n^D bounds the bytes of the flags of A_D, one per word
+    _refuse_above_bound(args, "ambient dimension n^D", A.n, args.max_degree)
     coeffs = A.hilbert_series(args.max_degree).coeffs
     report = {"label": A.label, "coefficients": coeffs}
     return report, True, [f"H_A coefficients 0..{args.max_degree}: {coeffs}"]
@@ -228,14 +237,9 @@ def cmd_dvp_check(args):
 def cmd_kmt_check(args):
     A = make_algebra(args)
     D = args.max_degree
-    bound = ambient_bound(args)
     # build_end echelonizes end(A) on n^2 generators in degree N whatever D is
-    top = max(D, A.N)
-    if _power_exceeds(A.n * A.n, top, bound):
-        raise UsageError(
-            f"envelope ambient dimension n^(2·max(D, N)) = {A.n * A.n}^{top} exceeds "
-            f"the guardrail {bound}; raise --max-ambient or KOSZUL_MAX_AMBIENT"
-        )
+    name = "envelope ambient dimension n^(2·max(D, N))"
+    _refuse_above_bound(args, name, A.n * A.n, max(D, A.N))
     B = manin.build_end(A)
     res = manin.kmt_check(B, D)
     report = {
@@ -261,14 +265,9 @@ def cmd_master(args):
     nmt = args.command == "nmt"
     if args.n is None or (nmt and args.N is None):
         raise UsageError("--n and --N are required" if nmt else "--n is required")
-    bound = ambient_bound(args)
     # I_D keeps a bitmap of n^D words, and the G walk visits every
     # admissible word up to D
-    if _power_exceeds(args.n, args.max_degree, bound):
-        raise UsageError(
-            f"ambient dimension n^D = {args.n}^{args.max_degree} exceeds the "
-            f"guardrail {bound}; raise --max-ambient or KOSZUL_MAX_AMBIENT"
-        )
+    _refuse_above_bound(args, "ambient dimension n^D", args.n, args.max_degree)
     Z = load_matrix(args)
     if len(Z) != args.n:
         raise UsageError("matrix size does not match --n")
@@ -340,7 +339,10 @@ HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The parser of every command, built once per process and shared, so
+    callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="nkoszul",
         description="exact checks for N-homogeneous algebras and their duals",

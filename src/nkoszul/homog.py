@@ -5,13 +5,16 @@ its base-n column and every element, each relation included, a
 ``{column: scalar}`` dict (see :mod:`nkoszul.freealg`).  Per degree d the
 engine keeps one echelon basis, not reduced, of the ideal component I_d: a
 :class:`nkoszul.linalg.RewriteEchelon` over a set of rules.  The words at
-its non-pivot columns form the normal basis of A_d, and forward reduction
-against the echelon gives the unique normal form of any element, which is
-the quotient arithmetic: an element lies in the ideal exactly when that
-remainder is zero, and :meth:`AlgebraPresentation.multiply` is the one
-product.  So an element of A_d is its normal form, the echelon remainder as
-it is, with no class around it.  The canonical reduced basis of I_d is
-built only when :meth:`AlgebraPresentation.ideal_component` asks for it.
+its non-pivot columns form the normal basis of A_d.  One byte per word, 1
+exactly at those columns, is all the engine keeps of them, and
+:meth:`AlgebraPresentation.normal_basis` lists them only on request.
+Forward reduction against the echelon gives the unique normal form of any
+element, which is the quotient arithmetic: an element lies in the ideal
+exactly when that remainder is zero, and
+:meth:`AlgebraPresentation.multiply` is the one product.  So an element of
+A_d is its normal form, the echelon remainder as it is, with no class
+around it.  The canonical reduced basis of I_d is built only when
+:meth:`AlgebraPresentation.ideal_component` asks for it.
 
 Columns of one length are ordered as integers, the lex order of words, and
 a row's pivot is its least column, so the pivot of u ⊗ r ⊗ v is
@@ -55,7 +58,13 @@ basis of A_d, and the rows u ⊗ ρ_ℓ ⊗ v lie in I_d with the other words as
 pivots.
 
 A normal word of degree d extends one of degree d-1 by a letter, so it can
-contain a leading word only as a suffix.  The rewrite echelon takes the
+contain a leading word only as a suffix.  So the flags of degree d are
+those of degree d-1 under each last letter, with the words that end in a
+leading word of a shorter rule cleared: two slice assignments, no step per
+word.  The leading words of the rules of length d are normal in those
+flags, so until they are cleared the one echelon of degree d is the rewrite
+echelon of the shorter rules, through which the overlap rows reduce, and
+the rows it stores then stay valid.  The rewrite echelon takes the
 row of a pivot at its rightmost window ℓ, which is unique; so its row at an
 overlap w is u ⊗ ρ_ℓ′, not ρ_ℓ ⊗ v, and the reduction above checks w.  Two
 rules of lengths k and k′ overlap only in words shorter than k + k′, so
@@ -65,6 +74,8 @@ on nothing is reduced to build a degree.
 """
 
 from __future__ import annotations
+
+from itertools import compress
 
 from . import linalg
 from . import series
@@ -117,33 +128,31 @@ class AlgebraPresentation:
         n, degrees = self.n, self.cache.degrees
         d = len(degrees)
         if d == 0:
-            return _DegreeData(linalg.RewriteEchelon(1, (0,), (None,), n), (0,), None)
-        rules = tuple(data.rules for data in degrees) + (None,)
+            return _DegreeData(linalg.RewriteEchelon(bytearray(b"\x01"), (None,), n), None)
+        rules = tuple(data.rules for data in degrees)
         ends = [(k, n**k, ech) for k, ech in enumerate(rules) if ech is not None]
         # a normal word extends one of degree d-1 by a letter, so it can hold
-        # a leading word only as a suffix; ``ending`` holds the words of
-        # ``longest`` letters that end in one, and allowed[s] the letters a
-        # for which s·a does not
-        longest = ends[-1][0] if ends else 1
-        ending = {
-            x * size + ell for k, size, ech in ends for ell in ech.pivots for x in range(n ** (longest - k))
-        }
-        suffixes = n ** (longest - 1)
-        allowed = [[a for a in range(n) if s * n + a not in ending] for s in range(suffixes)]
-        normal = tuple(q * n + a for q in degrees[d - 1].normal for a in allowed[q % suffixes])
-        ech = linalg.RewriteEchelon(n**d, normal, rules, n)
+        # a leading word only as a suffix
+        flags = bytearray(n**d)
+        for a in range(n):
+            flags[a::n] = degrees[d - 1].echelon.pivots.flags
+        for k, size, ech in ends:
+            clear = bytes(n ** (d - k))
+            for ell in ech.pivots:
+                flags[ell::size] = clear
+        # the rules of length d lead at normal words, so until their leading
+        # words are cleared below this is the echelon of the shorter rules
         new = linalg.Echelon(n**d)
+        ech = linalg.RewriteEchelon(flags, rules + (new,), n)
         if d == self.N:
             new.extend(self.relations)
         for row in _overlap_rows(ends, n, d):
             rem = ech.reduce(row)
             if rem:
                 new.add(rem)
-        if not new.rank:
-            return _DegreeData(ech, normal, None)
-        normal = tuple(i for i in normal if i not in new.pivots)
-        ech = linalg.RewriteEchelon(n**d, normal, rules[:d] + (new,), n)
-        return _DegreeData(ech, normal, new)
+        for p in new.pivots:
+            flags[p] = 0
+        return _DegreeData(ech, new if new.rank else None)
 
     def ideal_component(self, d) -> linalg.Subspace:
         """The degree-d component of the two-sided ideal (R), as a subspace."""
@@ -167,8 +176,11 @@ class AlgebraPresentation:
 
     def normal_basis(self, d):
         """The non-pivot columns of I_d, increasing; their classes form a
-        basis of A_d."""
-        return self._component(d).normal
+        basis of A_d.  Listed on first request and kept."""
+        data = self._component(d)
+        if data.normal is None:
+            data.normal = tuple(compress(range(self.n**d), data.echelon.pivots.flags))
+        return data.normal
 
     def reduce(self, d, vec):
         """Projection T(V)_d -> A_d of the column dict ``vec``: its normal
@@ -242,7 +254,8 @@ class PresentationCache:
     computation needs are filled, any number of threads may read them,
     except that a read of a degree's echelon (``reduce``, ``class_of_word``)
     may store a row it had not used before, u ⊗ (row of ℓ) ⊗ v for the
-    leading word ℓ of a rule; that write stores the same row whoever makes
+    leading word ℓ of a rule, and ``normal_basis`` may store the normal
+    columns it lists; each such write stores the same value whoever makes
     it.
     ``mmt`` keeps nothing here: its G tables read the normal coordinates of
     ``degrees``.
@@ -257,17 +270,18 @@ class PresentationCache:
 
 
 class _DegreeData:
-    """The echelon of I_d, its normal columns, the rules of length d, and
-    what is derived from them.
+    """The echelon of I_d, the rules of length d, and what is derived from
+    them.
 
-    ``subspace`` stays None until first asked for.
+    The flags of the echelon's pivots mark the normal columns; ``normal``
+    and ``subspace`` stay None until first asked for.
     """
 
     __slots__ = ("echelon", "normal", "rules", "subspace", "word_class")
 
-    def __init__(self, echelon, normal, rules):
+    def __init__(self, echelon, rules):
         self.echelon = echelon
-        self.normal = normal  # non-pivot columns, increasing
+        self.normal = None  # non-pivot columns, increasing; see normal_basis
         self.rules = rules  # Echelon of the rules of length d, or None
         self.subspace = None
         self.word_class = {}  # column -> normal form, see class_of_word

@@ -151,39 +151,37 @@ class Echelon:
 
 
 class _Complement(Set):
-    """The columns of ``range(ncols)`` outside ``normal``, the pivots of a
-    :class:`RewriteEchelon`.  Membership reads a bitmap of the normal
-    columns, one byte per column; the pivots are listed only when
-    iterated."""
+    """The pivots of a :class:`RewriteEchelon`: the columns at which
+    ``flags``, one byte per column, is 0.  The flags are the owner's, not a
+    copy, so a column it clears becomes a pivot here; the pivots are listed
+    only when iterated."""
 
-    __slots__ = ("flags", "size")
+    __slots__ = ("flags",)
 
-    def __init__(self, ncols, normal):
-        flags = self.flags = bytearray(ncols)
-        for col in normal:
-            flags[col] = 1
-        self.size = ncols - len(normal)
+    def __init__(self, flags):
+        self.flags = flags
 
     def __contains__(self, col):
         return not self.flags[col]
 
     def __len__(self):
-        return self.size
+        return len(self.flags) - self.flags.count(1)
 
     def __iter__(self):
         return (col for col, flag in enumerate(self.flags) if not flag)
 
 
 class RewriteEchelon(Echelon):
-    """The echelon on the ``ncols`` words of length d of a set of rules,
-    V of dimension ``n``: its pivots are the words that contain a leading
-    word, and the row of a pivot is u ⊗ (row of ℓ) ⊗ v at its rightmost
-    window ℓ that is one.
+    """The echelon on the words of length d of a set of rules, V of
+    dimension ``n``: its pivots are the words that contain a leading word,
+    and the row of a pivot is u ⊗ (row of ℓ) ⊗ v at its rightmost window ℓ
+    that is one.
 
     ``rules[k]``, k = 0..d, is the echelon of the rules of length k or
     None, and no leading word contains a shorter one (see
-    :class:`_WindowRows`).  ``normal`` lists the words that contain none,
-    and ``pivots`` is their complement.  That these rows are an echelon
+    :class:`_WindowRows`).  ``flags``, a bytearray of n^d bytes, is 1
+    exactly at the words that contain none, and ``pivots`` is their
+    complement, read from the same bytes.  That these rows are an echelon
     basis of I_d is what the caller proves (see :mod:`nkoszul.homog`).
     Rank, :meth:`reduce` and :meth:`to_subspace` are those of
     :class:`Echelon`; the echelon is complete, so :meth:`add` raises.
@@ -191,10 +189,10 @@ class RewriteEchelon(Echelon):
 
     __slots__ = ()
 
-    def __init__(self, ncols: int, normal, rules, n):
-        self.ncols = ncols
+    def __init__(self, flags, rules, n):
+        self.ncols = len(flags)
         self.reduced = False
-        self.pivots = _Complement(ncols, normal)
+        self.pivots = _Complement(flags)
         self.row_of = _WindowRows(rules, n)
 
     def add(self, vec):

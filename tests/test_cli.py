@@ -8,7 +8,7 @@ import pytest
 from sympy.polys.fields import FracElement
 
 from nkoszul import koszul, manin
-from nkoszul.cli import HANDLERS, main
+from nkoszul.cli import HANDLERS, build_parser, main
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.scalar import ParameterField, ParameterValue
 
@@ -138,6 +138,11 @@ def test_version_flag(capsys):
     assert main(["--version"]) == 0
 
 
+def test_parser_is_built_once():
+    # every call of main parses with the same parser
+    assert build_parser() is build_parser()
+
+
 def test_kmt_guardrail(capsys):
     code, _, err = run(
         capsys, "kmt-check", "--algebra", "poly", "--n", "9", "--max-degree", "8"
@@ -211,27 +216,33 @@ def test_kmt_guardrail_override(capsys, monkeypatch):
 
 
 def test_hilbert_guardrail(capsys, monkeypatch):
-    # n^D = 10^8 words exceed the default bound 10^7: refused before any
-    # degree is built, so a missing guard fails here instead of allocating
-    monkeypatch.delenv("KOSZUL_MAX_AMBIENT", raising=False)
+    # n^D = 10^8 words exceed the default bound 10^7: hilbert and info are
+    # refused before any degree is built, so a missing guard fails here
+    # instead of allocating
+    for command in ("hilbert", "info"):
+        monkeypatch.delenv("KOSZUL_MAX_AMBIENT", raising=False)
 
-    def no_degree(self, d):
-        raise AssertionError("hilbert built a degree past the guardrail")
+        def no_degree(self, d):
+            raise AssertionError(f"{command} built a degree past the guardrail")
 
-    monkeypatch.setattr(AlgebraPresentation, "_component", no_degree)
-    code, out, err = run(
-        capsys, "hilbert", "--algebra", "free", "--n", "10", "--max-degree", "8"
-    )
-    assert code == 2 and out == ""
-    assert "n^D = 10^8 exceeds the guardrail 10000000" in err
-    # a huge D is refused without computing n^D
-    code, _, err = run(
-        capsys, "hilbert", "--algebra", "free", "--n", "10", "--max-degree", str(10**12)
-    )
-    assert code == 2 and "guardrail" in err
-    monkeypatch.setenv("KOSZUL_MAX_AMBIENT", "7")
-    code, _, err = run(capsys, "hilbert", "--algebra", "free", "--n", "2", "--max-degree", "3")
-    assert code == 2 and "n^D = 2^3 exceeds the guardrail 7" in err
+        with monkeypatch.context() as patch:
+            patch.setattr(AlgebraPresentation, "_component", no_degree)
+            code, out, err = run(
+                capsys, command, "--algebra", "free", "--n", "10", "--max-degree", "8"
+            )
+            assert code == 2 and out == ""
+            assert err == (
+                "error: ambient dimension n^D = 10^8 exceeds the guardrail "
+                "10000000; raise --max-ambient or KOSZUL_MAX_AMBIENT\n"
+            )
+            # a huge D is refused without computing n^D
+            code, _, err = run(
+                capsys, command, "--algebra", "free", "--n", "10", "--max-degree", str(10**12)
+            )
+            assert code == 2 and "guardrail" in err
+        monkeypatch.setenv("KOSZUL_MAX_AMBIENT", "7")
+        code, _, err = run(capsys, command, "--algebra", "free", "--n", "2", "--max-degree", "3")
+        assert code == 2 and "n^D = 2^3 exceeds the guardrail 7" in err
 
 
 def test_hilbert_guardrail_is_inclusive(capsys):

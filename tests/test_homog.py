@@ -399,9 +399,11 @@ def test_ideal_stores_only_new_and_used_rows():
     # no degree copies the rows of the degree below: I_8 is a rewrite
     # echelon, over the rules of length 3 of antisym(4,3) or of lengths 3
     # and 4 of the perturbed one, and stores a row only when a reduction
-    # uses it, so hilbert, which needs only counts, stores none
+    # uses it, so hilbert, which needs only counts, stores none and lists
+    # no normal words
     for A, rank in ((antisymmetrizer(4, 3), 21855), (_perturbed_antisym43(0), 23040)):
         assert A.hilbert_series(8).coeffs[8] == 4**8 - rank
+        assert [data.normal for data in A.cache.degrees] == [None] * 9
         ech = A.cache.degrees[8].echelon
         assert type(ech) is RewriteEchelon and ech.rank == rank
         assert len(ech.row_of) == 0
@@ -446,10 +448,20 @@ def test_rewrite_degrees_match_the_pivot_oracle(A):
         assert (rules.pivots if rules is not None else set()) == expected, d
 
 
-def test_midway_presentation_matches_full_copy_recursion():
+def test_midway_presentation_matches_full_copy_recursion(monkeypatch):
+    # each degree builds one rewrite echelon, its rules of length d included
+    built = []
+    init = RewriteEchelon.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(RewriteEchelon, "__init__", counted_init)
     A = AlgebraPresentation(2, 3, [MIDWAY], label="midway")
     oracle = _full_copy_checks(A, 11)
     assert _rule_degrees(A) == [3, 5, 7, 9, 11]
+    assert len(built) == len(A.cache.degrees) == 12
 
     @settings(max_examples=20, deadline=None)
     @given(st.data())
