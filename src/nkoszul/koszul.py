@@ -18,6 +18,14 @@ total degree 0 < m ≤ M.  Surjectivity of d_1 onto A_m, which the
 Euler-characteristic argument behind the Hilbert-series duality also uses,
 holds by construction of the normal words (see :func:`homology_report`)
 and is not checked; d_1 is never assembled there.
+
+That the ranks are those of a complex, d∘d = 0, is checked once per
+homological degree ℓ ≥ 2, on the J spaces alone, when the slices of
+J_{ν(ℓ)} are first built (see :func:`_check_d_squared`).  The run does not
+check, degree by degree, that the normal forms of ``homog`` are compatible
+with the product, NF(NF(x)·y) = NF(x·y); the ``homog`` lemma proves it,
+and the tests check it by sweeping d_{ℓ-1} ∘ d_ℓ over the assembled
+matrices and against the full-copy recursion of the ideal.
 """
 
 from __future__ import annotations
@@ -83,6 +91,9 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
     in J_{m-s}; a failure signals an implementation bug, not bad input.
     Returns, per basis row, {J_{m-s} basis index g: {prefix column:
     coefficient}}: the row is Σ_g y_g ⊗ (basis row g), y_g of degree s.
+    For m ≥ N the slices are also checked to compose to zero with those of
+    J_{m-s} (see :func:`_check_d_squared`), once per key: the keys
+    :func:`differential` uses are one per homological degree.
     """
     cache = A.cache.j_slices
     key = (m, s)
@@ -110,8 +121,41 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
             for g, lam in coords.items():
                 slices.setdefault(g, {})[p] = lam
         data.append(slices)
+    if m >= A.N:
+        _check_d_squared(A, m, s, data)
     cache[key] = data
     return data
+
+
+def _check_d_squared(A: AlgebraPresentation, m: int, s: int, slices) -> None:
+    """Raise RuntimeError unless d_{ℓ-1} ∘ d_ℓ = 0, where ν(ℓ) = m ≥ N,
+    s = ν(ℓ) - ν(ℓ-1) and ``slices`` are those of J_m (see :func:`_j_slices`).
+
+    Since ν(ℓ) - ν(ℓ-2) = N, the slices y'_{g,h} of the rows g of J_{m-s}
+    have degree N - s.  For a row b = Σ_g y_g ⊗ g of J_m and a normal
+    word e, NF is the quotient map by a two-sided ideal, so
+
+        d_{ℓ-1} d_ℓ(e ⊗ b) = Σ_h NF(e·c_h) ⊗ h,  c_h = Σ_g y_g ⊗ y'_{g,h},
+
+    with c_h in V^{⊗N}.  Hence d∘d = 0 at every total degree exactly when
+    every c_h lies in I_N = span R (e = 1 gives "only if"): one check per
+    ℓ on the J spaces, with no product in A.
+    """
+    N = A.N
+    lower = _j_slices(A, m - s, N - s)
+    shift = A.n ** (N - s)
+    for row in slices:
+        composed = {}
+        for g, y in row.items():
+            for h, z in lower[g].items():
+                c = composed.setdefault(h, {})
+                for p, a in y.items():
+                    linalg.axpy(c, a, {p * shift + q: b for q, b in z.items()})
+        if any(A.reduce(N, c) for c in composed.values()):
+            raise RuntimeError(
+                f"d∘d != 0: the slices of J_{m} and J_{m - s} compose outside "
+                "span(R); internal error"
+            )
 
 
 def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
@@ -147,48 +191,6 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
     return linalg.Matrix(len(cod_pos) * dim_lower, rows)
 
 
-def _composition_is_zero(d_hi: linalg.Matrix, lo_rows) -> bool:
-    for row in d_hi.rows:
-        acc = {}
-        for mid, c in row.items():
-            linalg.axpy(acc, c, lo_rows[mid])
-        if acc:
-            return False
-    return True
-
-
-class _MultiplicationRows(dict):
-    """Row index -> row of d_1: A_{m-1} ⊗ V → A_m, the rows of
-    ``differential(A, m, 1)`` built one at a time.
-
-    J_1 = V has the unit rows x_0, ..., x_{n-1}, so row e_pos·n + a is
-    the normal form of e·x_a, e the normal word at e_pos, on the columns of
-    the normal words of degree m.  A row is built on first lookup and kept.
-    Construction raises RuntimeError unless every normal word of degree m
-    has a normal prefix, the invariant that makes d_1 onto.
-    """
-
-    __slots__ = ("A", "m", "words", "cod_pos")
-
-    def __init__(self, A, m):
-        super().__init__()
-        self.A = A
-        self.m = m
-        self.words = A.normal_basis(m - 1)
-        self.cod_pos = {f: i for i, f in enumerate(A.normal_basis(m))}
-        prefixes = set(self.words)
-        if any(f // A.n not in prefixes for f in self.cod_pos):
-            raise RuntimeError(
-                f"a normal word of degree {m} has no normal prefix; internal error"
-            )
-
-    def __missing__(self, i):
-        e, a = divmod(i, self.A.n)
-        prod = self.A.multiply(self.m, 1, {self.words[e]: 1}, {a: 1})
-        row = self[i] = {self.cod_pos[f]: v for f, v in prod.items()}
-        return row
-
-
 class DegreeReport:
     """Homology data of the total-degree-m subcomplex."""
 
@@ -218,13 +220,14 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
     degree m-1.  Proof: write f = q·n + a; if q were a pivot of I_{m-1},
     its row times x_a, an element of I_{m-1} ⊗ V ⊆ I_m, would lead at f,
     so f would be a pivot of I_m.  Hence the row of e ⊗ x_a is the unit
-    vector of f, and d_1 has dim A_m distinct unit rows.  The prefix of
-    every normal word is checked; a missing one raises RuntimeError (an
-    implementation bug, not a user error).
+    vector of f, and d_1 has dim A_m distinct unit rows.  (``homog`` builds
+    the normal words of degree m under those of degree m-1, so the prefix
+    is normal by construction.)
 
-    d∘d = 0 is verified on every consecutive pair and raises RuntimeError
-    if violated; for d_1 ∘ d_2 the rows of d_1 are built only where a row
-    of d_2 has an entry.
+    d∘d = 0 is not checked here, degree by degree: it holds at every total
+    degree once the slices of the J spaces compose into span(R), which
+    :func:`differential` checks, through :func:`_j_slices`, the first time
+    it builds d_ℓ, and raises RuntimeError otherwise.
     """
     if m < 1:
         raise ValueError("total degree must be >= 1")
@@ -234,19 +237,8 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
     }
     ells = list(dims)
     ranks = {1: dims[0]}
-    prev = _MultiplicationRows(A, m)  # rows of d_{ℓ-1}, None where its domain is zero
     for l in ells[2:]:
-        if not dims[l]:
-            ranks[l] = 0
-            prev = None
-            continue
-        mat = differential(A, m, l)
-        if prev is not None and not _composition_is_zero(mat, prev):
-            raise RuntimeError(
-                f"d_{l - 1} ∘ d_{l} != 0 at total degree {m}; internal error"
-            )
-        ranks[l] = linalg.rank(mat)
-        prev = mat.rows
+        ranks[l] = linalg.rank(differential(A, m, l)) if dims[l] else 0
     homology = {}
     for l in ells[1:]:
         incoming = ranks.get(l + 1, 0)

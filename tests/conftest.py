@@ -4,9 +4,10 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import strategies as st
 
-from nkoszul.algebras import perm_sign
+from nkoszul.algebras import antisymmetrizer, perm_sign
 from nkoszul.freealg import index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraPresentation
+from nkoszul.koszul import differential, jumps
 from nkoszul.linalg import Echelon, Matrix, axpy, rank
 from nkoszul.manin import is_polynomial_presentation
 from nkoszul.scalar import div
@@ -222,6 +223,89 @@ def full_copy_echelons(A, top):
                     ech.add({ridx * tail + widx: c for ridx, c in r.items()})
         out.append((ech, tuple(i for i in range(n**d) if i not in ech.pivots)))
     return out
+
+
+def perturbed_antisym43(index):
+    """antisym(4,3) with the coefficient at the leading word of relation
+    ``index`` doubled; its completion adds rules longer than N (of lengths
+    4 for every index, 5 for index 1 and 6 for index 2)."""
+    rels = [dict(r) for r in antisymmetrizer(4, 3).relations]
+    rels[index][min(rels[index])] *= 2
+    return AlgebraPresentation(4, 3, rels)
+
+
+def composition_is_zero(d_hi, lo_rows):
+    """d_{ℓ-1} ∘ d_ℓ = 0: each row of the matrix ``d_hi`` of d_ℓ, pushed
+    through ``lo_rows``, the rows of d_{ℓ-1} looked up by index, sums to 0."""
+    for row in d_hi.rows:
+        acc = {}
+        for mid, c in row.items():
+            axpy(acc, c, lo_rows[mid])
+        if acc:
+            return False
+    return True
+
+
+class MultiplicationRows(dict):
+    """Row index -> row of d_1: A_{m-1} ⊗ V → A_m, the rows of
+    ``differential(A, m, 1)`` built one at a time.
+
+    J_1 = V has the unit rows x_0, ..., x_{n-1}, so row e_pos·n + a is
+    the normal form of e·x_a, e the normal word at e_pos, on the columns of
+    the normal words of degree m.  A row is built on first lookup and kept.
+    """
+
+    def __init__(self, A, m):
+        super().__init__()
+        self.A = A
+        self.m = m
+        self.words = A.normal_basis(m - 1)
+        self.cod_pos = {f: i for i, f in enumerate(A.normal_basis(m))}
+
+    def __missing__(self, i):
+        e, a = divmod(i, self.A.n)
+        prod = self.A.multiply(self.m, 1, {self.words[e]: 1}, {a: 1})
+        row = self[i] = {self.cod_pos[f]: v for f, v in prod.items()}
+        return row
+
+
+def d_squared_failures(A, top):
+    """The pairs (m, ℓ), 0 < m ≤ ``top`` and ℓ ≥ 2, at which the assembled
+    matrices of d_{ℓ-1} ∘ d_ℓ, d_1 included, do not compose to 0.
+
+    ``koszul`` checks d∘d = 0 once per ℓ, on the J spaces alone.  This
+    sweep checks it at every total degree on the matrices themselves, and
+    each composed row sums NF(NF(e·y)·y′) over the slices of the J spaces,
+    so it also checks that the normal forms of ``homog`` are compatible
+    with the product, NF(NF(x)·y) = NF(x·y), which the per-ℓ check takes
+    from the ``homog`` lemma.
+    """
+    failures = []
+    for m in range(1, top + 1):
+        lower = None
+        for ell, _ in jumps(A.N, m):
+            if ell == 0:
+                continue
+            mat = differential(A, m, ell)
+            if lower is not None and not composition_is_zero(mat, lower.rows):
+                failures.append((m, ell))
+            lower = mat
+    return failures
+
+
+def doubled_first_slice(real, key):
+    """A stand-in for ``koszul._j_slices`` that returns, at ``key`` = (m, s),
+    a copy of the slices with the first slice of the first J_m row
+    doubled: a fault in J that the d∘d check must report."""
+
+    def slices(A, m, s):
+        data = real(A, m, s)
+        if (m, s) == key:
+            (g, y), *_ = data[0].items()
+            data = [{**data[0], g: {p: 2 * c for p, c in y.items()}}, *data[1:]]
+        return data
+
+    return slices
 
 
 def _concat(n, a, ka, b, kb):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from sympy.polys.fields import FracElement
 
+from conftest import doubled_first_slice
 from nkoszul import koszul, manin
 from nkoszul.cli import HANDLERS, build_parser, main
 from nkoszul.homog import AlgebraPresentation
@@ -55,22 +56,15 @@ def test_negative_verdict_exit_code(capsys, tmp_path):
 
 def test_internal_error_exit_3(capsys, monkeypatch):
     # a failed invariant check is a program fault; exit 1 would read as a
-    # negative verdict
-    real = koszul.differential
-
-    def perturbed(A, m, ell):
-        mat = real(A, m, ell)
-        if ell == 2:
-            mat.rows[0][0] = mat.rows[0].get(0, 0) + 1  # breaks d∘d = 0
-        return mat
-
-    monkeypatch.setattr(koszul, "differential", perturbed)
+    # negative verdict; a doubled slice of J_1 breaks d_1 ∘ d_2 = 0
+    monkeypatch.setattr(koszul, "_j_slices", doubled_first_slice(koszul._j_slices, (1, 1)))
     code, out, err = run(
         capsys, "koszul-check", "--algebra", "poly", "--n", "2", "--max-degree", "2"
     )
     assert (code, out) == (3, "")
     assert err.splitlines() == [
-        "internal error: RuntimeError: d_1 ∘ d_2 != 0 at total degree 2; internal error"
+        "internal error: RuntimeError: d∘d != 0: the slices of J_2 and J_1 compose "
+        "outside span(R); internal error"
     ]
 
 

@@ -17,6 +17,7 @@ from conftest import (
     elements,
     full_copy_echelons,
     groebner_presentations,
+    perturbed_antisym43,
     presentations,
     series_product_by_concat,
 )
@@ -401,7 +402,7 @@ def test_ideal_stores_only_new_and_used_rows():
     # and 4 of the perturbed one, and stores a row only when a reduction
     # uses it, so hilbert, which needs only counts, stores none and lists
     # no normal words
-    for A, rank in ((antisymmetrizer(4, 3), 21855), (_perturbed_antisym43(0), 23040)):
+    for A, rank in ((antisymmetrizer(4, 3), 21855), (perturbed_antisym43(0), 23040)):
         assert A.hilbert_series(8).coeffs[8] == 4**8 - rank
         assert [data.normal for data in A.cache.degrees] == [None] * 9
         ech = A.cache.degrees[8].echelon
@@ -448,6 +449,23 @@ def test_rewrite_degrees_match_the_pivot_oracle(A):
         assert (rules.pivots if rules is not None else set()) == expected, d
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(presentations(), groebner_presentations()))
+@example(perturbed_antisym43(1))
+@example(perturbed_antisym43(2))
+@example(AlgebraPresentation(2, 3, [MIDWAY]))
+def test_normal_words_have_normal_prefixes(A):
+    # flags_d[f] implies flags_{d-1}[f // n]: the flags of degree d are
+    # built under those of degree d-1, and koszul.homology_report takes
+    # rank d_1 = dim A_m from this invariant
+    top = 2 * A.N + 1
+    A.ideal_rank(top)
+    flags = [data.echelon.pivots.flags for data in A.cache.degrees]
+    for d in range(1, top + 1):
+        normal = (f for f in range(A.n**d) if flags[d][f])
+        assert all(flags[d - 1][f // A.n] for f in normal), d
+
+
 def test_midway_presentation_matches_full_copy_recursion(monkeypatch):
     # each degree builds one rewrite echelon, its rules of length d included
     built = []
@@ -471,14 +489,6 @@ def test_midway_presentation_matches_full_copy_recursion(monkeypatch):
     reduce_matches()
 
 
-def _perturbed_antisym43(index):
-    """antisym(4,3) with the coefficient at the leading word of relation
-    ``index`` doubled."""
-    rels = [dict(r) for r in antisymmetrizer(4, 3).relations]
-    rels[index][min(rels[index])] *= 2
-    return AlgebraPresentation(4, 3, rels)
-
-
 @pytest.mark.parametrize(
     "index, degrees", [(0, [3, 4]), (1, [3, 4, 5]), (2, [3, 4, 6]), (3, [3, 4])], ids=range(4)
 )
@@ -487,7 +497,7 @@ def test_perturbed_antisym_completes(index, degrees):
     # Gröbner property: an overlap of degree N + 1 does not resolve, the
     # completion adds rules of higher degree, and the Hilbert series is
     # still the full-copy recursion's
-    A = _perturbed_antisym43(index)
+    A = perturbed_antisym43(index)
     coeffs = A.hilbert_series(7).coeffs
     assert _rule_degrees(A) == degrees
     assert coeffs == [len(normal) for _, normal in full_copy_echelons(A, 7)]
@@ -495,10 +505,10 @@ def test_perturbed_antisym_completes(index, degrees):
 
 
 def _perturbed_file(tmp_path):
-    """The ``--algebra`` value of a file holding ``_perturbed_antisym43(0)``."""
+    """The ``--algebra`` value of a file holding ``perturbed_antisym43(0)``."""
     relations = [
         {"grade": 3, "terms": [{"coeff": str(c), "word": list(index_word(w, 3, 4))} for w, c in r.items()]}
-        for r in _perturbed_antisym43(0).relations
+        for r in perturbed_antisym43(0).relations
     ]
     path = tmp_path / "perturbed.json"
     path.write_text(json.dumps({"label": "perturbed", "n": 4, "N": 3, "relations": relations}))

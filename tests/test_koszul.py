@@ -7,9 +7,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nkoszul.algebras import antisymmetrizer, free_algebra, polynomial, quantum_space
-from conftest import columns, presentations, rref
+from conftest import (
+    MultiplicationRows,
+    columns,
+    d_squared_failures,
+    doubled_first_slice,
+    full_copy_echelons,
+    groebner_presentations,
+    perturbed_antisym43,
+    presentations,
+    rref,
+)
 from nkoszul import koszul
-from nkoszul.cli import main
 from nkoszul.freealg import index_word
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import (
@@ -21,6 +30,7 @@ from nkoszul.koszul import (
     dvp_rhs,
     homology_report,
     identity_eq1,
+    jumps,
     koszul_certificate,
     nu,
 )
@@ -117,30 +127,82 @@ def test_dual_dim_cross_check_against_dual_presentation(A):
 @example(AlgebraPresentation(2, 3, [columns(2, {(0, 1, 0): Fraction(1)})], label="mono_xyx"))
 def test_d1_rank_is_dim_A_and_lazy_rows_match(A):
     # the assembled d_1 is the oracle of the lemma homology_report relies
-    # on (rank d_1 = dim A_m) and of the rows it builds one at a time
+    # on (rank d_1 = dim A_m) and of the rows of d_1 built one at a time
     for m in range(1, 6):
         mat = differential(A, m, 1)
         assert rank(mat) == A.dim_component(m), m
-        lazy = koszul._MultiplicationRows(A, m)
+        lazy = MultiplicationRows(A, m)
         for i, row in enumerate(mat.rows):
             assert lazy[i] == row, (m, i)
 
 
-def test_homology_report_checks_normal_prefixes(capsys, monkeypatch):
-    # a normal word whose prefix is not normal breaks rank d_1 = dim A_m:
-    # an internal error, not a verdict
-    real = AlgebraPresentation.normal_basis
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(presentations(), groebner_presentations()))
+@example(polynomial(3))
+@example(antisymmetrizer(3, 3))
+@example(antisymmetrizer(4, 3))
+@example(antisymmetrizer(4, 4))
+@example(quantum_space(2))
+@example(quantum_space(2, q=Fraction(2)))
+@example(free_algebra(2))
+@example(AlgebraPresentation(2, 3, [columns(2, {(0, 1, 0): Fraction(1)})], label="mono_xyx"))
+@example(perturbed_antisym43(2))
+def test_assembled_differentials_compose_to_zero(A):
+    # d_{ℓ-1} ∘ d_ℓ = 0 on the assembled matrices of every total degree,
+    # d_1 included: an oracle of the per-ℓ check on the J spaces that also
+    # checks NF(NF(x)·y) = NF(x·y) on the words of degree m
+    assert d_squared_failures(A, 5) == []
 
-    def drop_x0(self, d):
-        words = real(self, d)
-        return words[1:] if d == 1 else words
 
-    monkeypatch.setattr(AlgebraPresentation, "normal_basis", drop_x0)
-    with pytest.raises(RuntimeError, match="no normal prefix"):
-        homology_report(polynomial(2), 2)
-    code = main(["koszul-check", "--algebra", "poly", "--n", "2", "--max-degree", "3"])
-    assert code == 3
-    assert "internal error: RuntimeError" in capsys.readouterr().err
+def test_corrupted_j_slice_fails_the_certificate():
+    # J_4 of antisym(4,3) slices into V ⊗ J_3, whose slices into
+    # V^{⊗2} ⊗ J_1 are those of d_2; one scaled entry of them breaks
+    # d_2 ∘ d_3 = 0, which the check of J_4 reports
+    A = antisymmetrizer(4, 3)
+    y = next(iter(koszul._j_slices(A, 3, 2)[0].values()))
+    y[min(y)] *= 3
+    with pytest.raises(RuntimeError, match="slices of J_4 and J_3"):
+        koszul_certificate(A, 7)
+
+
+def test_corrupted_long_rule_fails_the_oracles():
+    # the per-ℓ check reads no rule above N, so a bad rule row of length 6
+    # is for the tests' oracles to find: the sweep of d∘d, first at total
+    # degree 6, and the full-copy recursion of I_6
+    clean = perturbed_antisym43(2)
+    assert d_squared_failures(clean, 6) == []
+    A = perturbed_antisym43(2)
+    A.ideal_rank(6)
+    rules = A.cache.degrees[6].rules
+    row = rules.row_of[min(rules.pivots)]
+    row[max(row)] *= 2
+    assert d_squared_failures(A, 6) == [(6, 2)]
+    expected = full_copy_echelons(clean, 6)[6][0].to_subspace()
+    assert clean.ideal_component(6) == expected
+    assert A.ideal_component(6) != expected
+
+
+def test_certificate_multiplies_once_per_word_row_and_slice(monkeypatch):
+    # the only products are those of the assembled d_ℓ with ℓ >= 2, one per
+    # normal word e, J row b and slice y_g of b: d_1 is not built and the
+    # d∘d check multiplies nothing
+    A = antisymmetrizer(4, 3)
+    real = AlgebraPresentation.multiply
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraPresentation, "multiply", counted)
+    koszul_certificate(A, 7)
+    expected = 0
+    for m in range(1, 8):
+        for ell, d in jumps(A.N, m):
+            if ell >= 2:
+                slices = koszul._j_slices(A, d, d - nu(A.N, ell - 1))
+                expected += A.dim_component(m - d) * sum(map(len, slices))
+    assert len(calls) == expected == 3996
 
 
 def _wedge(n, subset):
@@ -261,17 +323,11 @@ def test_euler_characteristic_vanishes(A, known_koszul):
 
 
 def test_homology_report_checks_d_squared(monkeypatch):
-    # a differential that breaks d∘d = 0 is an internal error, not a verdict
-    real = koszul.differential
-
-    def perturbed(A, m, ell):
-        mat = real(A, m, ell)
-        if ell == 2:
-            mat.rows[0][0] = mat.rows[0].get(0, 0) + 1  # hits x_0x_0 under d_1
-        return mat
-
-    monkeypatch.setattr(koszul, "differential", perturbed)
-    with pytest.raises(RuntimeError, match="d_1 ∘ d_2 != 0"):
+    # slices of J that break d∘d = 0 are an internal error, not a verdict:
+    # a doubled slice of J_1 = V makes the J_2 row x_0x_1 - x_1x_0 compose
+    # to x_0x_1 - 2·x_1x_0, outside span(R)
+    monkeypatch.setattr(koszul, "_j_slices", doubled_first_slice(koszul._j_slices, (1, 1)))
+    with pytest.raises(RuntimeError, match="slices of J_2 and J_1 compose outside span"):
         homology_report(polynomial(2), 2)
 
 

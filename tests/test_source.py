@@ -146,7 +146,7 @@ COLUMN_ONLY = {
         "AlgebraPresentation.multiply",
         "AlgebraPresentation.class_of_word",
     ),
-    "koszul": ("differential", "_j_slices"),
+    "koszul": ("differential", "_j_slices", "_check_d_squared"),
     "mmt": ("g_table",),
     "manin": ("build_end", "chi_A", "chi_J", "kmt_check"),
 }
