@@ -171,16 +171,14 @@ class AlgebraPresentation:
         return self.n**d - self.ideal_rank(d)
 
     def hilbert_series(self, max_degree) -> series.UniSeries:
-        coeffs = [self.dim_component(d) for d in range(max_degree + 1)]
-        return series.UniSeries(max_degree, coeffs)
+        return series.UniSeries([self.dim_component(d) for d in range(max_degree + 1)])
 
     def normal_basis(self, d):
         """The non-pivot columns of I_d, increasing; their classes form a
-        basis of A_d.  Listed on first request and kept."""
-        data = self._component(d)
-        if data.normal is None:
-            data.normal = tuple(compress(range(self.n**d), data.echelon.pivots.flags))
-        return data.normal
+        basis of A_d.  Listed from the flags of the echelon on every call,
+        and not kept."""
+        flags = self._component(d).echelon.pivots.flags
+        return tuple(compress(range(self.n**d), flags))
 
     def reduce(self, d, vec):
         """Projection T(V)_d -> A_d of the column dict ``vec``: its normal
@@ -238,10 +236,9 @@ def _overlap_rows(ends, n, d):
         for j, size, other in ends:
             if j <= d - k:
                 continue
-            for ell in ech.pivots:
-                row = ech.row_of[ell]
+            for ell, row in ech.row_of.items():
                 for v in range(tail):
-                    if (ell * tail + v) % size in other.pivots:
+                    if (ell * tail + v) % size in other.row_of:
                         yield {col * tail + v: c for col, c in row.items()}
 
 
@@ -254,9 +251,8 @@ class PresentationCache:
     computation needs are filled, any number of threads may read them,
     except that a read of a degree's echelon (``reduce``, ``class_of_word``)
     may store a row it had not used before, u ⊗ (row of ℓ) ⊗ v for the
-    leading word ℓ of a rule, and ``normal_basis`` may store the normal
-    columns it lists; each such write stores the same value whoever makes
-    it.
+    leading word ℓ of a rule; each such write stores the same value
+    whoever makes it.
     ``mmt`` keeps nothing here: its G tables read the normal coordinates of
     ``degrees``.
     """
@@ -273,15 +269,14 @@ class _DegreeData:
     """The echelon of I_d, the rules of length d, and what is derived from
     them.
 
-    The flags of the echelon's pivots mark the normal columns; ``normal``
-    and ``subspace`` stay None until first asked for.
+    The flags of the echelon's pivots are the one record of the normal
+    columns; ``subspace`` stays None until first asked for.
     """
 
-    __slots__ = ("echelon", "normal", "rules", "subspace", "word_class")
+    __slots__ = ("echelon", "rules", "subspace", "word_class")
 
     def __init__(self, echelon, rules):
         self.echelon = echelon
-        self.normal = None  # non-pivot columns, increasing; see normal_basis
         self.rules = rules  # Echelon of the rules of length d, or None
         self.subspace = None
         self.word_class = {}  # column -> normal form, see class_of_word

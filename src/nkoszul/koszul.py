@@ -296,7 +296,7 @@ def dvp_rhs(A: AlgebraPresentation, max_degree: int) -> series.UniSeries:
     coeffs = [0] * (max_degree + 1)
     for ell, d in jumps(A.N, max_degree):
         coeffs[d] += (-1) ** ell * dual_component_dim(A, d)
-    return series.UniSeries(max_degree, coeffs)
+    return series.UniSeries(coeffs)
 
 
 class DvpResult:
@@ -368,7 +368,7 @@ def admissible_identity_check(n: int, N: int, max_degree: int) -> AdmissibleIden
     q, r = divmod(n, N)
     expected_ell_max = 2 * q if r == 0 else 2 * q + 1
     degree_rule_ok = ell_max == expected_ell_max
-    poly = series.UniSeries(max_degree, coeffs)
+    poly = series.UniSeries(coeffs)
     inverse = poly.invert()
     counts = [count_admissible(n, N, k) for k in range(max_degree + 1)]
     passed = degree_rule_ok and counts == inverse.coeffs

@@ -76,10 +76,10 @@ class _WindowRows(dict):
             for k, size, ech in self.ends:
                 if k + right > self.length:
                     break
-                ell = p // tail % size
-                if ell in ech.pivots:
+                rule = ech.row_of.get(p // tail % size)
+                if rule is not None:
                     head = p - p % (tail * size) + p % tail
-                    row = self[p] = {head + col * tail: c for col, c in ech.row_of[ell].items()}
+                    row = self[p] = {head + col * tail: c for col, c in rule.items()}
                     return row
             tail *= self.n
         raise KeyError(p)
@@ -88,22 +88,25 @@ class _WindowRows(dict):
 class Echelon:
     """Mutable row-echelon accumulator.
 
-    ``pivots`` is the set of pivot columns and ``row_of`` maps each pivot
-    to a row with entry 1 at the pivot and nothing left of it, so the rows
-    are an echelon basis of the row space.  Rank, :meth:`reduce` and
-    :meth:`to_subspace` work from any such basis.  With ``reduced=True``
-    each insertion also clears the new pivot column from every other row,
-    so the rows stay in reduced row echelon form; by default that
-    back-substitution is left to :meth:`to_subspace`.
+    ``row_of`` maps each pivot column to a row with entry 1 at the pivot
+    and nothing left of it, so the rows are an echelon basis of the row
+    space.  ``pivots`` is the live view of its keys, not a second copy.
+    Rank, :meth:`reduce` and :meth:`to_subspace` work from any such basis.
+    With ``reduced=True`` each insertion also clears the new pivot column
+    from every other row, so the rows stay in reduced row echelon form; by
+    default that back-substitution is left to :meth:`to_subspace`.
     """
 
-    __slots__ = ("ncols", "reduced", "pivots", "row_of")
+    __slots__ = ("ncols", "reduced", "row_of")
 
     def __init__(self, ncols: int, reduced: bool = False):
         self.ncols = ncols
         self.reduced = reduced
-        self.pivots = set()
         self.row_of = {}  # pivot column -> row dict (includes the pivot entry 1)
+
+    @property
+    def pivots(self):
+        return self.row_of.keys()
 
     @property
     def rank(self) -> int:
@@ -125,7 +128,6 @@ class Echelon:
                 if c is not None:
                     axpy(prow, -c, row)
         self.row_of[j] = row
-        self.pivots.add(j)
         return True
 
     def extend(self, vecs) -> None:
@@ -181,13 +183,15 @@ class RewriteEchelon(Echelon):
     None, and no leading word contains a shorter one (see
     :class:`_WindowRows`).  ``flags``, a bytearray of n^d bytes, is 1
     exactly at the words that contain none, and ``pivots`` is their
-    complement, read from the same bytes.  That these rows are an echelon
-    basis of I_d is what the caller proves (see :mod:`nkoszul.homog`).
-    Rank, :meth:`reduce` and :meth:`to_subspace` are those of
-    :class:`Echelon`; the echelon is complete, so :meth:`add` raises.
+    complement, read from the same bytes; it replaces the view of
+    ``row_of``, which holds only the rows built so far.  That these rows
+    are an echelon basis of I_d is what the caller proves (see
+    :mod:`nkoszul.homog`).  Rank, :meth:`reduce` and :meth:`to_subspace`
+    are those of :class:`Echelon`; the echelon is complete, so :meth:`add`
+    raises, and no stray row enters ``row_of`` unchecked.
     """
 
-    __slots__ = ()
+    __slots__ = ("pivots",)
 
     def __init__(self, flags, rules, n):
         self.ncols = len(flags)

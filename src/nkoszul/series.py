@@ -16,21 +16,21 @@ def _convolve(a, b, lo, d):
 
 
 class UniSeries:
-    """Series truncated at degree ``trunc``; integer coefficients
-    c_0..c_trunc."""
+    """Series with integer coefficients c_0..c_trunc, truncated at the
+    degree ``trunc`` of its last coefficient."""
 
-    __slots__ = ("trunc", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, trunc, coeffs):
-        if len(coeffs) != trunc + 1:
-            raise ValueError("coefficient list does not match truncation degree")
-        self.trunc = trunc
+    def __init__(self, coeffs):
         self.coeffs = list(coeffs)
+
+    @property
+    def trunc(self) -> int:
+        return len(self.coeffs) - 1
 
     def __mul__(self, other):
         trunc = min(self.trunc, other.trunc)
-        out = [_convolve(self.coeffs, other.coeffs, 0, d) for d in range(trunc + 1)]
-        return UniSeries(trunc, out)
+        return UniSeries([_convolve(self.coeffs, other.coeffs, 0, d) for d in range(trunc + 1)])
 
     def invert(self):
         """The inverse series; the constant term u must be ±1, so that u
@@ -41,13 +41,13 @@ class UniSeries:
         out = [u]
         for d in range(1, self.trunc + 1):
             out.append(-(u * _convolve(self.coeffs, out, 1, d)))
-        return UniSeries(self.trunc, out)
+        return UniSeries(out)
 
     def is_one(self) -> bool:
         return self.coeffs[0] == 1 and not any(self.coeffs[1:])
 
     def __repr__(self):
-        return f"UniSeries(trunc={self.trunc}, {self.coeffs!r})"
+        return f"UniSeries({self.coeffs!r})"
 
 
 class MultiSeries:
@@ -113,16 +113,6 @@ class MultiSeries:
                 axpy(part, -u, mul_terms(parts[j], out[t - j]))
             out.append(part)
         return MultiSeries(self.nvars, self.trunc, {e: c for part in out for e, c in part.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiSeries):
-            return NotImplemented
-        if self.nvars != other.nvars:
-            return False
-        trunc = min(self.trunc, other.trunc)
-        mine = {e: c for e, c in self.terms.items() if sum(e) <= trunc}
-        theirs = {e: c for e, c in other.terms.items() if sum(e) <= trunc}
-        return mine == theirs
 
     def __repr__(self):
         return f"MultiSeries(nvars={self.nvars}, trunc={self.trunc}, {len(self.terms)} terms)"

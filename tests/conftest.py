@@ -216,7 +216,6 @@ def full_copy_echelons(A, top):
                 for a in range(n):
                     off = a * stride
                     ech.row_of[off + p] = {off + idx: c for idx, c in row.items()}
-                    ech.pivots.add(off + p)
             tail = n ** (d - N)
             for r in A.relations:
                 for widx in out[d - N][1]:
@@ -457,6 +456,21 @@ def transposed_ferm_series():
     """The fermionic series under the determinant ordering that the
     character series rules out."""
     return _transposed_ferm_series
+
+
+@pytest.fixture
+def normal_basis_calls(monkeypatch):
+    """The degrees of every ``AlgebraPresentation.normal_basis`` call made
+    while the test runs, in order."""
+    calls = []
+    listed = AlgebraPresentation.normal_basis
+
+    def counted(self, d):
+        calls.append(d)
+        return listed(self, d)
+
+    monkeypatch.setattr(AlgebraPresentation, "normal_basis", counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

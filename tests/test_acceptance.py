@@ -226,7 +226,7 @@ def test_criterion_09_original_master_identity(algebras, det_inverse):
         res = mmt_check(n, Z, 6)
         if not res.passed:
             failures.append((name, res.first_mismatch))
-        if res.rhs != det_inverse(Z, 6):
+        if res.rhs.terms != det_inverse(Z, 6).terms:
             failures.append((name, "rhs is not det(I - ZT)^-1"))
     tab = g_table(A3, ones, 6)
     for k in range(7):
@@ -251,7 +251,7 @@ def test_criterion_10_n_master_identity(algebras, det_inverse):
     # at N = 2 the routine is the original identity, det(I - ZT)^-1
     Z = random_rational_matrix(n, 1)
     res2 = nmt_check(algebras["poly3"], Z, 6)
-    if not (res2.passed and res2.rhs == det_inverse(Z, 6)):
+    if not (res2.passed and res2.rhs.terms == det_inverse(Z, 6).terms):
         failures.append("N=2 coincidence")
     _verdict(10, "N-master identity", failures, time.perf_counter() - t0, 300)
 

@@ -396,7 +396,7 @@ def test_builtins_match_full_copy_recursion(build):
     reduce_matches()
 
 
-def test_ideal_stores_only_new_and_used_rows():
+def test_ideal_stores_only_new_and_used_rows(normal_basis_calls):
     # no degree copies the rows of the degree below: I_8 is a rewrite
     # echelon, over the rules of length 3 of antisym(4,3) or of lengths 3
     # and 4 of the perturbed one, and stores a row only when a reduction
@@ -404,7 +404,7 @@ def test_ideal_stores_only_new_and_used_rows():
     # no normal words
     for A, rank in ((antisymmetrizer(4, 3), 21855), (perturbed_antisym43(0), 23040)):
         assert A.hilbert_series(8).coeffs[8] == 4**8 - rank
-        assert [data.normal for data in A.cache.degrees] == [None] * 9
+        assert normal_basis_calls == []
         ech = A.cache.degrees[8].echelon
         assert type(ech) is RewriteEchelon and ech.rank == rank
         assert len(ech.row_of) == 0
@@ -413,6 +413,9 @@ def test_ideal_stores_only_new_and_used_rows():
         assert 0 < len(ech.row_of) < rank / 2
         for p, row in ech.row_of.items():
             assert p in ech.pivots and row[p] == 1 and min(row) == p
+    # the counter sees a listing when there is one
+    A.normal_basis(2)
+    assert normal_basis_calls == [2]
 
 
 @settings(max_examples=60, deadline=None)

@@ -240,6 +240,16 @@ def test_basis_solver():
         BasisSolver([{0: Fraction(1)}, {0: Fraction(2)}], 2)
 
 
+def test_echelon_pivots_are_its_row_keys():
+    # the pivots are a view of row_of, not a set kept beside it, so a row
+    # taken out of row_of is no longer a pivot and no longer counts
+    ech = Echelon(4)
+    ech.extend([{0: 1, 2: 1}, {1: 2, 3: 1}])
+    assert ech.pivots == {0, 1} and ech.rank == 2
+    del ech.row_of[1]
+    assert ech.pivots == {0} and 1 not in ech.pivots and ech.rank == 1
+
+
 def _bitmap(ncols, normal):
     """The flags of ``range(ncols)``, 1 exactly at the columns in ``normal``."""
     return bytearray(col in normal for col in range(ncols))

@@ -174,7 +174,7 @@ def test_nmt_identity_matrix():
             (1, 1, 1): Fraction(1),
         },
     )
-    assert denom == expected
+    assert denom.terms == expected.terms
 
 
 def test_nmt_random():
@@ -188,7 +188,7 @@ def test_nmt_at_N2_coincides_with_mmt(det_inverse):
     res_n = nmt_check(polynomial(3), Z, 4)
     res_m = mmt_check(3, Z, 4)
     assert res_n.passed and res_m.passed
-    assert res_n.rhs == res_m.rhs == det_inverse(Z, 4)
+    assert res_n.rhs.terms == res_m.rhs.terms == det_inverse(Z, 4).terms
 
 
 def _restricted_trace(Z, space, n, m):

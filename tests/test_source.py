@@ -326,8 +326,9 @@ def _row_of_writes(tree):
 
 
 def test_only_linalg_writes_echelon_rows():
-    # a row enters an echelon through Echelon.add, which keeps the pivot set
-    # and the rows in step and is what the benchmark's tracer counts; the
+    # a row enters an echelon through Echelon.add, which reduces it against
+    # the rows already there (whose keys are the pivots) and is what the
+    # benchmark's tracer counts; the
     # rows u ⊗ (row of a rule) ⊗ v of a rewrite echelon are looked up
     # through its lazy row map, never copied in by hand
     found = [
@@ -389,3 +390,17 @@ def test_one_echelon_path():
         if asks and any("echelon" in name.lower() for name in _names(node)):
             found.append(node.lineno)
     assert found == []
+
+
+def test_package_binds_only_its_version():
+    # the package namespace holds __version__ alone: code imports each name
+    # from its module, so importing nkoszul imports no module of it
+    bound = set()
+    for node in ast.walk(ast.parse((SRC / "__init__.py").read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.add(node.id)
+        elif isinstance(node, ast.alias):
+            bound.add(node.asname or node.name)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+    assert bound == {"__version__"}
