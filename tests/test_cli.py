@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 from sympy.polys.fields import FracElement
 
 from conftest import doubled_first_slice
-from nkoszul import koszul, manin
+from nkoszul import __version__, koszul, manin
 from nkoszul.cli import HANDLERS, build_parser, main
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.scalar import ParameterField, ParameterValue
@@ -135,6 +136,26 @@ def test_version_flag(capsys):
 def test_parser_is_built_once():
     # every call of main parses with the same parser
     assert build_parser() is build_parser()
+
+
+def test_parser_adds_each_option_once(monkeypatch):
+    # --version, the command and the nine shared options; a subparser per
+    # command would repeat the nine (91 explicit calls)
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[0])
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counting)
+    build_parser.cache_clear()
+    try:
+        build_parser()
+    finally:
+        build_parser.cache_clear()
+    calls.remove("-h")  # argparse adds its help option through the same method
+    assert len(calls) == len(set(calls)) == 11
 
 
 def test_kmt_guardrail(capsys):
@@ -447,8 +468,22 @@ def test_non_string_coefficient_exit_2(capsys, tmp_path):
     assert code == 2 and "bad algebra JSON" in err
 
 
+OPTIONS = ("--version", "--algebra", "--n", "--N", "--q", "--max-degree", "--matrix",
+           "--random-seed", "--max-ambient", "--format")
+
+
 def test_usage_error_from_argparse(capsys):
-    assert main(["no-such-command"]) == 2
+    code, _, err = run(capsys, "no-such-command")
+    assert code == 2
+    assert all(repr(name) in err for name in HANDLERS)
+    assert run(capsys)[0] == 2
+    code, _, err = run(capsys, "hilbert", "--n", "x")
+    assert code == 2
+    assert "--n" in err
+    code, out, _ = run(capsys, "hilbert", "-h")
+    assert code == 0
+    assert all(name in out for name in HANDLERS)
+    assert all(option in out for option in OPTIONS)
 
 
 def test_admissible_command(capsys):
@@ -569,3 +604,19 @@ def test_sympy_is_imported_only_for_a_non_laurent_value(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)}, check=True,
     )
     assert json.loads(proc.stdout) == [False, False, False, True]
+
+
+def test_module_entry_point_runs_in_a_fresh_process():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    version = subprocess.run(
+        [sys.executable, "-m", "nkoszul", "--version"], capture_output=True, text=True, env=env
+    )
+    assert version.returncode == 0
+    assert version.stdout == f"nkoszul {__version__}\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "nkoszul", "hilbert", "--algebra", "poly", "--n", "2",
+         "--max-degree", "1", "--format", "json"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["report"]["coefficients"] == [1, 2]
