@@ -30,61 +30,54 @@ from .scalar import parse_rational
 DEFAULT_MAX_AMBIENT = 10**7
 
 
-class UsageError(Exception):
-    pass
+def _read_json(text, what):
+    """The JSON value of ``text``, or of the file it names as ``file:PATH``."""
+    if text.startswith("file:"):
+        try:
+            with open(text[len("file:") :]) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ValueError(f"cannot read {what} file: {exc}")
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}")
 
 
 def make_algebra(args):
     spec = args.algebra
     if spec.startswith("file:"):
-        path = spec[len("file:") :]
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read algebra file: {exc}")
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise UsageError(f"malformed algebra JSON: {exc}")
+        obj = _read_json(spec, "algebra")
         try:
             return jsonio.algebra_from_obj(obj)
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
-            raise UsageError(f"bad algebra JSON: {exc}")
+            raise ValueError(f"bad algebra JSON: {exc}")
     if args.n is None:
-        raise UsageError("--n is required for built-in algebras")
+        raise ValueError("--n is required for built-in algebras")
     if spec == "poly":
         return polynomial(args.n)
     if spec == "antisym":
         if args.N is None:
-            raise UsageError("--N is required for antisym")
+            raise ValueError("--N is required for antisym")
         return antisymmetrizer(args.n, args.N)
     if spec == "qspace":
         q = parse_rational(args.q) if args.q is not None else None
         return quantum_space(args.n, q=q)
     if spec == "free":
         return free_algebra(args.n)
-    raise UsageError(f"unknown algebra {spec!r}")
+    raise ValueError(f"unknown algebra {spec!r}")
 
 
 def load_matrix(args):
     if args.matrix is not None:
-        text = args.matrix
-        if text.startswith("file:"):
-            path = text[len("file:") :]
-            try:
-                with open(path) as fh:
-                    text = fh.read()
-            except OSError as exc:
-                raise UsageError(f"cannot read matrix file: {exc}")
+        obj = _read_json(args.matrix, "matrix")
         try:
-            obj = json.loads(text)
             return jsonio.matrix_from_obj(obj)
-        except (json.JSONDecodeError, RecursionError, KeyError, ValueError, TypeError) as exc:
-            raise UsageError(f"malformed matrix JSON: {exc}")
+        except (KeyError, ValueError, TypeError, RecursionError) as exc:
+            raise ValueError(f"malformed matrix JSON: {exc}")
     if args.random_seed is not None:
-        if args.n is None:
-            raise UsageError("--n is required with --random-seed")
         return mmt.random_rational_matrix(args.n, args.random_seed)
-    raise UsageError("provide --matrix or --random-seed")
+    raise ValueError("provide --matrix or --random-seed")
 
 
 def ambient_bound(args):
@@ -95,7 +88,7 @@ def ambient_bound(args):
         try:
             return int(env)
         except ValueError:
-            raise UsageError(f"bad KOSZUL_MAX_AMBIENT value {env!r}")
+            raise ValueError(f"bad KOSZUL_MAX_AMBIENT value {env!r}")
     return DEFAULT_MAX_AMBIENT
 
 
@@ -112,11 +105,11 @@ def _power_exceeds(n, k, bound):
 
 
 def _refuse_above_bound(args, name, n, k):
-    """Raise UsageError when n^k, the dimension ``name``, exceeds the
+    """Raise ValueError when n^k, the dimension ``name``, exceeds the
     ``--max-ambient`` guardrail."""
     bound = ambient_bound(args)
     if _power_exceeds(n, k, bound):
-        raise UsageError(
+        raise ValueError(
             f"{name} = {n}^{k} exceeds the guardrail {bound}; "
             "raise --max-ambient or KOSZUL_MAX_AMBIENT"
         )
@@ -179,7 +172,7 @@ def cmd_dual_dims(args):
 
 def cmd_admissible(args):
     if args.n is None or args.N is None:
-        raise UsageError("--n and --N are required")
+        raise ValueError("--n and --N are required")
     res = koszul.admissible_identity_check(args.n, args.N, args.max_degree)
     report = {
         "counts": res.counts,
@@ -198,12 +191,20 @@ def cmd_admissible(args):
 
 def cmd_koszul_check(args):
     A = make_algebra(args)
-    res = koszul.koszul_certificate(A, args.max_degree)
-    report = res.to_obj()
-    report["label"] = A.label
+    D = args.max_degree
+    res = koszul.koszul_certificate(A, D)
+    statement = f"exactness verified up to total degree {D}" if res.passed else "exactness fails"
+    report = {
+        "label": A.label,
+        "passed": res.passed,
+        "bound": D,
+        "statement": statement,
+        "first_failure": list(res.first_failure) if res.first_failure else None,
+        "degrees": [_degree_obj(rep) for rep in res.reports],
+    }
     if res.passed:
         lines = [
-            f"{A.label}: certificate PASSES up to degree {args.max_degree} "
+            f"{A.label}: certificate PASSES up to degree {D} "
             "(degree-bounded evidence, not a proof of Koszulity)"
         ]
     else:
@@ -213,6 +214,16 @@ def cmd_koszul_check(args):
             f"homological degree {ell}"
         ]
     return report, res.passed, lines
+
+
+def _degree_obj(rep):
+    return {
+        "total_degree": rep.m,
+        "component_dims": {str(l): d for l, d in rep.component_dims.items()},
+        "differential_ranks": {str(l): r for l, r in rep.ranks.items()},
+        "homology_dims": {str(l): h for l, h in rep.homology.items()},
+        "d1_surjective": True,  # rank d_1 = dim A_m, see koszul.homology_report
+    }
 
 
 def cmd_dvp_check(args):
@@ -264,13 +275,13 @@ def cmd_master(args):
     polynomial algebra, has no "N" key."""
     nmt = args.command == "nmt"
     if args.n is None or (nmt and args.N is None):
-        raise UsageError("--n and --N are required" if nmt else "--n is required")
+        raise ValueError("--n and --N are required" if nmt else "--n is required")
     # I_D keeps a bitmap of n^D words, and the G walk visits every
     # admissible word up to D
     _refuse_above_bound(args, "ambient dimension n^D", args.n, args.max_degree)
     Z = load_matrix(args)
     if len(Z) != args.n:
-        raise UsageError("matrix size does not match --n")
+        raise ValueError("matrix size does not match --n")
     report = {
         "n": args.n,
         "max_degree": args.max_degree,
@@ -309,7 +320,7 @@ def _master_line(name, res, max_degree):
 
 def cmd_eq1(args):
     if args.n is None:
-        raise UsageError("--n is required")
+        raise ValueError("--n is required")
     values = {}
     ok = True
     for m in range(1, args.max_degree + 1):
@@ -339,6 +350,21 @@ HANDLERS = {
 }
 
 
+COMMANDS_HELP = """\
+commands (D is --max-degree):
+  info          dims of A_d and A!_d for d <= D, and the rank of the relations
+  hilbert       coefficients of the Hilbert series H_A up to degree D
+  dual-dims     dims of A!_m for m <= D; for antisym, against the closed form
+  admissible    admissible-word counts invert the alternating binomial series
+  koszul-check  the Koszul complex is exact up to total degree D (not a proof)
+  dvp-check     H_A(t) * sum_l (-1)^l dim A!_nu(l) t^nu(l) = 1 up to degree D
+  kmt-check     character series of A times that of its dual = 1 in end(A)
+  mmt           MacMahon Master Theorem for an n x n matrix, up to degree D
+  nmt           N-MacMahon Master Theorem on antisym(n, N), up to degree D
+  eq1           sum_k (-1)^k C(n+k-1, k) C(n, m-k) = 0 for m = 1..D
+"""
+
+
 @functools.cache
 def build_parser():
     """The parser of every command, built once per process and shared, so
@@ -348,22 +374,29 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="nkoszul",
         description="exact checks for N-homogeneous algebras and their duals",
+        epilog=COMMANDS_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"nkoszul {__version__}")
-    parser.add_argument("command", choices=tuple(HANDLERS))
+    parser.add_argument("command", choices=tuple(HANDLERS), help="one of the commands below")
     parser.add_argument("--algebra", default="poly",
                         help="poly | antisym | qspace | free | file:PATH")
-    parser.add_argument("--n", type=int, default=None)
-    parser.add_argument("--N", type=int, default=None)
+    parser.add_argument("--n", type=int, default=None,
+                        help="number of generators of the algebra, or size of the matrix")
+    parser.add_argument("--N", type=int, default=None,
+                        help="degree of the relations (antisym, admissible, nmt)")
     parser.add_argument("--q", default=None,
                         help="numeric quantum parameter (default: generic)")
-    parser.add_argument("--max-degree", type=int, default=6)
+    parser.add_argument("--max-degree", type=int, default=6,
+                        help="degree bound D of every check (default 6)")
     parser.add_argument("--matrix", default=None, help="inline matrix JSON or file:PATH")
-    parser.add_argument("--random-seed", type=int, default=None)
+    parser.add_argument("--random-seed", type=int, default=None,
+                        help="seed of a random rational n x n matrix, instead of --matrix")
     parser.add_argument("--max-ambient", type=int, default=None,
                         help="guardrail on the dimension of the largest tensor power "
                         f"a command builds (default {DEFAULT_MAX_AMBIENT})")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--format", choices=("text", "json"), default="text",
+                        help="text lines, or one deterministic JSON document (default text)")
     return parser
 
 
@@ -373,13 +406,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    if args.max_degree < 0:
-        print("error: --max-degree must be >= 0", file=sys.stderr)
-        return 2
     try:
+        if args.max_degree < 0:
+            raise ValueError("--max-degree must be >= 0")
         report, verdict, lines = HANDLERS[args.command](args)
-    except (UsageError, ValueError) as exc:
-        # a precondition violation from the library is a usage error too
+    except ValueError as exc:
+        # every usage error is a ValueError, as is a precondition
+        # violation from the library
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

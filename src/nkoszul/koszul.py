@@ -202,15 +202,6 @@ class DegreeReport:
         self.ranks = ranks  # {ell: rank d_ell}
         self.homology = homology  # {ell: dim H_ell}, ell >= 1
 
-    def to_obj(self):
-        return {
-            "total_degree": self.m,
-            "component_dims": {str(l): d for l, d in self.component_dims.items()},
-            "differential_ranks": {str(l): r for l, r in self.ranks.items()},
-            "homology_dims": {str(l): h for l, h in self.homology.items()},
-            "d1_surjective": True,  # rank d_1 = dim A_m, see homology_report
-        }
-
 
 def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
     """Ranks and homology dimensions of the subcomplex at total degree m.
@@ -247,24 +238,12 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
 
 
 class CertificateResult:
-    __slots__ = ("passed", "bound", "first_failure", "reports")
+    __slots__ = ("passed", "first_failure", "reports")
 
-    def __init__(self, passed, bound, first_failure, reports):
+    def __init__(self, passed, first_failure, reports):
         self.passed = passed
-        self.bound = bound
         self.first_failure = first_failure  # (m, ell) or None
         self.reports = reports
-
-    def to_obj(self):
-        return {
-            "passed": self.passed,
-            "bound": self.bound,
-            "statement": f"exactness verified up to total degree {self.bound}"
-            if self.passed
-            else "exactness fails",
-            "first_failure": list(self.first_failure) if self.first_failure else None,
-            "degrees": [r.to_obj() for r in self.reports],
-        }
 
 
 def koszul_certificate(A: AlgebraPresentation, max_degree: int) -> CertificateResult:
@@ -288,7 +267,7 @@ def koszul_certificate(A: AlgebraPresentation, max_degree: int) -> CertificateRe
                 if rep.homology[l] != 0:
                     first_failure = (m, l)
                     break
-    return CertificateResult(first_failure is None, max_degree, first_failure, reports)
+    return CertificateResult(first_failure is None, first_failure, reports)
 
 
 def dvp_rhs(A: AlgebraPresentation, max_degree: int) -> series.UniSeries:

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -305,8 +306,10 @@ def test_unknown_algebra_exit_2(capsys):
     code, _, err = run(capsys, "info", "--algebra", "nonesuch", "--n", "2")
     assert code == 2
     assert "unknown algebra" in err
-    # a ValueError from the library exits 2 with its own message
+    # a usage error, or a ValueError from the library, exits 2 with its
+    # own message on one line
     for argv, message in (
+        (("hilbert", "--max-degree", "-1"), "--max-degree must be >= 0"),
         (("hilbert", "--algebra", "antisym", "--n", "2", "--N", "3"),
          "antisymmetrizer needs 2 <= N <= n, got N=3, n=2"),
         (("admissible", "--n", "2", "--N", "3"), "need 2 <= N <= n, got N=3, n=2"),
@@ -472,7 +475,7 @@ OPTIONS = ("--version", "--algebra", "--n", "--N", "--q", "--max-degree", "--mat
            "--random-seed", "--max-ambient", "--format")
 
 
-def test_usage_error_from_argparse(capsys):
+def test_usage_error_from_argparse(capsys, monkeypatch):
     code, _, err = run(capsys, "no-such-command")
     assert code == 2
     assert all(repr(name) in err for name in HANDLERS)
@@ -480,10 +483,39 @@ def test_usage_error_from_argparse(capsys):
     code, _, err = run(capsys, "hilbert", "--n", "x")
     assert code == 2
     assert "--n" in err
+    monkeypatch.setenv("COLUMNS", "1000")  # argparse wraps no help line
     code, out, _ = run(capsys, "hilbert", "-h")
     assert code == 0
     assert all(name in out for name in HANDLERS)
     assert all(option in out for option in OPTIONS)
+    # one line per command says what it checks, and every option has help
+    for name in HANDLERS:
+        assert re.search(rf"^  {re.escape(name)} +\S", out, re.MULTILINE), name
+    for action in build_parser()._actions:
+        assert action.help and action.help in out, action.dest
+
+
+def test_matrix_file_reads_as_inline(capsys, tmp_path):
+    text = '{"n": 2, "entries": [["1/2", "-3"], ["0", "5/7"]]}'
+    path = tmp_path / "matrix.json"
+    path.write_text(text)
+    argv = ("nmt", "--n", "2", "--N", "2", "--max-degree", "4")
+    inline = run(capsys, *argv, "--matrix", text)
+    from_file = run(capsys, *argv, "--matrix", f"file:{path}")
+    assert inline == from_file
+    assert inline[0] == 0 and inline[1]
+
+
+@pytest.mark.parametrize(
+    "what, argv",
+    [("algebra", ("info", "--algebra")), ("matrix", ("mmt", "--n", "2", "--matrix"))],
+    ids=["algebra", "matrix"],
+)
+def test_missing_input_file_exit_2(capsys, tmp_path, what, argv):
+    code, out, err = run(capsys, *argv, f"file:{tmp_path / 'missing.json'}")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith(f"error: cannot read {what} file: ")
 
 
 def test_admissible_command(capsys):

@@ -182,13 +182,17 @@ WORD_REDUCERS = {"homog.AlgebraPresentation.multiply", "manin.chi_A", "manin.chi
 
 
 def _callers(tree, attr, scope=()):
-    """Qualified names of the functions whose bodies call ``<obj>.attr(...)``."""
+    """Qualified names of the functions whose bodies call ``attr(...)`` or
+    ``<obj>.attr(...)``, once per call."""
     for node in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             inner = (*scope, node.name)
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == attr:
-            yield ".".join(scope)
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == attr:
+                yield ".".join(scope)
         yield from _callers(node, attr, inner)
 
 
@@ -404,3 +408,25 @@ def test_package_binds_only_its_version():
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             bound.add(node.name)
     assert bound == {"__version__"}
+
+
+
+def test_one_reader_opens_files():
+    # every file: input, algebra or matrix, goes through one reader
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found.extend(f"{path.stem}.{q}" for q in _callers(tree, "open"))
+    assert found == ["cli._read_json"]
+
+
+def test_only_cli_renders_reports():
+    # the CLI renders every report as JSON; a library result is a record
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "cli.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "to_obj"
+    ]
+    assert found == []
