@@ -192,6 +192,8 @@ def cmd_admissible(args):
 def cmd_koszul_check(args):
     A = make_algebra(args)
     D = args.max_degree
+    # the normal words of A_D are read from flags of n^D bytes, as in hilbert
+    _refuse_above_bound(args, "ambient dimension n^D", A.n, D)
     res = koszul.koszul_certificate(A, D)
     statement = f"exactness verified up to total degree {D}" if res.passed else "exactness fails"
     report = {
@@ -229,6 +231,8 @@ def _degree_obj(rep):
 def cmd_dvp_check(args):
     A = make_algebra(args)
     D = args.max_degree
+    # H_A keeps flags of n^D bytes for A_D, as in hilbert
+    _refuse_above_bound(args, "ambient dimension n^D", A.n, D)
     res = koszul.dvp_check(A, D)
     report = {
         "label": A.label,

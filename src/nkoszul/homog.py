@@ -257,12 +257,15 @@ class PresentationCache:
     ``degrees``.
     """
 
-    __slots__ = ("degrees", "j_spaces", "j_slices")
+    __slots__ = ("degrees", "j_spaces", "j_slices", "symmetric", "word_contents", "j_contents")
 
     def __init__(self):
         self.degrees = []  # homog: _DegreeData of degrees 0, 1, 2, ...
         self.j_spaces = {}  # koszul: m -> the subspace J_m
         self.j_slices = {}  # koszul: (m, s) -> J_m in V^{⊗s} ⊗ J_{m-s} coordinates
+        self.symmetric = None  # koszul: the verdict of _symmetric, None until checked
+        self.word_contents = {}  # koszul: d -> {letter content: normal columns of degree d}
+        self.j_contents = {}  # koszul: m -> {letter content: indices of the rows of J_m}
 
 
 class _DegreeData:

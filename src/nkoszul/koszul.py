@@ -26,11 +26,24 @@ check, degree by degree, that the normal forms of ``homog`` are compatible
 with the product, NF(NF(x)·y) = NF(x·y); the ``homog`` lemma proves it,
 and the tests check it by sweeping d_{ℓ-1} ∘ d_ℓ over the assembled
 matrices and against the full-copy recursion of the ideal.
+
+The ranks of the d_ℓ are taken one letter content per S_n orbit when the
+relations allow it: rank d_ℓ = Σ_c |S_n·c| · rank(block c) over the
+contents c with non-increasing counts, since the complex is functorial in
+(V, R) (R. Berger, "Koszulity for nonquadratic algebras", J. Algebra 239
+(2001) 705-734).  Three exact checks come first: every relation is
+content-homogeneous; each relation permuted by (0 1) and by (0 1 … n-1)
+reduces to 0 in A_N; and every row of J_m has one content, which is an
+internal error (RuntimeError) when it fails.  When either of the first two
+fails, each d_ℓ is ranked whole, as one block of orbit size 1 (see
+:func:`homology_report`).
 """
 
 from __future__ import annotations
 
 import math
+from itertools import product
+from operator import sub
 
 from . import linalg, series
 from .algebras import count_admissible
@@ -158,7 +171,108 @@ def _check_d_squared(A: AlgebraPresentation, m: int, s: int, slices) -> None:
             )
 
 
-def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
+def _letter_content(col, d, n):
+    """The letter content of the word at column ``col`` of length d: the
+    number of times each of the n letters occurs in it."""
+    counts = [0] * n
+    for _ in range(d):
+        col, a = divmod(col, n)
+        counts[a] += 1
+    return tuple(counts)
+
+
+def _content(vec, d, n):
+    """The letter content shared by every column of ``vec``, of length d,
+    or None when they do not share one."""
+    contents = {_letter_content(col, d, n) for col in vec}
+    return contents.pop() if len(contents) == 1 else None
+
+
+def _permuted(vec, d, n, perm):
+    """``vec``, of length d, with each letter a replaced by perm[a]."""
+    out = {}
+    for col, c in vec.items():
+        new, place = 0, 1
+        for _ in range(d):
+            col, a = divmod(col, n)
+            new += perm[a] * place
+            place *= n
+        out[new] = c
+    return out
+
+
+def _symmetric(A: AlgebraPresentation) -> bool:
+    """Whether every relation is content-homogeneous and span R is stable
+    under every permutation of the letters: each relation permuted by the
+    generators (0 1) and (0 1 … n-1) of S_n reduces to 0 in A_N.  Cached."""
+    if A.cache.symmetric is None:
+        n, N = A.n, A.N
+        perms = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
+        A.cache.symmetric = all(
+            _content(r, N, n) is not None for r in A.relations
+        ) and not any(A.reduce(N, _permuted(r, N, n, p)) for p in perms for r in A.relations)
+    return A.cache.symmetric
+
+
+def _word_contents(A: AlgebraPresentation, d: int):
+    """{letter content: the normal columns of degree d of that content}."""
+    groups = A.cache.word_contents.get(d)
+    if groups is None:
+        groups = A.cache.word_contents[d] = {}
+        for col in A.normal_basis(d):
+            groups.setdefault(_letter_content(col, d, A.n), []).append(col)
+    return groups
+
+
+def _j_contents(A: AlgebraPresentation, m: int):
+    """{letter content: the indices of the rows of J_m of that content};
+    raises RuntimeError if a row has no one content."""
+    groups = A.cache.j_contents.get(m)
+    if groups is None:
+        groups = {}
+        for b, row in enumerate(dual_koszul_subspace(A, m).rows):
+            content = _content(row, m, A.n)
+            if content is None:
+                raise RuntimeError(
+                    f"a row of J_{m} mixes letter contents, though every relation "
+                    "is content-homogeneous; internal error"
+                )
+            groups.setdefault(content, []).append(b)
+        A.cache.j_contents[m] = groups
+    return groups
+
+
+def _pairs_of_content(A: AlgebraPresentation, k: int, hi: int, content):
+    """The pairs (normal word e of degree k, index b of a row of J_hi)
+    whose letter contents add up to ``content``."""
+    words = _word_contents(A, k)
+    for c, rows in _j_contents(A, hi).items():
+        for e in words.get(tuple(map(sub, content, c)), ()):
+            for b in rows:
+                yield e, b
+
+
+def _sorted_contents(m, n, top):
+    """The letter contents of total m over n letters whose counts do not
+    increase and are at most ``top``; with top = m, one per S_n orbit."""
+    if n == 0:
+        if m == 0:
+            yield ()
+        return
+    for first in range(min(m, top), -1, -1):
+        for rest in _sorted_contents(m - first, n - 1, first):
+            yield (first, *rest)
+
+
+def _orbit_size(content) -> int:
+    """|S_n·c| = n! / Π_v (number of letters with count v)!."""
+    size = math.factorial(len(content))
+    for v in set(content):
+        size //= math.factorial(content.count(v))
+    return size
+
+
+def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> linalg.Matrix:
     """Matrix of d_ℓ: A_k ⊗ J_{ν(ℓ)} → A_{k+s} ⊗ J_{ν(ℓ-1)} at total degree m.
 
     Rows are images of the domain basis pairs (normal word e, J basis row b),
@@ -166,6 +280,10 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
     codomain.  The map splits the first s = ν(ℓ)-ν(ℓ-1) tensor factors off
     the J part and multiplies them into the algebra factor: with the J row
     b = Σ_g y_g ⊗ (row g of J_{ν(ℓ-1)}), e ⊗ b maps to Σ_g e·y_g ⊗ (row g).
+    With a letter ``content`` the rows are only those of the pairs (e, b)
+    whose contents add up to it (see :func:`homology_report`), and the
+    codomain word f of a column is its column, not its position among the
+    normal words; None means every row.
     """
     if ell < 1:
         raise ValueError("differential needs homological degree >= 1")
@@ -178,15 +296,21 @@ def differential(A: AlgebraPresentation, m: int, ell: int) -> linalg.Matrix:
         raise ValueError(f"total degree {m} is below ν({ell}) = {hi}")
     dim_lower = dual_koszul_subspace(A, lo).dim
     slices = _j_slices(A, hi, s)
-    cod_pos = {f: i for i, f in enumerate(A.normal_basis(k + s))}
+    if content is None:
+        pairs = product(A.normal_basis(k), range(len(slices)))
+        cod_pos = {f: i for i, f in enumerate(A.normal_basis(k + s))}
+    else:
+        pairs = _pairs_of_content(A, k, hi, content)
+        # a block numbers the codomain by the word column f itself, in the
+        # same order as the positions, so no table of them is built per block
+        cod_pos = range(A.n ** (k + s))
     rows = [
         {
             cod_pos[f] * dim_lower + g: v
-            for g, y in row.items()
+            for g, y in slices[b].items()
             for f, v in A.multiply(k + s, s, {e: 1}, y).items()
         }
-        for e in A.normal_basis(k)
-        for row in slices
+        for e, b in pairs
     ]
     return linalg.Matrix(len(cod_pos) * dim_lower, rows)
 
@@ -219,6 +343,22 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
     degree once the slices of the J spaces compose into span(R), which
     :func:`differential` checks, through :func:`_j_slices`, the first time
     it builds d_ℓ, and raises RuntimeError otherwise.
+
+    Lemma (orbit ranks): if every relation is content-homogeneous and span R
+    is stable under S_n, then rank d_ℓ = Σ_c |S_n·c| · rank(block c), over
+    the contents c of total m whose counts do not increase, where block c
+    holds the rows (e, b) whose letter contents add up to c.  Proof: the
+    normal forms and the RREF bases of J_m then keep letter content, so
+    each row of d_ℓ has one content and rows of different contents share
+    no column; and a permutation π of the letters induces automorphisms of
+    A and of every J_m that commute with d (the complex is functorial in
+    (V, R): R. Berger, "Koszulity for nonquadratic algebras", J. Algebra
+    239 (2001) 705-734), so block c and block π(c) have equal ranks.  Three
+    checks run first: the relations are content-homogeneous and each one
+    permuted by (0 1) and by (0 1 … n-1) reduces to 0 in A_N (see
+    :func:`_symmetric`); otherwise d_ℓ is ranked whole, as one block of
+    orbit size 1.  On the orbit path each row of J_m must have one
+    content, or RuntimeError is raised (see :func:`_j_contents`).
     """
     if m < 1:
         raise ValueError("total degree must be >= 1")
@@ -227,9 +367,14 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
         for l, d in jumps(A.N, m)
     }
     ells = list(dims)
+    blocks = [(None, 1)]
+    if len(ells) > 2 and _symmetric(A):
+        blocks = [(c, _orbit_size(c)) for c in _sorted_contents(m, A.n, m)]
     ranks = {1: dims[0]}
     for l in ells[2:]:
-        ranks[l] = linalg.rank(differential(A, m, l)) if dims[l] else 0
+        ranks[l] = sum(
+            size * linalg.rank(differential(A, m, l, c)) for c, size in blocks
+        ) if dims[l] else 0
     homology = {}
     for l in ells[1:]:
         incoming = ranks.get(l + 1, 0)

@@ -13,7 +13,8 @@ reads one.
 A parameter value is a :class:`ParameterValue` of a :class:`ParameterField`
 (for quantum-space coefficients).  Every value the generic quantum spaces
 reach is a Laurent polynomial, held as a dict from exponent tuples to
-rationals, whose ``+ - *`` run on :func:`axpy` and :func:`mul_terms`; only
+rationals, whose ``+ - *`` run on :func:`axpy` and :func:`mul_terms`, and
+whose product with a rational only scales the coefficients; only
 a value whose reduced denominator is not a monomial is held in sympy's
 fraction field.  sympy is imported on first need (for such a value, a
 division by a value of several terms, the parameter-expression parser and
@@ -206,7 +207,9 @@ class ParameterValue:
     so equality is equality of representations, and a constant compares
     and hashes equal to the ``int`` or ``Fraction`` it is.  No
     ``FracElement`` leaves the class: sympy's ``==`` is False, not
-    NotImplemented, against an operand it does not know.
+    NotImplemented, against an operand it does not know.  No operation
+    changes a value's ``terms`` in place, so the product of a value and
+    the ``int`` 1 is that value itself.
     """
 
     __slots__ = ("field", "terms", "frac")
@@ -266,6 +269,12 @@ class ParameterValue:
         return self * -1
 
     def __mul__(self, other):
+        if self.terms is not None and isinstance(other, (int, Fraction)):
+            # a rational only scales: no shifted exponents, no ring product
+            if type(other) is int and other == 1:
+                return self
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return ParameterValue(self.field, terms)
         return self._apply(other, mul_terms, mul)
 
     __rmul__ = __mul__

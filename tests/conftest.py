@@ -8,7 +8,7 @@ from nkoszul.algebras import antisymmetrizer, perm_sign
 from nkoszul.freealg import index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import differential, jumps
-from nkoszul.linalg import Echelon, Matrix, axpy, rank
+from nkoszul.linalg import Echelon, Matrix, Subspace, axpy, rank
 from nkoszul.manin import is_polynomial_presentation
 from nkoszul.scalar import div
 from nkoszul.series import MultiSeries
@@ -153,6 +153,73 @@ def presentations(draw, max_n=3):
             terms[w] = terms.get(w, 0) + v
         rels.append(terms)
     return AlgebraPresentation(n, N, rels)
+
+
+def letter_content(col, d, n):
+    """The number of each letter in the word at column ``col`` of length d,
+    spelled out on the word tuple."""
+    word = index_word(col, d, n)
+    return tuple(map(word.count, range(n)))
+
+
+@st.composite
+def homogeneous_elements(draw, n, d):
+    """Elements of degree d on one to three words of one letter content:
+    rearrangements of one drawn word, with nonzero COEFFS."""
+    word = draw(st.lists(st.integers(0, n - 1), min_size=d, max_size=d))
+    words = sorted(set(permutations(word)))
+    chosen = draw(st.lists(st.sampled_from(words), min_size=1, max_size=3, unique=True))
+    nonzero = st.one_of(st.integers(1, 3), st.integers(-3, -1), COEFFS.filter(bool))
+    return columns(n, {w: draw(nonzero) for w in chosen})
+
+
+@st.composite
+def homogeneous_presentations(draw):
+    """QQ presentations with n <= 3 generators, N in {2, 3} and one to three
+    relations, each of one letter content."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 3))
+    count = draw(st.integers(1, 3))
+    return AlgebraPresentation(n, N, [draw(homogeneous_elements(n, N)) for _ in range(count)])
+
+
+@st.composite
+def stable_presentations(draw):
+    """QQ presentations with n <= 3 generators and N in {2, 3} whose
+    relations are the S_n orbits of one or two content-homogeneous
+    elements: every permutation of the letters applied to each."""
+    n = draw(st.integers(1, 3))
+    N = draw(st.integers(2, 3))
+    rels = []
+    for _ in range(draw(st.integers(1, 2))):
+        r = draw(homogeneous_elements(n, N))
+        for perm in permutations(range(n)):
+            rels.append(columns(n, {
+                tuple(perm[a] for a in index_word(col, N, n)): c for col, c in r.items()
+            }))
+    return AlgebraPresentation(n, N, rels)
+
+
+def whole_matrix_ranks(A, m):
+    """{ℓ: rank of the whole matrix of d_ℓ at total degree m}, ℓ >= 2: the
+    oracle of the ranks that ``homology_report`` takes per content block."""
+    return {ell: rank(differential(A, m, ell)) for ell, _ in jumps(A.N, m) if ell >= 2}
+
+
+def mixed_first_row(real, key):
+    """A stand-in for ``koszul.dual_koszul_subspace`` that returns, at
+    degree ``key``, the same space with its first basis row replaced by the
+    sum of the first two: a row of J that mixes two letter contents when
+    those two rows have different ones."""
+
+    def space(A, m):
+        sub = real(A, m)
+        if m != key:
+            return sub
+        first = axpy(dict(sub.rows[0]), 1, sub.rows[1])
+        return Subspace(sub.ambient_dim, sub.pivots, (first, *sub.rows[1:]))
+
+    return space
 
 
 def _overlaps(u, v):

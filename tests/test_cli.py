@@ -261,6 +261,31 @@ def test_hilbert_guardrail(capsys, monkeypatch):
         assert code == 2 and "n^D = 2^3 exceeds the guardrail 7" in err
 
 
+@pytest.mark.parametrize("command", ["dvp-check", "koszul-check"])
+def test_complex_guardrail(capsys, monkeypatch, command):
+    # both read A_D from flags of n^D bytes, as hilbert does: poly(2) at
+    # D = 22 is refused below 2^22 before any degree is built
+    monkeypatch.delenv("KOSZUL_MAX_AMBIENT", raising=False)
+
+    def no_degree(self, d):
+        raise AssertionError(f"{command} built a degree past the guardrail")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraPresentation, "_component", no_degree)
+        code, out, err = run(
+            capsys, command, "--algebra", "poly", "--n", "2", "--max-degree", "22",
+            "--max-ambient", "1000000",
+        )
+        assert code == 2 and out == ""
+        assert err == (
+            "error: ambient dimension n^D = 2^22 exceeds the guardrail "
+            "1000000; raise --max-ambient or KOSZUL_MAX_AMBIENT\n"
+        )
+    argv = (command, "--algebra", "poly", "--n", "2", "--max-degree", "3")
+    assert run(capsys, *argv, "--max-ambient", "7")[0] == 2
+    assert run(capsys, *argv, "--max-ambient", "8")[0] == 0
+
+
 def test_hilbert_guardrail_is_inclusive(capsys):
     # n^D equal to the bound is allowed
     code, out, _ = run(

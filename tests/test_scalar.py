@@ -9,7 +9,7 @@ from sympy.polys.domains import QQ as SYMPY_QQ
 from sympy.polys.fields import field as sympy_field
 
 from conftest import COEFFS
-from nkoszul.scalar import ParameterField, div, parse_rational, rational
+from nkoszul.scalar import ParameterField, ParameterValue, div, mul_terms, parse_rational, rational
 
 
 def test_rational_examples():
@@ -310,3 +310,26 @@ def test_laurent_fast_path_matches_sympy_field(operands):
         assert (q == a) == (sq == sa)
         if r:
             agree(div(r, c), sr / sc)
+
+
+@st.composite
+def _laurent_values(draw):
+    """A Laurent value in one to three parameters, built on its terms."""
+    k = draw(st.integers(1, 3))
+    terms = draw(st.dictionaries(_exponents(k), _LAURENT_COEFFS, max_size=4))
+    return ParameterValue(ParameterField(NAMES[:k]), {e: c for e, c in terms.items() if c})
+
+
+@given(_laurent_values(), st.one_of(st.sampled_from([0, 1, -1, Fraction(1)]), _LAURENT_COEFFS))
+@settings(max_examples=100, deadline=None)
+def test_laurent_times_rational_scales(value, r):
+    # a rational factor scales the coefficients: the same terms, with the
+    # same coefficient types, as the ring product of the two term dicts
+    expected = value._apply(r, mul_terms, operator.mul)
+    for got in (value * r, r * value):
+        assert got.frac is None
+        assert got.terms == expected.terms
+        assert {e: type(c) for e, c in got.terms.items()} == {
+            e: type(c) for e, c in expected.terms.items()
+        }
+    assert (value * 1 is value) and (1 * value is value)

@@ -146,7 +146,17 @@ COLUMN_ONLY = {
         "AlgebraPresentation.multiply",
         "AlgebraPresentation.class_of_word",
     ),
-    "koszul": ("differential", "_j_slices", "_check_d_squared"),
+    "koszul": (
+        "differential",
+        "_j_slices",
+        "_check_d_squared",
+        "_letter_content",
+        "_content",
+        "_permuted",
+        "_word_contents",
+        "_j_contents",
+        "_pairs_of_content",
+    ),
     "mmt": ("g_table",),
     "manin": ("build_end", "chi_A", "chi_J", "kmt_check"),
 }
