@@ -28,26 +28,27 @@ and the tests check it by sweeping d_{ℓ-1} ∘ d_ℓ over the assembled
 matrices and against the full-copy recursion of the ideal.
 
 The ranks of the d_ℓ are taken one letter content per S_n orbit when the
-relations allow it: rank d_ℓ = Σ_c |S_n·c| · rank(block c) over the
-contents c with non-increasing counts, since the complex is functorial in
-(V, R) (R. Berger, "Koszulity for nonquadratic algebras", J. Algebra 239
-(2001) 705-734).  Three exact checks come first: every relation is
-content-homogeneous; each relation permuted by (0 1) and by (0 1 … n-1)
-reduces to 0 in A_N; and every row of J_m has one content, which is an
-internal error (RuntimeError) when it fails.  When either of the first two
-fails, each d_ℓ is ranked whole, as one block of orbit size 1 (see
-:func:`homology_report`).
+relations allow it: rank d_ℓ = Σ_c |S_n·c| · rank(block c), over the
+occurring contents c in non-increasing form, since the complex is
+functorial in (V, R) (R. Berger, "Koszulity for nonquadratic algebras",
+J. Algebra 239 (2001) 705-734).  The relations must be content-homogeneous
+and span R stable under S_n, which is the guard of the master identities,
+``mmt.check_specializable``, at the matrices of (0 1) and (0 1 … n-1);
+every row of J_m must then have one content, or RuntimeError is raised.
+Otherwise each d_ℓ is ranked whole (see :func:`homology_report`).
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import product
-from operator import sub
+from operator import add, sub
 
 from . import linalg, series
 from .algebras import count_admissible
 from .homog import AlgebraPresentation
+from .mmt import check_specializable
 
 
 def nu(N: int, ell: int) -> int:
@@ -188,29 +189,17 @@ def _content(vec, d, n):
     return contents.pop() if len(contents) == 1 else None
 
 
-def _permuted(vec, d, n, perm):
-    """``vec``, of length d, with each letter a replaced by perm[a]."""
-    out = {}
-    for col, c in vec.items():
-        new, place = 0, 1
-        for _ in range(d):
-            col, a = divmod(col, n)
-            new += perm[a] * place
-            place *= n
-        out[new] = c
-    return out
-
-
 def _symmetric(A: AlgebraPresentation) -> bool:
     """Whether every relation is content-homogeneous and span R is stable
-    under every permutation of the letters: each relation permuted by the
-    generators (0 1) and (0 1 … n-1) of S_n reduces to 0 in A_N.  Cached."""
+    under every permutation of the letters, that is under the permutation
+    matrices of the generators (0 1) and (0 1 … n-1) of S_n.  Cached."""
     if A.cache.symmetric is None:
-        n, N = A.n, A.N
+        n = A.n
         perms = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
-        A.cache.symmetric = all(
-            _content(r, N, n) is not None for r in A.relations
-        ) and not any(A.reduce(N, _permuted(r, N, n, p)) for p in perms for r in A.relations)
+        A.cache.symmetric = all(_content(r, A.N, n) is not None for r in A.relations) and all(
+            check_specializable(A, [[int(j == p[i]) for j in range(n)] for i in range(n)])
+            for p in perms
+        )
     return A.cache.symmetric
 
 
@@ -252,24 +241,15 @@ def _pairs_of_content(A: AlgebraPresentation, k: int, hi: int, content):
                 yield e, b
 
 
-def _sorted_contents(m, n, top):
-    """The letter contents of total m over n letters whose counts do not
-    increase and are at most ``top``; with top = m, one per S_n orbit."""
-    if n == 0:
-        if m == 0:
-            yield ()
-        return
-    for first in range(min(m, top), -1, -1):
-        for rest in _sorted_contents(m - first, n - 1, first):
-            yield (first, *rest)
-
-
-def _orbit_size(content) -> int:
-    """|S_n·c| = n! / Π_v (number of letters with count v)!."""
-    size = math.factorial(len(content))
-    for v in set(content):
-        size //= math.factorial(content.count(v))
-    return size
+def _blocks(A: AlgebraPresentation, m: int, ell: int):
+    """{content in non-increasing form: the number of contents of total m
+    that occur in d_ℓ, as cw + cj of a normal word and a row of J_ν(ℓ),
+    and have that form}."""
+    hi = nu(A.N, ell)
+    occurring = {
+        tuple(map(add, cw, cj)) for cw in _word_contents(A, m - hi) for cj in _j_contents(A, hi)
+    }
+    return Counter(tuple(sorted(c, reverse=True)) for c in occurring)
 
 
 def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> linalg.Matrix:
@@ -346,18 +326,18 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
 
     Lemma (orbit ranks): if every relation is content-homogeneous and span R
     is stable under S_n, then rank d_ℓ = Σ_c |S_n·c| · rank(block c), over
-    the contents c of total m whose counts do not increase, where block c
-    holds the rows (e, b) whose letter contents add up to c.  Proof: the
-    normal forms and the RREF bases of J_m then keep letter content, so
-    each row of d_ℓ has one content and rows of different contents share
-    no column; and a permutation π of the letters induces automorphisms of
-    A and of every J_m that commute with d (the complex is functorial in
-    (V, R): R. Berger, "Koszulity for nonquadratic algebras", J. Algebra
-    239 (2001) 705-734), so block c and block π(c) have equal ranks.  Three
-    checks run first: the relations are content-homogeneous and each one
-    permuted by (0 1) and by (0 1 … n-1) reduces to 0 in A_N (see
-    :func:`_symmetric`); otherwise d_ℓ is ranked whole, as one block of
-    orbit size 1.  On the orbit path each row of J_m must have one
+    the occurring contents c in non-increasing form, where block c holds
+    the rows (e, b) whose letter contents add up to c.  Proof: the normal
+    forms and the RREF bases of J_m then keep letter content, so each row
+    of d_ℓ has one content and rows of different contents share no column;
+    and a permutation π of the letters induces automorphisms of A and of
+    every J_m that commute with d (the complex is functorial in (V, R):
+    R. Berger, "Koszulity for nonquadratic algebras", J. Algebra 239 (2001)
+    705-734), so block π(c) has the rank of block c and is empty only when
+    block c is.  Hence the occurring contents form whole orbits, and |S_n·c|
+    is the number of them of c's form (see :func:`_blocks`).  Stability is
+    decided by :func:`_symmetric`; without it d_ℓ is ranked whole, as one
+    block counted once.  On the orbit path each row of J_m must have one
     content, or RuntimeError is raised (see :func:`_j_contents`).
     """
     if m < 1:
@@ -367,14 +347,12 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
         for l, d in jumps(A.N, m)
     }
     ells = list(dims)
-    blocks = [(None, 1)]
-    if len(ells) > 2 and _symmetric(A):
-        blocks = [(c, _orbit_size(c)) for c in _sorted_contents(m, A.n, m)]
     ranks = {1: dims[0]}
     for l in ells[2:]:
+        blocks = (_blocks(A, m, l) if _symmetric(A) else {None: 1}) if dims[l] else {}
         ranks[l] = sum(
-            size * linalg.rank(differential(A, m, l, c)) for c, size in blocks
-        ) if dims[l] else 0
+            count * linalg.rank(differential(A, m, l, c)) for c, count in blocks.items()
+        )
     homology = {}
     for l in ells[1:]:
         incoming = ranks.get(l + 1, 0)

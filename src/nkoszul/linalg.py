@@ -195,7 +195,6 @@ class RewriteEchelon(Echelon):
 
     def __init__(self, flags, rules, n):
         self.ncols = len(flags)
-        self.reduced = False
         self.pivots = _Complement(flags)
         self.row_of = _WindowRows(rules, n)
 

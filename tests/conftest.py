@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -160,6 +161,15 @@ def letter_content(col, d, n):
     spelled out on the word tuple."""
     word = index_word(col, d, n)
     return tuple(map(word.count, range(n)))
+
+
+def orbit_size(content):
+    """|S_n·c| = n! / Π_v (number of letters with count v)!: the number of
+    letter contents that a permutation of the n letters makes of c."""
+    size = math.factorial(len(content))
+    for v in set(content):
+        size //= math.factorial(content.count(v))
+    return size
 
 
 @st.composite

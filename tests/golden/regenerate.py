@@ -1,15 +1,19 @@
 """Rewrite the golden outputs of this directory from the current tree.
 
-Each case is one file ``<name>.json`` holding the command line, the exit
-code and the exact stdout of ``nkoszul.cli.main`` run in-process.
+Each case is one file ``<name>.json`` holding the command line, the
+environment it sets (optional), the exit code and the exact stdout and
+stderr of ``nkoszul.cli.main`` run in-process, with this directory as the
+working directory, so that the ``file:`` inputs under ``inputs/`` have
+relative paths and their OSError texts do not depend on the checkout.
 ``tests/test_golden.py`` runs every file it finds and compares the bytes.
 
 Run from the repository root:
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
-Regenerate only for an intended change of output, and name every file
-whose bytes changed, and why, in CHANGES.md.
+It prints the names of the files whose bytes changed, and nothing when
+none did.  Regenerate only for an intended change of output, and name
+every changed file, and why, in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -19,53 +23,114 @@ import io
 import json
 import os
 import pathlib
+import sys
+
+HERE = pathlib.Path(__file__).resolve().parent
+ROOT = HERE.parents[1]
+# every environment variable the program or argparse reads; a case sets
+# the ones it names and runs with the others unset
+ENV_KEYS = ("KOSZUL_MAX_AMBIENT", "COLUMNS")
+# argparse wraps its usage and help text to the terminal width
+WIDTH = {"COLUMNS": "80"}
+MONO_XYX = "file:inputs/mono_xyx.json"
+
+
+def _json(command, *algebra, D):
+    return [command, *algebra, "--max-degree", str(D), "--format", "json"]
+
 
 CASES = {
-    "koszul-antisym43-d9": ["koszul-check", "--algebra", "antisym", "--n", "4", "--N", "3",
-                            "--max-degree", "9", "--format", "json"],
-    "koszul-antisym53-d8": ["koszul-check", "--algebra", "antisym", "--n", "5", "--N", "3",
-                            "--max-degree", "8", "--format", "json"],
-    "koszul-antisym33-d7": ["koszul-check", "--algebra", "antisym", "--n", "3", "--N", "3",
-                            "--max-degree", "7", "--format", "json"],
-    "koszul-antisym44-d9-text": ["koszul-check", "--algebra", "antisym", "--n", "4", "--N", "4",
-                                 "--max-degree", "9"],
-    "koszul-poly3-d7": ["koszul-check", "--algebra", "poly", "--n", "3",
-                        "--max-degree", "7", "--format", "json"],
-    "koszul-qspace3-d7": ["koszul-check", "--algebra", "qspace", "--n", "3",
-                          "--max-degree", "7", "--format", "json"],
-    "koszul-qspace3-qm1-d6": ["koszul-check", "--algebra", "qspace", "--n", "3", "--q", "-1",
-                              "--max-degree", "6", "--format", "json"],
-    "koszul-qspace2-q2_3-d6": ["koszul-check", "--algebra", "qspace", "--n", "2", "--q", "2/3",
-                               "--max-degree", "6", "--format", "json"],
-    "koszul-free2-d5": ["koszul-check", "--algebra", "free", "--n", "2",
-                        "--max-degree", "5", "--format", "json"],
-    "kmt-qspace2-d5": ["kmt-check", "--algebra", "qspace", "--n", "2",
-                       "--max-degree", "5", "--format", "json"],
-    "hilbert-qspace3-d6": ["hilbert", "--algebra", "qspace", "--n", "3",
-                           "--max-degree", "6", "--format", "json"],
-    "dvp-qspace3-d7": ["dvp-check", "--algebra", "qspace", "--n", "3",
-                       "--max-degree", "7", "--format", "json"],
+    "koszul-antisym43-d9": _json("koszul-check", "--algebra", "antisym", "--n", "4",
+                                 "--N", "3", D=9),
+    "koszul-antisym53-d8": _json("koszul-check", "--algebra", "antisym", "--n", "5",
+                                 "--N", "3", D=8),
+    "koszul-antisym33-d7": _json("koszul-check", "--algebra", "antisym", "--n", "3",
+                                 "--N", "3", D=7),
+    "koszul-antisym44-d9-text": ["koszul-check", "--algebra", "antisym", "--n", "4",
+                                 "--N", "4", "--max-degree", "9"],
+    "koszul-poly3-d7": _json("koszul-check", "--algebra", "poly", "--n", "3", D=7),
+    "koszul-qspace3-d7": _json("koszul-check", "--algebra", "qspace", "--n", "3", D=7),
+    "koszul-qspace3-qm1-d6": _json("koszul-check", "--algebra", "qspace", "--n", "3",
+                                   "--q", "-1", D=6),
+    "koszul-qspace2-q2_3-d6": _json("koszul-check", "--algebra", "qspace", "--n", "2",
+                                    "--q", "2/3", D=6),
+    "koszul-free2-d5": _json("koszul-check", "--algebra", "free", "--n", "2", D=5),
+    "kmt-qspace2-d5": _json("kmt-check", "--algebra", "qspace", "--n", "2", D=5),
+    "hilbert-qspace3-d6": _json("hilbert", "--algebra", "qspace", "--n", "3", D=6),
+    "dvp-qspace3-d7": _json("dvp-check", "--algebra", "qspace", "--n", "3", D=7),
+    # a negative verdict, exit 1
+    "koszul-mono_xyx-d6": _json("koszul-check", "--algebra", MONO_XYX, D=6),
+    # the usage errors, exit 2
+    "error-missing-file": ["info", "--algebra", "file:inputs/missing.json"],
+    "error-malformed-file": ["info", "--algebra", "file:inputs/malformed.json"],
+    "error-schema-invalid-file": ["info", "--algebra", "file:inputs/schema-invalid.json"],
+    "error-missing-n": ["hilbert", "--algebra", "poly"],
+    "error-missing-N": ["hilbert", "--algebra", "antisym", "--n", "3"],
+    "error-unknown-algebra": ["hilbert", "--algebra", "nosuch", "--n", "2"],
+    "error-negative-degree": ["hilbert", "--n", "2", "--max-degree", "-1"],
+    "error-guardrail": ["hilbert", "--n", "4", "--max-degree", "20"],
+    "error-bad-max-ambient": ["hilbert", "--n", "2"],
+    "error-unknown-command": ["frobnicate"],
+    "error-empty-argv": [],
+    "help": ["-h"],
+}
+
+# the environment of a case, where it needs one
+ENVS = {
+    "error-bad-max-ambient": {"KOSZUL_MAX_AMBIENT": "lots"},
+    "error-unknown-command": WIDTH,
+    "error-empty-argv": WIDTH,
+    "help": WIDTH,
 }
 
 
-def run(argv):
-    """(exit code, stdout) of ``nkoszul.cli.main(argv)`` in this process."""
+def _workload_cases():
+    """Every task of the four benchmark workloads at seeds 1 and 51 whose
+    command line no case above has; the seed draws only the matrices of
+    ``master``, so a task with one command line at both seeds is one case."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    taken = list(CASES.values())
+    cases = {}
+    for workload in workloads.WORKLOADS:
+        for first, last in zip(workloads.tasks(workload, 1), workloads.tasks(workload, 51)):
+            seeded = first.argv != last.argv
+            for seed, task in (1, first), (51, last):
+                argv = list(task.argv)
+                if argv not in taken:
+                    taken.append(argv)
+                    cases[f"{workload}-{task.id}" + (f"-seed{seed}" if seeded else "")] = argv
+    return cases
+
+
+def run(argv, env=None):
+    """(exit code, stdout, stderr) of ``nkoszul.cli.main(argv)`` in this
+    process, with the variables of ``ENV_KEYS`` set as ``env`` says."""
     from nkoszul import cli
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    for key in ENV_KEYS:
+        os.environ.pop(key, None)
+    os.environ.update(env or {})
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def main():
-    os.environ.pop("KOSZUL_MAX_AMBIENT", None)
-    here = pathlib.Path(__file__).parent
-    for name, argv in CASES.items():
-        code, stdout = run(argv)
-        case = {"argv": argv, "exit_code": code, "stdout": stdout}
-        (here / f"{name}.json").write_text(json.dumps(case, indent=1) + "\n")
-        print(f"{name}: exit {code}, {len(stdout)} bytes")
+    cases = {**CASES, **_workload_cases()}
+    os.chdir(HERE)
+    for name, argv in cases.items():
+        env = ENVS.get(name)
+        code, stdout, stderr = run(argv, env)
+        case = {"argv": argv, **({"env": env} if env else {}),
+                "exit_code": code, "stdout": stdout, "stderr": stderr}
+        path = HERE / f"{name}.json"
+        text = json.dumps(case, indent=1) + "\n"
+        if not path.exists() or path.read_text() != text:
+            path.write_text(text)
+            print(path.name)
 
 
 if __name__ == "__main__":

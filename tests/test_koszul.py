@@ -1,6 +1,6 @@
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,6 +17,7 @@ from conftest import (
     homogeneous_presentations,
     letter_content,
     mixed_first_row,
+    orbit_size,
     perturbed_antisym43,
     presentations,
     rref,
@@ -214,7 +215,8 @@ def test_certificate_multiplies_once_per_word_row_and_slice(monkeypatch):
     # normal word e, J row b and slice y_g of b: d_1 is not built and the
     # d∘d check multiplies nothing.  antisym(4,3) is S_4-stable, so only
     # the pairs of non-increasing letter content are assembled; the generic
-    # qspace(3) is not, so every pair is
+    # qspace(3) is not, so every pair is.  The cached symmetry verdict is
+    # taken first: its check_specializable multiplies too
     real = AlgebraPresentation.multiply
     calls = []
 
@@ -224,11 +226,15 @@ def test_certificate_multiplies_once_per_word_row_and_slice(monkeypatch):
 
     monkeypatch.setattr(AlgebraPresentation, "multiply", counted)
     A = antisymmetrizer(4, 3)
+    assert koszul._symmetric(A) and len(calls) == 144
+    calls.clear()
     koszul_certificate(A, 7)
     expected = _products(A, 7, lambda c: c == sorted(c, reverse=True))
     assert len(calls) == expected == 542
     calls.clear()
     A = quantum_space(3)
+    assert not koszul._symmetric(A) and len(calls) == 4
+    calls.clear()
     koszul_certificate(A, 6)
     expected = 0
     for m in range(1, 7):
@@ -299,6 +305,47 @@ def test_stable_presentations_take_the_orbit_path(A):
     # every permutation of the letters applied to each relation spans an
     # S_n-stable space
     assert koszul._symmetric(A)
+
+
+@settings(max_examples=15, deadline=None)
+@given(stable_presentations())
+@example(antisymmetrizer(4, 3))
+@example(antisymmetrizer(5, 3))
+@example(polynomial(3))
+@example(quantum_space(3, q=Fraction(-1)))
+def test_occurring_contents_form_whole_orbits(A):
+    # the contents whose block of d_ℓ is nonempty, found by assembling the
+    # block of every content of total m, are closed under S_n, and _blocks
+    # counts each orbit once per content in it: n!/Π_v (letters with count v)!
+    assert koszul._symmetric(A)
+    for m in range(1, 7):
+        contents = [c for c in product(range(m + 1), repeat=A.n) if sum(c) == m]
+        for ell, _ in jumps(A.N, m):
+            if ell < 2:
+                continue
+            nonempty = {c for c in contents if differential(A, m, ell, c).rows}
+            for c in nonempty:
+                assert set(permutations(c)) <= nonempty, (m, ell, c)
+            forms = {tuple(sorted(c, reverse=True)) for c in nonempty}
+            assert koszul._blocks(A, m, ell) == {c: orbit_size(c) for c in forms}, (m, ell)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(homogeneous_presentations(), stable_presentations(), presentations()))
+@example(AlgebraPresentation(3, 2, [columns(3, {(0, 1): 1, (1, 0): -1})]))  # (0 1)-stable only
+def test_symmetric_against_bruteforce(A):
+    # every relation has one letter content, and every relation under every
+    # permutation of the letters, spelled out on its words, reduces to 0
+    n, N = A.n, A.N
+    homogeneous = all(len({letter_content(w, N, n) for w in r}) == 1 for r in A.relations)
+    stable = all(
+        not A.reduce(N, columns(n, {
+            tuple(perm[a] for a in index_word(w, N, n)): c for w, c in r.items()
+        }))
+        for perm in permutations(range(n))
+        for r in A.relations
+    )
+    assert koszul._symmetric(A) == (homogeneous and stable)
 
 
 def test_symmetry_verdicts_of_the_built_ins():

@@ -152,10 +152,10 @@ COLUMN_ONLY = {
         "_check_d_squared",
         "_letter_content",
         "_content",
-        "_permuted",
         "_word_contents",
         "_j_contents",
         "_pairs_of_content",
+        "_blocks",
     ),
     "mmt": ("g_table",),
     "manin": ("build_end", "chi_A", "chi_J", "kmt_check"),
