@@ -54,18 +54,22 @@ def make_algebra(args):
             raise ValueError(f"bad algebra JSON: {exc}")
     if args.n is None:
         raise ValueError("--n is required for built-in algebras")
+    if spec == "free":
+        return free_algebra(args.n)
+    if spec == "antisym" and args.N is None:
+        raise ValueError("--N is required for antisym")
+    N = {"poly": 2, "qspace": 2, "antisym": args.N}.get(spec)
+    if N is None:
+        raise ValueError(f"unknown algebra {spec!r}")
+    # the relations have n(n-1) or n!/(n-N)! terms, at most n^N: refused
+    # before they are built
+    _refuse_above_bound(args, "ambient dimension n^N", args.n, N)
     if spec == "poly":
         return polynomial(args.n)
     if spec == "antisym":
-        if args.N is None:
-            raise ValueError("--N is required for antisym")
-        return antisymmetrizer(args.n, args.N)
-    if spec == "qspace":
-        q = parse_rational(args.q) if args.q is not None else None
-        return quantum_space(args.n, q=q)
-    if spec == "free":
-        return free_algebra(args.n)
-    raise ValueError(f"unknown algebra {spec!r}")
+        return antisymmetrizer(args.n, N)
+    q = parse_rational(args.q) if args.q is not None else None
+    return quantum_space(args.n, q=q)
 
 
 def load_matrix(args):
@@ -80,20 +84,11 @@ def load_matrix(args):
     raise ValueError("provide --matrix or --random-seed")
 
 
-def ambient_bound(args):
-    if args.max_ambient is not None:
-        return args.max_ambient
-    env = os.environ.get("KOSZUL_MAX_AMBIENT")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"bad KOSZUL_MAX_AMBIENT value {env!r}")
-    return DEFAULT_MAX_AMBIENT
-
-
 def _power_exceeds(n, k, bound):
-    """n^k > bound, without building n^k when a huge k makes it huge."""
+    """n^k > bound, without building n^k when a huge k makes it huge.  A
+    negative n or k is no dimension: the command refuses it on its own."""
+    if n < 0 or k < 0:
+        return False
     if n < 2:
         return n**k > bound
     power = 1
@@ -101,13 +96,19 @@ def _power_exceeds(n, k, bound):
         power *= n
         if power > bound:
             return True
-    return False
+    return power > bound
 
 
 def _refuse_above_bound(args, name, n, k):
     """Raise ValueError when n^k, the dimension ``name``, exceeds the
-    ``--max-ambient`` guardrail."""
-    bound = ambient_bound(args)
+    ``--max-ambient`` guardrail, else ``KOSZUL_MAX_AMBIENT``."""
+    bound = args.max_ambient
+    if bound is None:
+        env = os.environ.get("KOSZUL_MAX_AMBIENT") or str(DEFAULT_MAX_AMBIENT)
+        try:
+            bound = int(env)
+        except ValueError:
+            raise ValueError(f"bad KOSZUL_MAX_AMBIENT value {env!r}")
     if _power_exceeds(n, k, bound):
         raise ValueError(
             f"{name} = {n}^{k} exceeds the guardrail {bound}; "
@@ -157,6 +158,9 @@ def cmd_hilbert(args):
 def cmd_dual_dims(args):
     A = make_algebra(args)
     D = args.max_degree
+    if D >= A.N:
+        # A!_N is read from the flags of A_N, n^N bytes
+        _refuse_above_bound(args, "ambient dimension n^N", A.n, A.N)
     dims = [koszul.dual_component_dim(A, m) for m in range(D + 1)]
     report = {"label": A.label, "dual_dims": dims}
     verdict = True
@@ -264,7 +268,7 @@ def cmd_kmt_check(args):
         "first_failure_degree": res.first_failure,
     }
     if manin.is_polynomial_presentation(A):
-        report["determinant_convention"] = manin.ferm_convention(B, res.dual_series, min(D, 4))
+        report["determinant_convention"] = manin.ferm_convention(B, res.dual_series)
     lines = [
         f"{A.label}: character identity "
         f"{'holds' if res.passed else 'FAILS'} up to degree {D}"
@@ -281,8 +285,9 @@ def cmd_master(args):
     if args.n is None or (nmt and args.N is None):
         raise ValueError("--n and --N are required" if nmt else "--n is required")
     # I_D keeps a bitmap of n^D words, and the G walk visits every
-    # admissible word up to D
+    # admissible word up to D; the relations have at most n^N terms
     _refuse_above_bound(args, "ambient dimension n^D", args.n, args.max_degree)
+    _refuse_above_bound(args, "ambient dimension n^N", args.n, args.N if nmt else 2)
     Z = load_matrix(args)
     if len(Z) != args.n:
         raise ValueError("matrix size does not match --n")
@@ -292,12 +297,13 @@ def cmd_master(args):
         "matrix": jsonio.matrix_to_obj(Z),
     }
     if nmt:
-        res = mmt.nmt_check(antisymmetrizer(args.n, args.N), Z, args.max_degree)
+        A = antisymmetrizer(args.n, args.N)
         report["N"] = args.N
         name = f"N={args.N} master identity"
     else:
-        res = mmt.mmt_check(args.n, Z, args.max_degree)
+        A = polynomial(args.n)
         name = "master identity"
+    res = mmt.nmt_check(A, Z, args.max_degree)
     report["passed"] = res.passed
     report["first_mismatch"] = _mismatch_obj(res)
     lines = [_master_line(name, res, args.max_degree)]

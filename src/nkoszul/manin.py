@@ -174,12 +174,12 @@ def ferm_series(B: ManinBialgebra, max_degree: int) -> list:
     return coeffs
 
 
-def ferm_convention(B: ManinBialgebra, target: list, max_degree: int) -> str:
+def ferm_convention(B: ManinBialgebra, target: list) -> str:
     """The determinant ordering of :func:`ferm_series`, "row-permuted",
     once the fermionic series is checked afresh against ``target``, the
-    series Σ (-1)^ℓ χ(J_ℓ) t^ℓ of :func:`dual_character_series`, up to
-    ``max_degree`` (or the truncation of ``target``, if lower)."""
-    if any(f != t for f, t in zip(ferm_series(B, max_degree), target)):
+    series Σ (-1)^ℓ χ(J_ℓ) t^ℓ of :func:`dual_character_series`, in every
+    degree it has."""
+    if ferm_series(B, len(target) - 1) != target:
         raise RuntimeError(
             "the row-permuted fermionic series does not match the character series"
         )

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
 
-from .algebras import enumerate_admissible, perm_sign, polynomial
+from .algebras import enumerate_admissible, perm_sign
 from .freealg import index_word, word_index
 from .homog import AlgebraPresentation
 from .scalar import axpy, div
@@ -243,11 +243,3 @@ def nmt_check(A: AlgebraPresentation, Z, max_degree: int) -> MasterResult:
     lhs = _lhs_series(A, Z, max_degree)
     denom = nmt_rhs_denominator(A.n, A.N, Z, max_degree)
     return _compare(lhs, denom.invert())
-
-
-def mmt_check(n: int, Z, max_degree: int) -> MasterResult:
-    """Original master identity: Σ_m G(m) t^m = det(I - ZT)^{-1} exactly,
-    up to total degree ``max_degree``.  It is the N = 2 case of
-    :func:`nmt_check`: at N = 2 the ε-signed principal-minor sum is the
-    expansion of det(I - ZT)."""
-    return nmt_check(polynomial(n), Z, max_degree)

@@ -33,6 +33,7 @@ ENV_KEYS = ("KOSZUL_MAX_AMBIENT", "COLUMNS")
 # argparse wraps its usage and help text to the terminal width
 WIDTH = {"COLUMNS": "80"}
 MONO_XYX = "file:inputs/mono_xyx.json"
+MATRIX3 = "file:inputs/matrix3.json"
 
 
 def _json(command, *algebra, D):
@@ -74,6 +75,68 @@ CASES = {
     "error-empty-argv": [],
     "help": ["-h"],
 }
+
+# each algebra of the command grid below, with the degree bound of its cases
+GRID_ALGEBRAS = {
+    "poly2": (("--algebra", "poly", "--n", "2"), 5),
+    "antisym33": (("--algebra", "antisym", "--n", "3", "--N", "3"), 6),
+    "qspace2": (("--algebra", "qspace", "--n", "2"), 6),
+    "qspace2-q2_3": (("--algebra", "qspace", "--n", "2", "--q", "2/3"), 5),
+    "free2": (("--algebra", "free", "--n", "2"), 4),
+    "mono_xyx": (("--algebra", MONO_XYX), 5),
+}
+GRID_COMMANDS = {
+    "info": "info",
+    "hilbert": "hilbert",
+    "dualdims": "dual-dims",
+    "koszul": "koszul-check",
+    "dvp": "dvp-check",
+    "kmt": "kmt-check",
+}
+
+
+def _formats(name, argv):
+    """The case ``name`` in json and, as ``name-text``, in text."""
+    return {name: [*argv, "--format", "json"], f"{name}-text": list(argv)}
+
+
+def _grid_cases():
+    """Every algebra command on each algebra of the grid, and the commands
+    that take no algebra, with the matrix from a file or a seed, in json
+    and text."""
+    cases = {}
+    for alg, (algebra, D) in GRID_ALGEBRAS.items():
+        for short, command in GRID_COMMANDS.items():
+            argv = [command, *algebra, "--max-degree", str(D)]
+            cases.update(_formats(f"{short}-{alg}-d{D}", argv))
+    cases.update(_formats("admissible-n3-N3-d8",
+                          ["admissible", "--n", "3", "--N", "3", "--max-degree", "8"]))
+    cases.update(_formats("eq1-n4-d6", ["eq1", "--n", "4", "--max-degree", "6"]))
+    cases.update(_formats("mmt-file-matrix3-d5",
+                          ["mmt", "--n", "3", "--matrix", MATRIX3, "--max-degree", "5"]))
+    cases.update(_formats("nmt-file-matrix3-antisym33-d5",
+                          ["nmt", "--n", "3", "--N", "3", "--matrix", MATRIX3,
+                           "--max-degree", "5"]))
+    cases.update(_formats("mmt-seed7-n3-d5",
+                          ["mmt", "--n", "3", "--random-seed", "7", "--max-degree", "5"]))
+    cases.update(_formats("nmt-seed7-antisym33-d5",
+                          ["nmt", "--n", "3", "--N", "3", "--random-seed", "7",
+                           "--max-degree", "5"]))
+    return cases
+
+
+CASES.update(_grid_cases())
+# guardrail edges: n^0 = 1 against a bound of 0; a built-in whose
+# relations span n^N above the bound while n^D is within it; dual-dims,
+# which builds A_N, on a file algebra with n^N above the bound
+CASES.update({
+    "guard-degree0-free2": ["hilbert", "--algebra", "free", "--n", "2", "--max-degree", "0",
+                            "--max-ambient", "0"],
+    "guard-relations-antisym43": ["hilbert", "--algebra", "antisym", "--n", "4", "--N", "3",
+                                  "--max-degree", "2", "--max-ambient", "20"],
+    "guard-dualdims-mono_xyx": ["dual-dims", "--algebra", MONO_XYX, "--max-degree", "3",
+                                "--max-ambient", "5"],
+})
 
 # the environment of a case, where it needs one
 ENVS = {

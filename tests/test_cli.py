@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from sympy.polys.fields import FracElement
 
 from conftest import doubled_first_slice
 from nkoszul import __version__, koszul, manin
-from nkoszul.cli import HANDLERS, build_parser, main
+from nkoszul.cli import HANDLERS, _power_exceeds, build_parser, main
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.scalar import ParameterField, ParameterValue
 
@@ -325,6 +326,108 @@ def test_master_guardrail(capsys, monkeypatch, command):
     assert run(capsys, *argv)[0] == 2
     monkeypatch.setenv("KOSZUL_MAX_AMBIENT", "8")
     assert run(capsys, *argv)[0] == 0
+
+
+def test_power_exceeds_matches_the_power():
+    # both branches compare n^k with the bound, n^0 = 1 included
+    for n in range(5):
+        for k in range(9):
+            for bound in range(-1, 301):
+                assert _power_exceeds(n, k, bound) == (n**k > bound), (n, k, bound)
+    # a huge k returns at once, without building n^k
+    t0 = time.perf_counter()
+    assert _power_exceeds(2, 10**9, 10**7)
+    assert not _power_exceeds(1, 10**9, 1)
+    assert not _power_exceeds(0, 10**9, 0)
+    # a negative n or k is no dimension, left to the command to refuse
+    assert not _power_exceeds(-3, 10**9, 10**7)
+    assert not _power_exceeds(0, -1, 10**7)
+    assert time.perf_counter() - t0 < 0.1
+
+
+def _no_presentation(monkeypatch):
+    def no_build(self, *args, **kwargs):
+        raise AssertionError("a presentation was built past the guardrail")
+
+    monkeypatch.setattr(AlgebraPresentation, "__init__", no_build)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("hilbert", "--algebra", "antisym", "--n", "12", "--N", "6", "--max-degree", "7"),
+         "ambient dimension n^N = 12^6 exceeds the guardrail 10"),
+        (("info", "--algebra", "poly", "--n", "4", "--max-degree", "1"),
+         "ambient dimension n^N = 4^2 exceeds the guardrail 10"),
+        (("dual-dims", "--algebra", "qspace", "--n", "4", "--q", "2", "--max-degree", "1"),
+         "ambient dimension n^N = 4^2 exceeds the guardrail 10"),
+        (("nmt", "--n", "3", "--N", "3", "--max-degree", "2", "--matrix", "file:missing.json"),
+         "ambient dimension n^N = 3^3 exceeds the guardrail 10"),
+        (("mmt", "--n", "4", "--max-degree", "1", "--matrix", "file:missing.json"),
+         "ambient dimension n^N = 4^2 exceeds the guardrail 10"),
+    ],
+    ids=["hilbert-antisym", "info-poly", "dual-dims-qspace", "nmt", "mmt"],
+)
+def test_builtin_relations_are_refused_before_they_are_built(capsys, monkeypatch, argv, message):
+    # poly, qspace and antisym have at most n^N relation terms: a bound
+    # below n^N refuses them, even where n^D is within it, before any
+    # presentation is built or the matrix file read
+    _no_presentation(monkeypatch)
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv, "--max-ambient", "10")
+    assert time.perf_counter() - t0 < 0.1
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}; raise --max-ambient or KOSZUL_MAX_AMBIENT\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--algebra", "poly", "--n", "-5000"), "polynomial algebra needs n >= 1"),
+        (("--algebra", "antisym", "--n", "0", "--N", "-1"),
+         "antisymmetrizer needs 2 <= N <= n, got N=-1, n=0"),
+    ],
+    ids=["poly-negative-n", "antisym-negative-N"],
+)
+def test_bad_builtin_parameters_keep_their_message(capsys, argv, message):
+    # the n^N guard takes no negative n or N for a dimension: the builder
+    # refuses them with its own message
+    code, out, err = run(capsys, "hilbert", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_free_algebra_keeps_only_its_degree_guard(capsys):
+    # free has no relations, so n^2 above the bound is no refusal at D = 1
+    code, out, _ = run(
+        capsys, "hilbert", "--algebra", "free", "--n", "4", "--max-degree", "1",
+        "--max-ambient", "10",
+    )
+    assert (code, out) == (0, "H_A coefficients 0..1: [1, 4]\n")
+
+
+def test_dual_dims_guardrail(capsys, monkeypatch, tmp_path):
+    # dual-dims reads A!_N from the flags of A_N once D >= N: n^N is
+    # refused before A_N is built, for a file algebra too
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(_mono_xyx()))
+    argv = ("dual-dims", "--algebra", f"file:{path}")
+
+    def no_degree(self, d):
+        raise AssertionError("dual-dims built a degree past the guardrail")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(AlgebraPresentation, "_component", no_degree)
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv, "--max-degree", "3", "--max-ambient", "7")
+        assert time.perf_counter() - t0 < 0.1
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: ambient dimension n^N = 2^3 exceeds the guardrail 7; "
+            "raise --max-ambient or KOSZUL_MAX_AMBIENT\n"
+        )
+    # below N no A_N is built, and the bound is inclusive
+    assert run(capsys, *argv, "--max-degree", "2", "--max-ambient", "7")[0] == 0
+    assert run(capsys, *argv, "--max-degree", "3", "--max-ambient", "8")[0] == 0
 
 
 def test_unknown_algebra_exit_2(capsys):

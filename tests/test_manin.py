@@ -360,7 +360,7 @@ def test_ferm_convention_and_bos_ferm(bos_series):
     for n, D in ((1, 6), (2, 4), (3, 4)):
         B = build_end(polynomial(n))
         dual = dual_character_series(B, D)
-        assert ferm_convention(B, dual, D) == "row-permuted", n
+        assert ferm_convention(B, dual) == "row-permuted", n
         bos, ferm = bos_series(B, D), ferm_series(B, D)
         assert bos == character_series(B, D), n
         assert ferm == dual, n
@@ -368,28 +368,38 @@ def test_ferm_convention_and_bos_ferm(bos_series):
 
 
 def test_ferm_convention_checks_every_call(monkeypatch):
-    # a first call at degree 1 must not answer a later call at degree 4
+    # a first call on the series to degree 1 must not answer a later call
+    # on the series to degree 4
     B = build_end(polynomial(2))
     dual = dual_character_series(B, 4)
-    assert ferm_convention(B, dual, 1) == "row-permuted"
+    assert ferm_convention(B, dual[:2]) == "row-permuted"
 
     def mismatched(B, max_degree):
         return [{} for _ in range(max_degree + 1)]
 
     monkeypatch.setattr(manin, "ferm_series", mismatched)
     with pytest.raises(RuntimeError, match="row-permuted fermionic series does not match"):
-        ferm_convention(B, dual, 4)
+        ferm_convention(B, dual)
 
 
-def test_ferm_convention_uses_the_kmt_series():
-    # kmt-check hands over the J character series it already built: the
-    # check at min(D, 4) compares up to the lower truncation, as before
+def test_ferm_convention_uses_the_kmt_series(monkeypatch):
+    # kmt-check hands over the J character series it already built, and
+    # the fermionic series is checked against it in every degree it has
+    degrees = []
+    ferm = manin.ferm_series
+
+    def recorded(B, max_degree):
+        degrees.append(max_degree)
+        return ferm(B, max_degree)
+
+    monkeypatch.setattr(manin, "ferm_series", recorded)
     for D in (2, 6):
         B = build_end(polynomial(2))
         res = kmt_check(B, D)
         assert res.dual_series == dual_character_series(B, D)
         assert len(res.dual_series) == D + 1
-        assert ferm_convention(B, res.dual_series, min(D, 4)) == "row-permuted"
+        assert ferm_convention(B, res.dual_series) == "row-permuted"
+    assert degrees == [2, 6]
 
 
 def test_ferm_convention_is_exclusive(transposed_ferm_series):

@@ -18,7 +18,6 @@ from nkoszul.mmt import (
     check_specializable,
     g_table,
     matrix_det,
-    mmt_check,
     nmt_check,
     nmt_rhs_denominator,
     random_rational_matrix,
@@ -135,8 +134,8 @@ def test_g_rejects_non_specializable():
 
 
 def test_mmt_zero_and_identity():
-    assert mmt_check(2, zeros(2), 4).passed
-    res = mmt_check(2, ident(2), 5)
+    assert nmt_check(polynomial(2), zeros(2), 4).passed
+    res = nmt_check(polynomial(2), ident(2), 5)
     assert res.passed
     # both sides are prod 1/(1-t_i): coefficient of any exponent vector is 1
     assert res.lhs.coefficient((2, 3)) == 1
@@ -144,18 +143,18 @@ def test_mmt_zero_and_identity():
 
 def test_mmt_random():
     Z = random_rational_matrix(3, 7)
-    assert mmt_check(3, Z, 5).passed
+    assert nmt_check(polynomial(3), Z, 5).passed
 
 
 def test_mmt_detects_perturbation():
     # corrupt the right-hand side by perturbing one matrix entry on one side
     Z = random_rational_matrix(2, 3)
-    res = mmt_check(2, Z, 4)
+    res = nmt_check(polynomial(2), Z, 4)
     assert res.passed
     Z2 = [row[:] for row in Z]
     Z2[0][0] += 1
     lhs = res.lhs
-    rhs2 = mmt_check(2, Z2, 4).rhs
+    rhs2 = nmt_check(polynomial(2), Z2, 4).rhs
     assert lhs != rhs2
 
 
@@ -183,12 +182,12 @@ def test_nmt_random():
 
 
 def test_nmt_at_N2_coincides_with_mmt(det_inverse):
-    # the epsilon-signed principal-minor sum at N=2 is det(I - ZT)
+    # the epsilon-signed principal-minor sum at N=2 is det(I - ZT), so the
+    # N-analog on poly(n) is the original master identity
     Z = random_rational_matrix(3, 5)
-    res_n = nmt_check(polynomial(3), Z, 4)
-    res_m = mmt_check(3, Z, 4)
-    assert res_n.passed and res_m.passed
-    assert res_n.rhs.terms == res_m.rhs.terms == det_inverse(Z, 4).terms
+    res = nmt_check(polynomial(3), Z, 4)
+    assert res.passed
+    assert res.rhs.terms == det_inverse(Z, 4).terms
 
 
 def _restricted_trace(Z, space, n, m):

@@ -421,6 +421,16 @@ def test_package_binds_only_its_version():
 
 
 
+def test_every_algebra_command_is_guarded():
+    # a command that builds an algebra refuses, through the one guardrail,
+    # a size it cannot run before it builds that size
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = {q for q in _callers(tree, "make_algebra") if q.startswith("cmd_")}
+    guarded = set(_callers(tree, "_refuse_above_bound"))
+    assert commands
+    assert sorted(commands - guarded) == []
+
+
 def test_one_reader_opens_files():
     # every file: input, algebra or matrix, goes through one reader
     found = []
