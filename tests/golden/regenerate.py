@@ -137,6 +137,20 @@ CASES.update({
     "guard-dualdims-mono_xyx": ["dual-dims", "--algebra", MONO_XYX, "--max-degree", "3",
                                 "--max-ambient", "5"],
 })
+# refusals whose message names the check that fails first: every
+# presentation, mmt's and nmt's included, is validated, guarded and built
+# in one place; antisym with N > n has no relations to bound; eq1 checks
+# its n at every degree bound
+CASES.update({
+    "error-mmt-missing-n": ["mmt", "--random-seed", "1"],
+    "error-nmt-missing-N": ["nmt", "--n", "3", "--random-seed", "1"],
+    "guard-relations-nmt43": ["nmt", "--n", "4", "--N", "3", "--max-degree", "20",
+                              "--random-seed", "1", "--max-ambient", "10"],
+    "error-nmt-N-above-n": ["nmt", "--n", "3", "--N", "5", "--max-degree", "3",
+                            "--matrix", "{bad"],
+    "error-antisym-N-above-n": ["hilbert", "--algebra", "antisym", "--n", "10", "--N", "20"],
+    "error-eq1-negative-n-d0": ["eq1", "--n", "-5", "--max-degree", "0"],
+})
 
 # the environment of a case, where it needs one
 ENVS = {
