@@ -45,25 +45,32 @@ def _read_json(text, what):
 
 
 def make_algebra(args):
-    spec = args.algebra
+    """The presentation of ``--algebra`` (poly(n) for mmt, antisym(n, N)
+    for nmt), refused by the guardrail before it is built."""
+    spec = {"mmt": "poly", "nmt": "antisym"}.get(args.command, args.algebra)
     if spec.startswith("file:"):
         obj = _read_json(spec, "algebra")
         try:
-            return jsonio.algebra_from_obj(obj)
+            A = jsonio.algebra_from_obj(obj)
         except (KeyError, ValueError, TypeError, RecursionError) as exc:
             raise ValueError(f"bad algebra JSON: {exc}")
+        _preflight(args, A.n, A.N)
+        return A
     if args.n is None:
         raise ValueError("--n is required for built-in algebras")
-    if spec == "free":
-        return free_algebra(args.n)
     if spec == "antisym" and args.N is None:
         raise ValueError("--N is required for antisym")
-    N = {"poly": 2, "qspace": 2, "antisym": args.N}.get(spec)
+    N = {"free": 2, "poly": 2, "qspace": 2, "antisym": args.N}.get(spec)
     if N is None:
         raise ValueError(f"unknown algebra {spec!r}")
     # the relations have n(n-1) or n!/(n-N)! terms, at most n^N: refused
-    # before they are built
-    _refuse_above_bound(args, "ambient dimension n^N", args.n, N)
+    # before they are built; free has none, nor has antisym with N > n,
+    # which its builder refuses
+    if spec != "free" and (spec != "antisym" or N <= args.n):
+        _refuse_above_bound(args, "ambient dimension n^N", args.n, N)
+    _preflight(args, args.n, N)
+    if spec == "free":
+        return free_algebra(args.n)
     if spec == "poly":
         return polynomial(args.n)
     if spec == "antisym":
@@ -116,15 +123,30 @@ def _refuse_above_bound(args, name, n, k):
         )
 
 
+def _preflight(args, n, N):
+    """Refuse the command when the largest tensor power it builds on n
+    generators, with relations of degree N, exceeds the guardrail."""
+    D = args.max_degree
+    if args.command == "kmt-check":
+        # build_end echelonizes end(A) on n^2 generators in degree N whatever
+        # D is; a negative n is the builder's to refuse
+        name = "envelope ambient dimension n^(2·max(D, N))"
+        _refuse_above_bound(args, name, max(n, 0) ** 2, max(D, N))
+    elif args.command != "dual-dims":
+        # the flags of A_D hold n^D bytes, one per word; mmt and nmt also
+        # walk every admissible word up to D
+        _refuse_above_bound(args, "ambient dimension n^D", n, D)
+    elif D >= N:
+        # A!_N is read from the flags of A_N, n^N bytes
+        _refuse_above_bound(args, "ambient dimension n^N", n, N)
+
+
 # ----------------------------------------------------------------------
 # command handlers: return (report dict, verdict bool, text lines)
 
 
-def cmd_info(args):
-    A = make_algebra(args)
+def cmd_info(args, A):
     D = args.max_degree
-    # the dims keep flags of n^D bytes for A_D, as in hilbert
-    _refuse_above_bound(args, "ambient dimension n^D", A.n, D)
     dims = [A.dim_component(d) for d in range(D + 1)]
     dual_dims = [koszul.dual_component_dim(A, m) for m in range(D + 1)]
     report = {
@@ -146,21 +168,14 @@ def cmd_info(args):
     return report, True, lines
 
 
-def cmd_hilbert(args):
-    A = make_algebra(args)
-    # n^D bounds the bytes of the flags of A_D, one per word
-    _refuse_above_bound(args, "ambient dimension n^D", A.n, args.max_degree)
+def cmd_hilbert(args, A):
     coeffs = A.hilbert_series(args.max_degree).coeffs
     report = {"label": A.label, "coefficients": coeffs}
     return report, True, [f"H_A coefficients 0..{args.max_degree}: {coeffs}"]
 
 
-def cmd_dual_dims(args):
-    A = make_algebra(args)
+def cmd_dual_dims(args, A):
     D = args.max_degree
-    if D >= A.N:
-        # A!_N is read from the flags of A_N, n^N bytes
-        _refuse_above_bound(args, "ambient dimension n^N", A.n, A.N)
     dims = [koszul.dual_component_dim(A, m) for m in range(D + 1)]
     report = {"label": A.label, "dual_dims": dims}
     verdict = True
@@ -193,11 +208,8 @@ def cmd_admissible(args):
     return report, res.passed, lines
 
 
-def cmd_koszul_check(args):
-    A = make_algebra(args)
+def cmd_koszul_check(args, A):
     D = args.max_degree
-    # the normal words of A_D are read from flags of n^D bytes, as in hilbert
-    _refuse_above_bound(args, "ambient dimension n^D", A.n, D)
     res = koszul.koszul_certificate(A, D)
     statement = f"exactness verified up to total degree {D}" if res.passed else "exactness fails"
     report = {
@@ -232,11 +244,8 @@ def _degree_obj(rep):
     }
 
 
-def cmd_dvp_check(args):
-    A = make_algebra(args)
+def cmd_dvp_check(args, A):
     D = args.max_degree
-    # H_A keeps flags of n^D bytes for A_D, as in hilbert
-    _refuse_above_bound(args, "ambient dimension n^D", A.n, D)
     res = koszul.dvp_check(A, D)
     report = {
         "label": A.label,
@@ -253,12 +262,8 @@ def cmd_dvp_check(args):
     return report, res.passed, lines
 
 
-def cmd_kmt_check(args):
-    A = make_algebra(args)
+def cmd_kmt_check(args, A):
     D = args.max_degree
-    # build_end echelonizes end(A) on n^2 generators in degree N whatever D is
-    name = "envelope ambient dimension n^(2·max(D, N))"
-    _refuse_above_bound(args, name, A.n * A.n, max(D, A.N))
     B = manin.build_end(A)
     res = manin.kmt_check(B, D)
     report = {
@@ -278,16 +283,9 @@ def cmd_kmt_check(args):
     return report, res.passed, lines
 
 
-def cmd_master(args):
-    """``mmt`` and ``nmt``; the report of ``mmt``, the N = 2 case on the
-    polynomial algebra, has no "N" key."""
-    nmt = args.command == "nmt"
-    if args.n is None or (nmt and args.N is None):
-        raise ValueError("--n and --N are required" if nmt else "--n is required")
-    # I_D keeps a bitmap of n^D words, and the G walk visits every
-    # admissible word up to D; the relations have at most n^N terms
-    _refuse_above_bound(args, "ambient dimension n^D", args.n, args.max_degree)
-    _refuse_above_bound(args, "ambient dimension n^N", args.n, args.N if nmt else 2)
+def cmd_master(args, A):
+    """``mmt`` on poly(n) and ``nmt`` on antisym(n, N); the report of
+    ``mmt``, the N = 2 case, has no "N" key."""
     Z = load_matrix(args)
     if len(Z) != args.n:
         raise ValueError("matrix size does not match --n")
@@ -296,13 +294,10 @@ def cmd_master(args):
         "max_degree": args.max_degree,
         "matrix": jsonio.matrix_to_obj(Z),
     }
-    if nmt:
-        A = antisymmetrizer(args.n, args.N)
+    name = "master identity"
+    if args.command == "nmt":
         report["N"] = args.N
-        name = f"N={args.N} master identity"
-    else:
-        A = polynomial(args.n)
-        name = "master identity"
+        name = f"N={args.N} {name}"
     res = mmt.nmt_check(A, Z, args.max_degree)
     report["passed"] = res.passed
     report["first_mismatch"] = _mismatch_obj(res)
@@ -331,6 +326,9 @@ def _master_line(name, res, max_degree):
 def cmd_eq1(args):
     if args.n is None:
         raise ValueError("--n is required")
+    if args.n < 1:
+        # identity_eq1's own refusal, made once so that D = 0 makes it too
+        raise ValueError("need n >= 1 and m >= 1")
     values = {}
     ok = True
     for m in range(1, args.max_degree + 1):
@@ -419,7 +417,9 @@ def main(argv=None) -> int:
     try:
         if args.max_degree < 0:
             raise ValueError("--max-degree must be >= 0")
-        report, verdict, lines = HANDLERS[args.command](args)
+        # every other command runs on the presentation of make_algebra
+        inputs = () if args.command in ("admissible", "eq1") else (make_algebra(args),)
+        report, verdict, lines = HANDLERS[args.command](args, *inputs)
     except ValueError as exc:
         # every usage error is a ValueError, as is a precondition
         # violation from the library

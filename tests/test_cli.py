@@ -29,6 +29,13 @@ def test_eq1_holds(capsys):
     assert "all zero" in out
 
 
+@pytest.mark.parametrize("D", ["0", "3"])
+def test_eq1_refuses_a_bad_n_at_every_degree_bound(capsys, D):
+    # D = 0 has no degree to check, and still refuses n < 1
+    code, out, err = run(capsys, "eq1", "--n", "-5", "--max-degree", D)
+    assert (code, out, err) == (2, "", "error: need n >= 1 and m >= 1\n")
+
+
 def test_dvp_antisym(capsys):
     code, out, _ = run(
         capsys, "dvp-check", "--algebra", "antisym", "--n", "4", "--N", "3",
@@ -383,16 +390,21 @@ def test_builtin_relations_are_refused_before_they_are_built(capsys, monkeypatch
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("--algebra", "poly", "--n", "-5000"), "polynomial algebra needs n >= 1"),
-        (("--algebra", "antisym", "--n", "0", "--N", "-1"),
+        (("hilbert", "--algebra", "poly", "--n", "-5000"), "polynomial algebra needs n >= 1"),
+        (("hilbert", "--algebra", "antisym", "--n", "0", "--N", "-1"),
          "antisymmetrizer needs 2 <= N <= n, got N=-1, n=0"),
+        (("hilbert", "--algebra", "antisym", "--n", "10", "--N", "20"),
+         "antisymmetrizer needs 2 <= N <= n, got N=20, n=10"),
+        (("nmt", "--n", "30", "--N", "50", "--max-degree", "3"),
+         "antisymmetrizer needs 2 <= N <= n, got N=50, n=30"),
     ],
-    ids=["poly-negative-n", "antisym-negative-N"],
+    ids=["poly-negative-n", "antisym-negative-N", "antisym-N-above-n", "nmt-N-above-n"],
 )
 def test_bad_builtin_parameters_keep_their_message(capsys, argv, message):
-    # the n^N guard takes no negative n or N for a dimension: the builder
-    # refuses them with its own message
-    code, out, err = run(capsys, "hilbert", *argv)
+    # the n^N guard takes no negative n or N for a dimension, and antisym
+    # with N > n has no relations to bound: the builder refuses them with
+    # its own message
+    code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 

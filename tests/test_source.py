@@ -421,14 +421,43 @@ def test_package_binds_only_its_version():
 
 
 
+# What builds or parses a presentation in the CLI: make_algebra alone.
+ALGEBRA_MAKERS = (
+    "polynomial", "antisymmetrizer", "quantum_space", "free_algebra", "algebra_from_obj",
+)
+
+
+def _unguarded(body, guarded=False):
+    """Lines of the returns and builder calls of ``body`` that no
+    ``_preflight`` call precedes on their path.  A file algebra is parsed
+    before its pre-flight, so parsing is no build here."""
+    for stmt in body:
+        blocks = [getattr(stmt, key, []) for key in ("body", "orelse", "finalbody")]
+        blocks += [handler.body for handler in getattr(stmt, "handlers", [])]
+        if any(blocks):
+            for block in blocks:
+                yield from _unguarded(block, guarded)
+            continue
+        calls = {
+            getattr(node.func, "attr", getattr(node.func, "id", None))
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)
+        }
+        if not guarded and (isinstance(stmt, ast.Return) or calls & set(ALGEBRA_MAKERS[:-1])):
+            yield stmt.lineno
+        guarded = guarded or "_preflight" in calls
+
+
 def test_every_algebra_command_is_guarded():
-    # a command that builds an algebra refuses, through the one guardrail,
-    # a size it cannot run before it builds that size
+    # main hands each command the presentation of make_algebra, the one
+    # place that builds or guards one, and make_algebra refuses through the
+    # pre-flight every presentation it returns before it is built
     tree = ast.parse((SRC / "cli.py").read_text())
-    commands = {q for q in _callers(tree, "make_algebra") if q.startswith("cmd_")}
-    guarded = set(_callers(tree, "_refuse_above_bound"))
-    assert commands
-    assert sorted(commands - guarded) == []
+    for maker in ALGEBRA_MAKERS:
+        assert set(_callers(tree, maker)) == {"make_algebra"}, maker
+    assert set(_callers(tree, "_refuse_above_bound")) == {"make_algebra", "_preflight"}
+    assert list(_callers(tree, "make_algebra")) == ["main"]
+    assert list(_unguarded(_function(tree, "make_algebra").body)) == []
 
 
 def test_one_reader_opens_files():
