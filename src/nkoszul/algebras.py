@@ -99,17 +99,16 @@ def free_algebra(n: int) -> AlgebraPresentation:
 # admissible (descent-avoiding) words
 
 
-def count_admissible(n: int, N: int, k: int) -> int:
-    """Number of admissible length-k words, by dynamic programming over
-    (last letter, length of the current strictly decreasing run)."""
-    if k == 0:
-        return 1
-    if n == 0:
-        return 0
+def admissible_counts(n: int, N: int, max_length: int) -> list:
+    """Numbers of admissible words of each length 0..max_length, by one
+    dynamic programme over (last letter, length of the current strictly
+    decreasing run)."""
+    counts = [1]
     # state[(a, r)] = number of admissible words ending in letter a whose
     # maximal strictly decreasing suffix has length r (1 <= r <= N-1)
     state = {(a, 1): 1 for a in range(n)}
-    for _ in range(k - 1):
+    while len(counts) <= max_length:
+        counts.append(sum(state.values()))
         nxt = {}
         for (a, r), cnt in state.items():
             for b in range(n):
@@ -121,7 +120,7 @@ def count_admissible(n: int, N: int, k: int) -> int:
                     key = (b, 1)
                 nxt[key] = nxt.get(key, 0) + cnt
         state = nxt
-    return sum(state.values())
+    return counts
 
 
 def enumerate_admissible(n: int, N: int, k: int):

@@ -417,7 +417,6 @@ def main(argv=None) -> int:
     try:
         if args.max_degree < 0:
             raise ValueError("--max-degree must be >= 0")
-        # every other command runs on the presentation of make_algebra
         inputs = () if args.command in ("admissible", "eq1") else (make_algebra(args),)
         report, verdict, lines = HANDLERS[args.command](args, *inputs)
     except ValueError as exc:

@@ -128,31 +128,31 @@ class AlgebraPresentation:
         n, degrees = self.n, self.cache.degrees
         d = len(degrees)
         if d == 0:
-            return _DegreeData(linalg.RewriteEchelon(bytearray(b"\x01"), (None,), n), None)
-        rules = tuple(data.rules for data in degrees)
-        ends = [(k, n**k, ech) for k, ech in enumerate(rules) if ech is not None]
+            return _DegreeData(linalg.RewriteEchelon(bytearray(b"\x01"), [], n, 0), [])
+        below = degrees[d - 1].ends
         # a normal word extends one of degree d-1 by a letter, so it can hold
         # a leading word only as a suffix
         flags = bytearray(n**d)
         for a in range(n):
             flags[a::n] = degrees[d - 1].echelon.pivots.flags
-        for k, size, ech in ends:
+        for k, size, ech in below:
             clear = bytes(n ** (d - k))
             for ell in ech.pivots:
                 flags[ell::size] = clear
         # the rules of length d lead at normal words, so until their leading
         # words are cleared below this is the echelon of the shorter rules
         new = linalg.Echelon(n**d)
-        ech = linalg.RewriteEchelon(flags, rules + (new,), n)
+        ends = [*below, (d, n**d, new)]
+        ech = linalg.RewriteEchelon(flags, ends, n, d)
         if d == self.N:
             new.extend(self.relations)
-        for row in _overlap_rows(ends, n, d):
+        for row in _overlap_rows(below, n, d):
             rem = ech.reduce(row)
             if rem:
                 new.add(rem)
         for p in new.pivots:
             flags[p] = 0
-        return _DegreeData(ech, new if new.rank else None)
+        return _DegreeData(ech, ends if new.rank else below)
 
     def ideal_component(self, d) -> linalg.Subspace:
         """The degree-d component of the two-sided ideal (R), as a subspace."""
@@ -269,17 +269,20 @@ class PresentationCache:
 
 
 class _DegreeData:
-    """The echelon of I_d, the rules of length d, and what is derived from
-    them.
+    """The echelon of I_d, the rules of length at most d, and what is
+    derived from them.
 
     The flags of the echelon's pivots are the one record of the normal
     columns; ``subspace`` stays None until first asked for.
     """
 
-    __slots__ = ("echelon", "rules", "subspace", "word_class")
+    __slots__ = ("echelon", "ends", "subspace", "word_class")
 
-    def __init__(self, echelon, rules):
+    def __init__(self, echelon, ends):
         self.echelon = echelon
-        self.rules = rules  # Echelon of the rules of length d, or None
+        # (k, n^k, Echelon of the rules of length k) for each k <= d that
+        # has rules, by increasing k; a degree with none shares the list
+        # of the degree below
+        self.ends = ends
         self.subspace = None
         self.word_class = {}  # column -> normal form, see class_of_word

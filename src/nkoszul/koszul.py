@@ -46,7 +46,7 @@ from itertools import product
 from operator import add, sub
 
 from . import linalg, series
-from .algebras import count_admissible
+from .algebras import admissible_counts
 from .homog import AlgebraPresentation
 from .mmt import check_specializable
 
@@ -472,6 +472,6 @@ def admissible_identity_check(n: int, N: int, max_degree: int) -> AdmissibleIden
     degree_rule_ok = ell_max == expected_ell_max
     poly = series.UniSeries(coeffs)
     inverse = poly.invert()
-    counts = [count_admissible(n, N, k) for k in range(max_degree + 1)]
+    counts = admissible_counts(n, N, max_degree)
     passed = degree_rule_ok and counts == inverse.coeffs
     return AdmissibleIdentityResult(passed, counts, inverse.coeffs, degree_rule_ok, ell_max)

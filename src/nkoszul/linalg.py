@@ -53,21 +53,21 @@ class _WindowRows(dict):
     """Pivot column -> echelon row, for the words of length d that contain
     a leading word of a rule, over V of dimension ``n``.
 
-    ``rules`` has d + 1 entries: ``rules[k]`` is the echelon of the rules of
-    length k, whose pivots are their leading words, or None.  No leading
-    word contains a shorter one, so at most one ends at each position of a
-    word.  A column missing here is a word u·ℓ·v whose rightmost window that
-    is a leading word is ℓ; its row is u ⊗ (the row of ℓ) ⊗ v, built on
-    first use and kept, so a hit stays a plain dict lookup.  Storing it is
-    idempotent.
+    ``ends`` lists (k, n^k, echelon of the rules of length k, whose pivots
+    are their leading words) by increasing k <= d, a length with no rules
+    left out or not.  No leading word contains a shorter one, so at most
+    one ends at each position of a word.  A column missing here is a word
+    u·ℓ·v whose rightmost window that is a leading word is ℓ; its row is
+    u ⊗ (the row of ℓ) ⊗ v, built on first use and kept, so a hit stays a
+    plain dict lookup.  Storing it is idempotent.
     """
 
     __slots__ = ("ends", "length", "n")
 
-    def __init__(self, rules, n):
+    def __init__(self, ends, n, d):
         super().__init__()
-        self.ends = [(k, n**k, ech) for k, ech in enumerate(rules) if ech is not None]
-        self.length = len(rules) - 1
+        self.ends = ends
+        self.length = d
         self.n = n
 
     def __missing__(self, p):
@@ -179,24 +179,23 @@ class RewriteEchelon(Echelon):
     and the row of a pivot is u ⊗ (row of ℓ) ⊗ v at its rightmost window ℓ
     that is one.
 
-    ``rules[k]``, k = 0..d, is the echelon of the rules of length k or
-    None, and no leading word contains a shorter one (see
-    :class:`_WindowRows`).  ``flags``, a bytearray of n^d bytes, is 1
-    exactly at the words that contain none, and ``pivots`` is their
-    complement, read from the same bytes; it replaces the view of
-    ``row_of``, which holds only the rows built so far.  That these rows
-    are an echelon basis of I_d is what the caller proves (see
-    :mod:`nkoszul.homog`).  Rank, :meth:`reduce` and :meth:`to_subspace`
+    ``ends`` lists the rules of length at most d, and no leading word
+    contains a shorter one (see :class:`_WindowRows`).  ``flags``, a
+    bytearray of n^d bytes, is 1 exactly at the words that contain none,
+    and ``pivots`` is their complement, read from the same bytes; it
+    replaces the view of ``row_of``, which holds only the rows built so
+    far.  That these rows are an echelon basis of I_d is what the caller
+    proves (see :mod:`nkoszul.homog`).  Rank, :meth:`reduce` and :meth:`to_subspace`
     are those of :class:`Echelon`; the echelon is complete, so :meth:`add`
     raises, and no stray row enters ``row_of`` unchecked.
     """
 
     __slots__ = ("pivots",)
 
-    def __init__(self, flags, rules, n):
+    def __init__(self, flags, ends, n, d):
         self.ncols = len(flags)
         self.pivots = _Complement(flags)
-        self.row_of = _WindowRows(rules, n)
+        self.row_of = _WindowRows(ends, n, d)
 
     def add(self, vec):
         raise TypeError("a rewrite echelon is complete; no row can be added")

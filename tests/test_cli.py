@@ -29,13 +29,6 @@ def test_eq1_holds(capsys):
     assert "all zero" in out
 
 
-@pytest.mark.parametrize("D", ["0", "3"])
-def test_eq1_refuses_a_bad_n_at_every_degree_bound(capsys, D):
-    # D = 0 has no degree to check, and still refuses n < 1
-    code, out, err = run(capsys, "eq1", "--n", "-5", "--max-degree", D)
-    assert (code, out, err) == (2, "", "error: need n >= 1 and m >= 1\n")
-
-
 def test_dvp_antisym(capsys):
     code, out, _ = run(
         capsys, "dvp-check", "--algebra", "antisym", "--n", "4", "--N", "3",

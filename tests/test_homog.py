@@ -345,7 +345,7 @@ def _full_copy_checks(A, top):
 
 def _rule_degrees(A):
     """The degrees built so far that have rules of their own."""
-    return [d for d, data in enumerate(A.cache.degrees) if data.rules is not None]
+    return [k for k, _, _ in A.cache.degrees[-1].ends]
 
 
 def _reduce_checks(A, oracle, data):
@@ -448,8 +448,8 @@ def test_rewrite_degrees_match_the_pivot_oracle(A):
     for d in range(1, top + 1):
         below, size = oracle[d - 1][0].pivots, n ** (d - 1)
         expected = {p for p in oracle[d][0].pivots if p // n not in below and p % size not in below}
-        rules = A.cache.degrees[d].rules
-        assert (rules.pivots if rules is not None else set()) == expected, d
+        rules = {p for k, _, ech in A.cache.degrees[d].ends if k == d for p in ech.pivots}
+        assert rules == expected, d
 
 
 @settings(max_examples=60, deadline=None)

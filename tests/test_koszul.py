@@ -180,7 +180,8 @@ def test_corrupted_long_rule_fails_the_oracles():
     assert d_squared_failures(clean, 6) == []
     A = perturbed_antisym43(2)
     A.ideal_rank(6)
-    rules = A.cache.degrees[6].rules
+    k, _, rules = A.cache.degrees[6].ends[-1]
+    assert k == 6
     row = rules.row_of[min(rules.pivots)]
     row[max(row)] *= 2
     assert d_squared_failures(A, 6) == [(6, 2)]

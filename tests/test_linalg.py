@@ -260,7 +260,7 @@ def test_rewrite_echelon():
     # normal words are those that avoid it, 000, 100, 110 and 111
     lead = Echelon(4)
     lead.add({1: 1, 2: -1})
-    ech = RewriteEchelon(_bitmap(8, (0, 4, 6, 7)), (None, None, lead, None), 2)
+    ech = RewriteEchelon(_bitmap(8, (0, 4, 6, 7)), [(2, 4, lead)], 2, 3)
     assert ech.rank == 4 and len(ech.pivots) == 4 and dict(ech.row_of) == {}
     assert ech.pivots == {1, 2, 3, 5} and sorted(ech.pivots) == [1, 2, 3, 5]
     assert 5 in ech.pivots and 4 not in ech.pivots
@@ -273,7 +273,7 @@ def test_rewrite_echelon():
         ech.add({0: 1})
     # in degree 4 the row of 0101 is taken at its rightmost window,
     # 01·01 → 01·10, not at 01·01 → 10·01
-    ech = RewriteEchelon(_bitmap(16, (0, 8, 12, 14, 15)), (None, None, lead, None, None), 2)
+    ech = RewriteEchelon(_bitmap(16, (0, 8, 12, 14, 15)), [(2, 4, lead)], 2, 4)
     assert ech.row_of[5] == {5: 1, 6: -1}
     assert ech.reduce({5: Fraction(1)}) == {12: Fraction(1)}
 
@@ -291,7 +291,8 @@ def test_rewrite_echelon_with_rules_of_two_lengths():
     r3, r5 = Echelon(8), Echelon(32)
     r3.add({0b010: 1, 0b011: -1, 0b110: 2})
     r5.add({0b01110: 3, 0b01111: -1, 0b11110: 4})
-    ech = RewriteEchelon(_bitmap(128, _avoiding(7, ("010", "01110"))), (None, None, None, r3, None, r5, None, None), 2)
+    ends = [(3, 8, r3), (5, 32, r5)]
+    ech = RewriteEchelon(_bitmap(128, _avoiding(7, ("010", "01110"))), ends, 2, 7)
     # 0101110 holds 010 at its start and 01110 at its end; 0111010 the
     # other way round: each row is taken at the window that ends the word
     assert ech.row_of[0b0101110] == {0b0101110: 1, 0b0101111: Fraction(-1, 3), 0b0111110: Fraction(4, 3)}
@@ -302,7 +303,7 @@ def test_rewrite_echelon_with_rules_of_two_lengths():
         ech.row_of[0b1011111]
     A = AlgebraPresentation(2, 3, [{0b010: 1, 0b011: -1, 0b110: 2}])
     oracle, normal = full_copy_echelons(A, 6)[6]
-    ech = RewriteEchelon(_bitmap(64, _avoiding(6, ("010", "01110"))), (None, None, None, r3, None, r5, None), 2)
+    ech = RewriteEchelon(_bitmap(64, _avoiding(6, ("010", "01110"))), ends, 2, 6)
     assert ech.pivots == oracle.pivots and _avoiding(6, ("010", "01110")) == normal
     rng = random.Random(7)
     for _ in range(20):
