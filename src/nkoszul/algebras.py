@@ -33,15 +33,20 @@ def perm_sign(perm) -> int:
     return sign
 
 
+def _antisymmetrizers(n: int, N: int):
+    """For each 1 <= i_1 < ... < i_N <= n, the signed sum of the words
+    (i_1 ... i_N) over all position permutations."""
+    for combo in combinations(range(n), N):
+        yield {word_index((combo[p] for p in perm), n): perm_sign(perm)
+               for perm in permutations(range(N))}
+
+
 def polynomial(n: int) -> AlgebraPresentation:
-    """S(V): relations x_i⊗x_j - x_j⊗x_i for i < j."""
+    """S(V), the antisymmetrizer algebra at N = 2: relations
+    x_i⊗x_j - x_j⊗x_i for i < j, none for n = 1."""
     if n < 1:
         raise ValueError("polynomial algebra needs n >= 1")
-    rels = [
-        {word_index((i, j), n): 1, word_index((j, i), n): -1}
-        for i, j in combinations(range(n), 2)
-    ]
-    return AlgebraPresentation(n, 2, rels, label=f"poly({n})")
+    return AlgebraPresentation(n, 2, _antisymmetrizers(n, 2), label=f"poly({n})")
 
 
 def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
@@ -52,14 +57,7 @@ def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
     """
     if not 2 <= N <= n:
         raise ValueError(f"antisymmetrizer needs 2 <= N <= n, got N={N}, n={n}")
-    rels = []
-    for combo in combinations(range(n), N):
-        terms = {}
-        for perm in permutations(range(N)):
-            word = word_index((combo[p] for p in perm), n)
-            terms[word] = perm_sign(perm)
-        rels.append(terms)
-    return AlgebraPresentation(n, N, rels, label=f"antisym({n},{N})")
+    return AlgebraPresentation(n, N, _antisymmetrizers(n, N), label=f"antisym({n},{N})")
 
 
 def quantum_space(n: int, q=None) -> AlgebraPresentation:

@@ -132,12 +132,14 @@ def _preflight(args, n, N):
         # D is; a negative n is the builder's to refuse
         name = "envelope ambient dimension n^(2·max(D, N))"
         _refuse_above_bound(args, name, max(n, 0) ** 2, max(D, N))
-    elif args.command != "dual-dims":
+        return
+    if args.command != "dual-dims":
         # the flags of A_D hold n^D bytes, one per word; mmt and nmt also
         # walk every admissible word up to D
         _refuse_above_bound(args, "ambient dimension n^D", n, D)
-    elif D >= N:
-        # A!_N is read from the flags of A_N, n^N bytes
+    if args.command == "info" or (args.command == "dual-dims" and D >= N):
+        # A!_N and the relation rank are read from the flags of A_N, n^N
+        # bytes: info reads them at every D
         _refuse_above_bound(args, "ambient dimension n^N", n, N)
 
 

@@ -256,14 +256,14 @@ def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> lina
     """Matrix of d_ℓ: A_k ⊗ J_{ν(ℓ)} → A_{k+s} ⊗ J_{ν(ℓ-1)} at total degree m.
 
     Rows are images of the domain basis pairs (normal word e, J basis row b),
-    flattened as e_pos * dim J + b; columns are flattened the same way on the
-    codomain.  The map splits the first s = ν(ℓ)-ν(ℓ-1) tensor factors off
-    the J part and multiplies them into the algebra factor: with the J row
+    in the order of the normal words e; the codomain pair (word f, row g of
+    J_{ν(ℓ-1)}) is column f * dim J_{ν(ℓ-1)} + g, f the word's own column.
+    The map splits the first s = ν(ℓ)-ν(ℓ-1) tensor factors off the J part
+    and multiplies them into the algebra factor: with the J row
     b = Σ_g y_g ⊗ (row g of J_{ν(ℓ-1)}), e ⊗ b maps to Σ_g e·y_g ⊗ (row g).
     With a letter ``content`` the rows are only those of the pairs (e, b)
-    whose contents add up to it (see :func:`homology_report`), and the
-    codomain word f of a column is its column, not its position among the
-    normal words; None means every row.
+    whose contents add up to it (see :func:`homology_report`); None means
+    every row.
     """
     if ell < 1:
         raise ValueError("differential needs homological degree >= 1")
@@ -278,21 +278,17 @@ def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> lina
     slices = _j_slices(A, hi, s)
     if content is None:
         pairs = product(A.normal_basis(k), range(len(slices)))
-        cod_pos = {f: i for i, f in enumerate(A.normal_basis(k + s))}
     else:
         pairs = _pairs_of_content(A, k, hi, content)
-        # a block numbers the codomain by the word column f itself, in the
-        # same order as the positions, so no table of them is built per block
-        cod_pos = range(A.n ** (k + s))
     rows = [
         {
-            cod_pos[f] * dim_lower + g: v
+            f * dim_lower + g: v
             for g, y in slices[b].items()
             for f, v in A.multiply(k + s, s, {e: 1}, y).items()
         }
         for e, b in pairs
     ]
-    return linalg.Matrix(len(cod_pos) * dim_lower, rows)
+    return linalg.Matrix(A.n ** (k + s) * dim_lower, rows)
 
 
 class DegreeReport:
@@ -315,9 +311,9 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
     degree m-1.  Proof: write f = q·n + a; if q were a pivot of I_{m-1},
     its row times x_a, an element of I_{m-1} ⊗ V ⊆ I_m, would lead at f,
     so f would be a pivot of I_m.  Hence the row of e ⊗ x_a is the unit
-    vector of f, and d_1 has dim A_m distinct unit rows.  (``homog`` builds
-    the normal words of degree m under those of degree m-1, so the prefix
-    is normal by construction.)
+    vector at column f, and d_1 has dim A_m distinct unit rows.  (``homog``
+    builds the normal words of degree m under those of degree m-1, so the
+    prefix is normal by construction.)
 
     d∘d = 0 is not checked here, degree by degree: it holds at every total
     degree once the slices of the J spaces compose into span(R), which

@@ -29,7 +29,8 @@ from .linalg import axpy
 
 
 class ManinBialgebra:
-    """The pair (A, end(A)); owns the graded caches of the envelope."""
+    """The pair (A, end(A)); the graded caches of the envelope are
+    ``env.cache``."""
 
     __slots__ = ("base", "env")
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from nkoszul.algebras import antisymmetrizer, perm_sign
 from nkoszul.freealg import index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraPresentation
-from nkoszul.koszul import differential, jumps
+from nkoszul.koszul import differential, dual_koszul_subspace, jumps, nu
 from nkoszul.linalg import Echelon, Matrix, Subspace, axpy, rank
 from nkoszul.manin import is_polynomial_presentation
 from nkoszul.scalar import div
@@ -310,9 +310,20 @@ def perturbed_antisym43(index):
     return AlgebraPresentation(4, 3, rels)
 
 
+def rows_by_pair(A, m, ell, mat):
+    """The rows of ``mat``, the matrix of d_ℓ at total degree m, keyed by
+    e * dim J_ν(ℓ) + b for their pair (normal word e, J row b): the column
+    that e ⊗ (row b) has on the codomain of d_{ℓ+1}."""
+    d = nu(A.N, ell)
+    dim = dual_koszul_subspace(A, d).dim
+    pairs = product(A.normal_basis(m - d), range(dim))
+    return {e * dim + b: row for (e, b), row in zip(pairs, mat.rows, strict=True)}
+
+
 def composition_is_zero(d_hi, lo_rows):
     """d_{ℓ-1} ∘ d_ℓ = 0: each row of the matrix ``d_hi`` of d_ℓ, pushed
-    through ``lo_rows``, the rows of d_{ℓ-1} looked up by index, sums to 0."""
+    through ``lo_rows``, the rows of d_{ℓ-1} looked up by the columns of
+    d_ℓ (see :func:`rows_by_pair`), sums to 0."""
     for row in d_hi.rows:
         acc = {}
         for mid, c in row.items():
@@ -328,7 +339,7 @@ class MultiplicationRows(dict):
 
     J_1 = V has the unit rows x_0, ..., x_{n-1}, so row e_pos·n + a is
     the normal form of e·x_a, e the normal word at e_pos, on the columns of
-    the normal words of degree m.  A row is built on first lookup and kept.
+    the words of degree m.  A row is built on first lookup and kept.
     """
 
     def __init__(self, A, m):
@@ -336,12 +347,10 @@ class MultiplicationRows(dict):
         self.A = A
         self.m = m
         self.words = A.normal_basis(m - 1)
-        self.cod_pos = {f: i for i, f in enumerate(A.normal_basis(m))}
 
     def __missing__(self, i):
         e, a = divmod(i, self.A.n)
-        prod = self.A.multiply(self.m, 1, {self.words[e]: 1}, {a: 1})
-        row = self[i] = {self.cod_pos[f]: v for f, v in prod.items()}
+        row = self[i] = self.A.multiply(self.m, 1, {self.words[e]: 1}, {a: 1})
         return row
 
 
@@ -363,9 +372,9 @@ def d_squared_failures(A, top):
             if ell == 0:
                 continue
             mat = differential(A, m, ell)
-            if lower is not None and not composition_is_zero(mat, lower.rows):
+            if lower is not None and not composition_is_zero(mat, lower):
                 failures.append((m, ell))
-            lower = mat
+            lower = rows_by_pair(A, m, ell, mat)
     return failures
 
 

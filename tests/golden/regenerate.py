@@ -151,6 +151,43 @@ CASES.update({
     "error-antisym-N-above-n": ["hilbert", "--algebra", "antisym", "--n", "10", "--N", "20"],
     "error-eq1-negative-n-d0": ["eq1", "--n", "-5", "--max-degree", "0"],
 })
+# info reads the relation rank from A_N at every degree bound, so it also
+# bounds n^N when D < N
+CASES.update({
+    "guard-info-free400-d1": ["info", "--algebra", "free", "--n", "400", "--max-degree", "1",
+                              "--max-ambient", "1000"],
+    "guard-info-mono_xyx-d1": ["info", "--algebra", MONO_XYX, "--max-degree", "1",
+                               "--max-ambient", "5"],
+})
+# antisym(4,3) with the leading coefficient of relation 1 doubled: its
+# completion adds rules of lengths 4 and 5, above N
+PERTURBED = "file:inputs/perturbed_antisym43.json"
+# parameter files: a coefficient in Laurent form, and ones whose reduced
+# denominator is no monomial, which stay in sympy's form
+QPLANE_Q = "file:inputs/qplane_q.json"
+QSPACE3_RATIONAL = "file:inputs/qspace3_rational.json"
+CASES.update({
+    "hilbert-perturbed43-d7": _json("hilbert", "--algebra", PERTURBED, D=7),
+    "info-perturbed43-d6": _json("info", "--algebra", PERTURBED, D=6),
+    "koszul-perturbed43-d6": _json("koszul-check", "--algebra", PERTURBED, D=6),
+    "info-qplane_q-d5": _json("info", "--algebra", QPLANE_Q, D=5),
+    "koszul-qplane_q-d5": _json("koszul-check", "--algebra", QPLANE_Q, D=5),
+    "dvp-qplane_q-d5": _json("dvp-check", "--algebra", QPLANE_Q, D=5),
+    "info-qspace3_rational-d4": _json("info", "--algebra", QSPACE3_RATIONAL, D=4),
+    "koszul-qspace3_rational-d4": _json("koszul-check", "--algebra", QSPACE3_RATIONAL, D=4),
+    "dvp-qspace3_rational-d4": _json("dvp-check", "--algebra", QSPACE3_RATIONAL, D=4),
+})
+# the usage errors of the commands that take no algebra and of the matrix:
+# "{bad" fails in the JSON reader, '{"n": 2}' in the matrix schema
+CASES.update({
+    "error-admissible-missing-N": ["admissible", "--n", "3"],
+    "error-eq1-missing-n": ["eq1"],
+    "error-mmt-matrix-size": ["mmt", "--n", "3", "--matrix",
+                              '{"n": 2, "entries": [["1", "0"], ["0", "1"]]}'],
+    "error-nmt-no-matrix": ["nmt", "--n", "3", "--N", "3"],
+    "error-mmt-malformed-matrix": ["mmt", "--n", "2", "--matrix", "{bad"],
+    "error-mmt-schema-invalid-matrix": ["mmt", "--n", "2", "--matrix", '{"n": 2}'],
+})
 
 # the environment of a case, where it needs one
 ENVS = {

@@ -20,7 +20,7 @@ from nkoszul.algebras import (
     polynomial,
     quantum_space,
 )
-from conftest import columns, in_span, rref
+from conftest import columns, in_span, rows_by_pair, rref
 from nkoszul.koszul import (
     admissible_identity_check,
     dual_component_dim,
@@ -129,11 +129,12 @@ def test_criterion_04_koszulity_certificates(algebras):
             ell = 2
             while nu(A.N, ell) <= m:
                 hi = differential(A, m, ell)
-                lo = differential(A, m, ell - 1)
+                # the row of d_{ℓ-1} at (word column, J row index) of a column of d_ℓ
+                lo = rows_by_pair(A, m, ell - 1, differential(A, m, ell - 1))
                 for row in hi.rows:
                     acc = {}
                     for mid, c in row.items():
-                        for col, v in lo.rows[mid].items():
+                        for col, v in lo[mid].items():
                             acc[col] = acc.get(col, 0) + c * v
                     if any(acc.values()):
                         failures.append((key, m, ell, "d∘d != 0"))

@@ -59,6 +59,12 @@ def test_antisymmetrizer_n2_is_polynomial_span():
     A = antisymmetrizer(2, 2)
     P = polynomial(2)
     assert A.ideal_component(2) == P.ideal_component(2)
+    # the same relations, term for term and in the same order
+    for n in range(2, 7):
+        P, A = polynomial(n), antisymmetrizer(n, 2)
+        assert P.relations == A.relations, n
+        assert [list(r.items()) for r in P.relations] == [list(r.items()) for r in A.relations]
+    assert polynomial(1).relations == ()
 
 
 def test_antisymmetrizer_bounds():

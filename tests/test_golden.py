@@ -19,7 +19,7 @@ ENV_KEYS = ("KOSZUL_MAX_AMBIENT", "COLUMNS")
 
 
 def test_corpus_is_present():
-    assert len(CASES) == 132
+    assert len(CASES) == 149
 
 
 def _diff(name, golden, now):

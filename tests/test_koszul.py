@@ -265,17 +265,6 @@ def test_orbit_ranks_match_whole_matrices(A):
         assert {l: r for l, r in ranks.items() if l >= 2} == whole_matrix_ranks(A, m), m
 
 
-def _block_rows(A, m, ell, content):
-    """The rows of the block of ``content``, on the columns of the whole
-    matrix: a block numbers a codomain word by its column, the whole
-    matrix by its position among the normal words."""
-    dim_lower = dual_koszul_subspace(A, nu(A.N, ell - 1)).dim
-    pos = {f: i for i, f in enumerate(A.normal_basis(m - nu(A.N, ell - 1)))}
-    rows = differential(A, m, ell, content).rows
-    return [{pos[j // dim_lower] * dim_lower + j % dim_lower: c for j, c in row.items()}
-            for row in rows]
-
-
 @settings(max_examples=30, deadline=None)
 @given(st.one_of(stable_presentations(), homogeneous_presentations()))
 @example(antisymmetrizer(4, 3))
@@ -290,7 +279,8 @@ def test_content_blocks_split_the_whole_matrix(A):
         for ell, _ in jumps(A.N, m):
             if ell < 2:
                 continue
-            blocks = {c: _block_rows(A, m, ell, c) for c in contents}
+            # a block and the whole matrix number a codomain word by its column
+            blocks = {c: differential(A, m, ell, c).rows for c in contents}
             together = sorted(sorted(row.items()) for rows in blocks.values() for row in rows)
             whole = differential(A, m, ell)
             assert together == sorted(sorted(row.items()) for row in whole.rows)
@@ -431,8 +421,6 @@ def test_differential_matches_alternating_expansion():
         ]
         mat = differential(A, m, ell)
         dom_words = A.normal_basis(k)
-        cod_words = A.normal_basis(k + 1)
-        cod_pos = {w: i for i, w in enumerate(cod_words)}
         lower_subsets = list(combinations(range(n), ell - 1))
         for e_pos, e in enumerate(dom_words):
             for b, subset in enumerate(subsets):
@@ -443,7 +431,7 @@ def test_differential_matches_alternating_expansion():
                     prod = A.reduce(k + 1, columns(n, {index_word(e, k, n) + (v,): 1}))
                     g = lower_subsets.index(rest)
                     for fw, cf in prod.items():
-                        col = cod_pos[fw] * lower.dim + g
+                        col = fw * lower.dim + g
                         expected[col] = expected.get(col, Fraction(0)) + sign * cf
                 expected = {c: v for c, v in expected.items() if v}
                 got = mat.rows[e_pos * space.dim + b]

@@ -354,6 +354,38 @@ def test_only_linalg_writes_echelon_rows():
     assert found == []
 
 
+def _is_normal_basis(node):
+    return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "normal_basis"
+
+
+def test_words_are_numbered_by_column():
+    # a word is its column everywhere, the Koszul complex's codomains
+    # included: no code numbers the normal words by their position, by
+    # enumerating a normal_basis(...) result or a name bound to one
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bound = {
+                target.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and _is_normal_basis(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "enumerate"
+                    and node.args
+                    and (_is_normal_basis(node.args[0]) or getattr(node.args[0], "id", None) in bound)
+                ):
+                    found.append(f"{path.stem}.{func.name}:{node.lineno}")
+    assert found == []
+
+
 def test_one_lazy_row_class():
     # every row an echelon builds on first use, u ⊗ (row of a rule) ⊗ v at
     # its rightmost window, comes from one dict subclass
