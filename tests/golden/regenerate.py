@@ -173,6 +173,9 @@ CASES.update({
     "info-qplane_q-d5": _json("info", "--algebra", QPLANE_Q, D=5),
     "koszul-qplane_q-d5": _json("koszul-check", "--algebra", QPLANE_Q, D=5),
     "dvp-qplane_q-d5": _json("dvp-check", "--algebra", QPLANE_Q, D=5),
+    # end(A) on relations that are no built-in's, R^⊥ in Laurent form for qplane_q
+    "kmt-perturbed43-d4": _json("kmt-check", "--algebra", PERTURBED, D=4),
+    "kmt-qplane_q-d5": _json("kmt-check", "--algebra", QPLANE_Q, D=5),
     "info-qspace3_rational-d4": _json("info", "--algebra", QSPACE3_RATIONAL, D=4),
     "koszul-qspace3_rational-d4": _json("koszul-check", "--algebra", QSPACE3_RATIONAL, D=4),
     "dvp-qspace3_rational-d4": _json("dvp-check", "--algebra", QSPACE3_RATIONAL, D=4),
