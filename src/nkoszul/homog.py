@@ -68,9 +68,9 @@ the rows it stores then stay valid.  The rewrite echelon takes the
 row of a pivot at its rightmost window ℓ, which is unique; so its row at an
 overlap w is u ⊗ ρ_ℓ′, not ρ_ℓ ⊗ v, and the reduction above checks w.  Two
 rules of lengths k and k′ overlap only in words shorter than k + k′, so
-when every rule has length N, as for each built-in algebra, its dual and
-its envelope, only the relations are ever eliminated, and from degree 2N
-on nothing is reduced to build a degree.
+when every rule has length N, as for each built-in algebra and its
+envelope end(A), only the relations are ever eliminated, and from degree
+2N on nothing is reduced to build a degree.
 """
 
 from __future__ import annotations
@@ -211,16 +211,6 @@ class AlgebraPresentation:
             vec = data.word_class[col] = data.echelon.reduce({col: 1})
         return vec
 
-    # ------------------------------------------------------------------
-
-    def dual(self) -> "AlgebraPresentation":
-        """The dual N-homogeneous algebra on V* with relations R^⊥."""
-        perp = linalg.kernel(self.ideal_component(self.N))
-        label = f"{self.label}!" if self.label else "dual"
-        return AlgebraPresentation(
-            self.n, self.N, perp.rows, label=label, parameters=self.parameters
-        )
-
     def __repr__(self):
         name = self.label or "algebra"
         return f"<{name}: n={self.n}, N={self.N}, {len(self.relations)} relations>"
@@ -262,10 +252,10 @@ class PresentationCache:
     def __init__(self):
         self.degrees = []  # homog: _DegreeData of degrees 0, 1, 2, ...
         self.j_spaces = {}  # koszul: m -> the subspace J_m
-        self.j_slices = {}  # koszul: (m, s) -> J_m in V^{⊗s} ⊗ J_{m-s} coordinates
+        self.j_slices = {}  # koszul: (m, s) -> pivot of J_m -> pivot of J_{m-s} -> slice
         self.symmetric = None  # koszul: the verdict of _symmetric, None until checked
         self.word_contents = {}  # koszul: d -> {letter content: normal columns of degree d}
-        self.j_contents = {}  # koszul: m -> {letter content: indices of the rows of J_m}
+        self.j_contents = {}  # koszul: m -> {letter content: pivots of the rows of J_m}
 
 
 class _DegreeData:

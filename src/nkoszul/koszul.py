@@ -82,7 +82,7 @@ def dual_koszul_subspace(A: AlgebraPresentation, m: int) -> linalg.Subspace:
         space = A.ideal_component(N)
     else:
         # J_m = (V ⊗ J_{m-1}) ∩ (J_{m-1} ⊗ V), each spanned by shifted rows
-        prev = dual_koszul_subspace(A, m - 1).rows
+        prev = dual_koszul_subspace(A, m - 1).row_of.values()
         stride = n ** (m - 1)
         left = [{a * stride + i: c for i, c in row.items()} for a in range(n) for row in prev]
         right = [{i * n + a: c for i, c in row.items()} for row in prev for a in range(n)]
@@ -99,12 +99,13 @@ def dual_component_dim(A: AlgebraPresentation, m: int) -> int:
 
 
 def _j_slices(A: AlgebraPresentation, m: int, s: int):
-    """Coordinates of J_m inside V^{⊗s} ⊗ J_{m-s}.
+    """Coordinates of J_m inside V^{⊗s} ⊗ J_{m-s}, keyed by pivots on
+    both levels.
 
     For each basis row of J_m, the slice at every length-s prefix must lie
     in J_{m-s}; a failure signals an implementation bug, not bad input.
-    Returns, per basis row, {J_{m-s} basis index g: {prefix column:
-    coefficient}}: the row is Σ_g y_g ⊗ (basis row g), y_g of degree s.
+    Returns {pivot b of J_m: {pivot g of J_{m-s}: {prefix column:
+    coefficient}}}: the row of b is Σ_g y_g ⊗ (row of g), y_g of degree s.
     For m ≥ N the slices are also checked to compose to zero with those of
     J_{m-s} (see :func:`_check_d_squared`), once per key: the keys
     :func:`differential` uses are one per homological degree.
@@ -117,8 +118,8 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
     space = dual_koszul_subspace(A, m)
     lower = dual_koszul_subspace(A, m - s)
     tail = A.n ** (m - s)
-    data = []
-    for row in space.rows:
+    data = {}
+    for b, row in space.row_of.items():
         groups = {}
         for idx, c in row.items():
             p, t = divmod(idx, tail)
@@ -134,7 +135,7 @@ def _j_slices(A: AlgebraPresentation, m: int, s: int):
                 ) from exc
             for g, lam in coords.items():
                 slices.setdefault(g, {})[p] = lam
-        data.append(slices)
+        data[b] = slices
     if m >= A.N:
         _check_d_squared(A, m, s, data)
     cache[key] = data
@@ -146,8 +147,9 @@ def _check_d_squared(A: AlgebraPresentation, m: int, s: int, slices) -> None:
     s = ν(ℓ) - ν(ℓ-1) and ``slices`` are those of J_m (see :func:`_j_slices`).
 
     Since ν(ℓ) - ν(ℓ-2) = N, the slices y'_{g,h} of the rows g of J_{m-s}
-    have degree N - s.  For a row b = Σ_g y_g ⊗ g of J_m and a normal
-    word e, NF is the quotient map by a two-sided ideal, so
+    have degree N - s, each row named by its pivot.  For a row
+    b = Σ_g y_g ⊗ g of J_m and a normal word e, NF is the quotient map by a
+    two-sided ideal, so
 
         d_{ℓ-1} d_ℓ(e ⊗ b) = Σ_h NF(e·c_h) ⊗ h,  c_h = Σ_g y_g ⊗ y'_{g,h},
 
@@ -158,7 +160,7 @@ def _check_d_squared(A: AlgebraPresentation, m: int, s: int, slices) -> None:
     N = A.N
     lower = _j_slices(A, m - s, N - s)
     shift = A.n ** (N - s)
-    for row in slices:
+    for row in slices.values():
         composed = {}
         for g, y in row.items():
             for h, z in lower[g].items():
@@ -214,12 +216,12 @@ def _word_contents(A: AlgebraPresentation, d: int):
 
 
 def _j_contents(A: AlgebraPresentation, m: int):
-    """{letter content: the indices of the rows of J_m of that content};
+    """{letter content: the pivots of the rows of J_m of that content};
     raises RuntimeError if a row has no one content."""
     groups = A.cache.j_contents.get(m)
     if groups is None:
         groups = {}
-        for b, row in enumerate(dual_koszul_subspace(A, m).rows):
+        for b, row in dual_koszul_subspace(A, m).row_of.items():
             content = _content(row, m, A.n)
             if content is None:
                 raise RuntimeError(
@@ -232,7 +234,7 @@ def _j_contents(A: AlgebraPresentation, m: int):
 
 
 def _pairs_of_content(A: AlgebraPresentation, k: int, hi: int, content):
-    """The pairs (normal word e of degree k, index b of a row of J_hi)
+    """The pairs (normal word e of degree k, pivot b of a row of J_hi)
     whose letter contents add up to ``content``."""
     words = _word_contents(A, k)
     for c, rows in _j_contents(A, hi).items():
@@ -255,12 +257,13 @@ def _blocks(A: AlgebraPresentation, m: int, ell: int):
 def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> linalg.Matrix:
     """Matrix of d_ℓ: A_k ⊗ J_{ν(ℓ)} → A_{k+s} ⊗ J_{ν(ℓ-1)} at total degree m.
 
-    Rows are images of the domain basis pairs (normal word e, J basis row b),
-    in the order of the normal words e; the codomain pair (word f, row g of
-    J_{ν(ℓ-1)}) is column f * dim J_{ν(ℓ-1)} + g, f the word's own column.
-    The map splits the first s = ν(ℓ)-ν(ℓ-1) tensor factors off the J part
-    and multiplies them into the algebra factor: with the J row
-    b = Σ_g y_g ⊗ (row g of J_{ν(ℓ-1)}), e ⊗ b maps to Σ_g e·y_g ⊗ (row g).
+    Rows are images of the domain basis pairs (normal word e, row of
+    J_{ν(ℓ)} with pivot b), by e and then b; the codomain pair (normal word
+    f, row of J_{ν(ℓ-1)} with pivot g) is column f * n^{ν(ℓ-1)} + g, the
+    column of the word f·g in V^{⊗m}.  The map splits the first
+    s = ν(ℓ)-ν(ℓ-1) tensor factors off the J part and multiplies them into
+    the algebra factor: with the J row b = Σ_g y_g ⊗ (row g of J_{ν(ℓ-1)}),
+    e ⊗ b maps to Σ_g e·y_g ⊗ (row g).
     With a letter ``content`` the rows are only those of the pairs (e, b)
     whose contents add up to it (see :func:`homology_report`); None means
     every row.
@@ -274,21 +277,21 @@ def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> lina
     k = m - hi
     if k < 0:
         raise ValueError(f"total degree {m} is below ν({ell}) = {hi}")
-    dim_lower = dual_koszul_subspace(A, lo).dim
+    shift = A.n**lo
     slices = _j_slices(A, hi, s)
     if content is None:
-        pairs = product(A.normal_basis(k), range(len(slices)))
+        pairs = product(A.normal_basis(k), slices)
     else:
         pairs = _pairs_of_content(A, k, hi, content)
     rows = [
         {
-            f * dim_lower + g: v
+            f * shift + g: v
             for g, y in slices[b].items()
             for f, v in A.multiply(k + s, s, {e: 1}, y).items()
         }
         for e, b in pairs
     ]
-    return linalg.Matrix(A.n ** (k + s) * dim_lower, rows)
+    return linalg.Matrix(A.n**m, rows)
 
 
 class DegreeReport:

@@ -148,8 +148,7 @@ class Echelon:
         # Last pivot first: each row is cleared against rows already reduced.
         for p in sorted(self.pivots, reverse=True):
             rows[p] = _eliminate(rows, rows, dict(self.row_of[p]))
-        pivots = sorted(rows)
-        return Subspace(self.ncols, pivots, [rows[p] for p in pivots])
+        return Subspace(self.ncols, dict(reversed(rows.items())))
 
 
 class _Complement(Set):
@@ -202,35 +201,37 @@ class RewriteEchelon(Echelon):
 
 
 class Subspace:
-    """A subspace given by its reduced-row-echelon basis.
+    """A subspace given by its reduced-row-echelon basis: ``row_of`` maps
+    each pivot column, in increasing order, to its row, which has entry 1
+    there and 0 at every other pivot.
 
-    The representation is canonical: two subspaces are equal iff their
-    pivot tuples and basis rows are identical.
+    The representation is canonical: the row space fixes the pivots and
+    their rows, so two subspaces are equal iff their ``row_of`` are.
     """
 
-    __slots__ = ("ambient_dim", "pivots", "rows")
+    __slots__ = ("ambient_dim", "row_of")
 
-    def __init__(self, ambient_dim, pivots, rows):
+    def __init__(self, ambient_dim, row_of):
         self.ambient_dim = ambient_dim
-        self.pivots = tuple(pivots)
-        self.rows = tuple(rows)
+        self.row_of = row_of
 
     @property
     def dim(self) -> int:
-        return len(self.pivots)
+        return len(self.row_of)
 
     def coordinates(self, vec):
         """Coordinates of ``vec`` in the basis rows, as a sparse
-        ``{row_index: scalar}`` dict; raises ValueError if not a member.
+        ``{pivot: scalar}`` dict; raises ValueError if not a member.
 
-        For a reduced echelon basis the coordinate along row i is the entry
-        of ``vec`` at pivot i, and ``vec`` is a member exactly when the
-        residual ``vec - Σ coordinate·row`` is zero.
+        For a reduced echelon basis the coordinate along the row of pivot p
+        is the entry of ``vec`` at p, so they are read from the entries of
+        ``vec`` alone; ``vec`` is a member exactly when the residual
+        ``vec - Σ coordinate·row`` is zero.
         """
-        coords = {i: vec[p] for i, p in enumerate(self.pivots) if vec.get(p)}
         residual = {j: v for j, v in vec.items() if v}
-        for i, c in coords.items():
-            axpy(residual, -c, self.rows[i])
+        coords = {p: v for p, v in residual.items() if p in self.row_of}
+        for p, c in coords.items():
+            axpy(residual, -c, self.row_of[p])
         if residual:
             raise ValueError("vector is not in the subspace")
         return coords
@@ -239,8 +240,7 @@ class Subspace:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.pivots == other.pivots
-            and self.rows == other.rows
+            and self.row_of == other.row_of
         )
 
     def __repr__(self):
@@ -256,13 +256,12 @@ def rank(matrix: Matrix) -> int:
 def kernel(sub: Subspace) -> Subspace:
     """{v : Σ_j row[j]·v[j] = 0 for every row of ``sub``}, the annihilator
     of a subspace given by its reduced row echelon basis."""
-    pivots = set(sub.pivots)
     ech = Echelon(sub.ambient_dim)
     for j in range(sub.ambient_dim):
-        if j in pivots:
+        if j in sub.row_of:
             continue
         vec = {j: 1}
-        for p, row in zip(sub.pivots, sub.rows):
+        for p, row in sub.row_of.items():
             c = row.get(j)
             if c:
                 vec[p] = -c
@@ -271,8 +270,7 @@ def kernel(sub: Subspace) -> Subspace:
 
 
 def full_space(ambient_dim: int) -> Subspace:
-    rows = tuple({j: 1} for j in range(ambient_dim))
-    return Subspace(ambient_dim, tuple(range(ambient_dim)), rows)
+    return Subspace(ambient_dim, {j: {j: 1} for j in range(ambient_dim)})
 
 
 def intersect(ambient_dim: int, u_rows, w_rows) -> Subspace:
@@ -291,9 +289,10 @@ def intersect(ambient_dim: int, u_rows, w_rows) -> Subspace:
         ech.add(double)
     for row in w_rows:
         ech.add(dict(row))
-    pivots = [p for p in sorted(ech.pivots) if p >= amb]
-    rows = [{col - amb: val for col, val in ech.row_of[p].items()} for p in pivots]
-    return Subspace(amb, [p - amb for p in pivots], rows)
+    return Subspace(amb, {
+        p - amb: {col - amb: val for col, val in ech.row_of[p].items()}
+        for p in sorted(ech.pivots) if p >= amb
+    })
 
 
 class BasisSolver:

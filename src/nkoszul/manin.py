@@ -25,7 +25,7 @@ from .algebras import perm_sign, polynomial
 from .freealg import shuffle_pairs, word_index, z_word
 from .homog import AlgebraPresentation
 from .koszul import dual_koszul_subspace, jumps, nu
-from .linalg import axpy
+from .linalg import axpy, kernel
 
 
 class ManinBialgebra:
@@ -43,10 +43,12 @@ class ManinBialgebra:
 
 
 def build_end(A: AlgebraPresentation) -> ManinBialgebra:
-    """Construct end(A) = A(V*⊗V, R^⊥⊗R) from echelon bases of R^⊥ and R."""
+    """Construct end(A) = A(V*⊗V, R^⊥⊗R) from the reduced echelon basis of
+    R = I_N and that of R^⊥, its kernel."""
     n, N = A.n, A.N
-    r_basis = A.ideal_component(N).rows
-    perp_basis = A.dual().relations
+    ideal = A.ideal_component(N)
+    r_basis = ideal.row_of.values()
+    perp_basis = kernel(ideal).row_of.values()
     rels = [shuffle_pairs(xi, r, N, n) for xi in perp_basis for r in r_basis]
     env = AlgebraPresentation(
         n * n, N, rels, label=f"end({A.label or 'A'})", parameters=A.parameters
@@ -81,7 +83,7 @@ def chi_J(B: ManinBialgebra, ell: int) -> dict:
     m = nu(A.N, ell)
     space = dual_koszul_subspace(A, m)
     acc = {}
-    for p, row in zip(space.pivots, space.rows):
+    for p, row in space.row_of.items():
         for w, c in row.items():
             axpy(acc, c, E.class_of_word((m, z_word(w, p, m, n))))
     return acc

@@ -9,7 +9,7 @@ from nkoszul.algebras import antisymmetrizer, perm_sign
 from nkoszul.freealg import index_word, word_index, z_index, z_word
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.koszul import differential, dual_koszul_subspace, jumps, nu
-from nkoszul.linalg import Echelon, Matrix, Subspace, axpy, rank
+from nkoszul.linalg import Echelon, Matrix, Subspace, axpy, kernel, rank
 from nkoszul.manin import is_polynomial_presentation
 from nkoszul.scalar import div
 from nkoszul.series import MultiSeries
@@ -226,8 +226,8 @@ def mixed_first_row(real, key):
         sub = real(A, m)
         if m != key:
             return sub
-        first = axpy(dict(sub.rows[0]), 1, sub.rows[1])
-        return Subspace(sub.ambient_dim, sub.pivots, (first, *sub.rows[1:]))
+        (p, first), (_, second), *_ = sub.row_of.items()
+        return Subspace(sub.ambient_dim, {**sub.row_of, p: axpy(dict(first), 1, second)})
 
     return space
 
@@ -312,12 +312,12 @@ def perturbed_antisym43(index):
 
 def rows_by_pair(A, m, ell, mat):
     """The rows of ``mat``, the matrix of d_ℓ at total degree m, keyed by
-    e * dim J_ν(ℓ) + b for their pair (normal word e, J row b): the column
-    that e ⊗ (row b) has on the codomain of d_{ℓ+1}."""
+    e * n^ν(ℓ) + b for their pair (normal word e, row of J_ν(ℓ) with pivot
+    b): the column of the word e·b, which e ⊗ (row b) has on the codomain
+    of d_{ℓ+1}."""
     d = nu(A.N, ell)
-    dim = dual_koszul_subspace(A, d).dim
-    pairs = product(A.normal_basis(m - d), range(dim))
-    return {e * dim + b: row for (e, b), row in zip(pairs, mat.rows, strict=True)}
+    pairs = product(A.normal_basis(m - d), dual_koszul_subspace(A, d).row_of)
+    return {e * A.n**d + b: row for (e, b), row in zip(pairs, mat.rows, strict=True)}
 
 
 def composition_is_zero(d_hi, lo_rows):
@@ -386,8 +386,9 @@ def doubled_first_slice(real, key):
     def slices(A, m, s):
         data = real(A, m, s)
         if (m, s) == key:
-            (g, y), *_ = data[0].items()
-            data = [{**data[0], g: {p: 2 * c for p, c in y.items()}}, *data[1:]]
+            b, first = next(iter(data.items()))
+            (g, y), *_ = first.items()
+            data = {**data, b: {**first, g: {p: 2 * c for p, c in y.items()}}}
         return data
 
     return slices
@@ -420,6 +421,13 @@ def series_product_by_concat(A, p, q):
     return out
 
 
+def dual(A):
+    """The dual N-homogeneous algebra on V* with relations R^⊥, the kernel
+    of I_N: dim J_m = dim A^!_m, so its quotient dimensions are the oracle
+    of the J spaces, built by an ideal recursion and not by intersections."""
+    return AlgebraPresentation(A.n, A.N, kernel(A.ideal_component(A.N)).row_of.values())
+
+
 def rref(matrix):
     """The row space of a ``linalg.Matrix`` as a Subspace, its reduced row
     echelon basis, built by a reduced-mode Echelon."""
@@ -431,7 +439,7 @@ def rref(matrix):
 def in_span(sub, vec):
     """v ∈ sub iff the rank of sub's rows plus v is dim sub; independent of
     the reduced echelon form that ``Subspace.coordinates`` reads."""
-    return rank(Matrix(sub.ambient_dim, [*sub.rows, vec])) == sub.dim
+    return rank(Matrix(sub.ambient_dim, [*sub.row_of.values(), vec])) == sub.dim
 
 
 def _transform_tensor(Z, vec, k):
@@ -470,8 +478,8 @@ def _subspace_sum(u, w):
     if u.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     ech = Echelon(u.ambient_dim)
-    ech.extend(u.rows)
-    ech.extend(w.rows)
+    ech.extend(u.row_of.values())
+    ech.extend(w.row_of.values())
     return ech.to_subspace()
 
 

@@ -129,7 +129,8 @@ def test_criterion_04_koszulity_certificates(algebras):
             ell = 2
             while nu(A.N, ell) <= m:
                 hi = differential(A, m, ell)
-                # the row of d_{ℓ-1} at (word column, J row index) of a column of d_ℓ
+                # the row of d_{ℓ-1} at a column of d_ℓ, the word f·g of a
+                # normal word f and the pivot g of a J row
                 lo = rows_by_pair(A, m, ell - 1, differential(A, m, ell - 1))
                 for row in hi.rows:
                     acc = {}
@@ -281,7 +282,8 @@ def test_criterion_11_property_suites(algebras, subspace_sum):
 
         u, w = rand_space(), rand_space()
         if (
-            subspace_sum(u, w).dim + linalg.intersect(8, u.rows, w.rows).dim
+            subspace_sum(u, w).dim
+            + linalg.intersect(8, u.row_of.values(), w.row_of.values()).dim
             != u.dim + w.dim
         ):
             failures.append("grassmann")
@@ -293,7 +295,7 @@ def test_criterion_11_property_suites(algebras, subspace_sum):
     for _ in range(10):
         t = columns(3, {rng.choice(words): Fraction(rng.randint(-3, 3)) for _ in range(4)})
         shifted = dict(t)  # t plus a random element of the ideal
-        for row in ideal.rows:
+        for row in ideal.row_of.values():
             c = Fraction(rng.randint(-2, 2))
             for col, val in row.items():
                 shifted[col] = shifted.get(col, Fraction(0)) + c * val
@@ -318,7 +320,7 @@ def test_criterion_11_property_suites(algebras, subspace_sum):
                 continue
             lower = dual_koszul_subspace(alg, m - s)
             tail = alg.n ** (m - s)
-            for row in dual_koszul_subspace(alg, m).rows:
+            for row in dual_koszul_subspace(alg, m).row_of.values():
                 groups = {}
                 for idx, coeff in row.items():
                     p, t = divmod(idx, tail)

@@ -4,6 +4,7 @@ from itertools import product
 
 import pytest
 
+from conftest import dual
 from nkoszul.algebras import (
     admissible_counts,
     antisymmetrizer,
@@ -81,7 +82,7 @@ def test_quantum_space_generic():
     assert Q.relations == ({word_index((1, 0), 2): 1, word_index((0, 1), 2): -q12},)
     assert Q.hilbert_series(6).coeffs == list(range(1, 8))
     # dual bookkeeping: dim R = 1 -> dim R^perp = 3 -> dim A!_2 = 1
-    assert Q.dual().dim_component(2) == 1
+    assert dual(Q).dim_component(2) == 1
 
 
 def test_quantum_space_at_one_is_polynomial():

@@ -12,6 +12,7 @@ from conftest import (
     columns,
     d_squared_failures,
     doubled_first_slice,
+    dual,
     full_copy_echelons,
     groebner_presentations,
     homogeneous_presentations,
@@ -68,7 +69,9 @@ def j_bruteforce(A, m):
                 for w in product(range(A.n), repeat=j):
                     ech.add(columns(A.n, {u + rw + w: c for rw, c in rwords.items()}))
         window = ech.to_subspace()
-        space = window if space is None else intersect(A.n**m, space.rows, window.rows)
+        space = window if space is None else intersect(
+            A.n**m, space.row_of.values(), window.row_of.values()
+        )
     return space
 
 
@@ -91,20 +94,22 @@ def test_j_dims_antisym43():
 
 def test_j_spaces_are_canonical_rref():
     # subspaces built from shifted bases and Zassenhaus intersections must
-    # still be reduced echelon bases (idempotence under rref)
+    # still be reduced echelon bases (idempotence under rref), their rows
+    # in increasing pivot order, the order of the rows of each d_ℓ
     from nkoszul.linalg import Matrix
 
     for A in (polynomial(3), antisymmetrizer(4, 3)):
         for m in range(A.N + 3):
             space = dual_koszul_subspace(A, m)
-            again = rref(Matrix(space.ambient_dim, [dict(r) for r in space.rows]))
+            again = rref(Matrix(space.ambient_dim, [dict(r) for r in space.row_of.values()]))
             assert again == space, (A.label, m)
+            assert list(space.row_of) == sorted(space.row_of), (A.label, m)
 
 
 def test_j_orthogonality_duality():
     # dim J_m + dim I_m(R^perp) = n^m
     for A in (polynomial(2), antisymmetrizer(3, 3)):
-        D = A.dual()
+        D = dual(A)
         for m in range(6):
             assert dual_component_dim(A, m) + D.ideal_rank(m) == A.n**m
 
@@ -118,7 +123,7 @@ def test_j_orthogonality_duality():
 def test_dual_dim_cross_check_against_dual_presentation(A):
     # dim J_m (intersections of shifted rows) against the quotient of the
     # dual presentation (the kernel of I_N, then an ideal recursion)
-    D = A.dual()
+    D = dual(A)
     for m in range(6):
         assert dual_component_dim(A, m) == D.dim_component(m), (A.label, m)
 
@@ -166,7 +171,8 @@ def test_corrupted_j_slice_fails_the_certificate():
     # V^{⊗2} ⊗ J_1 are those of d_2; one scaled entry of them breaks
     # d_2 ∘ d_3 = 0, which the check of J_4 reports
     A = antisymmetrizer(4, 3)
-    y = next(iter(koszul._j_slices(A, 3, 2)[0].values()))
+    first = next(iter(koszul._j_slices(A, 3, 2).values()))
+    y = next(iter(first.values()))
     y[min(y)] *= 3
     with pytest.raises(RuntimeError, match="slices of J_4 and J_3"):
         koszul_certificate(A, 7)
@@ -200,12 +206,13 @@ def _products(A, top, keep):
         for ell, d in jumps(A.N, m):
             if ell < 2:
                 continue
-            rows = dual_koszul_subspace(A, d).rows
+            row_of = dual_koszul_subspace(A, d).row_of
             slices = koszul._j_slices(A, d, d - nu(A.N, ell - 1))
+            assert list(slices) == list(row_of)
             for e in A.normal_basis(m - d):
-                for row, sl in zip(rows, slices):
+                for b, sl in slices.items():
                     content = [x + y for x, y in zip(
-                        letter_content(e, m - d, A.n), letter_content(min(row), d, A.n)
+                        letter_content(e, m - d, A.n), letter_content(min(row_of[b]), d, A.n)
                     )]
                     total += len(sl) if keep(content) else 0
     return total
@@ -242,7 +249,7 @@ def test_certificate_multiplies_once_per_word_row_and_slice(monkeypatch):
         for ell, d in jumps(A.N, m):
             if ell >= 2:
                 slices = koszul._j_slices(A, d, d - nu(A.N, ell - 1))
-                expected += A.dim_component(m - d) * sum(map(len, slices))
+                expected += A.dim_component(m - d) * sum(map(len, slices.values()))
     assert len(calls) == expected == _products(A, 6, lambda c: True)
 
 
@@ -288,6 +295,31 @@ def test_content_blocks_split_the_whole_matrix(A):
                 for c, rows in blocks.items():
                     top = blocks[tuple(sorted(c, reverse=True))]
                     assert rank(Matrix(whole.ncols, rows)) == rank(Matrix(whole.ncols, top))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(presentations(), stable_presentations()))
+@example(antisymmetrizer(4, 3))
+def test_differential_columns_are_words_of_the_codomain(A):
+    # every column of d_ℓ, on the whole matrix and, when the relations
+    # allow blocks, on each content block, is the word f·g of V^{⊗m}: f a
+    # normal word of degree m - ν(ℓ-1) and g the pivot of a row of J_ν(ℓ-1)
+    symmetric = koszul._symmetric(A)
+    for m in range(1, 6):
+        for ell, _ in jumps(A.N, m):
+            if ell < 1:
+                continue
+            lo = nu(A.N, ell - 1)
+            normal = set(A.normal_basis(m - lo))
+            pivots = dual_koszul_subspace(A, lo).row_of
+            blocks = koszul._blocks(A, m, ell) if symmetric and ell >= 2 else {}
+            for content in (None, *blocks):
+                mat = differential(A, m, ell, content)
+                assert mat.ncols == A.n**m
+                for row in mat.rows:
+                    for col in row:
+                        f, g = divmod(col, A.n**lo)
+                        assert f in normal and g in pivots, (m, ell, content, col)
 
 
 @settings(max_examples=20, deadline=None)
@@ -415,13 +447,11 @@ def test_differential_matches_alternating_expansion():
         space = dual_koszul_subspace(A, ell)
         lower = dual_koszul_subspace(A, ell - 1)
         subsets = list(combinations(range(n), ell))
-        # echelon rows are exactly the wedge tensors of ascending subsets
-        assert [r for r in space.rows] == [
-            _wedge(n, s) for s in subsets
-        ]
+        # echelon rows are exactly the wedge tensors of ascending subsets,
+        # each at its pivot, the ascending word
+        assert space.row_of == {min(_wedge(n, s)): _wedge(n, s) for s in subsets}
         mat = differential(A, m, ell)
         dom_words = A.normal_basis(k)
-        lower_subsets = list(combinations(range(n), ell - 1))
         for e_pos, e in enumerate(dom_words):
             for b, subset in enumerate(subsets):
                 expected = {}
@@ -429,9 +459,10 @@ def test_differential_matches_alternating_expansion():
                     rest = subset[:j] + subset[j + 1 :]
                     sign = Fraction((-1) ** j)  # (-1)^{j+1} with 1-based j
                     prod = A.reduce(k + 1, columns(n, {index_word(e, k, n) + (v,): 1}))
-                    g = lower_subsets.index(rest)
+                    g = min(_wedge(n, rest))
+                    assert lower.row_of[g] == _wedge(n, rest)
                     for fw, cf in prod.items():
-                        col = fw * lower.dim + g
+                        col = fw * n ** (ell - 1) + g
                         expected[col] = expected.get(col, Fraction(0)) + sign * cf
                 expected = {c: v for c, v in expected.items() if v}
                 got = mat.rows[e_pos * space.dim + b]

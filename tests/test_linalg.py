@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import full_copy_echelons, in_span, rref
+from conftest import COEFFS, full_copy_echelons, in_span, rref
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.linalg import (
     BasisSolver,
@@ -38,8 +40,7 @@ def _apply(m, vec):
 def test_rref_proportional_rows():
     sub = rref(dense([[2, 4], [1, 2]]))
     assert sub.dim == 1
-    assert sub.rows == ({0: 1, 1: Fraction(2)},)
-    assert sub.pivots == (0,)
+    assert sub.row_of == {0: {0: 1, 1: Fraction(2)}}
 
 
 def test_rref_zero_matrix():
@@ -58,14 +59,14 @@ def test_rref_idempotent():
     for _ in range(20):
         m = dense([[rng.randint(-5, 5) for _ in range(6)] for _ in range(4)])
         sub = rref(m)
-        again = rref(Matrix(6, [dict(r) for r in sub.rows]))
+        again = rref(Matrix(6, [dict(r) for r in sub.row_of.values()]))
         assert again == sub
 
 
 def test_kernel_examples():
     k = kernel(rref(dense([[1, 1]])))
     assert k.dim == 1
-    [row] = k.rows
+    [row] = k.row_of.values()
     # the kernel vector satisfies v_0 + v_1 = 0
     assert row[0] + row[1] == 0
     assert kernel(rref(dense([[1, 2], [3, 4]]))).dim == 0
@@ -78,7 +79,7 @@ def test_rank_nullity_random():
         k = kernel(rref(m))
         rk = rank(m)
         assert rk + k.dim == 10
-        for row in k.rows:
+        for row in k.row_of.values():
             assert not _apply(m, row)
 
 
@@ -97,38 +98,39 @@ def test_grassmann_dimension_formula(subspace_sum):
         u = _random_subspace(rng, 8, rng.randint(0, 5))
         w = _random_subspace(rng, 8, rng.randint(0, 5))
         s = subspace_sum(u, w)
-        i = intersect(8, u.rows, w.rows)
+        i = intersect(8, u.row_of.values(), w.row_of.values())
         assert s.dim + i.dim == u.dim + w.dim
-        for row in i.rows:
+        for row in i.row_of.values():
             assert in_span(u, row) and in_span(w, row)
 
 
 def _intersect_bruteforce(u, w):
     # independent oracle: kernel of the coefficient map (c, d) -> c·U - d·W
     cols = u.dim + w.dim
+    urows, wrows = list(u.row_of.values()), list(w.row_of.values())
     support = set()
-    for row in u.rows + w.rows:
+    for row in urows + wrows:
         support.update(row)
     rows = []
     for col in sorted(support):
         row = {}
-        for i, urow in enumerate(u.rows):
+        for i, urow in enumerate(urows):
             c = urow.get(col)
             if c:
                 row[i] = c
-        for i, wrow in enumerate(w.rows):
+        for i, wrow in enumerate(wrows):
             c = wrow.get(col)
             if c:
                 row[u.dim + i] = -c
         rows.append(row)
     combos = kernel(rref(Matrix(cols, rows)))
     ech = Echelon(u.ambient_dim)
-    for combo in combos.rows:
+    for combo in combos.row_of.values():
         vec = {}
         for i, c in combo.items():
             if i >= u.dim:
                 continue
-            for col, val in u.rows[i].items():
+            for col, val in urows[i].items():
                 vec[col] = vec.get(col, Fraction(0)) + c * val
         ech.add(vec)
     return ech.to_subspace()
@@ -139,45 +141,63 @@ def test_intersection_against_bruteforce():
     for _ in range(20):
         u = _random_subspace(rng, 7, rng.randint(1, 4))
         w = _random_subspace(rng, 7, rng.randint(1, 4))
-        assert intersect(7, u.rows, w.rows) == _intersect_bruteforce(u, w)
+        assert intersect(7, u.row_of.values(), w.row_of.values()) == _intersect_bruteforce(u, w)
 
 
 def test_sum_intersection_trivial_cases(subspace_sum):
-    e1 = Subspace(2, (0,), ({0: 1},))
-    e2 = Subspace(2, (1,), ({1: 1},))
+    e1 = Subspace(2, {0: {0: 1}})
+    e2 = Subspace(2, {1: {1: 1}})
     assert subspace_sum(e1, e2).dim == 2
-    assert intersect(2, e1.rows, e2.rows).dim == 0
+    assert intersect(2, e1.row_of.values(), e2.row_of.values()).dim == 0
     assert subspace_sum(e1, e1) == e1
-    assert intersect(2, e1.rows, e1.rows) == e1
+    assert intersect(2, e1.row_of.values(), e1.row_of.values()) == e1
 
 
-def test_contains_iff_coordinates():
-    # coordinates succeeds exactly on the members the rank oracle accepts
-    rng = random.Random(5)
-    for _ in range(20):
-        u = _random_subspace(rng, 6, 3)
-        inside = {}
-        for i, row in enumerate(u.rows):
-            c = Fraction(rng.randint(-3, 3))
-            for col, val in row.items():
-                inside[col] = inside.get(col, Fraction(0)) + c * val
-        inside = {c: v for c, v in inside.items() if v}
-        outside = dict(inside)
-        free = [j for j in range(6) if j not in u.pivots]
-        outside[free[0]] = outside.get(free[0], Fraction(0)) + 1
-        noise = {j: Fraction(rng.randint(-2, 2)) for j in rng.sample(range(6), 2)}
-        assert in_span(u, inside)
-        assert not in_span(u, outside)
-        for vec in (inside, outside, noise):
-            if not in_span(u, vec):
+@st.composite
+def subspaces(draw):
+    """The row space of up to four random rows in an ambient space of
+    dimension at most 7."""
+    ambient = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ambient - 1), COEFFS), max_size=4))
+    ech = Echelon(ambient)
+    ech.extend(rows)
+    return ech.to_subspace()
+
+
+def _nonzero(vec):
+    return {j: v for j, v in vec.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(subspaces(), st.data())
+def test_contains_iff_coordinates(u, data):
+    # coordinates succeeds exactly on the members the rank oracle accepts,
+    # and a member's coordinates are its own entries at the pivots
+    amb = u.ambient_dim
+    cols = st.integers(0, amb - 1)
+    nonzero = COEFFS.filter(bool)
+    inside = {}
+    for p in data.draw(st.lists(st.sampled_from(sorted(u.row_of)), max_size=3)) if u.dim else ():
+        axpy(inside, data.draw(nonzero), u.row_of[p])
+    free = [j for j in range(amb) if j not in u.row_of]
+    off_pivot = data.draw(st.dictionaries(st.sampled_from(free), COEFFS)) if free else {}
+    noise = data.draw(st.dictionaries(cols, COEFFS))
+    zeros = dict.fromkeys(data.draw(st.lists(cols, max_size=3)), 0)
+    assert in_span(u, inside)
+    # a nonzero vector with no entry at a pivot is no member of an RREF span
+    assert in_span(u, off_pivot) == (not _nonzero(off_pivot))
+    for vec in (inside, off_pivot, axpy(dict(inside), 1, _nonzero(off_pivot)), noise):
+        for padded in (vec, {**zeros, **vec}):
+            if not in_span(u, padded):
                 with pytest.raises(ValueError):
-                    u.coordinates(vec)
+                    u.coordinates(padded)
                 continue
+            coords = u.coordinates(padded)
+            assert coords == {p: v for p, v in _nonzero(vec).items() if p in u.row_of}
             rebuilt = {}
-            for i, c in u.coordinates(vec).items():
-                for col, val in u.rows[i].items():
-                    rebuilt[col] = rebuilt.get(col, Fraction(0)) + c * val
-            assert {c: v for c, v in rebuilt.items() if v} == {c: v for c, v in vec.items() if v}
+            for p, c in coords.items():
+                axpy(rebuilt, c, u.row_of[p])
+            assert rebuilt == _nonzero(vec)
 
 
 def test_ambient_mismatch(subspace_sum):

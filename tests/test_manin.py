@@ -126,8 +126,7 @@ def _assert_coaction_preserves_J(B, ell):
     A, E = B.base, B.env
     n, m = A.n, nu(A.N, ell)
     space = dual_koszul_subspace(A, m)
-    pivot_words = [index_word(p, m, n) for p in space.pivots]
-    for row in space.rows:
+    for row in space.row_of.values():
         slots = {}  # w -> end(A) coordinates of T_w
         for idx, c in row.items():
             w = index_word(idx, m, n)
@@ -135,10 +134,10 @@ def _assert_coaction_preserves_J(B, ell):
                 axpy(slots.setdefault(jw, {}), c, _cls(E, _z(w, jw, n)))
         for jw in product(range(n), repeat=m):
             residual = dict(slots[jw])
-            for arow, pw in zip(space.rows, pivot_words):
+            for p, arow in space.row_of.items():
                 c = arow.get(word_index(jw, n))
                 if c:
-                    axpy(residual, -c, slots[pw])
+                    axpy(residual, -c, slots[index_word(p, m, n)])
             assert not residual, (A.label, m, jw)
 
 
@@ -169,7 +168,7 @@ def test_coaction_kills_ideal_low_degrees():
     B = build_end(A)
     for d in (2, 3, 4):
         ideal = A.ideal_component(d)
-        for row in ideal.rows:
+        for row in ideal.row_of.values():
             assert not _coaction_on_element(B, d, row), d
 
 

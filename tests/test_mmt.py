@@ -194,7 +194,7 @@ def _restricted_trace(Z, space, n, m):
     """Trace of Z^{⊗m} on an invariant subspace of V^{⊗m}, via the pivot
     coordinate functionals of its reduced echelon basis."""
     total = Fraction(0)
-    for p, row in zip(space.pivots, space.rows):
+    for p, row in space.row_of.items():
         pword = index_word(p, m, n)
         for idx, c in row.items():
             factor = c

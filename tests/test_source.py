@@ -1,6 +1,8 @@
 import ast
 from pathlib import Path
 
+from nkoszul.linalg import Subspace
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "nkoszul"
 
 
@@ -384,6 +386,39 @@ def test_words_are_numbered_by_column():
                 ):
                     found.append(f"{path.stem}.{func.name}:{node.lineno}")
     assert found == []
+
+
+def _functions(scope, prefix):
+    """(qualified name, node) of each function of ``scope``, a method as
+    ``prefix`` + class + "." + name; nested functions are left in their
+    enclosing one."""
+    for node in scope.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node, f"{prefix}{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name, node
+
+
+def test_subspace_rows_are_named_by_pivot():
+    # a subspace is one map from each pivot to its row, and a row of J is
+    # named by its pivot word: no code numbers such rows by position, by
+    # enumerating an attribute rows, pivots or row_of, or pairs parallel
+    # tuples of pivots and rows
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for name, func in _functions(tree, f"{path.stem}."):
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)):
+                    continue
+                attrs = [getattr(arg, "attr", None) for arg in node.args]
+                if (
+                    node.func.id == "enumerate" and attrs[:1] in (["rows"], ["pivots"], ["row_of"])
+                    or node.func.id == "zip" and attrs[:2] == ["pivots", "rows"]
+                ):
+                    found.append(f"{name}:{node.lineno}")
+    assert found == []
+    assert Subspace.__slots__ == ("ambient_dim", "row_of")
 
 
 def test_one_lazy_row_class():
