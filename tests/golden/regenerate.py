@@ -180,6 +180,15 @@ CASES.update({
     "koszul-qspace3_rational-d4": _json("koszul-check", "--algebra", QSPACE3_RATIONAL, D=4),
     "dvp-qspace3_rational-d4": _json("dvp-check", "--algebra", QSPACE3_RATIONAL, D=4),
 })
+# the orbit path of koszul-check: an S_3-stable file algebra that is not
+# Koszul (exit 1), thirty letters, and letters of two digits
+SYM_XYX3 = "file:inputs/sym_xyx3.json"
+CASES.update({
+    "koszul-sym_xyx3-d6": _json("koszul-check", "--algebra", SYM_XYX3, D=6),
+    "koszul-poly30-d2": _json("koszul-check", "--algebra", "poly", "--n", "30", D=2),
+    "koszul-qspace11-qm1-d3": _json("koszul-check", "--algebra", "qspace", "--n", "11",
+                                    "--q", "-1", D=3),
+})
 # the usage errors of the commands that take no algebra and of the matrix:
 # "{bad" fails in the JSON reader, '{"n": 2}' in the matrix schema
 CASES.update({
