@@ -28,8 +28,8 @@ and the tests check it by sweeping d_{ℓ-1} ∘ d_ℓ over the assembled
 matrices and against the full-copy recursion of the ideal.
 
 The ranks of the d_ℓ are taken one letter content per S_n orbit when the
-relations allow it: rank d_ℓ = Σ_c |S_n·c| · rank(block c), over the
-occurring contents c in non-increasing form, since the complex is
+relations allow it: rank d_ℓ = Σ_c |S_n·c| · rank(block c), over one
+occurring content c per orbit, since the complex is
 functorial in (V, R) (R. Berger, "Koszulity for nonquadratic algebras",
 J. Algebra 239 (2001) 705-734).  The relations must be content-homogeneous
 and span R stable under S_n, which is the guard of the master identities,
@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import product
-from operator import add, sub
 
 from . import linalg, series
 from .algebras import admissible_counts
@@ -175,13 +174,13 @@ def _check_d_squared(A: AlgebraPresentation, m: int, s: int, slices) -> None:
 
 
 def _letter_content(col, d, n):
-    """The letter content of the word at column ``col`` of length d: the
-    number of times each of the n letters occurs in it."""
-    counts = [0] * n
+    """The letter content of the word at column ``col`` of length d: its d
+    letters in increasing order, a multiset of size d whatever n is."""
+    letters = []
     for _ in range(d):
         col, a = divmod(col, n)
-        counts[a] += 1
-    return tuple(counts)
+        letters.append(a)
+    return tuple(sorted(letters))
 
 
 def _content(vec, d, n):
@@ -233,28 +232,29 @@ def _j_contents(A: AlgebraPresentation, m: int):
     return groups
 
 
-def _pairs_of_content(A: AlgebraPresentation, k: int, hi: int, content):
-    """The pairs (normal word e of degree k, pivot b of a row of J_hi)
-    whose letter contents add up to ``content``."""
-    words = _word_contents(A, k)
-    for c, rows in _j_contents(A, hi).items():
-        for e in words.get(tuple(map(sub, content, c)), ()):
-            for b in rows:
-                yield e, b
-
-
 def _blocks(A: AlgebraPresentation, m: int, ell: int):
-    """{content in non-increasing form: the number of contents of total m
-    that occur in d_ℓ, as cw + cj of a normal word and a row of J_ν(ℓ),
-    and have that form}."""
+    """One (count, pairs) per S_n orbit of the letter contents of total m
+    that occur in d_ℓ as cw + cj, of a normal word and a row of J_ν(ℓ),
+    each orbit named by its multiplicities in non-increasing order: count
+    is the number of them in the orbit, and pairs are the pairs (e, b)
+    whose contents add up to its representative, in which letter 0 is the
+    most frequent letter, letter 1 the next, and so on (none if that one
+    does not occur, as it may when span R is not S_n-stable)."""
     hi = nu(A.N, ell)
-    occurring = {
-        tuple(map(add, cw, cj)) for cw in _word_contents(A, m - hi) for cj in _j_contents(A, hi)
-    }
-    return Counter(tuple(sorted(c, reverse=True)) for c in occurring)
+    words = _word_contents(A, m - hi)
+    parts = {}
+    for cj, rows in _j_contents(A, hi).items():
+        for cw, cols in words.items():
+            parts.setdefault(tuple(sorted(cw + cj)), []).append((cols, rows))
+    orbits = Counter(tuple(sorted(map(c.count, set(c)), reverse=True)) for c in parts)
+    reps = {key: tuple(a for a, k in enumerate(key) for _ in range(k)) for key in orbits}
+    return [
+        (count, [(e, b) for cols, rows in parts.get(reps[key], ()) for e in cols for b in rows])
+        for key, count in orbits.items()
+    ]
 
 
-def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> linalg.Matrix:
+def differential(A: AlgebraPresentation, m: int, ell: int, pairs=None) -> linalg.Matrix:
     """Matrix of d_ℓ: A_k ⊗ J_{ν(ℓ)} → A_{k+s} ⊗ J_{ν(ℓ-1)} at total degree m.
 
     Rows are images of the domain basis pairs (normal word e, row of
@@ -264,9 +264,9 @@ def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> lina
     s = ν(ℓ)-ν(ℓ-1) tensor factors off the J part and multiplies them into
     the algebra factor: with the J row b = Σ_g y_g ⊗ (row g of J_{ν(ℓ-1)}),
     e ⊗ b maps to Σ_g e·y_g ⊗ (row g).
-    With a letter ``content`` the rows are only those of the pairs (e, b)
-    whose contents add up to it (see :func:`homology_report`); None means
-    every row.
+    With ``pairs``, a list of pairs (e, b), the rows are only theirs, in
+    that order (one block of :func:`_blocks`, see :func:`homology_report`);
+    None means every row.
     """
     if ell < 1:
         raise ValueError("differential needs homological degree >= 1")
@@ -279,10 +279,8 @@ def differential(A: AlgebraPresentation, m: int, ell: int, content=None) -> lina
         raise ValueError(f"total degree {m} is below ν({ell}) = {hi}")
     shift = A.n**lo
     slices = _j_slices(A, hi, s)
-    if content is None:
+    if pairs is None:
         pairs = product(A.normal_basis(k), slices)
-    else:
-        pairs = _pairs_of_content(A, k, hi, content)
     rows = [
         {
             f * shift + g: v
@@ -325,16 +323,18 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
 
     Lemma (orbit ranks): if every relation is content-homogeneous and span R
     is stable under S_n, then rank d_ℓ = Σ_c |S_n·c| · rank(block c), over
-    the occurring contents c in non-increasing form, where block c holds
-    the rows (e, b) whose letter contents add up to c.  Proof: the normal
+    one occurring content c per orbit, where a content is the multiset of
+    its letters and block c holds the rows (e, b) whose letter contents add
+    up to c.  Proof: the normal
     forms and the RREF bases of J_m then keep letter content, so each row
     of d_ℓ has one content and rows of different contents share no column;
     and a permutation π of the letters induces automorphisms of A and of
     every J_m that commute with d (the complex is functorial in (V, R):
     R. Berger, "Koszulity for nonquadratic algebras", J. Algebra 239 (2001)
     705-734), so block π(c) has the rank of block c and is empty only when
-    block c is.  Hence the occurring contents form whole orbits, and |S_n·c|
-    is the number of them of c's form (see :func:`_blocks`).  Stability is
+    block c is.  Hence the occurring contents form whole orbits, |S_n·c|
+    is the number of them with c's multiplicities, and any one of them may
+    stand for its orbit (see :func:`_blocks`).  Stability is
     decided by :func:`_symmetric`; without it d_ℓ is ranked whole, as one
     block counted once.  On the orbit path each row of J_m must have one
     content, or RuntimeError is raised (see :func:`_j_contents`).
@@ -348,9 +348,9 @@ def homology_report(A: AlgebraPresentation, m: int) -> DegreeReport:
     ells = list(dims)
     ranks = {1: dims[0]}
     for l in ells[2:]:
-        blocks = (_blocks(A, m, l) if _symmetric(A) else {None: 1}) if dims[l] else {}
+        blocks = (_blocks(A, m, l) if _symmetric(A) else [(1, None)]) if dims[l] else []
         ranks[l] = sum(
-            count * linalg.rank(differential(A, m, l, c)) for c, count in blocks.items()
+            count * linalg.rank(differential(A, m, l, pairs)) for count, pairs in blocks
         )
     homology = {}
     for l in ells[1:]:

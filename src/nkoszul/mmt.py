@@ -51,21 +51,22 @@ def matrix_det(entries):
 def check_specializable(A: AlgebraPresentation, Z) -> bool:
     """True iff span(R) is invariant under Z^{⊗N}, which makes z_i^j ↦ Z_ij
     kill every relation of end(A): each relation Σ c_w x_w must map to
-    Σ c_w X_{w_1}···X_{w_N} = 0 in A_N, X_i = Σ_j Z_ij x_j.  Always true
-    for the polynomial and antisymmetrizer algebras; generically false for
-    quantum spaces."""
+    Σ c_w X_{w_1}···X_{w_N} = 0 in A_N, X_i = Σ_j Z_ij x_j.  The image is
+    formed in V^{⊗N} and reduced once in A_N: NF is the quotient map by a
+    two-sided ideal, so this is the product in A.  Always true for the
+    polynomial and antisymmetrizer algebras; generically false for quantum
+    spaces."""
     if len(Z) != A.n:
         raise ValueError("matrix size does not match the generator count")
     X = [{j: z for j, z in enumerate(row) if z} for row in Z]
     for r in A.relations:
         image = {}
         for w, c in r.items():
-            *head, last = index_word(w, A.N, A.n)
-            prod = {0: c}
-            for k, b in enumerate(head, 1):
-                prod = A.multiply(k, 1, prod, X[b])
-            A.multiply(A.N, 1, prod, X[last], image)
-        if image:
+            term = {0: c}
+            for b in index_word(w, A.N, A.n):
+                term = {u * A.n + j: cu * z for u, cu in term.items() for j, z in X[b].items()}
+            axpy(image, 1, term)
+        if A.reduce(A.N, image):
             return False
     return True
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -218,13 +219,35 @@ def _products(A, top, keep):
     return total
 
 
+def _pairs_by_content(A, m, ell):
+    """{dense letter content: the pairs (normal word e, pivot b of a row of
+    J_ν(ℓ)) of d_ℓ at total degree m whose contents, spelled out on the word
+    tuples of e and of b, add up to it}.  Each list runs over the J contents
+    in the order their first rows come, then e, then b."""
+    d = nu(A.N, ell)
+    row_of = dual_koszul_subspace(A, d).row_of
+    first = {}
+    for b in row_of:
+        first.setdefault(letter_content(b, d, A.n), len(first))
+    groups = {}
+    for e in A.normal_basis(m - d):
+        for b in row_of:
+            c = tuple(x + y for x, y in zip(letter_content(e, m - d, A.n),
+                                            letter_content(b, d, A.n)))
+            groups.setdefault(c, []).append((e, b))
+    for pairs in groups.values():
+        pairs.sort(key=lambda p: first[letter_content(p[1], d, A.n)])
+    return groups
+
+
 def test_certificate_multiplies_once_per_word_row_and_slice(monkeypatch):
     # the only products are those of the assembled d_ℓ with ℓ >= 2, one per
     # normal word e, J row b and slice y_g of b: d_1 is not built and the
     # d∘d check multiplies nothing.  antisym(4,3) is S_4-stable, so only
     # the pairs of non-increasing letter content are assembled; the generic
     # qspace(3) is not, so every pair is.  The cached symmetry verdict is
-    # taken first: its check_specializable multiplies too
+    # taken first: its check_specializable reduces each relation's image
+    # once in A_N and multiplies nothing
     real = AlgebraPresentation.multiply
     calls = []
 
@@ -234,14 +257,14 @@ def test_certificate_multiplies_once_per_word_row_and_slice(monkeypatch):
 
     monkeypatch.setattr(AlgebraPresentation, "multiply", counted)
     A = antisymmetrizer(4, 3)
-    assert koszul._symmetric(A) and len(calls) == 144
+    assert koszul._symmetric(A) and len(calls) == 0
     calls.clear()
     koszul_certificate(A, 7)
     expected = _products(A, 7, lambda c: c == sorted(c, reverse=True))
     assert len(calls) == expected == 542
     calls.clear()
     A = quantum_space(3)
-    assert not koszul._symmetric(A) and len(calls) == 4
+    assert not koszul._symmetric(A) and len(calls) == 0
     calls.clear()
     koszul_certificate(A, 6)
     expected = 0
@@ -282,18 +305,21 @@ def test_content_blocks_split_the_whole_matrix(A):
     # blocks of one orbit have one rank
     symmetric = koszul._symmetric(A)
     for m in range(1, 6):
-        contents = [c for c in product(range(m + 1), repeat=A.n) if sum(c) == m]
         for ell, _ in jumps(A.N, m):
             if ell < 2:
                 continue
             # a block and the whole matrix number a codomain word by its column
-            blocks = {c: differential(A, m, ell, c).rows for c in contents}
+            blocks = {
+                c: differential(A, m, ell, pairs).rows
+                for c, pairs in _pairs_by_content(A, m, ell).items()
+            }
             together = sorted(sorted(row.items()) for rows in blocks.values() for row in rows)
             whole = differential(A, m, ell)
             assert together == sorted(sorted(row.items()) for row in whole.rows)
             if symmetric:
                 for c, rows in blocks.items():
                     top = blocks[tuple(sorted(c, reverse=True))]
+                    assert len(top) == len(rows), (m, ell, c)
                     assert rank(Matrix(whole.ncols, rows)) == rank(Matrix(whole.ncols, top))
 
 
@@ -312,14 +338,14 @@ def test_differential_columns_are_words_of_the_codomain(A):
             lo = nu(A.N, ell - 1)
             normal = set(A.normal_basis(m - lo))
             pivots = dual_koszul_subspace(A, lo).row_of
-            blocks = koszul._blocks(A, m, ell) if symmetric and ell >= 2 else {}
-            for content in (None, *blocks):
-                mat = differential(A, m, ell, content)
+            blocks = koszul._blocks(A, m, ell) if symmetric and ell >= 2 else []
+            for pairs in (None, *(pairs for _, pairs in blocks)):
+                mat = differential(A, m, ell, pairs)
                 assert mat.ncols == A.n**m
                 for row in mat.rows:
                     for col in row:
                         f, g = divmod(col, A.n**lo)
-                        assert f in normal and g in pivots, (m, ell, content, col)
+                        assert f in normal and g in pivots, (m, ell, pairs, col)
 
 
 @settings(max_examples=20, deadline=None)
@@ -337,20 +363,49 @@ def test_stable_presentations_take_the_orbit_path(A):
 @example(polynomial(3))
 @example(quantum_space(3, q=Fraction(-1)))
 def test_occurring_contents_form_whole_orbits(A):
-    # the contents whose block of d_ℓ is nonempty, found by assembling the
-    # block of every content of total m, are closed under S_n, and _blocks
-    # counts each orbit once per content in it: n!/Π_v (letters with count v)!
+    # the contents whose block of d_ℓ is nonempty, found by spelling out
+    # the contents of every pair of total m, are closed under S_n, and
+    # _blocks counts each orbit once per content in it, n!/Π_v (letters
+    # with count v)!, and hands it the nonempty block of its non-increasing
+    # form
     assert koszul._symmetric(A)
     for m in range(1, 7):
-        contents = [c for c in product(range(m + 1), repeat=A.n) if sum(c) == m]
         for ell, _ in jumps(A.N, m):
             if ell < 2:
                 continue
-            nonempty = {c for c in contents if differential(A, m, ell, c).rows}
+            nonempty = _pairs_by_content(A, m, ell)
             for c in nonempty:
-                assert set(permutations(c)) <= nonempty, (m, ell, c)
+                assert set(permutations(c)) <= set(nonempty), (m, ell, c)
             forms = {tuple(sorted(c, reverse=True)) for c in nonempty}
-            assert koszul._blocks(A, m, ell) == {c: orbit_size(c) for c in forms}, (m, ell)
+            expected = sorted((orbit_size(c), nonempty[c]) for c in forms)
+            assert sorted(koszul._blocks(A, m, ell)) == expected, (m, ell)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(stable_presentations(), homogeneous_presentations()))
+@example(antisymmetrizer(4, 3))
+@example(perturbed_antisym43(0))
+def test_sorted_letter_contents_match_dense_counts(A):
+    # a content is its letters in increasing order, which the dense counts
+    # of the oracle spell out; _blocks counts the occurring contents of each
+    # non-increasing dense form and hands it the pairs of that form, in the
+    # order of their J contents, then e, then b, also where the form itself
+    # does not occur because span R is not S_n-stable
+    n = A.n
+    for m in range(6):
+        rows = dual_koszul_subspace(A, m).row_of.values()
+        for col in {*A.normal_basis(m), *(col for row in rows for col in row)}:
+            dense = letter_content(col, m, n)
+            spelled = tuple(a for a, k in enumerate(dense) for _ in range(k))
+            assert koszul._letter_content(col, m, n) == spelled, (m, col)
+    for m in range(1, 6):
+        for ell, _ in jumps(A.N, m):
+            if ell < 2:
+                continue
+            groups = _pairs_by_content(A, m, ell)
+            forms = Counter(tuple(sorted(c, reverse=True)) for c in groups)
+            expected = sorted((count, groups.get(c, [])) for c, count in forms.items())
+            assert sorted(koszul._blocks(A, m, ell)) == expected, (m, ell)
 
 
 @settings(max_examples=60, deadline=None)
@@ -386,20 +441,20 @@ def test_broken_stability_ranks_whole_matrices(monkeypatch):
     # antisym(4,3) with one coefficient of one relation doubled is still
     # content-homogeneous but no longer S_4-stable: every d_ℓ is then
     # assembled and ranked whole, as one block of orbit size 1
-    contents = []
+    blocks = []
     real = koszul.differential
 
-    def recorded(A, m, ell, content=None):
-        contents.append(content)
-        return real(A, m, ell, content)
+    def recorded(A, m, ell, pairs=None):
+        blocks.append(pairs)
+        return real(A, m, ell, pairs)
 
     monkeypatch.setattr(koszul, "differential", recorded)
     koszul_certificate(antisymmetrizer(4, 3), 5)
-    assert contents and None not in contents
-    contents.clear()
+    assert blocks and None not in blocks
+    blocks.clear()
     A = perturbed_antisym43(0)
     cert = koszul_certificate(A, 5)
-    assert contents and set(contents) == {None}
+    assert blocks and all(pairs is None for pairs in blocks)
     monkeypatch.undo()
     for rep in cert.reports:
         whole = whole_matrix_ranks(A, rep.m)

@@ -156,7 +156,6 @@ COLUMN_ONLY = {
         "_content",
         "_word_contents",
         "_j_contents",
-        "_pairs_of_content",
         "_blocks",
     ),
     "mmt": ("g_table",),
@@ -186,6 +185,43 @@ def test_hot_loops_do_not_convert_words():
                     if name in ("index_word", "word_index"):
                         found.append(f"{module}.{qualname}:{node.lineno}")
     assert found == []
+
+
+# The letter-content functions of koszul: a content is the multiset of a
+# word's letters, held as its sorted letters, so none holds an n-tuple.
+CONTENT_FUNCTIONS = ("_letter_content", "_content", "_word_contents", "_j_contents", "_blocks")
+
+
+def _alphabet_sized(node):
+    """Whether ``node`` is ``[...] * n`` (either way round) or ``range(n)``,
+    with ``n`` the name ``n`` or any attribute ``.n``."""
+    def is_n(expr):
+        return (isinstance(expr, ast.Name) and expr.id == "n") or (
+            isinstance(expr, ast.Attribute) and expr.attr == "n"
+        )
+
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        sides = (node.left, node.right)
+        return any(isinstance(x, (ast.List, ast.Tuple)) for x in sides) and any(map(is_n, sides))
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "range":
+        return any(is_n(x) for arg in node.args for x in ast.walk(arg))
+    return False
+
+
+def test_content_functions_build_nothing_sized_by_the_alphabet():
+    # a content of total m costs m letters whatever n is: no dense count
+    # tuple [0] * n, and no loop over the n letters
+    tree = ast.parse((SRC / "koszul.py").read_text())
+    found = [
+        f"koszul.{qualname}:{node.lineno}"
+        for qualname in CONTENT_FUNCTIONS
+        for node in ast.walk(_function(tree, qualname))
+        if _alphabet_sized(node)
+    ]
+    assert found == []
+    # and the check sees both forms
+    sized = ast.parse("[0] * n\nrange(A.n)\n(0,) * A.n\nrange(n - 1)\n[0] * m\nrange(k)")
+    assert [_alphabet_sized(stmt.value) for stmt in sized.body] == [True] * 4 + [False] * 2
 
 
 # The callers of class_of_word: the one product of the quotient, and the
