@@ -41,11 +41,28 @@ def _antisymmetrizers(n: int, N: int):
                for perm in permutations(range(N))}
 
 
+def check_parameters(name: str, n: int, N: int = 2, q=None) -> None:
+    """Raise ValueError unless the built-in ``name`` ("poly", "antisym",
+    "qspace" or "free") exists on n generators with relations of degree N
+    and, for "qspace", the numeric parameter q (None: generic): n >= 1,
+    2 <= N <= n for "antisym", q != 0.  The one check of the builders, which
+    the CLI runs before it weighs the cost, so that an invalid input is
+    refused as such whatever its size.  free(n) takes any n >= 0, which
+    :class:`AlgebraPresentation` checks."""
+    if name == "antisym":
+        if not 2 <= N <= n:
+            raise ValueError(f"antisymmetrizer needs 2 <= N <= n, got N={N}, n={n}")
+    elif name != "free" and n < 1:
+        noun = "polynomial algebra" if name == "poly" else "quantum space"
+        raise ValueError(f"{noun} needs n >= 1")
+    if q is not None and not q:
+        raise ValueError("parameter q must be nonzero")
+
+
 def polynomial(n: int) -> AlgebraPresentation:
     """S(V), the antisymmetrizer algebra at N = 2: relations
     x_i⊗x_j - x_j⊗x_i for i < j, none for n = 1."""
-    if n < 1:
-        raise ValueError("polynomial algebra needs n >= 1")
+    check_parameters("poly", n)
     return AlgebraPresentation(n, 2, _antisymmetrizers(n, 2), label=f"poly({n})")
 
 
@@ -55,8 +72,7 @@ def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
     For each 1 <= i_1 < ... < i_N <= n the relation is the signed sum over
     all position permutations; N = 2 recovers the polynomial algebra.
     """
-    if not 2 <= N <= n:
-        raise ValueError(f"antisymmetrizer needs 2 <= N <= n, got N={N}, n={n}")
+    check_parameters("antisym", n, N)
     return AlgebraPresentation(n, N, _antisymmetrizers(n, N), label=f"antisym({n},{N})")
 
 
@@ -67,8 +83,9 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
     q_ij over the rational function field; a nonzero rational ``q`` sets
     every q_ij to that value over the rationals.
     """
-    if n < 1:
-        raise ValueError("quantum space needs n >= 1")
+    if q is not None:
+        q = rational(q)
+    check_parameters("qspace", n, q=q)
     pairs = list(combinations(range(n), 2))
     names = ()
     if q is None:
@@ -77,9 +94,6 @@ def quantum_space(n: int, q=None) -> AlgebraPresentation:
         field = ParameterField(names) if names else None
         coeff = {pair: field.parameter(name) for pair, name in zip(pairs, names)}
     else:
-        q = rational(q)
-        if not q:
-            raise ValueError("parameter q must be nonzero")
         coeff = dict.fromkeys(pairs, q)
     rels = [
         {word_index((j, i), n): 1, word_index((i, j), n): -coeff[(i, j)]}

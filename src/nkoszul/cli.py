@@ -20,6 +20,7 @@ import sys
 from . import __version__, jsonio, koszul, manin, mmt
 from .algebras import (
     antisymmetrizer,
+    check_parameters,
     dual_dims_closed_form,
     free_algebra,
     polynomial,
@@ -63,10 +64,11 @@ def make_algebra(args):
     N = {"free": 2, "poly": 2, "qspace": 2, "antisym": args.N}.get(spec)
     if N is None:
         raise ValueError(f"unknown algebra {spec!r}")
+    q = parse_rational(args.q) if spec == "qspace" and args.q is not None else None
+    check_parameters(spec, args.n, N, q)
     # the relations have n(n-1) or n!/(n-N)! terms, at most n^N: refused
-    # before they are built; free has none, nor has antisym with N > n,
-    # which its builder refuses
-    if spec != "free" and (spec != "antisym" or N <= args.n):
+    # before they are built; free has none
+    if spec != "free":
         _refuse_above_bound(args, "ambient dimension n^N", args.n, N)
     _preflight(args, args.n, N)
     if spec == "free":
@@ -75,7 +77,6 @@ def make_algebra(args):
         return polynomial(args.n)
     if spec == "antisym":
         return antisymmetrizer(args.n, N)
-    q = parse_rational(args.q) if args.q is not None else None
     return quantum_space(args.n, q=q)
 
 

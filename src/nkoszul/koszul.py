@@ -9,8 +9,12 @@ A^{!*}_m concretely inside V^{⊗m}:
 
 J_m is the annihilator of the degree-m ideal component of R^⊥, so
 dim J_m = dim A^!_m; that identity is what makes dual dimensions computable
-without echelonizing the (huge) ideal of R^⊥.  J is built by the two-window
-recursion J_m = (V⊗J_{m-1}) ∩ (J_{m-1}⊗V) seeded at J_N = span(R).
+without echelonizing the (huge) ideal of R^⊥.  J is built by the recursion
+J_m = (V⊗J_{m-1}) ∩ (J_{m-1}⊗V) seeded at J_N = span(R).  Both operands are
+the shifted rows of the RREF basis of J_{m-1}, which are again in RREF with
+no echelon (:func:`linalg.tensor_shifts`), and :func:`linalg.intersect`
+reduces each row of the first modulo the second in one pass, reading the
+canonical RREF basis of J_m off the combinations that vanish.
 
 A certificate at bound M is degree-bounded evidence of Koszulity, never a
 proof: it checks homology vanishing in homological degrees ℓ ≥ 1 for every
@@ -32,8 +36,8 @@ relations allow it: rank d_ℓ = Σ_c |S_n·c| · rank(block c), over one
 occurring content c per orbit, since the complex is
 functorial in (V, R) (R. Berger, "Koszulity for nonquadratic algebras",
 J. Algebra 239 (2001) 705-734).  The relations must be content-homogeneous
-and span R stable under S_n, which is the guard of the master identities,
-``mmt.check_specializable``, at the matrices of (0 1) and (0 1 … n-1);
+and span R stable under S_n: each relation with its letters permuted by
+(0 1) and by (0 1 … n-1) must reduce to 0 in A_N (see :func:`_symmetric`);
 every row of J_m must then have one content, or RuntimeError is raised.
 Otherwise each d_ℓ is ranked whole (see :func:`homology_report`).
 """
@@ -46,8 +50,8 @@ from itertools import product
 
 from . import linalg, series
 from .algebras import admissible_counts
+from .freealg import index_word, word_index
 from .homog import AlgebraPresentation
-from .mmt import check_specializable
 
 
 def nu(N: int, ell: int) -> int:
@@ -80,12 +84,8 @@ def dual_koszul_subspace(A: AlgebraPresentation, m: int) -> linalg.Subspace:
     elif m == N:
         space = A.ideal_component(N)
     else:
-        # J_m = (V ⊗ J_{m-1}) ∩ (J_{m-1} ⊗ V), each spanned by shifted rows
-        prev = dual_koszul_subspace(A, m - 1).row_of.values()
-        stride = n ** (m - 1)
-        left = [{a * stride + i: c for i, c in row.items()} for a in range(n) for row in prev]
-        right = [{i * n + a: c for i, c in row.items()} for row in prev for a in range(n)]
-        space = linalg.intersect(n**m, left, right)
+        # J_m = (V ⊗ J_{m-1}) ∩ (J_{m-1} ⊗ V), two RREF spaces of shifted rows
+        space = linalg.intersect(*linalg.tensor_shifts(dual_koszul_subspace(A, m - 1), n))
     cache[m] = space
     return space
 
@@ -192,14 +192,20 @@ def _content(vec, d, n):
 
 def _symmetric(A: AlgebraPresentation) -> bool:
     """Whether every relation is content-homogeneous and span R is stable
-    under every permutation of the letters, that is under the permutation
-    matrices of the generators (0 1) and (0 1 … n-1) of S_n.  Cached."""
+    under every permutation of the letters, that is under the generators
+    (0 1) and (0 1 … n-1) of S_n.  A permutation maps each word to one
+    word, so each relation's image is its columns permuted, reduced once in
+    A_N.  Cached."""
     if A.cache.symmetric is None:
-        n = A.n
+        n, N = A.n, A.N
         perms = [(1, 0, *range(2, n)), (*range(1, n), 0)] if n > 1 else []
-        A.cache.symmetric = all(_content(r, A.N, n) is not None for r in A.relations) and all(
-            check_specializable(A, [[int(j == p[i]) for j in range(n)] for i in range(n)])
+        images = (
+            {word_index([p[a] for a in index_word(w, N, n)], n): c for w, c in r.items()}
             for p in perms
+            for r in A.relations
+        )
+        A.cache.symmetric = all(_content(r, N, n) is not None for r in A.relations) and not any(
+            A.reduce(N, image) for image in images
         )
     return A.cache.symmetric
 

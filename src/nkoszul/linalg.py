@@ -273,26 +273,64 @@ def full_space(ambient_dim: int) -> Subspace:
     return Subspace(ambient_dim, {j: {j: 1} for j in range(ambient_dim)})
 
 
-def intersect(ambient_dim: int, u_rows, w_rows) -> Subspace:
-    """span(u_rows) ∩ span(w_rows) via the Zassenhaus block trick.
+def tensor_shifts(sub: Subspace, n: int):
+    """V ⊗ sub and sub ⊗ V, V of dimension n, as subspaces of V^{⊗(k+1)}
+    when sub lies in V^{⊗k}: the rows x_a ⊗ row and row ⊗ x_a, pivots
+    a·n^k + p and p·n + a.
 
-    Reduce the stacked block matrix [[U U], [W 0]]; rows whose pivots fall in
-    the right block have right halves forming an RREF basis of the
-    intersection.
+    No echelon is needed: the shifted rows of one letter a are the rows of
+    sub on their own columns, so they are in RREF, and those of distinct
+    letters share no column.  The rows are listed in increasing pivot
+    order, a before p on the left and p before a on the right.
     """
-    amb = ambient_dim
+    stride = sub.ambient_dim
+    rows = sub.row_of.items()
+    left = {
+        a * stride + p: {a * stride + col: c for col, c in row.items()}
+        for a in range(n)
+        for p, row in rows
+    }
+    right = {
+        p * n + a: {col * n + a: c for col, c in row.items()}
+        for p, row in rows
+        for a in range(n)
+    }
+    return Subspace(n * stride, left), Subspace(n * stride, right)
+
+
+def intersect(u: Subspace, w: Subspace) -> Subspace:
+    """u ∩ w, of two subspaces of one space given by their RREF bases.
+
+    Each row u_p is reduced modulo w in one pass,
+    r_p = u_p − Σ_q u_p[q]·w_q over the pivots q of w; this is exact, since
+    every row of w is 0 at every other pivot of w.  So r_p is the
+    representative of u_p on the non-pivot columns of w, and
+    v = Σ_p x_p·u_p lies in w exactly when Σ_p x_p·r_p = 0.  The rows
+    (r_p, tag 1 at amb + p) go into one reduced echelon of width 2·amb;
+    each stored row whose pivot is a tag holds such coordinates x on the
+    tags alone.
+
+    Lemma: these members v are the RREF basis of u ∩ w.  u is in RREF, so
+    v[p] = x_p at every pivot p of u: the pivot of v is its least tag, and
+    v is 0 at the pivots of the other members, since the reduced echelon
+    keeps the tag rows in RREF.
+    """
+    amb = u.ambient_dim
     ech = Echelon(2 * amb, reduced=True)
-    for row in u_rows:
-        double = dict(row)
-        for col, val in row.items():
-            double[col + amb] = val
-        ech.add(double)
-    for row in w_rows:
-        ech.add(dict(row))
-    return Subspace(amb, {
-        p - amb: {col - amb: val for col, val in ech.row_of[p].items()}
-        for p in sorted(ech.pivots) if p >= amb
-    })
+    for p, row in u.row_of.items():
+        rest = dict(row)
+        for q, c in row.items():
+            wq = w.row_of.get(q)
+            if wq is not None:
+                axpy(rest, -c, wq)
+        rest[amb + p] = 1
+        ech.add(rest)
+    members = {}
+    for t in sorted(t for t in ech.pivots if t >= amb):
+        v = members[t - amb] = {}
+        for tag, x in ech.row_of[t].items():
+            axpy(v, x, u.row_of[tag - amb])
+    return Subspace(amb, members)
 
 
 class BasisSolver:

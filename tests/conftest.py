@@ -474,6 +474,27 @@ def specializable_oracle(A, Z):
     return True
 
 
+def zassenhaus_intersect(ambient_dim, u_rows, w_rows):
+    """span(u_rows) ∩ span(w_rows) by the Zassenhaus block trick, for any
+    spanning rows: reduce the stacked block matrix [[U U], [W 0]]; the rows
+    whose pivots fall in the right block have right halves forming an RREF
+    basis of the intersection.  The path ``linalg.intersect`` replaced, kept
+    as its oracle."""
+    amb = ambient_dim
+    ech = Echelon(2 * amb, reduced=True)
+    for row in u_rows:
+        double = dict(row)
+        for col, val in row.items():
+            double[col + amb] = val
+        ech.add(double)
+    for row in w_rows:
+        ech.add(dict(row))
+    return Subspace(amb, {
+        p - amb: {col - amb: val for col, val in ech.row_of[p].items()}
+        for p in sorted(ech.pivots) if p >= amb
+    })
+
+
 def _subspace_sum(u, w):
     if u.ambient_dim != w.ambient_dim:
         raise ValueError("ambient dimension mismatch")
@@ -576,7 +597,8 @@ def concat():
 
 @pytest.fixture(scope="session")
 def subspace_sum():
-    """U + W, the oracle the tests check intersect against."""
+    """U + W, the oracle of the Grassmann formula that the tests check
+    intersect against."""
     return _subspace_sum
 
 

@@ -139,8 +139,8 @@ CASES.update({
 })
 # refusals whose message names the check that fails first: every
 # presentation, mmt's and nmt's included, is validated, guarded and built
-# in one place; antisym with N > n has no relations to bound; eq1 checks
-# its n at every degree bound
+# in one place; a built-in's parameters are checked before any bound; eq1
+# checks its n at every degree bound
 CASES.update({
     "error-mmt-missing-n": ["mmt", "--random-seed", "1"],
     "error-nmt-missing-N": ["nmt", "--n", "3", "--random-seed", "1"],
@@ -150,6 +150,20 @@ CASES.update({
                             "--matrix", "{bad"],
     "error-antisym-N-above-n": ["hilbert", "--algebra", "antisym", "--n", "10", "--N", "20"],
     "error-eq1-negative-n-d0": ["eq1", "--n", "-5", "--max-degree", "0"],
+})
+# invalid parameters of a built-in whose size the guardrail would also
+# refuse: the parameter is named, not the bound
+CASES.update({
+    "error-qspace-q0-oversized": ["info", "--algebra", "qspace", "--n", "3", "--q", "0",
+                                  "--max-degree", "9", "--max-ambient", "10"],
+    "error-qspace-bad-q-oversized": ["hilbert", "--algebra", "qspace", "--n", "2", "--q", "abc",
+                                     "--max-degree", "30"],
+    "error-qspace-n0-oversized": ["hilbert", "--algebra", "qspace", "--n", "0", "--max-degree",
+                                  "0", "--max-ambient", "0"],
+    "error-antisym-N-above-n-oversized": ["hilbert", "--algebra", "antisym", "--n", "10",
+                                          "--N", "20", "--max-ambient", "5"],
+    "error-nmt-N-above-n-oversized": ["nmt", "--n", "3", "--N", "5", "--max-degree", "20",
+                                      "--random-seed", "1", "--max-ambient", "10"],
 })
 # info reads the relation rank from A_N at every degree bound, so it also
 # bounds n^N when D < N

@@ -283,7 +283,7 @@ def test_criterion_11_property_suites(algebras, subspace_sum):
         u, w = rand_space(), rand_space()
         if (
             subspace_sum(u, w).dim
-            + linalg.intersect(8, u.row_of.values(), w.row_of.values()).dim
+            + linalg.intersect(u, w).dim
             != u.dim + w.dim
         ):
             failures.append("grassmann")

@@ -390,15 +390,23 @@ def test_builtin_relations_are_refused_before_they_are_built(capsys, monkeypatch
          "antisymmetrizer needs 2 <= N <= n, got N=20, n=10"),
         (("nmt", "--n", "30", "--N", "50", "--max-degree", "3"),
          "antisymmetrizer needs 2 <= N <= n, got N=50, n=30"),
+        (("info", "--algebra", "qspace", "--n", "3", "--q", "0"), "parameter q must be nonzero"),
+        (("dual-dims", "--algebra", "qspace", "--n", "0", "--q", "0"),
+         "quantum space needs n >= 1"),
+        (("hilbert", "--algebra", "qspace", "--n", "2", "--q", "1/0"),
+         "not a rational 'p/q' or 'p' with q > 0: '1/0'"),
     ],
-    ids=["poly-negative-n", "antisym-negative-N", "antisym-N-above-n", "nmt-N-above-n"],
+    ids=["poly-negative-n", "antisym-negative-N", "antisym-N-above-n", "nmt-N-above-n",
+         "qspace-q0", "qspace-n0", "qspace-bad-q"],
 )
-def test_bad_builtin_parameters_keep_their_message(capsys, argv, message):
-    # the n^N guard takes no negative n or N for a dimension, and antisym
-    # with N > n has no relations to bound: the builder refuses them with
-    # its own message
-    code, out, err = run(capsys, *argv)
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+def test_bad_builtin_parameters_keep_their_message(capsys, monkeypatch, argv, message):
+    # a built-in's parameters are checked before any bound: the message
+    # names the bad parameter even where the guardrail would refuse the
+    # size too, before any presentation is built
+    _no_presentation(monkeypatch)
+    for sized in ((), ("--max-degree", "30", "--max-ambient", "0")):
+        code, out, err = run(capsys, *argv, *sized)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), sized
 
 
 def test_free_algebra_keeps_only_its_degree_guard(capsys):

@@ -25,8 +25,9 @@ from conftest import (
     rref,
     stable_presentations,
     whole_matrix_ranks,
+    zassenhaus_intersect,
 )
-from nkoszul import koszul
+from nkoszul import koszul, linalg
 from nkoszul.cli import _degree_obj, main
 from nkoszul.freealg import index_word
 from nkoszul.homog import AlgebraPresentation
@@ -43,7 +44,7 @@ from nkoszul.koszul import (
     koszul_certificate,
     nu,
 )
-from nkoszul.linalg import Echelon, Matrix, full_space, intersect, rank
+from nkoszul.linalg import Echelon, Matrix, full_space, rank
 
 
 def test_nu_values():
@@ -70,7 +71,7 @@ def j_bruteforce(A, m):
                 for w in product(range(A.n), repeat=j):
                     ech.add(columns(A.n, {u + rw + w: c for rw, c in rwords.items()}))
         window = ech.to_subspace()
-        space = window if space is None else intersect(
+        space = window if space is None else zassenhaus_intersect(
             A.n**m, space.row_of.values(), window.row_of.values()
         )
     return space
@@ -94,7 +95,7 @@ def test_j_dims_antisym43():
 
 
 def test_j_spaces_are_canonical_rref():
-    # subspaces built from shifted bases and Zassenhaus intersections must
+    # subspaces built from shifted bases and one-pass intersections must
     # still be reduced echelon bases (idempotence under rref), their rows
     # in increasing pivot order, the order of the rows of each d_ℓ
     from nkoszul.linalg import Matrix
@@ -105,6 +106,21 @@ def test_j_spaces_are_canonical_rref():
             again = rref(Matrix(space.ambient_dim, [dict(r) for r in space.row_of.values()]))
             assert again == space, (A.label, m)
             assert list(space.row_of) == sorted(space.row_of), (A.label, m)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(stable_presentations(), homogeneous_presentations()))
+@example(antisymmetrizer(4, 3))
+def test_tensor_shifts_are_rref_without_an_echelon(A):
+    # the lemma the J recursion rests on: the shifted rows of an RREF basis,
+    # V ⊗ J_{m-1} and J_{m-1} ⊗ V, are already the RREF bases an echelon
+    # would make of them, rows keyed by the same pivots in the same order
+    for m in range(A.N + 1, A.N + 4):
+        for side in linalg.tensor_shifts(dual_koszul_subspace(A, m - 1), A.n):
+            ech = Echelon(A.n**m)
+            ech.extend(side.row_of.values())
+            rebuilt = ech.to_subspace()
+            assert side == rebuilt and list(side.row_of) == list(rebuilt.row_of), (A, m)
 
 
 def test_j_orthogonality_duality():
@@ -246,8 +262,8 @@ def test_certificate_multiplies_once_per_word_row_and_slice(monkeypatch):
     # d∘d check multiplies nothing.  antisym(4,3) is S_4-stable, so only
     # the pairs of non-increasing letter content are assembled; the generic
     # qspace(3) is not, so every pair is.  The cached symmetry verdict is
-    # taken first: its check_specializable reduces each relation's image
-    # once in A_N and multiplies nothing
+    # taken first: it reduces each relation's permuted image once in A_N
+    # and multiplies nothing
     real = AlgebraPresentation.multiply
     calls = []
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import COEFFS, full_copy_echelons, in_span, rref
+from conftest import COEFFS, full_copy_echelons, in_span, rref, zassenhaus_intersect
 from nkoszul.homog import AlgebraPresentation
 from nkoszul.linalg import (
     BasisSolver,
@@ -98,7 +98,7 @@ def test_grassmann_dimension_formula(subspace_sum):
         u = _random_subspace(rng, 8, rng.randint(0, 5))
         w = _random_subspace(rng, 8, rng.randint(0, 5))
         s = subspace_sum(u, w)
-        i = intersect(8, u.row_of.values(), w.row_of.values())
+        i = intersect(u, w)
         assert s.dim + i.dim == u.dim + w.dim
         for row in i.row_of.values():
             assert in_span(u, row) and in_span(w, row)
@@ -141,16 +141,70 @@ def test_intersection_against_bruteforce():
     for _ in range(20):
         u = _random_subspace(rng, 7, rng.randint(1, 4))
         w = _random_subspace(rng, 7, rng.randint(1, 4))
-        assert intersect(7, u.row_of.values(), w.row_of.values()) == _intersect_bruteforce(u, w)
+        assert intersect(u, w) == _intersect_bruteforce(u, w)
+
+
+#: Scalars of the three kinds an intersection meets: ints, Fractions and
+#: Laurent polynomials a·q^e + b, whose quotients may leave the Laurent form.
+INTERSECT_SCALARS = {
+    "int": st.integers(-3, 3),
+    "fraction": COEFFS,
+    "laurent": st.builds(
+        lambda a, e, b: a * _Q**e + b, st.integers(-2, 2), st.integers(-1, 1), st.integers(-2, 2)
+    ),
+}
+
+
+@st.composite
+def rref_subspaces(draw, ambient, scalars):
+    """A subspace of dimension-``ambient`` space given directly in RREF:
+    random pivots, each row 1 at its pivot and random scalars at the
+    non-pivot columns right of it."""
+    pivots = draw(st.sets(st.integers(0, ambient - 1)))
+    rows = {}
+    for p in sorted(pivots):
+        row = rows[p] = {p: 1}
+        for col in range(p + 1, ambient):
+            c = 0 if col in pivots else draw(scalars)
+            if c:
+                row[col] = c
+    return Subspace(ambient, rows)
+
+
+@pytest.mark.parametrize("kind", sorted(INTERSECT_SCALARS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_intersect_matches_zassenhaus(kind, data):
+    # the one-pass reduction against the doubled echelon it replaced, both
+    # ways round, values and pivot order, on random, empty, full, equal and
+    # disjoint (the unit vectors off the pivots of u) operands
+    scalars = INTERSECT_SCALARS[kind]
+    amb = data.draw(st.integers(1, 5))
+    u = data.draw(rref_subspaces(amb, scalars))
+    off_pivots = Subspace(amb, {j: {j: 1} for j in range(amb) if j not in u.row_of})
+    operands = {
+        "random": lambda: data.draw(rref_subspaces(amb, scalars)),
+        "empty": lambda: Subspace(amb, {}),
+        "full": lambda: full_space(amb),
+        "equal": lambda: u,
+        "disjoint": lambda: off_pivots,
+    }
+    w = operands[data.draw(st.sampled_from(sorted(operands)))]()
+    for a, b in ((u, w), (w, u)):
+        got = intersect(a, b)
+        oracle = zassenhaus_intersect(amb, a.row_of.values(), b.row_of.values())
+        assert got == oracle and list(got.row_of) == list(oracle.row_of)
+    assert intersect(u, off_pivots).dim == 0
+    assert intersect(u, u) == u == intersect(u, full_space(amb))
 
 
 def test_sum_intersection_trivial_cases(subspace_sum):
     e1 = Subspace(2, {0: {0: 1}})
     e2 = Subspace(2, {1: {1: 1}})
     assert subspace_sum(e1, e2).dim == 2
-    assert intersect(2, e1.row_of.values(), e2.row_of.values()).dim == 0
+    assert intersect(e1, e2).dim == 0
     assert subspace_sum(e1, e1) == e1
-    assert intersect(2, e1.row_of.values(), e1.row_of.values()) == e1
+    assert intersect(e1, e1) == e1
 
 
 @st.composite
