@@ -33,9 +33,10 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def _antisymmetrizers(n: int, N: int):
+def antisymmetrizers(n: int, N: int):
     """For each 1 <= i_1 < ... < i_N <= n, the signed sum of the words
-    (i_1 ... i_N) over all position permutations."""
+    (i_1 ... i_N) over all position permutations, whose least column is
+    the increasing word."""
     for combo in combinations(range(n), N):
         yield {word_index((combo[p] for p in perm), n): perm_sign(perm)
                for perm in permutations(range(N))}
@@ -63,7 +64,7 @@ def polynomial(n: int) -> AlgebraPresentation:
     """S(V), the antisymmetrizer algebra at N = 2: relations
     x_i⊗x_j - x_j⊗x_i for i < j, none for n = 1."""
     check_parameters("poly", n)
-    return AlgebraPresentation(n, 2, _antisymmetrizers(n, 2), label=f"poly({n})")
+    return AlgebraPresentation(n, 2, antisymmetrizers(n, 2), label=f"poly({n})")
 
 
 def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
@@ -73,7 +74,7 @@ def antisymmetrizer(n: int, N: int) -> AlgebraPresentation:
     all position permutations; N = 2 recovers the polynomial algebra.
     """
     check_parameters("antisym", n, N)
-    return AlgebraPresentation(n, N, _antisymmetrizers(n, N), label=f"antisym({n},{N})")
+    return AlgebraPresentation(n, N, antisymmetrizers(n, N), label=f"antisym({n},{N})")
 
 
 def quantum_space(n: int, q=None) -> AlgebraPresentation:

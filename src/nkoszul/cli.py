@@ -3,8 +3,9 @@
 Exit codes follow a CI-friendly contract: 0 means the requested identity or
 certificate holds, 1 means the computation succeeded but the verdict is
 negative (the report pinpoints the first failure), 2 means a usage or
-feasibility error, and 3 means an internal error, such as a failed
-invariant check, reported as one ``internal error:`` line on stderr.
+feasibility error, running out of memory included, and 3 means an
+internal error, such as a failed invariant check, reported as one
+``internal error:`` line on stderr.
 With ``--format json`` the report is a single deterministic JSON document:
 identical configuration (including seeds) produces byte-identical output.
 """
@@ -426,6 +427,14 @@ def main(argv=None) -> int:
         # every usage error is a ValueError, as is a precondition
         # violation from the library
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # a configuration the guardrail should have refused, not a bug
+        print(
+            "error: out of memory: the configuration passed the guardrail "
+            "--max-ambient / KOSZUL_MAX_AMBIENT but needs more memory than there is",
+            file=sys.stderr,
+        )
         return 2
     except Exception as exc:
         # a bug, not a verdict: exit 1 would read as a failed identity

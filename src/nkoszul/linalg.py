@@ -59,7 +59,10 @@ class _WindowRows(dict):
     one ends at each position of a word.  A column missing here is a word
     u·ℓ·v whose rightmost window that is a leading word is ℓ; its row is
     u ⊗ (the row of ℓ) ⊗ v, built on first use and kept, so a hit stays a
-    plain dict lookup.  Storing it is idempotent.
+    plain dict lookup.  Storing it is idempotent.  At ℓ itself, a rule of
+    length d, the row kept is the rule's own, not a copy: no stored row is
+    ever changed, since a rewrite echelon takes no row and
+    :meth:`Echelon.to_subspace` copies what it reduces.
     """
 
     __slots__ = ("ends", "length", "n")
@@ -78,9 +81,11 @@ class _WindowRows(dict):
                     break
                 rule = ech.row_of.get(p // tail % size)
                 if rule is not None:
-                    head = p - p % (tail * size) + p % tail
-                    row = self[p] = {head + col * tail: c for col, c in rule.items()}
-                    return row
+                    if k < self.length:
+                        head = p - p % (tail * size) + p % tail
+                        rule = {head + col * tail: c for col, c in rule.items()}
+                    self[p] = rule
+                    return rule
             tail *= self.n
         raise KeyError(p)
 

@@ -12,17 +12,18 @@ dict, and a series is the list of its coefficients, c_d in end(A)_d.  The
 product of the character series of A and the alternating character series
 of the J spaces is the unit series whenever A is Koszul; :func:`kmt_check`
 forms it one coefficient at a time with
-:meth:`~nkoszul.homog.AlgebraPresentation.multiply`.  Applying
+:meth:`~nkoszul.homog.AlgebraPresentation.multiply`, the one reader of
+memoized word forms; every character, the fermionic minors included, is
+one trace summed over z-words in the free algebra and reduced once
+(:func:`_trace`).  Applying
 z_i^j ↦ δ_ij coefficient-wise recovers the numeric Hilbert-series duality,
 which the tests check.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-
-from .algebras import perm_sign, polynomial
-from .freealg import shuffle_pairs, word_index, z_word
+from .algebras import antisymmetrizers, polynomial
+from .freealg import shuffle_pairs, z_word
 from .homog import AlgebraPresentation
 from .koszul import dual_koszul_subspace, jumps, nu
 from .linalg import axpy, kernel
@@ -61,32 +62,31 @@ def build_end(A: AlgebraPresentation) -> ManinBialgebra:
     return ManinBialgebra(A, env)
 
 
+def _trace(B: ManinBialgebra, k: int, rows) -> dict:
+    """Σ_p Σ_w row[w] · z_w^p in end(A)_k over the pairs (p, row) of
+    ``rows``, p a column of V^{⊗k} and row a column dict over V^{⊗k},
+    summed in the free algebra and reduced once.  The z-word determines
+    (w, p), and each p comes once, so no two terms share a z-word."""
+    n = B.base.n
+    return B.env.reduce(
+        k, {z_word(w, p, k, n): c for p, row in rows for w, c in row.items()}
+    )
+
+
 def chi_A(B: ManinBialgebra, k: int) -> dict:
     """Character of A_k: trace of the coaction over the normal basis,
     Σ_{|jw|=k} Σ_e c_e · z_e^{jw} in end(A)_k, where x_{jw} = Σ_e c_e x_e
     in the normal basis of A_k; words are columns."""
-    A, E = B.base, B.env
-    n = A.n
-    acc = {}
-    for jw in range(n**k):
-        for e, ce in A.class_of_word((k, jw)).items():
-            axpy(acc, ce, E.class_of_word((k, z_word(e, jw, k, n))))
-    return acc
+    A = B.base
+    return _trace(B, k, ((jw, A.reduce(k, {jw: 1})) for jw in range(A.n**k)))
 
 
 def chi_J(B: ManinBialgebra, ell: int) -> dict:
     """Character of J_{ν(ℓ)}: trace via the pivot coordinate functionals of
     the echelon basis (any linear extension of the coordinates works since
     the coaction maps J into end(A) ⊗ J)."""
-    A, E = B.base, B.env
-    n = A.n
-    m = nu(A.N, ell)
-    space = dual_koszul_subspace(A, m)
-    acc = {}
-    for p, row in space.row_of.items():
-        for w, c in row.items():
-            axpy(acc, c, E.class_of_word((m, z_word(w, p, m, n))))
-    return acc
+    m = nu(B.base.N, ell)
+    return _trace(B, m, dual_koszul_subspace(B.base, m).row_of.items())
 
 
 def character_series(B: ManinBialgebra, max_degree: int) -> list:
@@ -148,33 +148,18 @@ def is_polynomial_presentation(A: AlgebraPresentation) -> bool:
     return A.ideal_component(2) == model.ideal_component(2)
 
 
-def _noncommutative_minor(B: ManinBialgebra, subset) -> dict:
-    """det(Z_J) in end(A), column-ascending with permuted row indices."""
-    E = B.env
-    n = B.base.n
-    ell = len(subset)
-    cols = word_index(subset, n)
-    vec = {}
-    for perm in permutations(range(ell)):
-        rows = word_index((subset[p] for p in perm), n)
-        # the word determines the permutation, so no two terms share a word
-        vec[z_word(rows, cols, ell, n)] = perm_sign(perm)
-    return E.reduce(ell, vec)
-
-
 def ferm_series(B: ManinBialgebra, max_degree: int) -> list:
     """Ferm: Σ_J (-1)^{|J|} det(Z_J) t^{|J|} over subsets of the generators,
-    as the list of its coefficients."""
+    as the list of its coefficients.  det(Z_J) is column-ascending with
+    permuted row indices, Σ_σ sgn(σ) z_{σ(J)}^{J}: the trace over the
+    antisymmetrizer of J, keyed by its least column, the increasing word."""
     if not is_polynomial_presentation(B.base):
         raise ValueError("fermionic sum is defined for the polynomial algebra")
     n = B.base.n
-    coeffs = []
-    for ell in range(max_degree + 1):
-        acc = {}
-        for subset in combinations(range(n), ell):
-            axpy(acc, (-1) ** ell, _noncommutative_minor(B, subset))
-        coeffs.append(acc)
-    return coeffs
+    return [
+        axpy({}, (-1) ** ell, _trace(B, ell, ((min(a), a) for a in antisymmetrizers(n, ell))))
+        for ell in range(max_degree + 1)
+    ]
 
 
 def ferm_convention(B: ManinBialgebra, target: list) -> str:

@@ -394,7 +394,9 @@ class _ExpressionParser:
         while pos < end:
             m = _TOKEN.match(text, pos)
             if m is None:
-                raise ValueError(f"unexpected character in {text!r} at {pos}")
+                # the offending character, past the blanks before it
+                at = len(text) - len(text[pos:].lstrip())
+                raise ValueError(f"unexpected character in {text!r} at {at}")
             self.tokens.append(m.group(1))
             pos = m.end()
         self.tokens.append("")  # end marker

@@ -517,6 +517,53 @@ def _counit(B, k, c):
     return total
 
 
+def chi_A_by_word(B, k):
+    """χ(A_k) word by word: the normal form of each word x_jw of A_k, then
+    that of each z-word z_e^{jw} in end(A)_k, summed; the oracle of
+    ``manin.chi_A``, which reduces the whole sum once."""
+    A, E = B.base, B.env
+    n = A.n
+    acc = {}
+    for jw in range(n**k):
+        for e, ce in A.class_of_word((k, jw)).items():
+            axpy(acc, ce, E.class_of_word((k, z_word(e, jw, k, n))))
+    return acc
+
+
+def chi_J_by_word(B, ell):
+    """χ(J_ν(ℓ)) word by word over the RREF rows of J_ν(ℓ), keyed by pivot;
+    the oracle of ``manin.chi_J``."""
+    A, E = B.base, B.env
+    n = A.n
+    m = nu(A.N, ell)
+    acc = {}
+    for p, row in dual_koszul_subspace(A, m).row_of.items():
+        for w, c in row.items():
+            axpy(acc, c, E.class_of_word((m, z_word(w, p, m, n))))
+    return acc
+
+
+def ferm_series_by_minor(B, max_degree):
+    """Ferm as Σ_J (-1)^{|J|} det(Z_J), each noncommutative minor reduced
+    on its own: column-ascending with permuted row indices,
+    det(Z_J) = Σ_σ sgn(σ) z_{σ(J)}^{J}; the oracle of
+    ``manin.ferm_series``."""
+    E = B.env
+    n = B.base.n
+    coeffs = []
+    for ell in range(max_degree + 1):
+        acc = {}
+        for subset in combinations(range(n), ell):
+            cols = word_index(subset, n)
+            minor = {
+                z_word(word_index((subset[p] for p in perm), n), cols, ell, n): perm_sign(perm)
+                for perm in permutations(range(ell))
+            }
+            axpy(acc, (-1) ** ell, E.reduce(ell, minor))
+        coeffs.append(acc)
+    return coeffs
+
+
 def _bos_series(B, max_degree):
     """Bos: coefficient of t^k is Σ_{|m|=k} G(m), where G(m) is the
     x^m-coefficient of the ordered product X^m = X_1^{m_1}···X_n^{m_n}

@@ -203,6 +203,14 @@ CASES.update({
     "koszul-qspace11-qm1-d3": _json("koszul-check", "--algebra", "qspace", "--n", "11",
                                     "--q", "-1", D=3),
 })
+# the refusals of the coefficient parser, exit 2: a bad character after a
+# blank, a missing operand, a division by zero and a power above the bounds
+CASES.update({
+    f"error-parse-{name.replace('_', '-')}": ["hilbert", "--algebra",
+                                              f"file:inputs/parse_{name}.json",
+                                              "--max-degree", "2"]
+    for name in ("bad_char", "missing_operand", "div_zero", "too_large")
+})
 # the usage errors of the commands that take no algebra and of the matrix:
 # "{bad" fails in the JSON reader, '{"n": 2}' in the matrix schema
 CASES.update({

@@ -20,7 +20,15 @@ from nkoszul.algebras import (
     polynomial,
     quantum_space,
 )
-from conftest import columns, in_span, rows_by_pair, rref
+from conftest import (
+    chi_A_by_word,
+    chi_J_by_word,
+    columns,
+    ferm_series_by_minor,
+    in_span,
+    rows_by_pair,
+    rref,
+)
 from nkoszul.koszul import (
     admissible_identity_check,
     dual_component_dim,
@@ -212,6 +220,20 @@ def test_criterion_08_bos_ferm_crosscheck(envelopes, bos_series, transposed_ferm
         failures.append("transpose ordering also matches; not exclusive")
     print(f"  (determinant convention recorded: {convention})")
     _verdict(8, "bosonic/fermionic cross-check", failures, time.perf_counter() - t0, 60)
+
+
+def test_characters_match_the_per_word_oracles(algebras, envelopes):
+    # every character of criteria 7 and 8 is one trace reduced once; the
+    # oracles reduce word by word, or minor by minor
+    for key, B in envelopes.items():
+        A = algebras[key]
+        for k in range(5):
+            assert chi_A(B, k) == chi_A_by_word(B, k), (key, k)
+        ell = 0
+        while nu(A.N, ell) <= 4:
+            assert chi_J(B, ell) == chi_J_by_word(B, ell), (key, ell)
+            ell += 1
+    assert ferm_series(envelopes["poly2"], 4) == ferm_series_by_minor(envelopes["poly2"], 4)
 
 
 def test_criterion_09_original_master_identity(algebras, det_inverse):

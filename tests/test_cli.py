@@ -11,10 +11,11 @@ import pytest
 from sympy.polys.fields import FracElement
 
 from conftest import doubled_first_slice
-from nkoszul import __version__, koszul, manin
+from nkoszul import __version__, koszul, manin, mmt
 from nkoszul.cli import HANDLERS, _power_exceeds, build_parser, main
 from nkoszul.homog import AlgebraPresentation
-from nkoszul.scalar import ParameterField, ParameterValue
+from nkoszul.scalar import ParameterField, ParameterValue, axpy
+from nkoszul.series import MultiSeries
 
 
 def run(capsys, *argv):
@@ -69,6 +70,64 @@ def test_internal_error_exit_3(capsys, monkeypatch):
         "internal error: RuntimeError: d∘d != 0: the slices of J_2 and J_1 compose "
         "outside span(R); internal error"
     ]
+
+
+def test_memory_error_exit_2(capsys, monkeypatch):
+    # running out of memory is a configuration the guardrail let through,
+    # not a program fault: one error line that names the guardrail, exit 2
+    def exhausted(args, A):
+        raise MemoryError
+
+    monkeypatch.setitem(HANDLERS, "hilbert", exhausted)
+    code, out, err = run(capsys, "hilbert", "--n", "2", "--max-degree", "2")
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: out of memory")
+    assert "--max-ambient" in line and "KOSZUL_MAX_AMBIENT" in line
+
+
+def test_other_exceptions_still_exit_3(capsys, monkeypatch):
+    def broken(args, A):
+        raise KeyError("lost")
+
+    monkeypatch.setitem(HANDLERS, "hilbert", broken)
+    code, out, err = run(capsys, "hilbert", "--n", "2", "--max-degree", "2")
+    assert (code, out, err) == (3, "", "internal error: KeyError: 'lost'\n")
+
+
+@pytest.fixture
+def perturbed_denominator(monkeypatch):
+    # the master identity is a theorem on poly and antisym, so only a
+    # perturbed side reaches the failing report: 1 more at t_1
+    exact = mmt.nmt_rhs_denominator
+
+    def perturbed(n, N, Z, max_degree):
+        terms = dict(exact(n, N, Z, max_degree).terms)
+        axpy(terms, 1, {(1,) + (0,) * (n - 1): 1})
+        return MultiSeries(n, max_degree, terms)
+
+    monkeypatch.setattr(mmt, "nmt_rhs_denominator", perturbed)
+
+
+@pytest.mark.parametrize("command, name", [("mmt", "master identity"),
+                                           ("nmt", "N=2 master identity")])
+def test_master_report_of_a_violated_identity(capsys, perturbed_denominator, command, name):
+    argv = (command, "--n", "3", "--N", "2", "--random-seed", "3", "--max-degree", "3")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    doc = json.loads(out)
+    assert code == 1 and doc["verdict"] == "violated"
+    assert doc["report"]["passed"] is False
+    mismatch = doc["report"]["first_mismatch"]
+    assert set(mismatch) == {"exponents", "lhs", "rhs"}
+    assert mismatch["exponents"] == [1, 0, 0]
+    assert isinstance(mismatch["lhs"], str) and isinstance(mismatch["rhs"], str)
+    assert mismatch["lhs"] != mismatch["rhs"]
+    code, out, _ = run(capsys, *argv)
+    [line] = out.splitlines()
+    assert code == 1
+    assert line == (
+        f"{name} FAILS at monomial (1, 0, 0): lhs={mismatch['lhs']}, rhs={mismatch['rhs']}"
+    )
 
 
 def test_mmt_seeded(capsys):

@@ -19,7 +19,7 @@ ENV_KEYS = ("KOSZUL_MAX_AMBIENT", "COLUMNS")
 
 
 def test_corpus_is_present():
-    assert len(CASES) == 159
+    assert len(CASES) == 163
 
 
 def _diff(name, golden, now):

@@ -419,6 +419,36 @@ def test_ideal_stores_only_new_and_used_rows(normal_basis_calls):
     assert normal_basis_calls == [2]
 
 
+@pytest.mark.parametrize(
+    "make, top, degrees",
+    [(lambda: polynomial(3), 5, [2]), (lambda: perturbed_antisym43(1), 6, [3, 4, 5])],
+    ids=["poly3", "perturbed1"],
+)
+def test_row_of_a_leading_word_is_its_rule(make, top, degrees):
+    # at a pivot of degree d whose rightmost window is a rule of length d,
+    # the rewrite echelon keeps the rule's own row, not a copy; no stored
+    # row is ever changed, so a koszul-check leaves every rule as it was
+    A = make()
+    A.hilbert_series(top)
+    rules = {
+        d: ech
+        for d, data in enumerate(A.cache.degrees)
+        for k, _, ech in data.ends
+        if k == d
+    }
+    assert sorted(rules) == degrees
+
+    def kept_rules():
+        for d, ech in rules.items():
+            rows = A.cache.degrees[d].echelon.row_of
+            assert all(rows[p] is rule for p, rule in ech.row_of.items())
+        return {d: {p: dict(row) for p, row in ech.row_of.items()} for d, ech in rules.items()}
+
+    before = kept_rules()
+    koszul_certificate(A, top)
+    assert kept_rules() == before
+
+
 @settings(max_examples=60, deadline=None)
 @given(groebner_presentations(), st.data())
 def test_groebner_presentations_match_full_copy_recursion(A, data):

@@ -159,7 +159,7 @@ COLUMN_ONLY = {
         "_blocks",
     ),
     "mmt": ("g_table",),
-    "manin": ("build_end", "chi_A", "chi_J", "kmt_check"),
+    "manin": ("build_end", "_trace", "chi_A", "chi_J", "ferm_series", "kmt_check"),
 }
 
 
@@ -224,9 +224,10 @@ def test_content_functions_build_nothing_sized_by_the_alphabet():
     assert [_alphabet_sized(stmt.value) for stmt in sized.body] == [True] * 4 + [False] * 2
 
 
-# The callers of class_of_word: the one product of the quotient, and the
-# characters, which reduce single z-words rather than products.
-WORD_REDUCERS = {"homog.AlgebraPresentation.multiply", "manin.chi_A", "manin.chi_J"}
+# The one caller of class_of_word: the product of the quotient.  Every other
+# element, each character of end(A) included, is formed in the free algebra
+# and reduced once.
+WORD_REDUCERS = {"homog.AlgebraPresentation.multiply"}
 
 
 def _callers(tree, attr, scope=()):
@@ -250,7 +251,7 @@ def test_only_multiply_reduces_products():
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         found.update(f"{path.stem}.{q}" for q in _callers(tree, "class_of_word"))
-    assert found - WORD_REDUCERS == set()
+    assert found == WORD_REDUCERS
 
 
 def test_no_sparse_accumulate_outside_axpy():
